@@ -1,6 +1,9 @@
 """Command-line interface: dataset generation, solving, projection,
 partitioning, experiments, and the property-suite verifier.
 
+`partition --seed s` emits the low-value partition that `solve --algo ptas
+--seed s` solves (both run `ptas.build_stages` on the same configuration).
+
 Every command is deterministic given --seed; rerunning with identical
 arguments reproduces output files byte for byte. Exit code 0 iff all
 invoked checks pass.
@@ -11,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -20,32 +24,27 @@ from .experiments import (DIMRED_COLUMNS, PTAS_COLUMNS, ExperimentSpec,
                           run_property_suite, run_ptas_experiment)
 from .geometry import (PointSet, load_points, save_points_binary,
                        save_points_text)
-from .hierarchy import build_hierarchy
-from .partition import MatrixApproxHandle, bottom_up_partition, partition_to_csv
+from .partition import partition_to_csv
 from .projection import sample_map
-from .ptas import DistanceOracle, PtasConfig, ptas_discrete, ptas_euclidean, trace_to_jsonl
-from .refine import eliminate_badly_cut
-from .solvers import (DEFAULT_SOLVER, approx_ufl, brute_force_ufl_continuous,
-                      brute_force_ufl_discrete)
+from .ptas import (DistanceOracle, PtasConfig, build_stages, ptas_discrete,
+                   ptas_euclidean, trace_to_jsonl)
+from .solvers import approx_ufl, brute_force_ufl_continuous, brute_force_ufl_discrete
 from .util import format_float
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eps", type=float, default=0.2)
-    p.add_argument("--ddim", type=float, default=2.0)
-    p.add_argument("--kappa-cap", type=float, default=32.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--c1", type=float, default=1.0)
-    p.add_argument("--c2", type=float, default=1.0)
-    p.add_argument("--c3", type=float, default=2.0)
-    p.add_argument("--c4", type=float, default=4.0)
-    p.add_argument("--alpha", type=float, default=6.0)
+    """One flag per PtasConfig field (kappa_cap -> --kappa-cap)."""
+    for f in fields(PtasConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                       default=f.default)
+
+
+def _config_values(args) -> dict:
+    return {f.name: getattr(args, f.name) for f in fields(PtasConfig)}
 
 
 def _config(args) -> PtasConfig:
-    return PtasConfig(eps=args.eps, ddim=args.ddim, c1=args.c1, c2=args.c2,
-                      c3=args.c3, c4=args.c4, kappa_cap=args.kappa_cap,
-                      alpha=args.alpha, seed=args.seed)
+    return PtasConfig(**_config_values(args))
 
 
 def _write(path: str | None, text: str) -> None:
@@ -113,13 +112,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    X = load_points(args.input)
-    cfg = _config(args)
-    H = build_hierarchy(X, args.seed)
-    f0 = approx_ufl(X)
-    T = eliminate_badly_cut(H, f0, cfg.eps, cfg.ddim)
-    part = bottom_up_partition(T, cfg.kappa,
-                               MatrixApproxHandle(H.metric.matrix, cfg.alpha))
+    part = build_stages(load_points(args.input), _config(args)).partition
     _write(args.out, partition_to_csv(part))
     return 0
 
@@ -127,9 +120,7 @@ def cmd_partition(args) -> int:
 def cmd_experiment(args) -> int:
     spec = ExperimentSpec(kind=args.kind, n=args.n, d=args.d,
                           intrinsic_dim=args.intrinsic_dim, trials=args.trials,
-                          seed=args.seed, eps=args.eps, ddim=args.ddim,
-                          c1=args.c1, c2=args.c2, c3=args.c3, c4=args.c4,
-                          kappa_cap=args.kappa_cap, alpha=args.alpha)
+                          **_config_values(args))
     if args.mode == "dimred":
         rows, summary = run_dimred_experiment(spec)
         text = rows_to_csv(rows, DIMRED_COLUMNS)
@@ -143,8 +134,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    spec = ExperimentSpec(trials=args.trials, seed=args.seed, eps=args.eps,
-                          ddim=args.ddim)
+    spec = ExperimentSpec(trials=args.trials, seed=args.seed, eps=args.eps)
     report = run_property_suite(spec)
     _write(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0 if report["all_passed"] else 1
@@ -183,7 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("partition", help="emit the low-value partition as CSV")
+    p = sub.add_parser("partition", help="emit as CSV the low-value partition "
+                                         "that solve --algo ptas solves for the same seed")
     p.add_argument("input")
     _add_config_flags(p)
     p.add_argument("--out", default=None)
@@ -202,7 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the property suite (exit 1 on failure)")
     p.add_argument("--trials", type=int, default=100)
-    _add_config_flags(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--eps", type=float, default=PtasConfig.eps)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 

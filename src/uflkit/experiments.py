@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -18,11 +18,10 @@ from .datasets import generate_dataset
 from .geometry import PointSet
 from .hierarchy import (build_hierarchy, check_diameters, check_nesting,
                         is_badly_cut, is_cut, is_good_pair)
-from .partition import (MatrixApproxHandle, bottom_up_partition,
-                        check_partition_invariants, local_value_bounds_check,
+from .partition import (check_partition_invariants, local_value_bounds_check,
                         partition_properties_check)
 from .projection import sample_map
-from .ptas import PtasConfig, ptas_euclidean
+from .ptas import PtasConfig, build_stages, ptas_euclidean
 from .refine import (check_guided_pairs_uncut, consistency_check,
                      eliminate_badly_cut)
 from .solvers import approx_ufl, brute_force_ufl_continuous
@@ -30,33 +29,26 @@ from .util import format_float, spawn_seeds
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
-    """Generator, trial count, and pipeline parameters for one experiment."""
+class ExperimentSpec(PtasConfig):
+    """Generator, trial count, and failure probability on top of the
+    pipeline parameters (every PtasConfig field) for one experiment."""
 
     kind: str = "subspace"
     n: int = 12
     d: int = 64
     intrinsic_dim: int = 2
     trials: int = 50
-    seed: int = 0
-    eps: float = 0.2
-    ddim: float = 2.0
     delta: float = 0.1
-    c1: float = 1.0
-    c2: float = 1.0
-    c3: float = 2.0
-    c4: float = 4.0
-    kappa_cap: float = 32.0
-    alpha: float = 6.0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
 
-    def ptas_config(self, seed: int | None = None) -> PtasConfig:
-        return PtasConfig(eps=self.eps, ddim=self.ddim, c1=self.c1, c2=self.c2,
-                          c3=self.c3, c4=self.c4, kappa_cap=self.kappa_cap,
-                          alpha=self.alpha, seed=self.seed if seed is None else seed)
+    def ptas_config(self, seed: int) -> PtasConfig:
+        """The pipeline parameters alone, run under the given seed."""
+        values = {f.name: getattr(self, f.name) for f in fields(PtasConfig)}
+        return PtasConfig(**(values | {"seed": seed}))
 
 
 def rows_to_csv(rows: list[dict], columns: list[str]) -> str:
@@ -79,8 +71,7 @@ def run_dimred_experiment(spec: ExperimentSpec):
     """Per trial: draw a dataset and a random map, and compare the exhaustive
     UFL optimum of the projection against the original. Returns (rows,
     summary); the acceptance band is [1 - 2 eps, 1 + 2 eps]."""
-    cfg = spec.ptas_config()
-    m = cfg.m
+    m = spec.m
     rows = []
     for trial, s in enumerate(spawn_seeds(spec.seed, spec.trials)):
         ds_seed, map_seed = spawn_seeds(s, 2)
@@ -264,14 +255,6 @@ def _instance_stream(count: int, seed: int, max_n: int = 120, max_d: int = 16):
         yield generate_dataset(kind, n, d, intrinsic, int(rng.integers(0, 2 ** 31))), s
 
 
-def _pipeline(X: PointSet, cfg: PtasConfig):
-    H = build_hierarchy(X, cfg.seed)
-    f0 = approx_ufl(X)
-    T = eliminate_badly_cut(H, f0, cfg.eps, cfg.ddim)
-    part = bottom_up_partition(T, cfg.kappa, MatrixApproxHandle(H.metric.matrix, cfg.alpha))
-    return H, f0, T, part
-
-
 def refine_structure_check(instances: int, seed: int, eps: float = 0.3,
                            ddim: float = 2.0) -> dict:
     violations = 0
@@ -297,13 +280,13 @@ def partition_structure_check(instances: int, seed: int, eps: float = 0.3,
     pairs_checked = 0
     for X, s in _instance_stream(instances, seed):
         cfg = PtasConfig(eps=eps, ddim=ddim, kappa_cap=kappa_cap, seed=s)
-        _, f0, _, part = _pipeline(X, cfg)
+        part = build_stages(X, cfg).partition
         ok = check_partition_invariants(part)
         bad_invariants += sum(not flag for flag in ok)
         rng = np.random.default_rng(s)
         pairs = [tuple(rng.choice(X.n, size=2, replace=False))
                  for _ in range(pairs_per_instance)]
-        rep = partition_properties_check(part, f0, pairs)
+        rep = partition_properties_check(part, part.refined.f0_ids, pairs)
         sep_violations += len(rep.separation_violations)
         cons_violations += len(rep.consistency_violations)
         pairs_checked += rep.pairs_checked
@@ -320,7 +303,7 @@ def local_bounds_check(instances: int, seed: int, eps: float = 0.3,
     checked_parts = 0
     for X, s in _instance_stream(instances, seed, max_n=12, max_d=8):
         cfg = PtasConfig(eps=eps, ddim=ddim, kappa_cap=kappa_cap, seed=s)
-        _, _, _, part = _pipeline(X, cfg)
+        part = build_stages(X, cfg).partition
         rep = local_value_bounds_check(part, brute_force_ufl_continuous, ddim)
         failures += sum(1 for e in rep.entries if not (e.lower_ok and e.upper_ok))
         checked_parts += sum(1 for e in rep.entries if e.checked)
@@ -350,7 +333,7 @@ def lambda_scaling_check(trials: int, seed: int, slack: float = 8.0,
     sizes = []
     for s in spawn_seeds(seed, trials):
         cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=kappa_cap, seed=s)
-        _, _, _, part = _pipeline(X, cfg)
+        part = build_stages(X, cfg).partition
         sizes.append(len(part.parts))
     mean = float(np.mean(sizes))
     bound = slack * approx_total / kappa
@@ -364,7 +347,7 @@ def part_sum_check(instances: int, seed: int, slack: float = 0.5) -> dict:
     worst = 0.0
     for X, s in _instance_stream(instances, seed, max_n=12, max_d=8):
         cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=2.0, seed=s)
-        _, _, _, part = _pipeline(X, cfg)
+        part = build_stages(X, cfg).partition
         total = sum(brute_force_ufl_continuous(X.coords[p.members]) for p in part.parts)
         worst = max(worst, total / brute_force_ufl_continuous(X.coords))
     return {"name": "part_value_sum", "measured": worst, "bound": 1.0 + slack,

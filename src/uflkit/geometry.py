@@ -173,9 +173,13 @@ def greedy_net(X: PointSet, subset, radius: float) -> Net:
 def metric_stats(X: PointSet) -> tuple[float, float, float, int]:
     """(gamma, Diam, Delta, l): minimum pairwise distance, diameter, aspect
     ratio Diam/gamma, and l = ceil(log2 Delta)."""
-    if X.n < 2:
+    return pair_stats(pdist(X.coords))
+
+
+def pair_stats(pair: np.ndarray) -> tuple[float, float, float, int]:
+    """metric_stats from the distances between distinct points."""
+    if len(pair) == 0:
         raise ValueError("metric stats require at least two points")
-    pair = pdist(X.coords)
     gamma = float(pair.min())
     diam = float(pair.max())
     if gamma <= 0:

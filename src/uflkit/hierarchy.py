@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PointSet, UflSolution
-from .util import ceil_log2, rng_from_seed
+from .geometry import PointSet, UflSolution, pair_stats
+from .util import rng_from_seed
 
 
 class MetricData:
@@ -45,15 +45,7 @@ class MetricData:
 
     def stats(self) -> tuple[float, float, float, int]:
         """(gamma, Diam, Delta, l) from the matrix."""
-        if self.n < 2:
-            raise ValueError("metric stats require at least two points")
-        off = self.matrix[~np.eye(self.n, dtype=bool)]
-        gamma = float(off.min())
-        diam = float(off.max())
-        if gamma <= 0:
-            raise ValueError("zero minimum distance")
-        delta = diam / gamma
-        return gamma, diam, delta, max(0, ceil_log2(delta))
+        return pair_stats(self.matrix[~np.eye(self.n, dtype=bool)])
 
 
 @dataclass

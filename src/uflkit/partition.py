@@ -6,7 +6,6 @@ local value bounds)."""
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -282,10 +281,6 @@ def partition_properties_check(P: LowValuePartition, f0, pairs,
     part_ok, holes_total_ok, holes_disj_ok, approx_ok = check_partition_invariants(P)
     return PartitionCheckReport(part_ok, holes_total_ok, holes_disj_ok, approx_ok,
                                 sep_viol, cons_viol, checked)
-
-
-def partition_size_stat(P: LowValuePartition) -> tuple[int, float]:
-    return P.size_stat()
 
 
 def partition_to_csv(P: LowValuePartition) -> str:

@@ -46,10 +46,6 @@ def sample_map(d: int, m: int, seed: int) -> RandomLinearMap:
     return RandomLinearMap(matrix=G, m=int(m), d=int(d), seed=int(seed))
 
 
-def apply_map(pi: RandomLinearMap, X: PointSet) -> PointSet:
-    return pi.apply(X)
-
-
 def target_dim(eps: float, tau: float, c3: float = 2.0) -> int:
     """m = ceil(c3 * eps^-2 * (log2 tau + log2(1/eps))), at least 1.
 

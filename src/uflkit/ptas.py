@@ -1,15 +1,16 @@
 """End-to-end (1+eps)-style approximation pipelines for UFL on doubling
-inputs: the Euclidean pipeline solves small k-median instances on randomly
-projected parts (falling back to the constant-factor clustering when the
-projection misbehaves), and the discrete pipeline solves them against
-per-cluster candidate facility sets over a distance oracle."""
+inputs. Both decompose the input with `build_stages`, the single stage
+builder (hierarchy, guiding solution, badly-cut elimination, low-value
+partition). The Euclidean pipeline then solves small k-median instances on
+randomly projected parts (falling back to the constant-factor clustering
+when the projection misbehaves), and the discrete pipeline solves them
+against per-cluster candidate facility sets over a distance oracle."""
 
 from __future__ import annotations
 
 import json
 import logging
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -19,9 +20,10 @@ from .hierarchy import HierarchicalDecomposition, MetricData, build_hierarchy
 from .partition import LowValuePartition, MatrixApproxHandle, bottom_up_partition
 from .projection import sample_map, target_dim
 from .refine import eliminate_badly_cut
-from .solvers import (DEFAULT_SOLVER, SolverConfig, _affine_reduce, _dmin_table,
-                      _med1_costs, _ufl_partition_dp, mp_ufl_value,
-                      restricted_ufl_value, weiszfeld_1median)
+from .solvers import (_MAX_DISCRETE, DEFAULT_SOLVER, SolverConfig, _affine_reduce,
+                      _mask_ids, _med1_costs, _subset_enumerable, _subset_table,
+                      _ufl_partition_dp, mp_ufl_value, restricted_ufl_value,
+                      weiszfeld_1median)
 from .util import spawn_seeds
 
 logger = logging.getLogger(__name__)
@@ -80,12 +82,7 @@ class PartTrace(NamedTuple):
     designated_cost: float       # original-space cost of the adopted clustering
 
     def to_json(self) -> str:
-        return json.dumps({"part": self.part, "level": self.level,
-                           "event_G": self.event_G, "event_H": self.event_H,
-                           "k_star": self.k_star, "v": self.v,
-                           "adopted": self.adopted,
-                           "approx_cost": self.approx_cost,
-                           "designated_cost": self.designated_cost})
+        return json.dumps(self._asdict())
 
 
 def trace_to_jsonl(traces: list[PartTrace]) -> str:
@@ -136,22 +133,43 @@ def candidate_set(H: HierarchicalDecomposition, cluster_id: int, eps: float) -> 
 
 
 # ---------------------------------------------------------------------------
-# Euclidean pipeline
+# Decomposition stages
 # ---------------------------------------------------------------------------
 
-def _build_stage(md: MetricData, cfg: PtasConfig):
+class Stages(NamedTuple):
+    partition: LowValuePartition   # also holds .hierarchy, .refined and .refined.f0_ids
+    approx: object                 # the qualification handle the partition scan used
+    map_seed: int                  # seed of the random linear map
+
+
+def build_stages(md, cfg: PtasConfig, approx=None) -> Stages:
+    """The single stage builder: random hierarchy, ball-growing guiding
+    solution f0, badly-cut elimination against f0, and the bottom-up
+    low-value partition at threshold cfg.kappa.
+
+    md is a MetricData or a PointSet. approx, when given, maps the hierarchy
+    to the partition's qualification handle; by default the scan uses ball
+    growing over the whole matrix. The stages are looked up as module
+    globals at call time, so wrappers installed on them see every call.
+    """
+    md = MetricData.coerce(md)
     hseed, mseed = spawn_seeds(cfg.seed, 2)
     H = build_hierarchy(md, hseed)
-    f0_cost, f0_ids = mp_ufl_value(md.matrix, np.arange(md.n))
+    _, f0_ids = mp_ufl_value(md.matrix, np.arange(md.n))
     T = eliminate_badly_cut(H, _nearest_assignment_ids(md.matrix, f0_ids),
                             cfg.eps, cfg.ddim)
-    return H, T, f0_ids, mseed
+    handle = MatrixApproxHandle(md.matrix, alpha=cfg.alpha) if approx is None else approx(H)
+    return Stages(bottom_up_partition(T, cfg.kappa, handle), handle, mseed)
 
 
 def _nearest_assignment_ids(D: np.ndarray, facility_ids: np.ndarray) -> np.ndarray:
     cols = D[:, facility_ids]
     return facility_ids[np.argmin(cols, axis=1)]
 
+
+# ---------------------------------------------------------------------------
+# Euclidean pipeline
+# ---------------------------------------------------------------------------
 
 def _fallback_clusters(D: np.ndarray, members: np.ndarray,
                        facility_ids: np.ndarray) -> list[np.ndarray]:
@@ -198,14 +216,12 @@ def ptas_euclidean(X: PointSet, cfg: PtasConfig,
         return sol, []
 
     md = MetricData.from_points(X)
-    H, T, _, mseed = _build_stage(md, cfg)
-    handle = MatrixApproxHandle(md.matrix, alpha=cfg.alpha)
-    partition = bottom_up_partition(T, cfg.kappa, handle)
+    partition, _, mseed = build_stages(md, cfg)
 
     pi = sample_map(X.d, cfg.m, mseed)
     proj = pi.apply(X).coords
 
-    clusters: list[np.ndarray] = []
+    centers: list[np.ndarray] = []
     traces: list[PartTrace] = []
     kmax_cap = int(min(cfg.c4 * cfg.tau, 1e18))
     for p in partition.parts:
@@ -247,14 +263,12 @@ def ptas_euclidean(X: PointSet, cfg: PtasConfig,
             if len(cl) == 0:
                 logger.info("skipping empty cluster in part %d", p.index)
                 continue
-            clusters.append(cl)
-            designated += weiszfeld_1median(X.coords[cl], solver).cost
+            med = weiszfeld_1median(X.coords[cl], solver)
+            centers.append(med.center)
+            designated += med.cost
         traces.append(PartTrace(p.index, p.level, event_g, event_h, k_star, v,
                                 label, p.approx_value, designated))
 
-    centers = []
-    for cl in clusters:
-        centers.append(weiszfeld_1median(X.coords[cl], solver).center)
     F = _dedupe_rows(np.asarray(centers))
     return ufl_cost(X, F), traces
 
@@ -291,13 +305,13 @@ class RestrictedApproxHandle:
         self.matrix = matrix
         self.candidates = candidates
         largest = max(len(c) for c in candidates.values())
-        self.exact = largest <= 15 and (1 << largest) * matrix.shape[0] <= 4_000_000
+        self.exact = _subset_enumerable(largest, matrix.shape[0])
         self.alpha = 1.0 if self.exact else 3.0
 
     def evaluate(self, members: np.ndarray, cluster_id: int) -> tuple[float, np.ndarray]:
         cost, _, fids = restricted_ufl_value(
             self.matrix, members, self.candidates[cluster_id],
-            exact_cap=15 if self.exact else 0)
+            exact_cap=_MAX_DISCRETE if self.exact else 0)
         return cost, fids
 
 
@@ -305,22 +319,17 @@ def _restricted_sweep(D: np.ndarray, members: np.ndarray, cand: np.ndarray,
                       kmax: int, solver: SolverConfig):
     """Best k + v_k over k = 1..kmax with facilities from cand; exact by
     subset enumeration when feasible."""
-    sub = D[np.ix_(members, cand)]
-    if len(cand) <= 15 and (1 << len(cand)) * len(members) <= 4_000_000:
-        dmin = _dmin_table(sub)
-        counts = np.array([bin(m).count("1") for m in range(1 << len(cand))])
-        sums = dmin.sum(axis=1)
+    if _subset_enumerable(len(cand), len(members)):
+        cost, size = _subset_table(D[np.ix_(members, cand)])
         best = None
         for k in range(1, kmax + 1):
-            masks = np.flatnonzero(counts == k)
+            masks = np.flatnonzero(size == k)
             if len(masks) == 0:
                 break
-            vals = sums[masks]
+            vals = cost[masks]
             j = int(np.argmin(vals))
             if best is None or k + vals[j] < best[0] + best[1]:
-                mask = int(masks[j])
-                ids = cand[[i for i in range(len(cand)) if (mask >> i) & 1]]
-                best = (k, float(vals[j]), np.asarray(ids))
+                best = (k, float(vals[j]), cand[_mask_ids(masks[j], len(cand))])
         return best
     from .solvers import kmedian_restricted
 
@@ -345,10 +354,12 @@ def ptas_discrete(oracle: DistanceOracle, cfg: PtasConfig,
         return DiscreteSolution(np.array([0]), np.array([0]), OPENING_COST, 0.0,
                                 OPENING_COST), []
 
-    H, T, _, _ = _build_stage(md, cfg)
-    candidates = {c.cid: candidate_set(H, c.cid, cfg.eps) for c in H.clusters}
-    handle = RestrictedApproxHandle(D, candidates)
-    partition = bottom_up_partition(T, cfg.kappa, handle)
+    def restricted(H: HierarchicalDecomposition) -> RestrictedApproxHandle:
+        return RestrictedApproxHandle(
+            D, {c.cid: candidate_set(H, c.cid, cfg.eps) for c in H.clusters})
+
+    partition, handle, _ = build_stages(md, cfg, restricted)
+    candidates = handle.candidates
 
     facility_ids: list[int] = []
     traces: list[PartTrace] = []

@@ -22,6 +22,19 @@ from .geometry import OPENING_COST, OracleScaleError, PointSet, UflSolution, ufl
 
 _MAX_ENUM = 14          # hard cap on exact partition enumeration
 _MAX_DISCRETE = 15      # hard cap on facility-subset enumeration
+_MAX_SUBSET_CELLS = 4_000_000   # cap on (facility subset, client) table cells
+
+
+def _subset_enumerable(facilities: int, clients: int) -> bool:
+    """True iff the facility-subset table of _subset_table is small enough
+    to enumerate: at most _MAX_DISCRETE facilities and _MAX_SUBSET_CELLS
+    (subset, client) cells."""
+    return facilities <= _MAX_DISCRETE and (1 << facilities) * clients <= _MAX_SUBSET_CELLS
+
+
+def _mask_ids(mask: int, s: int) -> np.ndarray:
+    """Positions 0..s-1 of the set bits of mask, ascending."""
+    return np.flatnonzero((int(mask) >> np.arange(s)) & 1)
 
 
 @dataclass(frozen=True)
@@ -219,7 +232,7 @@ def _ufl_partition_dp(med1: np.ndarray, s: int):
     S = nm - 1
     while S:
         T = choice[S]
-        parts.append(np.flatnonzero([(T >> i) & 1 for i in range(s)]))
+        parts.append(_mask_ids(T, s))
         S ^= T
     return dp[nm - 1], parts
 
@@ -253,7 +266,7 @@ def _kmedian_exact_dp(med1: np.ndarray, s: int, k: int):
     S = nm - 1
     for j in range(k - 1, -1, -1):
         T = choices[j][S]
-        parts.append(np.flatnonzero([(T >> i) & 1 for i in range(s)]))
+        parts.append(_mask_ids(T, s))
         S ^= T
     return prev[nm - 1], parts
 
@@ -273,19 +286,24 @@ def brute_force_ufl_continuous(points, cfg: SolverConfig = DEFAULT_SOLVER) -> fl
 # Discrete enumeration (facilities restricted to given candidates)
 # ---------------------------------------------------------------------------
 
-def _dmin_table(sub: np.ndarray) -> np.ndarray:
-    """dmin[mask][c] = distance of client c to the nearest facility in mask,
-    for every subset mask of the candidate columns of sub."""
+def _subset_table(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every facility subset of the candidate columns of sub (clients x
+    candidates), indexed by bitmask: (cost, size) where cost[mask] is the
+    clients' total distance to their nearest facility in mask (inf for the
+    empty mask) and size[mask] its popcount. Both tables grow by adding the
+    lowest set bit to a smaller mask."""
     nc, m = sub.shape
-    nm = 1 << m
-    if nm * nc > 64_000_000:
+    if not _subset_enumerable(m, nc):
         raise OracleScaleError("oracle scale exceeded")
+    nm = 1 << m
     dmin = np.empty((nm, nc))
     dmin[0] = np.inf
+    size = [0] * nm
     for mask in range(1, nm):
         low = mask & (-mask)
         np.minimum(dmin[mask ^ low], sub[:, low.bit_length() - 1], out=dmin[mask])
-    return dmin
+        size[mask] = size[mask ^ low] + 1
+    return dmin.sum(axis=1), np.asarray(size)
 
 
 def brute_force_ufl_discrete(points_or_matrix, is_matrix: bool | None = None) -> float:
@@ -307,14 +325,8 @@ def brute_force_ufl_discrete(points_or_matrix, is_matrix: bool | None = None) ->
     else:
         P = np.atleast_2d(arr)
         D = squareform(pdist(P)) if len(P) > 1 else np.zeros((1, 1))
-    s = len(D)
-    if s > _MAX_DISCRETE:
-        raise OracleScaleError("oracle scale exceeded")
-    dmin = _dmin_table(D)
-    sums = dmin.sum(axis=1)
-    counts = np.array([bin(m).count("1") for m in range(1 << s)])
-    totals = OPENING_COST * counts[1:] + sums[1:]
-    return float(totals.min())
+    cost, size = _subset_table(D)
+    return float((OPENING_COST * size[1:] + cost[1:]).min())
 
 
 def kmedian_restricted(D: np.ndarray, clients: np.ndarray, candidates: np.ndarray,
@@ -327,15 +339,11 @@ def kmedian_restricted(D: np.ndarray, clients: np.ndarray, candidates: np.ndarra
     if not 1 <= k <= len(candidates):
         raise ValueError("k must lie in [1, #candidates]")
     sub = D[np.ix_(clients, candidates)]
-    if len(candidates) <= _MAX_DISCRETE and (1 << len(candidates)) * len(clients) <= 4_000_000:
-        dmin = _dmin_table(sub)
-        masks = np.arange(1 << len(candidates))
-        pc = np.array([bin(m).count("1") for m in masks])
-        eligible = np.flatnonzero(pc == k)
-        sums = dmin[eligible].sum(axis=1)
-        best = eligible[int(np.argmin(sums))]
-        chosen = candidates[[i for i in range(len(candidates)) if (best >> i) & 1]]
-        return np.asarray(chosen), float(sums.min()), True
+    if _subset_enumerable(len(candidates), len(clients)):
+        cost, size = _subset_table(sub)
+        eligible = np.flatnonzero(size == k)
+        best = eligible[int(np.argmin(cost[eligible]))]
+        return candidates[_mask_ids(best, len(candidates))], float(cost[best]), True
 
     # local search: greedy forward selection, then single swaps
     chosen: list[int] = []
@@ -475,13 +483,11 @@ def restricted_ufl_value(D: np.ndarray, clients: np.ndarray, candidates: np.ndar
     clients = np.asarray(clients, dtype=int)
     candidates = np.asarray(candidates, dtype=int)
     sub = D[np.ix_(candidates, clients)]
-    if len(candidates) <= exact_cap and (1 << len(candidates)) * len(clients) <= 4_000_000:
-        dmin = _dmin_table(sub.T)
-        counts = np.array([bin(m).count("1") for m in range(1 << len(candidates))])
-        totals = OPENING_COST * counts[1:] + dmin[1:].sum(axis=1)
+    if len(candidates) <= exact_cap and _subset_enumerable(len(candidates), len(clients)):
+        cost, size = _subset_table(sub.T)
+        totals = OPENING_COST * size[1:] + cost[1:]
         best = int(np.argmin(totals)) + 1
-        ids = candidates[[i for i in range(len(candidates)) if (best >> i) & 1]]
-        return float(totals.min()), 1.0, np.asarray(ids)
+        return float(totals[best - 1]), 1.0, candidates[_mask_ids(best, len(candidates))]
     radii = _mp_radii(sub)
     sel = _mp_select(D[np.ix_(candidates, candidates)], radii)
     conn = sub[sel].min(axis=0).sum()

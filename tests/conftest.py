@@ -1,7 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from uflkit.geometry import PointSet
+
+# CLI tests run `python -m uflkit.cli` in subprocesses: give them this
+# source tree as well, so the suite needs no PYTHONPATH or install.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture

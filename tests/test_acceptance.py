@@ -17,10 +17,8 @@ from uflkit.experiments import (ExperimentSpec, badly_cut_rate_check,
                                 expansion_tail_check, lambda_scaling_check,
                                 run_dimred_experiment, run_ptas_experiment)
 from uflkit.hierarchy import build_hierarchy
-from uflkit.partition import (MatrixApproxHandle, bottom_up_partition,
-                              check_partition_invariants,
-                              partition_properties_check)
-from uflkit.ptas import DistanceOracle, PtasConfig, ptas_discrete
+from uflkit.partition import check_partition_invariants, partition_properties_check
+from uflkit.ptas import DistanceOracle, PtasConfig, build_stages, ptas_discrete
 from uflkit.refine import consistency_check, eliminate_badly_cut
 from uflkit.solvers import (approx_ufl, brute_force_ufl_continuous,
                             brute_force_ufl_discrete, kmedian,
@@ -51,14 +49,12 @@ def pipeline_instances(count, seed, max_n, max_d=16, big_every=None):
                                int(rng.integers(0, 2 ** 31))), s
 
 
-def build_partition(X, seed, eps=0.3, ddim=2.0, kappa_cap=4.0, alpha=6.0):
-    H = build_hierarchy(X, seed)
-    f0 = approx_ufl(X)
-    T = eliminate_badly_cut(H, f0, eps, ddim)
-    part = bottom_up_partition(T, PtasConfig(eps=eps, ddim=ddim,
-                                             kappa_cap=kappa_cap).kappa,
-                               MatrixApproxHandle(H.metric.matrix, alpha))
-    return part, f0
+def build_partition(X, seed):
+    """The partition the Euclidean pipeline solves at eps=0.3, kappa_cap=4,
+    with the guiding facility of every point."""
+    cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, seed=seed)
+    part = build_stages(X, cfg).partition
+    return part, part.refined.f0_ids
 
 
 def test_c01_partition_invariants():

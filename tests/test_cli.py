@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from uflkit.geometry import load_points
+from uflkit.experiments import blob_instance
+from uflkit.geometry import load_points, save_points_text
 
 
 def run_cli(*args):
@@ -97,6 +98,27 @@ class TestReduceAndPartition:
         lines = res.stdout.strip().split("\n")
         assert lines[0] == "part_index,point_id,provenance_cluster,level,is_last"
         assert len(lines) == 11
+
+
+class TestPartitionMatchesPtas:
+    @pytest.fixture(scope="class")
+    def blobs(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("blobs") / "blobs.txt"
+        save_points_text(blob_instance(4, 25), path)
+        return path
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_partition_is_the_one_ptas_solves(self, blobs, tmp_path, seed):
+        flags = ["--seed", str(seed), "--eps", "0.3", "--kappa-cap", "4"]
+        res = run_cli("partition", str(blobs), *flags)
+        assert res.returncode == 0
+        rows = [line.split(",") for line in res.stdout.strip().split("\n")[1:]]
+        trace = tmp_path / "trace.jsonl"
+        assert run_cli("solve", str(blobs), "--algo", "ptas", *flags,
+                       "--trace", str(trace)).returncode == 0
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        assert ({(int(r[0]), int(r[3])) for r in rows}
+                == {(r["part"], r["level"]) for r in records})
 
 
 class TestExperiment:

@@ -8,8 +8,7 @@ from uflkit.hierarchy import build_hierarchy
 from uflkit.partition import (MatrixApproxHandle, Part, bottom_up_partition,
                               check_partition_invariants,
                               local_value_bounds_check,
-                              partition_properties_check, partition_size_stat,
-                              partition_to_csv)
+                              partition_properties_check, partition_to_csv)
 from uflkit.refine import eliminate_badly_cut
 from uflkit.solvers import (approx_ufl, brute_force_ufl_continuous,
                             mp_ufl_value)
@@ -210,13 +209,13 @@ class TestStatsAndExport:
     def test_single_part_stat(self, rng):
         X = random_points(rng, 9, 2)
         part, _, _ = make_partition(X, kappa=1e9)
-        count, total = partition_size_stat(part)
+        count, total = part.size_stat()
         assert count == 1
         assert total == pytest.approx(approx_ufl(X).total)
 
     def test_sum_dominates_threshold(self):
         part, _, _ = make_partition(blob_instance(), kappa=4.0)
-        count, total = partition_size_stat(part)
+        count, total = part.size_stat()
         assert total >= part.alpha * part.kappa * (count - 1) * (1 - 1e-9)
 
     def test_csv_export(self, rng):

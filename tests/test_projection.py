@@ -6,8 +6,7 @@ import pytest
 from uflkit.experiments import (contraction_tail_check, expansion_tail_check,
                                 expectation_tail_check, norm_expectation_check)
 from uflkit.geometry import PointSet
-from uflkit.projection import (apply_map, load_map, sample_map, save_map,
-                               target_dim)
+from uflkit.projection import load_map, sample_map, save_map, target_dim
 from uflkit.util import spawn_seeds
 
 from conftest import random_points
@@ -51,7 +50,7 @@ class TestApply:
     def test_linearity_on_pairs(self, rng):
         pi = sample_map(6, 4, 9)
         X = random_points(rng, 8, 6)
-        P = apply_map(pi, X).coords
+        P = pi.apply(X).coords
         for i in range(8):
             for j in range(8):
                 lhs = pi.apply_vector(X.coords[i] - X.coords[j])

@@ -195,40 +195,57 @@ class TestApproxUfl:
         assert np.array_equal(sol.facilities, X.coords[sol.facility_ids])
 
 
+def exhaustive_restricted_ufl(D, cands):
+    """min over nonempty facility subsets F of cands of |F| plus every row's
+    distance to its nearest facility in F, by a direct scan of all subsets."""
+    bits = ((np.arange(1, 1 << len(cands))[:, None] >> np.arange(len(cands))) & 1) == 1
+    conn = sum(np.where(bits, row[cands], np.inf).min(axis=1) for row in D)
+    return float((bits.sum(axis=1) + conn).min())
+
+
+# Enumeration caps: at most 15 candidate facilities and 2^m * clients <= 4e6
+# table cells; 12 candidates allow 976 clients but not 977. Each case below
+# is (clients n, candidates m): the first is the original input, the rest
+# sit on either side of a cap.
 class TestRestricted:
     def test_kmedian_restricted_exact_matches_bruteforce(self, rng):
-        X = random_points(rng, 8, 2)
-        D = X.distance_matrix()
-        ids, v, certified = kmedian_restricted(D, np.arange(8), np.arange(8), 2)
-        assert certified
-        best = min(np.minimum(D[:, i], D[:, j]).sum()
-                   for i in range(8) for j in range(i + 1, 8))
-        assert v == pytest.approx(best)
+        for n, m in [(8, 8), (15, 15), (976, 12)]:
+            X = random_points(rng, n, 2)
+            D = X.distance_matrix()
+            ids, v, certified = kmedian_restricted(D, np.arange(n), np.arange(m), 2)
+            assert certified
+            best = min(np.minimum(D[:, i], D[:, j]).sum()
+                       for i in range(m) for j in range(i + 1, m))
+            assert v == pytest.approx(best)
 
     def test_restricted_value_full_candidates_matches_discrete_oracle(self, rng):
-        X = random_points(rng, 8, 2)
-        D = X.distance_matrix()
-        cost, factor, _ = restricted_ufl_value(D, np.arange(8), np.arange(8))
-        assert factor == 1.0
-        assert cost == pytest.approx(brute_force_ufl_discrete(X.coords))
+        for n in (8, 15):
+            X = random_points(rng, n, 2)
+            D = X.distance_matrix()
+            cost, factor, _ = restricted_ufl_value(D, np.arange(n), np.arange(n))
+            assert factor == 1.0
+            assert cost == pytest.approx(brute_force_ufl_discrete(X.coords))
 
     def test_ball_growing_mode_within_factor(self, rng):
-        for _ in range(15):
-            X = random_points(rng, 10, 2)
-            D = X.distance_matrix()
-            cost, factor, _ = restricted_ufl_value(D, np.arange(10), np.arange(10),
-                                                   exact_cap=0)
-            assert factor == 3.0
-            exact = brute_force_ufl_discrete(X.coords)
-            assert exact * (1 - 1e-9) <= cost <= 3.0 * exact * (1 + 1e-9)
+        cases = [(10, 10, {"exact_cap": 0}, 15), (16, 16, {}, 15), (977, 12, {}, 2)]
+        for n, m, cap, trials in cases:
+            for _ in range(trials):
+                X = random_points(rng, n, 2)
+                D = X.distance_matrix()
+                cost, factor, _ = restricted_ufl_value(D, np.arange(n), np.arange(m),
+                                                       **cap)
+                assert factor == 3.0
+                exact = exhaustive_restricted_ufl(D, np.arange(m))
+                assert exact * (1 - 1e-9) <= cost <= 3.0 * exact * (1 + 1e-9)
 
     def test_local_search_path(self, rng):
-        X = random_points(rng, 30, 2)
-        D = X.distance_matrix()
-        ids, v, certified = kmedian_restricted(D, np.arange(30), np.arange(30), 3)
-        assert not certified
-        assert len(ids) == 3
-        assert v >= D[:, ids].min(axis=1).sum() * (1 - 1e-9)
+        for n, m in [(30, 30), (16, 16), (977, 12)]:
+            X = random_points(rng, n, 2)
+            D = X.distance_matrix()
+            ids, v, certified = kmedian_restricted(D, np.arange(n), np.arange(m), 3)
+            assert not certified
+            assert len(ids) == 3
+            assert v >= D[:, ids].min(axis=1).sum() * (1 - 1e-9)
 
 
 class TestSolverConfig:
