@@ -2,7 +2,9 @@
 partitioning, experiments, and the property-suite verifier.
 
 `partition --seed s` emits the low-value partition that `solve --algo ptas
---seed s` solves (both run `ptas.build_stages` on the same configuration).
+--seed s` solves (both run `ptas.build_stages` on the same configuration),
+and `reduce --seed s` applies the random linear map it projects with (both
+take the map seed from `PtasConfig.seeds`).
 
 Every command is deterministic given --seed; rerunning with identical
 arguments reproduces output files byte for byte. Exit code 0 iff all
@@ -106,7 +108,7 @@ def cmd_solve(args) -> int:
 def cmd_reduce(args) -> int:
     X = load_points(args.input)
     cfg = _config(args)
-    pi = sample_map(X.d, cfg.m if args.m is None else args.m, args.seed)
+    pi = sample_map(X.d, cfg.m if args.m is None else args.m, cfg.seeds[1])
     save_points_text(pi.apply(X), args.out)
     return 0
 
@@ -165,7 +167,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None)
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("reduce", help="project a point-set file")
+    p = sub.add_parser("reduce", help="project a point-set file with the map "
+                                      "that solve --algo ptas uses for the same seed")
     p.add_argument("input")
     _add_config_flags(p)
     p.add_argument("--m", type=int, default=None,

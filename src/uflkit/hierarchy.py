@@ -86,13 +86,6 @@ class HierarchicalDecomposition:
         """Diameter budget 2^level * gamma of a cluster at the given level."""
         return (2.0 ** level) * self.gamma
 
-    def cluster_rang(self, cid: int) -> float:
-        return self.rang(self.clusters[cid].level)
-
-    def cluster_of(self, point_id: int, level: int) -> int:
-        self._check_level(level)
-        return int(self.membership[level, point_id])
-
     def ancestors(self, cid: int) -> list[int]:
         """Strict ancestors of a cluster, nearest first."""
         out = []
@@ -111,6 +104,12 @@ def build_hierarchy(source, seed: int) -> HierarchicalDecomposition:
     """Randomly decompose the point set top-down: level i splits each level
     i+1 cluster by assigning every point to the first net point (in random
     permutation order) whose ball of radius rho * 2^(i-1) * gamma contains it.
+
+    A point's level-i cluster is therefore fixed by its level-(i+1) cluster
+    and its first covering net point alone, so each level is one stable
+    grouping of all points by (parent id, mu-rank of that net point): cluster
+    ids follow parents in ascending id, then net points in mu order, and
+    members ascend.
     """
     md = MetricData.coerce(source)
     gamma, diam, _, ell = md.stats()
@@ -144,27 +143,22 @@ def build_hierarchy(source, seed: int) -> HierarchicalDecomposition:
 
     for i in range(ell, -1, -1):
         r_i = rho * (2.0 ** (i - 1)) * gamma
-        net = nets[i]
-        net_mu = mu[net]
-        for parent_cid in levels[i + 1]:
-            mem = clusters[parent_cid].members
-            within = D[np.ix_(mem, net)] <= r_i
-            if not within.any(axis=1).all():
-                raise AssertionError("net fails to cover a point at its level")
-            masked = np.where(within, net_mu[None, :], n)     # n acts as +inf
-            chosen = net[np.argmin(masked, axis=1)]
-            new_children = []
-            for y in net[np.argsort(net_mu)]:
-                sub = mem[chosen == y]
-                if len(sub) == 0:
-                    continue                                   # empty cluster: skip
-                cid = len(clusters)
-                clusters.append(Cluster(cid=cid, level=i, center=int(y),
-                                        parent=parent_cid, members=sub))
-                levels[i].append(cid)
-                membership[i, sub] = cid
-                new_children.append(cid)
-            clusters[parent_cid].children = tuple(new_children)
+        net = nets[i][np.argsort(mu[nets[i]])]                # mu order
+        within = (D <= r_i)[:, net]
+        if not within.any(axis=1).all():
+            raise AssertionError("net fails to cover a point at its level")
+        rank = np.argmax(within, axis=1)                       # first covering net point
+        parent = membership[i + 1]
+        order = np.lexsort((rank, parent))                     # stable: ids ascend per run
+        cuts = np.flatnonzero(np.diff(parent[order]) | np.diff(rank[order])) + 1
+        first = len(clusters)
+        for sub in np.split(order, cuts):
+            cid, p = len(clusters), int(parent[sub[0]])
+            clusters.append(Cluster(cid=cid, level=i, center=int(net[rank[sub[0]]]),
+                                    parent=p, members=sub))
+            clusters[p].children += (cid,)
+            membership[i, sub] = cid
+        levels[i] = list(range(first, len(clusters)))
 
     return HierarchicalDecomposition(
         metric=md, seed=int(seed), rho=rho, mu=mu, gamma=gamma, diam=diam,

@@ -91,7 +91,7 @@ def bottom_up_partition(T: RefinedDecomposition, kappa: float, approx,
     while alive.any():
         hit = None
         for level in range(H.ell + 1):                       # the root level is never scanned
-            for cid in sorted(H.levels[level]):
+            for cid in H.levels[level]:
                 base = base_members[cid]
                 members = base[alive[base]]
                 if len(members) == 0:

@@ -69,6 +69,11 @@ class PtasConfig:
     def m(self) -> int:
         return target_dim(self.eps, self.tau, self.c3)
 
+    @property
+    def seeds(self) -> tuple[int, int]:
+        """(hierarchy seed, random linear map seed), both derived from seed."""
+        return tuple(spawn_seeds(self.seed, 2))
+
 
 class PartTrace(NamedTuple):
     part: int
@@ -139,7 +144,6 @@ def candidate_set(H: HierarchicalDecomposition, cluster_id: int, eps: float) -> 
 class Stages(NamedTuple):
     partition: LowValuePartition   # also holds .hierarchy, .refined and .refined.f0_ids
     approx: object                 # the qualification handle the partition scan used
-    map_seed: int                  # seed of the random linear map
 
 
 def build_stages(md, cfg: PtasConfig, approx=None) -> Stages:
@@ -153,13 +157,12 @@ def build_stages(md, cfg: PtasConfig, approx=None) -> Stages:
     globals at call time, so wrappers installed on them see every call.
     """
     md = MetricData.coerce(md)
-    hseed, mseed = spawn_seeds(cfg.seed, 2)
-    H = build_hierarchy(md, hseed)
+    H = build_hierarchy(md, cfg.seeds[0])
     _, f0_ids = mp_ufl_value(md.matrix, np.arange(md.n))
     T = eliminate_badly_cut(H, _nearest_assignment_ids(md.matrix, f0_ids),
                             cfg.eps, cfg.ddim)
     handle = MatrixApproxHandle(md.matrix, alpha=cfg.alpha) if approx is None else approx(H)
-    return Stages(bottom_up_partition(T, cfg.kappa, handle), handle, mseed)
+    return Stages(bottom_up_partition(T, cfg.kappa, handle), handle)
 
 
 def _nearest_assignment_ids(D: np.ndarray, facility_ids: np.ndarray) -> np.ndarray:
@@ -216,9 +219,9 @@ def ptas_euclidean(X: PointSet, cfg: PtasConfig,
         return sol, []
 
     md = MetricData.from_points(X)
-    partition, _, mseed = build_stages(md, cfg)
+    partition, _ = build_stages(md, cfg)
 
-    pi = sample_map(X.d, cfg.m, mseed)
+    pi = sample_map(X.d, cfg.m, cfg.seeds[1])
     proj = pi.apply(X).coords
 
     centers: list[np.ndarray] = []
@@ -358,7 +361,7 @@ def ptas_discrete(oracle: DistanceOracle, cfg: PtasConfig,
         return RestrictedApproxHandle(
             D, {c.cid: candidate_set(H, c.cid, cfg.eps) for c in H.clusters})
 
-    partition, handle, _ = build_stages(md, cfg, restricted)
+    partition, handle = build_stages(md, cfg, restricted)
     candidates = handle.candidates
 
     facility_ids: list[int] = []

@@ -306,20 +306,14 @@ def _subset_table(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return dmin.sum(axis=1), np.asarray(size)
 
 
-def brute_force_ufl_discrete(points_or_matrix, is_matrix: bool | None = None) -> float:
+def brute_force_ufl_discrete(points_or_matrix, is_matrix: bool = False) -> float:
     """opt^S(S): exhaustive minimum of |F| + connection cost over all
     nonempty facility subsets F of the input.
 
-    Accepts either a point list or a precomputed distance matrix; square
-    inputs with a zero diagonal are treated as matrices unless is_matrix
-    says otherwise.
+    Accepts a point list, or a precomputed distance matrix with is_matrix.
     """
     arr = np.asarray(points_or_matrix if not isinstance(points_or_matrix, PointSet)
                      else points_or_matrix.coords, dtype=np.float64)
-    if is_matrix is None:
-        is_matrix = (arr.ndim == 2 and arr.shape[0] == arr.shape[1]
-                     and np.allclose(np.diag(arr), 0.0) and np.all(arr >= 0)
-                     and np.allclose(arr, arr.T))
     if is_matrix:
         D = arr
     else:

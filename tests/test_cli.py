@@ -5,8 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+from uflkit import ptas
 from uflkit.experiments import blob_instance
 from uflkit.geometry import load_points, save_points_text
+from uflkit.projection import sample_map
 
 
 def run_cli(*args):
@@ -91,6 +93,23 @@ class TestReduceAndPartition:
             run_cli("reduce", str(dataset), "--m", "4", "--seed", "6",
                     "--out", str(out))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_reduce_applies_the_ptas_map(self, dataset, tmp_path, monkeypatch):
+        X = load_points(dataset)
+        calls = []
+
+        def recording_sample_map(*args):
+            calls.append(args)
+            return sample_map(*args)
+
+        monkeypatch.setattr(ptas, "sample_map", recording_sample_map)
+        ptas.ptas_euclidean(X, ptas.PtasConfig(seed=7))
+        (args,) = calls
+        out, expected = tmp_path / "proj.txt", tmp_path / "expected.txt"
+        assert run_cli("reduce", str(dataset), "--seed", "7",
+                       "--out", str(out)).returncode == 0
+        save_points_text(sample_map(*args).apply(X), expected)
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_partition_csv(self, dataset):
         res = run_cli("partition", str(dataset), "--seed", "3")

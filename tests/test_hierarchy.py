@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from uflkit.datasets import generate_dataset
+from uflkit.datasets import KINDS, generate_dataset
+from uflkit.experiments import blob_instance, line_instance
 from uflkit.geometry import PointSet
 from uflkit.hierarchy import (MetricData, build_hierarchy, check_diameters,
                               check_nesting, dump_decomposition, f0_point_ids,
@@ -214,3 +217,50 @@ class TestDump:
         assert len(lines) == len(H.clusters)
         level, cid, parent, center, count = lines[0].split(":")[0].split()
         assert int(count) == len(H.clusters[int(cid)].members)
+
+
+def _l1_metric() -> MetricData:
+    """A coordinate-free metric: L1 distances of 30 seeded points in R^3."""
+    P = np.random.default_rng(11).random((30, 3))
+    return MetricData(np.abs(P[:, None, :] - P[None, :, :]).sum(axis=2))
+
+
+GOLDEN_SOURCES = {"line": lambda s: line_instance(),
+                  "blob": lambda s: blob_instance(),
+                  "l1_metric": lambda s: _l1_metric(),
+                  **{f"{kind}_{n}": lambda s, kind=kind, n=n: generate_dataset(kind, n, 8, 2, s)
+                     for kind in KINDS for n in (3, 40, 120)}}
+
+# sha256 over seeds 0..3 of dump_decomposition, nets, membership, children
+# and levels: any change to cluster ids, their order, centers or members
+# changes the digest.
+GOLDEN_DIGESTS = {
+    "line": "e9cb0d2733dc942566a5baf4fb2e8368052039dd876e65c0ce07ea82a211115d",
+    "blob": "24c895682ed66168c724ad076ebad8c37439825c7ddbfea53b12e449e7f9a854",
+    "l1_metric": "5c3065b21663dc768f8a5608439ffdcd2f20a4cb0914c4280bade1ec16050f23",
+    "subspace_3": "ad24231fd07c44a59fbfe3f6713970f8f9af8d6d27802d5015c4238bb6a9b5da",
+    "subspace_40": "602c2e4bcfadce774bf2e9610d21d932292dd4ed773dcc05cb616ac4e1a085cd",
+    "subspace_120": "7dfdad12a72e18802d9330a035e6ebeb41e2859d6253c7360b3320d567a2fee5",
+    "clusters_3": "51ccda98d98a0b43229aa8c220ff4be79ef5c845f6505ca934b575b7e8c8c494",
+    "clusters_40": "d296f174ccaed2a7794cd43a5725a5a138f9cdd6d139451effb19538224b1521",
+    "clusters_120": "3c23f3ce9e15f69223e8b9697cbedf034d4b39ab7c88be1797b5f92a99b72bc3",
+    "grid_3": "d7d1d774ab6e652b1426470f8209a2e0e1e54ba0f22d987cfa9ca8e0998a6346",
+    "grid_40": "c363c8e398fdcb470bf716f6de17ac9db788572df2066cfa3ab8f67c3e7d44b9",
+    "grid_120": "bb4eee16b264143e3dfff0b4e59bb848e57ffdc637dcb8379fe264e760be5803",
+}
+
+
+def _decomposition_digest(source) -> str:
+    h = hashlib.sha256()
+    for seed in range(4):
+        H = build_hierarchy(source(seed), seed)
+        h.update(dump_decomposition(H).encode())
+        for ids in [*H.nets, *(c.children for c in H.clusters), *H.levels]:
+            h.update(np.asarray(ids, dtype="<i8").tobytes() + b"|")
+        h.update(H.membership.astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SOURCES))
+def test_golden_decomposition(name):
+    assert _decomposition_digest(GOLDEN_SOURCES[name]) == GOLDEN_DIGESTS[name]

@@ -129,8 +129,10 @@ class TestContinuousOracle:
             brute_force_ufl_continuous(rng.random((13, 2)))
 
     def test_dominated_by_discrete(self, rng):
-        for _ in range(100):
-            P = rng.random((int(rng.integers(2, 9)), 2))
+        # a square point set whose coordinates look like a distance matrix
+        square = np.array([[0.0, 0.1, 0.1], [0.1, 0.0, 0.1], [0.1, 0.1, 0.0]])
+        randoms = (rng.random((int(rng.integers(2, 9)), 2)) for _ in range(100))
+        for P in (square, *randoms):
             cont = brute_force_ufl_continuous(P)
             disc = brute_force_ufl_discrete(P)
             assert cont <= disc * (1 + 1e-9)
