@@ -320,8 +320,10 @@ class RestrictedApproxHandle:
 
 def _restricted_sweep(D: np.ndarray, members: np.ndarray, cand: np.ndarray,
                       kmax: int, solver: SolverConfig):
-    """Best k + v_k over k = 1..kmax with facilities from cand; exact by
-    subset enumeration when feasible."""
+    """Best k + v_k over k = 1..kmax with facilities from cand, the smallest
+    k among equal values; exact by subset enumeration when feasible. The
+    local-search sweep stops once k alone reaches the best k + v_k found:
+    v_k >= 0, so no larger k can do strictly better."""
     if _subset_enumerable(len(cand), len(members)):
         cost, size = _subset_table(D[np.ix_(members, cand)])
         best = None
@@ -338,6 +340,8 @@ def _restricted_sweep(D: np.ndarray, members: np.ndarray, cand: np.ndarray,
 
     best = None
     for k in range(1, min(kmax, len(cand)) + 1):
+        if best is not None and k >= best[0] + best[1]:
+            break
         ids, v, _ = kmedian_restricted(D, members, cand, k, solver)
         if best is None or k + v < best[0] + best[1]:
             best = (k, v, ids)

@@ -112,11 +112,11 @@ def weiszfeld_1median(points, cfg: SolverConfig = DEFAULT_SOLVER,
         return (res, [0.0]) if return_history else res
 
     y = P.mean(axis=0)
-    obj = float(np.linalg.norm(P - y, axis=1).sum())
+    d = np.linalg.norm(P - y, axis=1)
+    obj = float(d.sum())
     history = [obj]
     converged = False
     for _ in range(cfg.weiszfeld_max_iter):
-        d = np.linalg.norm(P - y, axis=1)
         hit = d < 1e-12
         if hit.any():
             others = ~hit
@@ -136,7 +136,8 @@ def weiszfeld_1median(points, cfg: SolverConfig = DEFAULT_SOLVER,
         else:
             w = 1.0 / d
             y_new = (P * w[:, None]).sum(axis=0) / w.sum()
-        new_obj = float(np.linalg.norm(P - y_new, axis=1).sum())
+        d = np.linalg.norm(P - y_new, axis=1)
+        new_obj = float(d.sum())
         history.append(new_obj)
         improvement = obj - new_obj
         y, obj = y_new, min(obj, new_obj)
@@ -327,7 +328,15 @@ def kmedian_restricted(D: np.ndarray, clients: np.ndarray, candidates: np.ndarra
                        k: int, cfg: SolverConfig = DEFAULT_SOLVER):
     """k-median with facilities restricted to candidate ids, over a distance
     matrix. Exact by enumeration when the candidate set is small, otherwise
-    greedy + swap local search. Returns (facility ids, cost, certified)."""
+    greedy + swap local search. Returns (facility ids, cost, certified).
+
+    Local search scans candidates in position order and scores all of them
+    at once. The greedy step adds the candidate of least total cost, the
+    lowest position among equal costs. A swap round tries the chosen
+    positions in order and, for each, replaces it by the lowest-position
+    unchosen candidate that lowers the cost by a relative 1e-12; the first
+    such swap restarts the round, and at most cfg.local_search_swaps rounds
+    run. Returned ids are in chosen-position order."""
     clients = np.asarray(clients, dtype=int)
     candidates = np.asarray(candidates, dtype=int)
     if not 1 <= k <= len(candidates):
@@ -339,31 +348,30 @@ def kmedian_restricted(D: np.ndarray, clients: np.ndarray, candidates: np.ndarra
         best = eligible[int(np.argmin(cost[eligible]))]
         return candidates[_mask_ids(best, len(candidates))], float(cost[best]), True
 
-    # local search: greedy forward selection, then single swaps
+    # candidates x clients, C-contiguous: every row sum is a contiguous
+    # reduction, rounded exactly like the sum of one client-cost vector
+    subT = np.ascontiguousarray(sub.T)
     chosen: list[int] = []
     dcur = np.full(len(clients), np.inf)
     for _ in range(k):
-        gains = [(np.minimum(dcur, sub[:, j]).sum(), j) for j in range(len(candidates))
-                 if j not in chosen]
-        _, jbest = min(gains)
+        totals = np.minimum(dcur, subT).sum(axis=1)
+        totals[chosen] = np.inf
+        jbest = int(np.argmin(totals))
         chosen.append(jbest)
-        dcur = np.minimum(dcur, sub[:, jbest])
+        dcur = np.minimum(dcur, subT[jbest])
     cost = float(dcur.sum())
     for _ in range(cfg.local_search_swaps):
         improved = False
         for out_pos in range(k):
-            others = [c for i, c in enumerate(chosen) if i != out_pos]
-            base = sub[:, others].min(axis=1) if others else np.full(len(clients), np.inf)
-            for j in range(len(candidates)):
-                if j in chosen:
-                    continue
-                trial = float(np.minimum(base, sub[:, j]).sum())
-                if trial < cost * (1 - 1e-12):
-                    chosen[out_pos] = j
-                    cost = trial
-                    improved = True
-                    break
-            if improved:
+            others = chosen[:out_pos] + chosen[out_pos + 1:]
+            base = subT[others].min(axis=0) if others else np.full(len(clients), np.inf)
+            trials = np.minimum(base, subT).sum(axis=1)
+            trials[chosen] = np.inf
+            better = np.flatnonzero(trials < cost * (1 - 1e-12))
+            if len(better):
+                chosen[out_pos] = int(better[0])
+                cost = float(trials[better[0]])
+                improved = True
                 break
         if not improved:
             break
@@ -374,8 +382,7 @@ def kmedian_restricted(D: np.ndarray, clients: np.ndarray, candidates: np.ndarra
 # k-median with ambient centers
 # ---------------------------------------------------------------------------
 
-def kmedian(points, k: int, eps: float = 0.05,
-            cfg: SolverConfig = DEFAULT_SOLVER) -> KMedianResult:
+def kmedian(points, k: int, cfg: SolverConfig = DEFAULT_SOLVER) -> KMedianResult:
     """k-median clustering with centers anywhere in space.
 
     Small inputs are solved exactly over all k-partitions with geometric
@@ -422,9 +429,9 @@ def _recenter(P: np.ndarray, blocks, cfg: SolverConfig):
 # Constant-factor UFL approximation (ball growing, facilities in the input)
 # ---------------------------------------------------------------------------
 
-def _mp_radii(D: np.ndarray, client_rows: np.ndarray | None = None) -> np.ndarray:
-    """Per-candidate radius r solving sum_clients max(0, r - d) = opening cost."""
-    rows = D if client_rows is None else D[:, client_rows]
+def _mp_radii(rows: np.ndarray) -> np.ndarray:
+    """Per-candidate radius r solving sum_clients max(0, r - d) = opening cost,
+    for rows of candidate-to-client distances."""
     s = rows.shape[1]
     order = np.sort(rows, axis=1)
     csum = np.cumsum(order, axis=1)
@@ -437,13 +444,16 @@ def _mp_radii(D: np.ndarray, client_rows: np.ndarray | None = None) -> np.ndarra
 
 
 def _mp_select(D_cand: np.ndarray, radii: np.ndarray) -> list[int]:
-    """Process candidates by increasing radius; keep one unless an already
-    kept candidate lies within twice its radius."""
+    """Process candidates by increasing radius, ties by index; keep one
+    unless an already kept candidate lies within twice its radius."""
     order = np.lexsort((np.arange(len(radii)), radii))
+    reach = 2.0 * radii
+    blocked = np.zeros(len(radii), dtype=bool)   # within reach of a kept candidate
     selected: list[int] = []
     for y in order:
-        if all(D_cand[y, z] > 2.0 * radii[y] for z in selected):
+        if not blocked[y]:
             selected.append(int(y))
+            blocked |= D_cand[:, y] <= reach
     return selected
 
 

@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from uflkit import solvers
 from uflkit.datasets import generate_dataset
 from uflkit.geometry import PointSet
 from uflkit.hierarchy import build_hierarchy
 from uflkit.projection import target_dim
-from uflkit.ptas import (DistanceOracle, PtasConfig, candidate_set,
+from uflkit.ptas import (DistanceOracle, PtasConfig, _restricted_sweep, candidate_set,
                          ptas_discrete, ptas_euclidean, trace_to_jsonl)
 from uflkit.solvers import (approx_ufl, brute_force_ufl_continuous,
                             brute_force_ufl_discrete)
@@ -176,6 +177,31 @@ class TestDiscrete:
         D = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError, match="symmetry"):
             DistanceOracle(D).spot_check()
+
+    def test_heuristic_sweep_stops_early_with_the_full_sweeps_answer(self, rng,
+                                                                       monkeypatch):
+        # 20 candidates exceed the enumeration cap: the local-search sweep runs
+        D = random_points(rng, 40, 2).distance_matrix()
+        members, cand, kmax = np.arange(40), np.arange(20), 20
+        full, stop = None, None
+        for k in range(1, kmax + 1):
+            if stop is None and full is not None and k >= full[0] + full[1]:
+                stop = k - 1                    # calls made before k alone reaches the best
+            ids, v, _ = solvers.kmedian_restricted(D, members, cand, k)
+            if full is None or k + v < full[0] + full[1]:
+                full = (k, v, ids)
+
+        calls = []
+        kmedian_restricted = solvers.kmedian_restricted
+
+        def counted(*args):
+            calls.append(args[3])
+            return kmedian_restricted(*args)
+
+        monkeypatch.setattr(solvers, "kmedian_restricted", counted)
+        k_star, v, ids = _restricted_sweep(D, members, cand, kmax, solvers.DEFAULT_SOLVER)
+        assert (k_star, v) == full[:2] and ids.tobytes() == full[2].tobytes()
+        assert stop is not None and calls == list(range(1, stop + 1))
 
     def test_candidate_containment_along_tree(self, rng):
         # the candidate set of a child cluster is contained in its parent's

@@ -1,12 +1,18 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from uflkit.experiments import blob_instance
 from uflkit.geometry import OracleScaleError, PointSet
-from uflkit.solvers import (SolverConfig, approx_ufl, brute_force_ufl_continuous,
-                            brute_force_ufl_discrete, kmedian, kmedian_restricted,
-                            restricted_ufl_value, weiszfeld_1median)
+from uflkit.ptas import (DistanceOracle, PtasConfig, ptas_discrete, ptas_euclidean,
+                         trace_to_jsonl)
+from uflkit.solvers import (DEFAULT_SOLVER, SolverConfig, _mp_select, approx_ufl,
+                            brute_force_ufl_continuous, brute_force_ufl_discrete, kmedian,
+                            kmedian_restricted, restricted_ufl_value, weiszfeld_1median)
 
 from conftest import line, random_points
 
@@ -258,3 +264,206 @@ class TestSolverConfig:
     def test_positive_tolerances(self):
         with pytest.raises(ValueError):
             SolverConfig(weiszfeld_tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference loops for the vectorised candidate scans
+# ---------------------------------------------------------------------------
+
+def reference_local_search(D, clients, candidates, k, cfg=DEFAULT_SOLVER):
+    """kmedian_restricted's greedy + swap local search, one candidate at a
+    time: the first minimum in the greedy step, the first improving
+    candidate in the swap step."""
+    sub = D[np.ix_(clients, candidates)]
+    chosen = []
+    dcur = np.full(len(clients), np.inf)
+    for _ in range(k):
+        gains = [(np.minimum(dcur, sub[:, j]).sum(), j) for j in range(len(candidates))
+                 if j not in chosen]
+        _, jbest = min(gains)
+        chosen.append(jbest)
+        dcur = np.minimum(dcur, sub[:, jbest])
+    cost = float(dcur.sum())
+    for _ in range(cfg.local_search_swaps):
+        improved = False
+        for out_pos in range(k):
+            others = [c for i, c in enumerate(chosen) if i != out_pos]
+            base = sub[:, others].min(axis=1) if others else np.full(len(clients), np.inf)
+            for j in range(len(candidates)):
+                if j in chosen:
+                    continue
+                trial = float(np.minimum(base, sub[:, j]).sum())
+                if trial < cost * (1 - 1e-12):
+                    chosen[out_pos] = j
+                    cost = trial
+                    improved = True
+                    break
+            if improved:
+                break
+        if not improved:
+            break
+    return candidates[np.asarray(chosen)], cost
+
+
+def reference_mp_select(D_cand, radii):
+    """Ball-growing selection, one kept candidate at a time."""
+    order = np.lexsort((np.arange(len(radii)), radii))
+    selected = []
+    for y in order:
+        if all(D_cand[y, z] > 2.0 * radii[y] for z in selected):
+            selected.append(int(y))
+    return selected
+
+
+def assert_matches_reference(D, clients, candidates, k):
+    ids, cost, certified = kmedian_restricted(D, clients, candidates, k)
+    ref_ids, ref_cost = reference_local_search(D, clients, candidates, k)
+    assert not certified
+    assert ids.tobytes() == ref_ids.tobytes()
+    assert np.float64(cost).tobytes() == np.float64(ref_cost).tobytes()
+    return ids, cost
+
+
+def _distances(rng, shape, ties):
+    """Random nonnegative distances; small integers when ties are wanted."""
+    return rng.integers(0, 4, size=shape).astype(float) if ties else rng.random(shape)
+
+
+class TestCandidateScans:
+    @given(seed=st.integers(0, 2**32 - 1), nc=st.integers(1, 40), m=st.integers(16, 24),
+           k=st.integers(1, 24), ties=st.booleans(), dup=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_local_search_equals_reference(self, seed, nc, m, k, ties, dup):
+        rng = np.random.default_rng(seed)
+        D = _distances(rng, (nc, m), ties)
+        if dup:                                   # copy some candidate columns
+            D[:, rng.integers(0, m, 4)] = D[:, rng.integers(0, m, 4)]
+        assert_matches_reference(D, np.arange(nc), np.arange(m), min(k, m))
+
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 30), ties=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_mp_select_equals_reference(self, seed, m, ties):
+        rng = np.random.default_rng(seed)
+        D = _distances(rng, (m, m), ties)
+        radii = _distances(rng, m, ties) / 2.0
+        assert _mp_select(D, radii) == reference_mp_select(D, radii)
+
+    def test_duplicate_columns_lowest_position_wins(self):
+        # clients 3x at 0, 1x at 10, 3x at 20; candidates 0, 10, 10, 20, 20
+        # and eleven far ones (16 candidates: the heuristic path). Greedy
+        # takes the first 10 (position 1), then 0 (position 0, tied with 20);
+        # the swap step replaces 10 by the first 20 (position 3).
+        xs = np.array([0, 0, 0, 10, 20, 20, 20], dtype=float)
+        cs = np.array([0, 10, 10, 20, 20, *(1000.0 + np.arange(11))])
+        D = np.abs(xs[:, None] - cs[None, :])
+        ids, cost = assert_matches_reference(D, np.arange(7), np.arange(16), 2)
+        assert list(ids) == [3, 0] and cost == 10.0
+        ids, _ = assert_matches_reference(D, np.arange(7), np.arange(16), 1)
+        assert list(ids) == [1]
+
+    def test_k_equals_all_candidates(self, rng):
+        D = rng.random((20, 16))
+        ids, cost = assert_matches_reference(D, np.arange(20), np.arange(16), 16)
+        assert sorted(ids) == list(range(16))
+        assert cost == pytest.approx(D.min(axis=1).sum())
+
+    def test_k_one_is_the_best_column(self, rng):
+        D = rng.random((25, 18))
+        ids, cost = assert_matches_reference(D, np.arange(25), np.arange(18), 1)
+        assert list(ids) == [int(np.argmin(D.sum(axis=0)))]
+
+    def test_single_client(self, rng):
+        D = rng.random((1, 20))
+        for k in (1, 3, 20):
+            _, cost = assert_matches_reference(D, np.array([0]), np.arange(20), k)
+            assert cost == D.min()
+
+    def test_mp_select_equal_radii_keep_index_order(self):
+        D = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 5.0], [5.0, 5.0, 0.0]])
+        assert _mp_select(D, np.ones(3)) == [0, 2]
+        assert _mp_select(D, np.full(3, 3.0)) == [0]
+        assert _mp_select(D, np.array([2.0, 1.0, 1.0])) == [1, 2]
+
+
+# ---------------------------------------------------------------------------
+# Golden solver outputs
+# ---------------------------------------------------------------------------
+
+def _f8(*values) -> bytes:
+    return np.asarray(values, dtype="<f8").tobytes() + b"|"
+
+
+def _i8(ids) -> bytes:
+    return np.asarray(ids, dtype="<i8").tobytes() + b"|"
+
+
+def _golden_kmedian_restricted(rng):
+    for n, m, ks in [(30, 30, [3]), (977, 12, [3]), (40, 20, range(1, 21))]:
+        D = random_points(rng, n, 2).distance_matrix()
+        for k in ks:
+            ids, cost, certified = kmedian_restricted(D, np.arange(n), np.arange(m), k)
+            assert not certified
+            yield _i8(ids) + _f8(cost)
+
+
+def _golden_restricted_value(rng):
+    D = random_points(rng, 60, 2, scale=4.0).distance_matrix()
+    for clients, candidates in [(np.arange(60), np.arange(60)),
+                                (np.arange(10, 60), np.arange(0, 25))]:
+        cost, factor, ids = restricted_ufl_value(D, clients, candidates, exact_cap=0)
+        yield _i8(ids) + _f8(cost, factor)
+
+
+def _golden_approx_ufl(rng):
+    yield _i8(approx_ufl(random_points(rng, 80, 2, scale=4.0)).facility_ids)
+
+
+def _golden_weiszfeld(rng):
+    # the last input starts on a data point that is not the median, so the
+    # escape step runs
+    start = rng.integers(-5, 5, 2).astype(float)
+    hit = start + np.array([[0, 0], [-3, 0], [1, 0], [1, 0], [1, 0]], dtype=float)
+    for P in (rng.random((25, 3)), rng.random((7, 2)) * 10.0, hit):
+        res = weiszfeld_1median(P)
+        yield res.center.astype("<f8").tobytes() + _f8(res.cost, res.converged)
+
+
+def _golden_ptas(seed):
+    X = blob_instance(4, 25)
+    cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, seed=seed)
+    sol, traces = ptas_discrete(DistanceOracle.from_points(X), cfg)
+    yield (_i8(sol.facility_ids) + _i8(sol.assignment)
+           + _f8(sol.opening_cost, sol.connection_cost, sol.total)
+           + trace_to_jsonl(traces).encode())
+    sol, traces = ptas_euclidean(X, cfg)
+    yield (sol.facilities.astype("<f8").tobytes() + _i8(sol.assignment)
+           + _f8(sol.opening_cost, sol.connection_cost, sol.total)
+           + trace_to_jsonl(traces).encode())
+
+
+GOLDEN_SOLVER_SOURCES = {
+    "kmedian_restricted": lambda s: _golden_kmedian_restricted(np.random.default_rng(s)),
+    "restricted_ufl_value": lambda s: _golden_restricted_value(np.random.default_rng(s)),
+    "approx_ufl": lambda s: _golden_approx_ufl(np.random.default_rng(s)),
+    "weiszfeld_1median": lambda s: _golden_weiszfeld(np.random.default_rng(s)),
+    "ptas": _golden_ptas,
+}
+
+# sha256 over seeds 0..3 of the outputs above: any change to a chosen
+# facility, its position, a cost's last bit or a trace changes the digest.
+GOLDEN_SOLVER_DIGESTS = {
+    "approx_ufl": "bf36ee77b064c76e4c13926cededa2b35072702b9bf1d516ca2d6df80af7b91a",
+    "kmedian_restricted": "f1b8088869bf452fee5b838d1d57e16d840a1b325e389436a3fedda4209e011e",
+    "ptas": "61ca2cff23f0c185e427aba7923e31522c643139b770f4c6d1e5443905795615",
+    "restricted_ufl_value": "3843dbd3d090b687da672b90d0c48a14d3f9dd606a218661d2ab50a34bcf0640",
+    "weiszfeld_1median": "7d2cda309041f48c0bdf8b46678518145fe363760eb282132b8fdc0275aedb76",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SOLVER_SOURCES))
+def test_golden_solver_outputs(name):
+    h = hashlib.sha256()
+    for seed in range(4):
+        for chunk in GOLDEN_SOLVER_SOURCES[name](seed):
+            h.update(chunk)
+    assert h.hexdigest() == GOLDEN_SOLVER_DIGESTS[name]
