@@ -193,13 +193,16 @@ def _exact_projected_sweep(proj_members: np.ndarray, solver: SolverConfig):
 def _heuristic_projected_sweep(proj_members: np.ndarray, k_hint: int, kmax: int,
                                solver: SolverConfig):
     """Local-search k-median over a small k window around the constant-factor
-    facility count; uncertified, used only beyond the enumeration scale."""
+    facility count; uncertified, used only beyond the enumeration scale.
+    The window shares one median cache, so a block that several k produce
+    is recentered once."""
     from .solvers import kmedian
 
     best = None
+    medians: dict = {}
     lo, hi = max(1, k_hint - 2), min(kmax, k_hint + 2)
     for k in range(lo, hi + 1):
-        res = kmedian(proj_members, k, cfg=solver)
+        res = kmedian(proj_members, k, cfg=solver, medians=medians)
         if best is None or k + res.cost < best[0] + best[1]:
             best = (k, res.cost, res.clusters)
     return best

@@ -23,6 +23,7 @@ from .geometry import OPENING_COST, OracleScaleError, PointSet, UflSolution, ufl
 _MAX_ENUM = 14          # hard cap on exact partition enumeration
 _MAX_DISCRETE = 15      # hard cap on facility-subset enumeration
 _MAX_SUBSET_CELLS = 4_000_000   # cap on (facility subset, client) table cells
+_MAX_DIST_CELLS = 4_000_000     # cap on the distance block a 1-median holds at once
 
 
 def _subset_enumerable(facilities: int, clients: int) -> bool:
@@ -101,15 +102,41 @@ def _affine_reduce(P: np.ndarray) -> np.ndarray:
 
 def weiszfeld_1median(points, cfg: SolverConfig = DEFAULT_SOLVER,
                       return_history: bool = False):
-    """Geometric median by Weiszfeld iteration from the centroid.
+    """Geometric median: a data-point certificate, else Weiszfeld iteration
+    from the centroid.
 
-    When an iterate lands on a data point, the subgradient test decides
+    The certificate is Kuhn's optimality test at x = P[j], j the first point
+    of least distance sum: with eta the number of points equal to x and g
+    the sum of unit vectors from x toward the others, x is a median iff
+    |g| <= eta. A median minimises the distance sum over all of space, so if
+    any data point is a median, P[j] is one. A certified P[j] is returned
+    with its distance sum and no iteration, where Weiszfeld would approach
+    it only sublinearly.
+
+    The test is strict, |g| < eta * (1 - 1e-9): two points, or an even
+    number on a line, have |g| = eta exactly, because a whole segment of
+    medians joins the middle two, and there the iteration keeps its midpoint
+    answer. Only exact copies of x count toward eta; a point merely within
+    the iteration's 1e-12 of x still pulls, or a vertex of a tiny triangle
+    would pass although its centroid costs less.
+
+    Every input that fails the test gets the plain iteration, unchanged:
+    when an iterate lands on a data point, the subgradient test decides
     optimality and otherwise a blended step (Vardi-Zhang) escapes it.
     """
     P = _as_points(points)
-    if len(P) == 1:
-        res = WeiszfeldResult(P[0].copy(), 0.0, True)
-        return (res, [0.0]) if return_history else res
+    n = len(P)
+    if n == 0:
+        raise ValueError("empty point set")
+    step = max(1, _MAX_DIST_CELLS // n)
+    sums = np.concatenate([cdist(P[i:i + step], P).sum(axis=1) for i in range(0, n, step)])
+    j = int(np.argmin(sums))
+    d = np.linalg.norm(P - P[j], axis=1)
+    same = d == 0.0
+    g = ((P[~same] - P[j]) / d[~same, None]).sum(axis=0)
+    if np.linalg.norm(g) < same.sum() * (1.0 - 1e-9):
+        res = WeiszfeldResult(P[j].copy(), float(sums[j]), True)
+        return (res, [res.cost]) if return_history else res
 
     y = P.mean(axis=0)
     d = np.linalg.norm(P - y, axis=1)
@@ -382,12 +409,19 @@ def kmedian_restricted(D: np.ndarray, clients: np.ndarray, candidates: np.ndarra
 # k-median with ambient centers
 # ---------------------------------------------------------------------------
 
-def kmedian(points, k: int, cfg: SolverConfig = DEFAULT_SOLVER) -> KMedianResult:
+def kmedian(points, k: int, cfg: SolverConfig = DEFAULT_SOLVER,
+            medians: dict | None = None) -> KMedianResult:
     """k-median clustering with centers anywhere in space.
 
     Small inputs are solved exactly over all k-partitions with geometric
     median centers; larger ones fall back to local search over data-point
     centers followed by Weiszfeld refinement (certified=False).
+
+    medians, if given, caches the 1-median of every block this call
+    recenters: it maps the block's index array (block.tobytes()) to its
+    WeiszfeldResult, and a block already in it is not solved again. Keys
+    name rows of these points, so share one dict only across calls on the
+    same points and cfg, as over a window of k.
     """
     P = _as_points(points)
     s = len(P)
@@ -396,13 +430,14 @@ def kmedian(points, k: int, cfg: SolverConfig = DEFAULT_SOLVER) -> KMedianResult
     if k == s:
         return KMedianResult([np.array([i]) for i in range(s)], P.copy(), 0.0, True)
     if k == 1:
-        res = weiszfeld_1median(P, cfg)
-        return KMedianResult([np.arange(s)], res.center[None, :], res.cost, True)
+        blocks = [np.arange(s)]
+        centers, cost = _recenter(P, blocks, cfg, medians)
+        return KMedianResult(blocks, centers, cost, True)
 
     if s <= cfg.enum_threshold:
         med1 = _med1_costs(_affine_reduce(P), cfg)
         _, blocks = _kmedian_exact_dp(med1, s, k)
-        centers, cost = _recenter(P, blocks, cfg)
+        centers, cost = _recenter(P, blocks, cfg, medians)
         return KMedianResult(blocks, centers, cost, True)
 
     D = squareform(pdist(P))
@@ -411,15 +446,19 @@ def kmedian(points, k: int, cfg: SolverConfig = DEFAULT_SOLVER) -> KMedianResult
     assign = np.argmin(cdist(P, centers), axis=1)
     blocks = [np.flatnonzero(assign == j) for j in range(k)]
     blocks = [b for b in blocks if len(b)]
-    centers, cost = _recenter(P, blocks, cfg)
+    centers, cost = _recenter(P, blocks, cfg, medians)
     return KMedianResult(blocks, centers, cost, False)
 
 
-def _recenter(P: np.ndarray, blocks, cfg: SolverConfig):
+def _recenter(P: np.ndarray, blocks, cfg: SolverConfig, medians: dict | None):
+    medians = {} if medians is None else medians
     centers = []
     cost = 0.0
     for b in blocks:
-        res = weiszfeld_1median(P[b], cfg)
+        key = b.tobytes()
+        if key not in medians:
+            medians[key] = weiszfeld_1median(P[b], cfg)
+        res = medians[key]
         centers.append(res.center)
         cost += res.cost
     return np.asarray(centers), float(cost)

@@ -9,8 +9,9 @@ from uflkit.datasets import generate_dataset
 from uflkit.geometry import PointSet
 from uflkit.hierarchy import build_hierarchy
 from uflkit.projection import target_dim
-from uflkit.ptas import (DistanceOracle, PtasConfig, _restricted_sweep, candidate_set,
-                         ptas_discrete, ptas_euclidean, trace_to_jsonl)
+from uflkit.ptas import (DistanceOracle, PtasConfig, _heuristic_projected_sweep,
+                         _restricted_sweep, candidate_set, ptas_discrete, ptas_euclidean,
+                         trace_to_jsonl)
 from uflkit.solvers import (approx_ufl, brute_force_ufl_continuous,
                             brute_force_ufl_discrete)
 from uflkit.util import spawn_seeds
@@ -122,6 +123,31 @@ class TestEuclidean:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             ptas_euclidean(PointSet(np.zeros((1, 0))), PtasConfig())
+
+    def test_heuristic_sweep_recenters_each_distinct_block_once(self, rng, monkeypatch):
+        # three separated groups of 10 (beyond the enumeration scale) and the
+        # window k = 1..5: blocks that several k produce are recentered once
+        P = np.vstack([rng.random((10, 2)) + off for off in (0.0, 4.0, 9.0)])
+        solver = solvers.DEFAULT_SOLVER
+        blocks = []
+        weiszfeld = solvers.weiszfeld_1median
+
+        def counted(points, cfg=solver):
+            blocks.append(np.asarray(points).tobytes())
+            return weiszfeld(points, cfg)
+
+        monkeypatch.setattr(solvers, "weiszfeld_1median", counted)
+        uncached = None
+        for k in range(1, 6):
+            res = solvers.kmedian(P, k, cfg=solver)
+            if uncached is None or k + res.cost < uncached[0] + uncached[1]:
+                uncached = (k, res.cost, res.clusters)
+        uncached_calls, blocks = len(blocks), []
+
+        k_star, cost, clusters = _heuristic_projected_sweep(P, 3, len(P), solver)
+        assert (k_star, cost) == uncached[:2]
+        assert [c.tobytes() for c in clusters] == [c.tobytes() for c in uncached[2]]
+        assert len(blocks) == len(set(blocks)) < uncached_calls
 
 
 class TestTrace:

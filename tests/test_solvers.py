@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from uflkit.experiments import blob_instance
 from uflkit.geometry import OracleScaleError, PointSet
 from uflkit.ptas import (DistanceOracle, PtasConfig, ptas_discrete, ptas_euclidean,
                          trace_to_jsonl)
-from uflkit.solvers import (DEFAULT_SOLVER, SolverConfig, _mp_select, approx_ufl,
-                            brute_force_ufl_continuous, brute_force_ufl_discrete, kmedian,
-                            kmedian_restricted, restricted_ufl_value, weiszfeld_1median)
+from uflkit.solvers import (DEFAULT_SOLVER, SolverConfig, WeiszfeldResult, _mp_select,
+                            approx_ufl, brute_force_ufl_continuous, brute_force_ufl_discrete,
+                            kmedian, kmedian_restricted, restricted_ufl_value,
+                            weiszfeld_1median)
 
 from conftest import line, random_points
 
@@ -56,8 +58,12 @@ class TestWeiszfeld:
 
     def test_collinear_median_is_data_point(self):
         res = weiszfeld_1median(np.array([[0.0], [1.0], [5.0]]))
-        assert res.center[0] == pytest.approx(1.0, abs=1e-6)
-        assert res.cost == pytest.approx(5.0, rel=1e-9)
+        assert res.center[0] == 1.0
+        assert res.cost == 5.0
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(ValueError, match="empty point set"):
+            weiszfeld_1median(np.zeros((0, 2)))
 
     def test_objective_monotone(self, rng):
         for _ in range(8):
@@ -386,6 +392,143 @@ class TestCandidateScans:
 
 
 # ---------------------------------------------------------------------------
+# Data-point certificate of the 1-median
+# ---------------------------------------------------------------------------
+
+def reference_weiszfeld(points, cfg=DEFAULT_SOLVER, return_history=False):
+    """weiszfeld_1median without the data-point certificate: Weiszfeld
+    iteration from the centroid with the Vardi-Zhang escape step."""
+    P = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if len(P) == 1:
+        res = WeiszfeldResult(P[0].copy(), 0.0, True)
+        return (res, [0.0]) if return_history else res
+
+    y = P.mean(axis=0)
+    d = np.linalg.norm(P - y, axis=1)
+    obj = float(d.sum())
+    history = [obj]
+    converged = False
+    for _ in range(cfg.weiszfeld_max_iter):
+        hit = d < 1e-12
+        if hit.any():
+            others = ~hit
+            if not others.any():
+                converged = True
+                break
+            w = 1.0 / d[others]
+            pull = ((P[others] - y) * w[:, None]).sum(axis=0)
+            eta = float(hit.sum())
+            rnorm = float(np.linalg.norm(pull))
+            if rnorm <= eta:
+                converged = True
+                break
+            t_step = (P[others] * w[:, None]).sum(axis=0) / w.sum()
+            lam = min(1.0, eta / rnorm)
+            y_new = (1.0 - lam) * t_step + lam * y
+        else:
+            w = 1.0 / d
+            y_new = (P * w[:, None]).sum(axis=0) / w.sum()
+        d = np.linalg.norm(P - y_new, axis=1)
+        new_obj = float(d.sum())
+        history.append(new_obj)
+        improvement = obj - new_obj
+        y, obj = y_new, min(obj, new_obj)
+        if improvement <= cfg.weiszfeld_tol * max(obj, 1e-30):
+            converged = True
+            break
+    res = WeiszfeldResult(y, obj, converged)
+    return (res, history) if return_history else res
+
+
+def certified_index(P):
+    """j*, the first point of least distance sum, if it passes the strict
+    Kuhn test, else None."""
+    j = int(np.argmin(cdist(P, P).sum(axis=1)))
+    d = np.linalg.norm(P - P[j], axis=1)
+    same = d == 0.0
+    g = ((P[~same] - P[j]) / d[~same, None]).sum(axis=0)
+    return j if np.linalg.norm(g) < same.sum() * (1.0 - 1e-9) else None
+
+
+def _result_bytes(res, history) -> bytes:
+    return res.center.astype("<f8").tobytes() + _f8(res.cost, res.converged, *history)
+
+
+def assert_reference_bytes(P):
+    res, history = weiszfeld_1median(P, return_history=True)
+    ref = reference_weiszfeld(P, return_history=True)
+    assert _result_bytes(res, history) == _result_bytes(*ref)
+    return res, history
+
+
+# its centroid is the data point (0, 0), which is not the median, so the
+# iteration starts on a data point and the escape step runs
+ESCAPE_INPUT = np.array([[0, 0], [1, 0], [1, 0.01], [1, -0.01], [-3, 0]], dtype=float)
+
+
+@st.composite
+def point_sets(draw):
+    """1..12 rows in 1..4 dimensions, drawn with repetition from up to 12
+    distinct rows of floats or of small integers."""
+    dim = draw(st.integers(1, 4))
+    coord = (st.integers(-3, 3).map(float) if draw(st.booleans())
+             else st.floats(-100.0, 100.0, allow_nan=False))
+    rows = draw(st.lists(st.lists(coord, min_size=dim, max_size=dim), min_size=1, max_size=12))
+    picks = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=12))
+    return np.array([rows[i] for i in picks], dtype=np.float64)
+
+
+class TestWeiszfeldCertificate:
+    @given(P=point_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_reference_bytes_or_certified_data_point(self, P):
+        res, history = weiszfeld_1median(P, return_history=True)
+        ref, ref_history = reference_weiszfeld(P, return_history=True)
+        if _result_bytes(res, history) == _result_bytes(ref, ref_history):
+            return
+        j = certified_index(P)
+        assert j is not None
+        assert res.center.tobytes() == P[j].tobytes()
+        assert res.converged and history == [res.cost]
+        assert res.cost <= ref.cost * (1 + 1e-12)
+
+    def test_obtuse_triangle_returns_the_vertex(self):
+        # the angle at (0, 0) is about 153 degrees
+        res = weiszfeld_1median(np.array([[0.0, 0.0], [3.0, 0.0], [-2.0, 1.0]]))
+        assert res.center.tolist() == [0.0, 0.0]
+        assert res.cost == pytest.approx(3.0 + math.sqrt(5.0), rel=1e-15)
+
+    def test_majority_point_is_returned(self):
+        P = np.array([[4.0, 1.0], [1.0, 1.0], [5.0, 1.0], [5.0, 1.0], [5.0, 1.0]])
+        res = weiszfeld_1median(P)
+        assert res.center.tolist() == [5.0, 1.0] and res.cost == 5.0
+
+    def test_segments_of_medians_keep_the_iteration(self):
+        # two points and four on a line have |g| = eta at the first point of
+        # least sum, a segment of medians: the strict test keeps the
+        # midpoint answers, as it does for the square's corners (|g| > eta)
+        for P in (np.array([[0.0, 0.0], [1.0, 2.0]]),
+                  np.array([[0.0], [1.0], [3.0], [7.0]]),
+                  np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=float)):
+            assert certified_index(P) is None
+            assert_reference_bytes(P)
+
+    def test_points_near_but_not_on_the_vertex_count_as_others(self):
+        # every point lies within 1e-12 of (0, 0), and the centroid costs
+        # less than that vertex: the certificate must not return it
+        P = np.array([[0.0, 0.0], [1e-13, 0.0], [0.0, 1e-13]])
+        assert certified_index(P) is None
+        res, _ = assert_reference_bytes(P)
+        assert res.cost < 2e-13
+
+    def test_escape_step_still_runs(self):
+        assert certified_index(ESCAPE_INPUT) is None
+        res, history = assert_reference_bytes(ESCAPE_INPUT)
+        assert len(history) > 1
+        np.testing.assert_allclose(res.center, [0.99422443, 0.0], atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
 # Golden solver outputs
 # ---------------------------------------------------------------------------
 
@@ -419,11 +562,11 @@ def _golden_approx_ufl(rng):
 
 
 def _golden_weiszfeld(rng):
-    # the last input starts on a data point that is not the median, so the
-    # escape step runs
+    # hit's median is a data point, which the certificate returns; the
+    # escape input keeps the escape step under the digest
     start = rng.integers(-5, 5, 2).astype(float)
     hit = start + np.array([[0, 0], [-3, 0], [1, 0], [1, 0], [1, 0]], dtype=float)
-    for P in (rng.random((25, 3)), rng.random((7, 2)) * 10.0, hit):
+    for P in (rng.random((25, 3)), rng.random((7, 2)) * 10.0, hit, ESCAPE_INPUT):
         res = weiszfeld_1median(P)
         yield res.center.astype("<f8").tobytes() + _f8(res.cost, res.converged)
 
@@ -454,9 +597,9 @@ GOLDEN_SOLVER_SOURCES = {
 GOLDEN_SOLVER_DIGESTS = {
     "approx_ufl": "bf36ee77b064c76e4c13926cededa2b35072702b9bf1d516ca2d6df80af7b91a",
     "kmedian_restricted": "f1b8088869bf452fee5b838d1d57e16d840a1b325e389436a3fedda4209e011e",
-    "ptas": "61ca2cff23f0c185e427aba7923e31522c643139b770f4c6d1e5443905795615",
+    "ptas": "a492cf3d2340e888c463c8de73d2678c65889f1ee82629561a3aa2afd7d981f0",
     "restricted_ufl_value": "3843dbd3d090b687da672b90d0c48a14d3f9dd606a218661d2ab50a34bcf0640",
-    "weiszfeld_1median": "7d2cda309041f48c0bdf8b46678518145fe363760eb282132b8fdc0275aedb76",
+    "weiszfeld_1median": "efae5ef0654dbb5f23297bc34b0040a00131d4381a70d35a0034a8d5d06d3d8a",
 }
 
 
