@@ -84,17 +84,6 @@ class UflSolution:
     def num_facilities(self) -> int:
         return len(self.facilities)
 
-    def assigned_facility_id(self, point_id: int) -> int:
-        """Dataset id of the facility serving point_id (facilities must lie in the dataset)."""
-        if self.facility_ids is None:
-            raise ValueError("solution facilities are not dataset points")
-        return int(self.facility_ids[self.assignment[point_id]])
-
-    def clusters(self) -> list[np.ndarray]:
-        """Point ids grouped by assigned facility (empty groups dropped)."""
-        groups = [np.flatnonzero(self.assignment == j) for j in range(self.num_facilities)]
-        return [g for g in groups if len(g)]
-
 
 def dist(p, q) -> float:
     """Euclidean distance between two coordinate vectors."""

@@ -125,12 +125,14 @@ def build_hierarchy(source, seed: int) -> HierarchicalDecomposition:
     nets = [np.arange(n)]
     for i in range(1, ell + 1):
         radius = (2.0 ** (i - 3)) * gamma
-        prev = nets[-1]
-        members: list[int] = []
-        for p in prev:                       # ascending id: prev is sorted
-            if not members or D[p, members].min() >= radius:
-                members.append(int(p))
-        nets.append(np.asarray(members, dtype=int))
+        prev = nets[-1]                      # ascending id
+        blocked = np.zeros(len(prev), dtype=bool)
+        kept: list[int] = []
+        for j in range(len(prev)):           # keep p unless a kept q has D[p, q] < radius
+            if not blocked[j]:
+                kept.append(j)
+                blocked |= D[prev, prev[j]] < radius
+        nets.append(prev[kept])
 
     membership = np.full((ell + 2, n), -1, dtype=np.int64)
     clusters: list[Cluster] = []

@@ -19,7 +19,10 @@ from .geometry import OracleScaleError
 
 class MatrixApproxHandle:
     """Ball-growing UFL approximation over a fixed distance matrix, used as
-    the qualification test of the partition loop."""
+    the qualification test of the partition loop. c members cost at most
+    2c - 1: a client at distance 0 pays any radius, so with opening cost 1
+    every radius is at most 1, a blocked client lies within 2 of a kept one,
+    and at least one facility opens."""
 
     def __init__(self, matrix: np.ndarray, alpha: float = 6.0):
         self.matrix = matrix
@@ -27,6 +30,10 @@ class MatrixApproxHandle:
 
     def evaluate(self, members: np.ndarray, cluster_id: int) -> tuple[float, np.ndarray]:
         return mp_ufl_value(self.matrix, members)
+
+    @staticmethod
+    def cost_bound(size: int) -> float:
+        return 2.0 * size - 1.0
 
 
 @dataclass
@@ -48,6 +55,8 @@ class LowValuePartition:
     alpha: float
     parts: list[Part]
     holes: dict[int, list[int]] = field(default_factory=dict)   # part index -> hole part indices
+    evaluations: int = 0         # handle evaluations the scan made
+    bound_skips: int = 0         # evaluations the handle's cost bound ruled out
 
     @property
     def hierarchy(self):
@@ -64,69 +73,67 @@ class LowValuePartition:
         return len(self.parts), float(sum(p.approx_value for p in self.parts))
 
 
-def bottom_up_partition(T: RefinedDecomposition, kappa: float, approx,
-                        merge_last_two: bool = False) -> LowValuePartition:
+def bottom_up_partition(T: RefinedDecomposition, kappa: float, approx) -> LowValuePartition:
     """Repeatedly emit the first cluster (lowest level, then lowest cluster
     id) whose surviving members have certified cost >= alpha * kappa, deleting
-    its points everywhere; the remainder, if any, becomes the last part."""
+    its points everywhere; the remainder, if any, becomes the last part.
+
+    approx has .alpha and .evaluate(members, cluster id), and may have
+    .cost_bound(c), a bound on its cost for c members (2c - 1 for ball
+    growing; candidate-set handles have none, their radii may exceed 1): a
+    cluster whose bound * (1 + 1e-9) is below the threshold fails unevaluated.
+
+    A cluster that fails keeps that verdict until it loses a point: an
+    emission clears it only for the clusters read off the emitted points'
+    refined membership, as every other member set is unchanged. Member sets
+    only shrink, so no cluster is evaluated twice on one set.
+    """
     if kappa < 1.0:
         raise ValueError("kappa must be at least 1")
     H = T.base
-    n = H.n
     alpha = float(approx.alpha)
     threshold = alpha * kappa * (1.0 - 1e-12)
+    bound = getattr(approx, "cost_bound", None)
 
-    base_members = {cid: T.members(cid) for level in range(H.ell + 2)
-                    for cid in H.levels[level]}
-    alive = np.ones(n, dtype=bool)
-    cache: dict[tuple[int, int], tuple[float, np.ndarray]] = {}
+    scan = np.concatenate(H.levels[:H.ell + 1])          # the root level is never scanned
+    root = H.levels[H.ell + 1][0]
+    # members by cluster id, in one stable grouping: ids ascend, and a
+    # cluster that badly-cut moves emptied keeps an empty entry
+    ids = T.membership[:H.ell + 1].ravel()
+    order = np.argsort(ids, kind="stable")
+    members = np.split(order % H.n, np.searchsorted(ids[order], np.arange(1, len(H.clusters))))
+    failed = np.zeros(len(H.clusters), dtype=bool)       # the current member set fails
+    results: dict[int, tuple[float, np.ndarray]] = {}
+    alive = np.ones(H.n, dtype=bool)
+    out = LowValuePartition(refined=T, kappa=float(kappa), alpha=alpha, parts=[])
 
-    def evaluate(cid: int, members: np.ndarray) -> tuple[float, np.ndarray]:
-        key = (cid, hash(members.tobytes()))
-        if key not in cache:
-            cache[key] = approx.evaluate(members, cid)
-        return cache[key]
+    def qualifies(cid: int) -> bool:
+        size = len(members[cid])
+        if size and bound is not None and bound(size) * (1 + 1e-9) < threshold:
+            out.bound_skips += 1
+        elif size:
+            out.evaluations += 1
+            results[cid] = approx.evaluate(members[cid], cid)
+            if results[cid][0] >= threshold:
+                return True
+        failed[cid] = True
+        return False
 
-    parts: list[Part] = []
     while alive.any():
-        hit = None
-        for level in range(H.ell + 1):                       # the root level is never scanned
-            for cid in H.levels[level]:
-                base = base_members[cid]
-                members = base[alive[base]]
-                if len(members) == 0:
-                    continue
-                cost, fids = evaluate(cid, members)
-                if cost >= threshold:
-                    hit = (cid, level, members, cost, fids)
-                    break
-            if hit:
-                break
-        if hit:
-            cid, level, members, cost, fids = hit
-            parts.append(Part(index=len(parts), members=members, provenance=cid,
-                              level=level, rang=H.rang(level), approx_value=cost,
-                              facility_ids=fids, is_last=False))
-            alive[members] = False
-        else:
-            members = np.flatnonzero(alive)
-            root = H.levels[H.ell + 1][0]
-            cost, fids = evaluate(root, members)
-            parts.append(Part(index=len(parts), members=members, provenance=root,
-                              level=H.ell + 1, rang=H.rang(H.ell + 1),
-                              approx_value=cost, facility_ids=fids, is_last=True))
-            alive[members] = False
+        cid = next((int(c) for c in scan[~failed[scan]] if qualifies(c)), root)
+        if cid == root:
+            members[root] = np.flatnonzero(alive)
+            out.evaluations += 1
+            results[root] = approx.evaluate(members[root], root)
+        level = H.clusters[cid].level
+        cost, fids = results[cid]
+        out.parts.append(Part(len(out.parts), members[cid], cid, level, H.rang(level),
+                              cost, fids, is_last=cid == root))
+        alive[members[cid]] = False
+        for c in np.unique(T.membership[:H.ell + 1, members[cid]]):
+            members[c] = members[c][alive[members[c]]]
+            failed[c] = False
 
-    if merge_last_two and len(parts) >= 2 and parts[-1].is_last:
-        last = parts.pop()
-        prev = parts.pop()
-        members = np.sort(np.concatenate([prev.members, last.members]))
-        cost, fids = evaluate(prev.provenance, members)
-        parts.append(Part(index=len(parts), members=members, provenance=prev.provenance,
-                          level=prev.level, rang=prev.rang, approx_value=cost,
-                          facility_ids=fids, is_last=True))
-
-    out = LowValuePartition(refined=T, kappa=float(kappa), alpha=alpha, parts=parts)
     out.holes = _compute_holes(out)
     return out
 

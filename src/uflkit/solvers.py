@@ -78,10 +78,11 @@ class KMedianResult(NamedTuple):
 
 
 def _as_points(points) -> np.ndarray:
-    if isinstance(points, PointSet):
-        return points.coords
-    P = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    return P
+    """(n, d) coordinates of a non-empty point list; a flat list is one point."""
+    P = points.coords if isinstance(points, PointSet) else np.asarray(points, dtype=np.float64)
+    if P.ndim > 0 and len(P) == 0:
+        raise ValueError("empty point set")
+    return np.atleast_2d(P)
 
 
 def _affine_reduce(P: np.ndarray) -> np.ndarray:
@@ -126,8 +127,6 @@ def weiszfeld_1median(points, cfg: SolverConfig = DEFAULT_SOLVER,
     """
     P = _as_points(points)
     n = len(P)
-    if n == 0:
-        raise ValueError("empty point set")
     step = max(1, _MAX_DIST_CELLS // n)
     sums = np.concatenate([cdist(P[i:i + step], P).sum(axis=1) for i in range(0, n, step)])
     j = int(np.argmin(sums))

@@ -1,14 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from uflkit.datasets import generate_dataset
 from uflkit.experiments import blob_instance
 from uflkit.geometry import PointSet
-from uflkit.hierarchy import build_hierarchy
+from uflkit.hierarchy import MetricData, build_hierarchy
 from uflkit.partition import (MatrixApproxHandle, Part, bottom_up_partition,
                               check_partition_invariants,
                               local_value_bounds_check,
                               partition_properties_check, partition_to_csv)
+from uflkit.ptas import PtasConfig, RestrictedApproxHandle, build_stages, candidate_set
 from uflkit.refine import eliminate_badly_cut
 from uflkit.solvers import (approx_ufl, brute_force_ufl_continuous,
                             mp_ufl_value)
@@ -89,15 +92,6 @@ class TestBottomUp:
             part, _, _ = make_partition(blob_instance(), seed=seed, kappa=4.0)
             split = max(split, len(part.parts))
         assert split >= 2
-
-    def test_merge_last_two(self):
-        for seed in spawn_seeds(5, 10):
-            part, _, _ = make_partition(blob_instance(), seed=seed, kappa=4.0,
-                                        merge_last_two=True)
-            ok, *_ = check_partition_invariants(part)
-            assert ok
-            if len(part.parts) >= 2:
-                assert sum(p.is_last for p in part.parts) <= 1
 
     def test_children_union_is_feasible_and_subadditive(self):
         # replay the construction: when a part is emitted at level i, the
@@ -225,3 +219,155 @@ class TestStatsAndExport:
         assert lines[0] == "part_index,point_id,provenance_cluster,level,is_last"
         assert len(lines) == 9
         assert lines[1].endswith(",1")      # single last part
+
+
+# ---------------------------------------------------------------------------
+# The scan's evaluations, and golden partitions
+# ---------------------------------------------------------------------------
+
+class RecordingHandle:
+    """Delegates to a handle, records every evaluation, and supplies no
+    cost bound."""
+
+    def __init__(self, inner):
+        self.inner, self.alpha, self.calls = inner, inner.alpha, []
+
+    def evaluate(self, members, cluster_id):
+        self.calls.append((cluster_id, members.tobytes()))
+        return self.inner.evaluate(members, cluster_id)
+
+
+def rescan_calls(T, kappa, handle):
+    """The (cluster, members) evaluations of a scan that rescans every
+    cluster after each emitted part and caches results by member set."""
+    H = T.base
+    threshold = handle.alpha * kappa * (1.0 - 1e-12)
+    scan = [cid for level in range(H.ell + 1) for cid in H.levels[level]]
+    base = {cid: T.members(cid) for cid in scan}
+    alive = np.ones(H.n, dtype=bool)
+    cache = {}
+
+    def cost(cid, members):
+        key = (cid, members.tobytes())
+        if key not in cache:
+            cache[key] = handle.evaluate(members, cid)[0]
+        return cache[key]
+
+    while alive.any():
+        for cid in scan:
+            members = base[cid][alive[base[cid]]]
+            if len(members) and cost(cid, members) >= threshold:
+                alive[members] = False
+                break
+        else:
+            cost(H.levels[H.ell + 1][0], np.flatnonzero(alive))
+            alive[:] = False
+    return list(cache)
+
+
+def split_stages(X, seed, kappa_cap=4.0, restricted=False):
+    """build_stages at the split benchmark's config, with the discrete
+    pipeline's candidate-set handle when restricted."""
+    md = MetricData.from_points(X)
+    cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=kappa_cap, seed=seed)
+
+    def handle(H):
+        return RestrictedApproxHandle(
+            md.matrix, {c.cid: candidate_set(H, c.cid, cfg.eps) for c in H.clusters})
+    return build_stages(md, cfg, handle if restricted else None)
+
+
+# seed 6 of blob_instance(4, 25): a badly-cut move empties cluster 17
+EMPTIED = (blob_instance(4, 25), 6)
+
+
+def emptied_clusters(T):
+    H = T.base
+    return [cid for level in range(H.ell + 1) for cid in H.levels[level]
+            if not (T.membership[level] == cid).any()]
+
+
+class TestScan:
+    @pytest.mark.parametrize("restricted", [False, True], ids=["matrix", "restricted"])
+    def test_handle_without_bound_gets_every_rescan_evaluation(self, restricted):
+        stages = split_stages(*EMPTIED, restricted=restricted)
+        T = stages.partition.refined
+        assert emptied_clusters(T)
+        for kappa in (2.0, 4.0):
+            handle = RecordingHandle(stages.approx)
+            bottom_up_partition(T, kappa, handle)
+            assert handle.calls == rescan_calls(T, kappa, stages.approx)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_scan_counts_on_the_split_benchmark_instance(self, monkeypatch, seed):
+        calls = []
+        evaluate = MatrixApproxHandle.evaluate
+
+        def counting(self, members, cluster_id):
+            calls.append((cluster_id, members.tobytes()))
+            return evaluate(self, members, cluster_id)
+
+        monkeypatch.setattr(MatrixApproxHandle, "evaluate", counting)
+        P = split_stages(blob_instance(8, 50), seed).partition
+        assert P.evaluations == len(calls) <= 50
+        monkeypatch.undo()
+        # the bound rules out exactly the rescan evaluations of clusters too
+        # small to qualify; the root's last-part evaluation is never skipped
+        threshold = P.alpha * P.kappa * (1 - 1e-12)
+        root = P.hierarchy.levels[-1][0]
+        rescans = rescan_calls(P.refined, P.kappa, MatrixApproxHandle(P.hierarchy.metric.matrix))
+        small = [c for c in rescans if c[0] != root
+                 and (2 * (len(c[1]) // 8) - 1) * (1 + 1e-9) < threshold]
+        assert calls == [c for c in rescans if c not in small]
+        assert P.bound_skips == len(small) > 0
+
+
+def _i8(ids) -> bytes:
+    return np.asarray(ids, dtype="<i8").tobytes() + b"|"
+
+
+def _partition_chunks(P):
+    for p in P.parts:
+        yield (_i8(p.members) + _i8([p.provenance, p.level, p.is_last])
+               + np.float64(p.approx_value).astype("<f8").tobytes() + _i8(p.facility_ids))
+    for index in sorted(P.holes):
+        yield _i8([index, *P.holes[index]])
+
+
+def _golden_matrix(X, seed):
+    T = split_stages(X, seed).partition.refined
+    for kappa in (2.0, 4.0, 1e9):
+        handle = MatrixApproxHandle(T.base.metric.matrix, 6.0)
+        yield from _partition_chunks(bottom_up_partition(T, kappa, handle))
+
+
+def _golden_restricted(X, seed):
+    for cap in (2.0, 4.0):
+        yield from _partition_chunks(split_stages(X, seed, cap, restricted=True).partition)
+
+
+GOLDEN_PARTITION_SOURCES = {
+    "matrix_blob": (_golden_matrix, lambda s: blob_instance(4, 25)),
+    "matrix_subspace": (_golden_matrix,
+                        lambda s: PointSet(generate_dataset("subspace", 60, 8, 2, s).coords * 20)),
+    "restricted_blob": (_golden_restricted, lambda s: blob_instance(4, 25)),
+}
+
+# sha256 over seeds 0, 1, 2, 3 and 6 (the emptied cluster) of every part's
+# members, provenance, level, is_last, approx_value bytes and facility ids,
+# then the holes
+GOLDEN_PARTITION_DIGESTS = {
+    "matrix_blob": "e82837e57e5f1fdcbf87b994361e7d3cb102d5f9fe01f292bfe687eebccfc9ff",
+    "matrix_subspace": "bd7887d2e3255ec6c604c7a22d704f5200fdd703c75e05d4cac1adf2152bf336",
+    "restricted_blob": "9ab44eb7970eb6e6e670fbca2d61090b74dbdb235c1e971eba1eaa86b87925d2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PARTITION_SOURCES))
+def test_golden_partition(name):
+    chunks, instance = GOLDEN_PARTITION_SOURCES[name]
+    h = hashlib.sha256()
+    for seed in (0, 1, 2, 3, EMPTIED[1]):
+        for chunk in chunks(instance(seed), seed):
+            h.update(chunk)
+    assert h.hexdigest() == GOLDEN_PARTITION_DIGESTS[name]

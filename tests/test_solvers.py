@@ -9,12 +9,13 @@ from scipy.spatial.distance import cdist
 
 from uflkit.experiments import blob_instance
 from uflkit.geometry import OracleScaleError, PointSet
+from uflkit.partition import MatrixApproxHandle
 from uflkit.ptas import (DistanceOracle, PtasConfig, ptas_discrete, ptas_euclidean,
                          trace_to_jsonl)
 from uflkit.solvers import (DEFAULT_SOLVER, SolverConfig, WeiszfeldResult, _mp_select,
                             approx_ufl, brute_force_ufl_continuous, brute_force_ufl_discrete,
-                            kmedian, kmedian_restricted, restricted_ufl_value,
-                            weiszfeld_1median)
+                            kmedian, kmedian_restricted, mp_ufl_value,
+                            restricted_ufl_value, weiszfeld_1median)
 
 from conftest import line, random_points
 
@@ -124,6 +125,15 @@ class TestKMedian:
         res = kmedian(P, 3)
         ids = np.sort(np.concatenate(res.clusters))
         assert np.array_equal(ids, np.arange(9))
+
+
+@pytest.mark.parametrize("solve", [weiszfeld_1median, lambda P: kmedian(P, 1),
+                                   brute_force_ufl_continuous],
+                         ids=["weiszfeld_1median", "kmedian", "brute_force_ufl_continuous"])
+def test_empty_point_list_rejected(solve):
+    # an empty list is no points, not one point in zero dimensions
+    with pytest.raises(ValueError, match="empty point set"):
+        solve([])
 
 
 class TestContinuousOracle:
@@ -526,6 +536,22 @@ class TestWeiszfeldCertificate:
         res, history = assert_reference_bytes(ESCAPE_INPUT)
         assert len(history) > 1
         np.testing.assert_allclose(res.center, [0.99422443, 0.0], atol=1e-8)
+
+
+class TestBallGrowingCostBound:
+    @given(P=point_sets(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_cost_at_most_two_c_minus_one(self, P, data):
+        # a client at distance 0 pays any radius, so every radius is at most
+        # 1; a blocked client lies within 2 of a kept one, and one opens
+        keep = data.draw(st.lists(st.booleans(), min_size=len(P), max_size=len(P)))
+        ids = np.flatnonzero(keep) if any(keep) else np.arange(len(P))
+        D = PointSet(P).distance_matrix()
+        bound = MatrixApproxHandle.cost_bound(len(ids))
+        assert bound == 2 * len(ids) - 1
+        assert mp_ufl_value(D, ids)[0] <= bound * (1 + 1e-9)
+        cost, fids = mp_ufl_value(D, ids[:1])
+        assert cost == 1.0 and fids.tolist() == ids[:1].tolist()
 
 
 # ---------------------------------------------------------------------------
