@@ -3,10 +3,10 @@ randomized hierarchical decomposition, badly-cut-pair elimination, low-value
 partitioning, and full approximation pipelines validated against brute force.
 """
 
-from .geometry import (Net, OracleScaleError, PointSet, UflSolution, dist,
+from .geometry import (OracleScaleError, PointSet, UflSolution, check_net, dist,
                        estimate_ddim, greedy_net, load_points, metric_stats,
                        save_points_binary, save_points_text, ufl_cost)
-from .projection import RandomLinearMap, load_map, sample_map, save_map, target_dim
+from .projection import RandomLinearMap, sample_map, target_dim
 from .hierarchy import (HierarchicalDecomposition, MetricData, build_hierarchy,
                         dump_decomposition, is_badly_cut, is_cut, is_good_pair)
 from .refine import RefinedDecomposition, consistency_check, eliminate_badly_cut

@@ -299,16 +299,17 @@ def partition_structure_check(instances: int, seed: int, eps: float = 0.3,
 
 def local_bounds_check(instances: int, seed: int, eps: float = 0.3,
                        ddim: float = 2.0, kappa_cap: float = 2.0) -> dict:
-    failures = 0
-    checked_parts = 0
+    failures = checked_parts = unchecked_parts = 0
     for X, s in _instance_stream(instances, seed, max_n=12, max_d=8):
         cfg = PtasConfig(eps=eps, ddim=ddim, kappa_cap=kappa_cap, seed=s)
         part = build_stages(X, cfg).partition
         rep = local_value_bounds_check(part, brute_force_ufl_continuous, ddim)
-        failures += sum(1 for e in rep.entries if not (e.lower_ok and e.upper_ok))
-        checked_parts += sum(1 for e in rep.entries if e.checked)
+        failures += sum(e.checked and not (e.lower_ok and e.upper_ok) for e in rep.entries)
+        checked_parts += len(rep.entries) - rep.unchecked
+        unchecked_parts += rep.unchecked
     return {"name": "local_value_bounds", "failures": failures,
-            "checked_parts": checked_parts, "passed": failures == 0}
+            "checked_parts": checked_parts, "unchecked_parts": unchecked_parts,
+            "passed": failures == 0}
 
 
 def blob_instance(blobs: int = 6, per_blob: int = 25, spread: float = 1.0,

@@ -1,5 +1,7 @@
-"""Point sets, Euclidean distances, the UFL objective, greedy nets, and
-doubling-dimension diagnostics.
+"""Point sets, Euclidean distances, the UFL objective, the greedy net
+builder (over a distance matrix, shared with the hierarchy) and its check,
+aspect-ratio statistics, a doubling-dimension diagnostic, and the text and
+binary point-set file formats.
 
 The opening cost is fixed at 1; instances with a general opening cost f
 should be pre-scaled by 1/f. All logarithms are base 2.
@@ -48,16 +50,8 @@ class PointSet:
     def d(self) -> int:
         return self.coords.shape[1]
 
-    @property
-    def ids(self) -> np.ndarray:
-        return np.arange(self.n)
-
     def distance_matrix(self) -> np.ndarray:
         return squareform(pdist(self.coords)) if self.n > 1 else np.zeros((1, 1))
-
-    def subset(self, ids) -> np.ndarray:
-        """Coordinate rows for the given ids."""
-        return self.coords[np.asarray(ids, dtype=int)]
 
 
 @dataclass(frozen=True)
@@ -112,51 +106,41 @@ def ufl_cost(X: PointSet, facilities, facility_ids=None) -> UflSolution:
                        facility_ids=ids)
 
 
-@dataclass(frozen=True)
-class Net:
-    """A rho-net: members form a rho-packing that rho-covers the given subset."""
-
-    radius: float
-    members: np.ndarray     # ids, ascending
-    covered: np.ndarray     # ids the net was built over
-
-    def check(self, X: PointSet, ddim: float | None = None) -> None:
-        """Verify packing and covering by direct scan; optionally the packing
-        cardinality bound |members| <= (2 Diam / radius)^ddim."""
-        mem = X.subset(self.members)
-        if len(mem) > 1:
-            inter = pdist(mem)
-            if inter.min() < self.radius * (1 - COST_RTOL):
-                raise AssertionError("net violates packing")
-        if len(self.covered):
-            D = cdist(X.subset(self.covered), mem)
-            if D.min(axis=1).max() > self.radius * (1 + COST_RTOL):
-                raise AssertionError("net violates covering")
-        if ddim is not None and len(self.covered) > 1:
-            diam = pdist(X.subset(self.covered)).max()
-            bound = (2.0 * diam / self.radius) ** ddim
-            if len(self.members) > bound * (1 + COST_RTOL):
-                raise AssertionError(
-                    f"packing bound exceeded: {len(self.members)} > {bound}")
-
-
-def greedy_net(X: PointSet, subset, radius: float) -> Net:
-    """Sequential greedy net over ids in ascending order: a point joins the
-    net iff it is at distance >= radius from every current member."""
+def greedy_net(D: np.ndarray, ids, radius: float) -> np.ndarray:
+    """Sequential greedy net over ids in ascending order, on the distance
+    matrix D: a point joins the net iff it is at distance >= radius from
+    every current member. Each kept point blocks its ball with one column
+    read. Returns the member ids, ascending."""
     if radius <= 0:
         raise ValueError("net radius must be positive")
-    ids = np.sort(np.asarray(list(subset), dtype=int))
-    members: list[int] = []
-    member_coords: list[np.ndarray] = []
-    for i in ids:
-        p = X.coords[i]
-        if members:
-            dmin = np.linalg.norm(np.asarray(member_coords) - p, axis=1).min()
-            if dmin < radius:
-                continue
-        members.append(int(i))
-        member_coords.append(p)
-    return Net(radius=float(radius), members=np.asarray(members, dtype=int), covered=ids)
+    ids = np.sort(np.asarray(ids, dtype=int))
+    blocked = np.zeros(len(ids), dtype=bool)
+    kept: list[int] = []
+    for j in range(len(ids)):
+        if not blocked[j]:
+            kept.append(j)
+            blocked |= D[ids, ids[j]] < radius
+    return ids[kept]
+
+
+def check_net(D: np.ndarray, covered, net, radius: float,
+              ddim: float | None = None) -> None:
+    """Verify that the ids in net form a radius-packing that radius-covers
+    the ids in covered, by direct scan of D; optionally also the packing
+    cardinality bound |net| <= (2 Diam(covered) / radius)^ddim."""
+    covered = np.asarray(covered, dtype=int)
+    net = np.asarray(net, dtype=int)
+    inter = D[np.ix_(net, net)]
+    np.fill_diagonal(inter, np.inf)
+    if inter.min(initial=np.inf) < radius * (1 - COST_RTOL):
+        raise AssertionError("net violates packing")
+    reach = D[np.ix_(covered, net)].min(axis=1, initial=np.inf)
+    if reach.max(initial=0.0) > radius * (1 + COST_RTOL):
+        raise AssertionError("net violates covering")
+    if ddim is not None and len(covered) > 1:
+        bound = (2.0 * D[np.ix_(covered, covered)].max() / radius) ** ddim
+        if len(net) > bound * (1 + COST_RTOL):
+            raise AssertionError(f"packing bound exceeded: {len(net)} > {bound}")
 
 
 def metric_stats(X: PointSet) -> tuple[float, float, float, int]:
@@ -185,16 +169,13 @@ def estimate_ddim(X: PointSet, scales: int = 8, max_centers: int = 256) -> float
     Diagnostic only; always in [0, log2 n].
     """
     gamma, diam, _, _ = metric_stats(X)
-    radii = np.geomspace(gamma, diam, num=max(1, scales))
+    D = X.distance_matrix()
     step = max(1, -(-X.n // max_centers))
-    centers = np.arange(0, X.n, step)
-    D = cdist(X.subset(centers), X.coords)
     best = 0.0
-    for r in radii:
-        half = r / 2.0
-        for row in D:
+    for r in np.geomspace(gamma, diam, num=max(1, scales)):
+        for row in D[::step]:
             ball = np.flatnonzero(row <= r * (1 + COST_RTOL))
-            count = len(greedy_net(X, ball, half).members)
+            count = len(greedy_net(D, ball, r / 2.0))
             if count > 1:
                 best = max(best, np.log2(count))
     return float(best)

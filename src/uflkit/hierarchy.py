@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PointSet, UflSolution, pair_stats
+from .geometry import PointSet, UflSolution, greedy_net, pair_stats
 from .util import rng_from_seed
 
 
@@ -124,15 +124,7 @@ def build_hierarchy(source, seed: int) -> HierarchicalDecomposition:
 
     nets = [np.arange(n)]
     for i in range(1, ell + 1):
-        radius = (2.0 ** (i - 3)) * gamma
-        prev = nets[-1]                      # ascending id
-        blocked = np.zeros(len(prev), dtype=bool)
-        kept: list[int] = []
-        for j in range(len(prev)):           # keep p unless a kept q has D[p, q] < radius
-            if not blocked[j]:
-                kept.append(j)
-                blocked |= D[prev, prev[j]] < radius
-        nets.append(prev[kept])
+        nets.append(greedy_net(D, nets[-1], (2.0 ** (i - 3)) * gamma))
 
     membership = np.full((ell + 2, n), -1, dtype=np.int64)
     clusters: list[Cluster] = []

@@ -68,10 +68,6 @@ class LowValuePartition:
             out[p.members] = p.index
         return out
 
-    def size_stat(self) -> tuple[int, float]:
-        """(|parts|, sum of certified approx values), for scaling checks."""
-        return len(self.parts), float(sum(p.approx_value for p in self.parts))
-
 
 def bottom_up_partition(T: RefinedDecomposition, kappa: float, approx) -> LowValuePartition:
     """Repeatedly emit the first cluster (lowest level, then lowest cluster
@@ -165,8 +161,8 @@ class BoundsEntry(NamedTuple):
     size: int
     value: float | None
     checked: bool
-    lower_ok: bool
-    upper_ok: bool
+    lower_ok: bool | None        # None when the part is beyond the oracle's reach
+    upper_ok: bool | None
 
 
 class BoundsReport(NamedTuple):
@@ -176,7 +172,12 @@ class BoundsReport(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return all(e.lower_ok and e.upper_ok for e in self.entries)
+        """Every checked entry passes; unchecked ones count neither way."""
+        return all(e.lower_ok and e.upper_ok for e in self.entries if e.checked)
+
+    @property
+    def unchecked(self) -> int:
+        return sum(not e.checked for e in self.entries)
 
 
 def local_value_bounds_check(P: LowValuePartition, oracle, ddim: float,
@@ -192,7 +193,7 @@ def local_value_bounds_check(P: LowValuePartition, oracle, ddim: float,
         try:
             value = float(oracle(coords[p.members]))
         except OracleScaleError:
-            entries.append(BoundsEntry(p.index, len(p.members), None, False, True, True))
+            entries.append(BoundsEntry(p.index, len(p.members), None, False, None, None))
             continue
         lower_ok = p.is_last or value >= kappa * (1 - 1e-9)
         upper_ok = value <= tau * (1 + 1e-9)

@@ -1,18 +1,16 @@
-"""Gaussian random linear maps x -> (1/sqrt(m)) G x and the target-dimension
-formula used by the approximation pipeline."""
+"""Gaussian random linear maps x -> (1/sqrt(m)) G x, drawn from a seed, and
+the target dimension m that `PtasConfig.m` derives for the Euclidean
+pipeline's projection."""
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import PointSet
 from .util import rng_from_seed, snapped_ceil
-
-_MAP_MAGIC = b"RLMG"
 
 
 @dataclass(frozen=True)
@@ -60,19 +58,3 @@ def target_dim(eps: float, tau: float, c3: float = 2.0) -> int:
         raise ValueError("c3 must be positive")
     raw = c3 * eps ** -2 * (math.log2(tau) + math.log2(1.0 / eps))
     return max(1, snapped_ceil(raw))
-
-
-def save_map(pi: RandomLinearMap, path) -> None:
-    """Serialize as magic 'RLMG', u32 m, u32 d, u64 seed; the matrix is
-    regenerated from the seed on load."""
-    with open(path, "wb") as fh:
-        fh.write(_MAP_MAGIC)
-        fh.write(struct.pack("<IIQ", pi.m, pi.d, pi.seed))
-
-
-def load_map(path) -> RandomLinearMap:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAP_MAGIC:
-            raise ValueError("not a RLMG map file")
-        m, d, seed = struct.unpack("<IIQ", fh.read(16))
-    return sample_map(d=d, m=m, seed=seed)

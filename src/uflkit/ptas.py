@@ -94,29 +94,12 @@ def trace_to_jsonl(traces: list[PartTrace]) -> str:
     return "".join(t.to_json() + "\n" for t in traces)
 
 
-class DistanceOracle:
-    """Pairwise-distance access over point ids 0..n-1, with metric axioms
+class DistanceOracle(MetricData):
+    """The discrete pipeline's input: a MetricData whose metric axioms can be
     spot-checked on sampled triples."""
 
-    def __init__(self, matrix: np.ndarray, coords: np.ndarray | None = None):
-        self._md = MetricData(np.asarray(matrix, dtype=np.float64), coords)
-
-    @classmethod
-    def from_points(cls, X: PointSet) -> "DistanceOracle":
-        return cls(X.distance_matrix(), X.coords)
-
-    @property
-    def n(self) -> int:
-        return self._md.n
-
-    def dist(self, i: int, j: int) -> float:
-        return float(self._md.matrix[i, j])
-
-    def metric_data(self) -> MetricData:
-        return self._md
-
     def spot_check(self, triples: int = 300, seed: int = 0, tol: float = 1e-9) -> None:
-        D = self._md.matrix
+        D = self.matrix
         n = self.n
         if np.any(np.abs(np.diag(D)) > tol) or np.any(D < -tol):
             raise ValueError("distance oracle violates nonnegativity")
@@ -190,7 +173,7 @@ def _exact_projected_sweep(proj_members: np.ndarray, solver: SolverConfig):
     return k_star, float(total - k_star), blocks
 
 
-def _heuristic_projected_sweep(proj_members: np.ndarray, k_hint: int, kmax: int,
+def _heuristic_projected_sweep(proj_members: np.ndarray, k_hint: int,
                                solver: SolverConfig):
     """Local-search k-median over a small k window around the constant-factor
     facility count; uncertified, used only beyond the enumeration scale.
@@ -200,7 +183,7 @@ def _heuristic_projected_sweep(proj_members: np.ndarray, k_hint: int, kmax: int,
 
     best = None
     medians: dict = {}
-    lo, hi = max(1, k_hint - 2), min(kmax, k_hint + 2)
+    lo, hi = max(1, k_hint - 2), min(len(proj_members), k_hint + 2)
     for k in range(lo, hi + 1):
         res = kmedian(proj_members, k, cfg=solver, medians=medians)
         if best is None or k + res.cost < best[0] + best[1]:
@@ -229,7 +212,6 @@ def ptas_euclidean(X: PointSet, cfg: PtasConfig,
 
     centers: list[np.ndarray] = []
     traces: list[PartTrace] = []
-    kmax_cap = int(min(cfg.c4 * cfg.tau, 1e18))
     for p in partition.parts:
         members = p.members
         fids = p.facility_ids
@@ -252,12 +234,11 @@ def ptas_euclidean(X: PointSet, cfg: PtasConfig,
         adopted = fallback
         label = "fallback"
         if event_g:
-            kmax = min(len(members), kmax_cap)
             if len(members) <= solver.enum_threshold:
                 k_star, v, blocks = _exact_projected_sweep(proj[members], solver)
             else:
                 k_star, v, blocks = _heuristic_projected_sweep(
-                    proj[members], len(fids), kmax, solver)
+                    proj[members], len(fids), solver)
             if k_star + v > cfg.c4 * cfg.tau:
                 event_h = False
             else:
@@ -322,11 +303,12 @@ class RestrictedApproxHandle:
 
 
 def _restricted_sweep(D: np.ndarray, members: np.ndarray, cand: np.ndarray,
-                      kmax: int, solver: SolverConfig):
-    """Best k + v_k over k = 1..kmax with facilities from cand, the smallest
-    k among equal values; exact by subset enumeration when feasible. The
-    local-search sweep stops once k alone reaches the best k + v_k found:
-    v_k >= 0, so no larger k can do strictly better."""
+                      solver: SolverConfig):
+    """Best k + v_k over k = 1..min(|members|, |cand|) with facilities from
+    cand, the smallest k among equal values; exact by subset enumeration
+    when feasible. The local-search sweep stops once k alone reaches the
+    best k + v_k found: v_k >= 0, so no larger k can do strictly better."""
+    kmax = min(len(members), len(cand))
     if _subset_enumerable(len(cand), len(members)):
         cost, size = _subset_table(D[np.ix_(members, cand)])
         best = None
@@ -342,7 +324,7 @@ def _restricted_sweep(D: np.ndarray, members: np.ndarray, cand: np.ndarray,
     from .solvers import kmedian_restricted
 
     best = None
-    for k in range(1, min(kmax, len(cand)) + 1):
+    for k in range(1, kmax + 1):
         if best is not None and k >= best[0] + best[1]:
             break
         ids, v, _ = kmedian_restricted(D, members, cand, k, solver)
@@ -358,9 +340,8 @@ def ptas_discrete(oracle: DistanceOracle, cfg: PtasConfig,
     metric, then per part a k-median sweep restricted to the candidate
     facility set of its provenance cluster."""
     oracle.spot_check()
-    md = oracle.metric_data()
-    D = md.matrix
-    if md.n == 1:
+    D = oracle.matrix
+    if oracle.n == 1:
         return DiscreteSolution(np.array([0]), np.array([0]), OPENING_COST, 0.0,
                                 OPENING_COST), []
 
@@ -368,16 +349,13 @@ def ptas_discrete(oracle: DistanceOracle, cfg: PtasConfig,
         return RestrictedApproxHandle(
             D, {c.cid: candidate_set(H, c.cid, cfg.eps) for c in H.clusters})
 
-    partition, handle = build_stages(md, cfg, restricted)
+    partition, handle = build_stages(oracle, cfg, restricted)
     candidates = handle.candidates
 
     facility_ids: list[int] = []
     traces: list[PartTrace] = []
-    kmax_cap = int(min(cfg.tau, 1e18))
     for p in partition.parts:
-        cand = candidates[p.provenance]
-        kmax = min(len(p.members), len(cand), kmax_cap)
-        k_star, v, fids = _restricted_sweep(D, p.members, cand, kmax, solver)
+        k_star, v, fids = _restricted_sweep(D, p.members, candidates[p.provenance], solver)
         facility_ids.extend(int(f) for f in fids)
         designated = float(D[np.ix_(p.members, fids)].min(axis=1).sum())
         traces.append(PartTrace(p.index, p.level, True, True, k_star, v,
@@ -388,7 +366,7 @@ def ptas_discrete(oracle: DistanceOracle, cfg: PtasConfig,
     fid_arr = np.asarray(unique, dtype=int)
     cols = D[:, fid_arr]
     assignment = np.argmin(cols, axis=1)
-    connection = float(cols[np.arange(md.n), assignment].sum())
+    connection = float(cols[np.arange(oracle.n), assignment].sum())
     opening = OPENING_COST * len(fid_arr)
     sol = DiscreteSolution(fid_arr, assignment, opening, connection,
                            opening + connection)

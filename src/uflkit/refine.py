@@ -1,11 +1,12 @@
-"""Level-by-level modification of a hierarchical decomposition so that no
-point is separated from its guiding facility at a level high enough to make
-the pair badly cut. Each level remains a partition; nesting across levels is
-deliberately not maintained."""
+"""Badly-cut elimination: at every level of a hierarchical decomposition,
+move each point into its guiding facility's cluster when the level is high
+enough to make the pair badly cut, and log the moves. Each level remains a
+partition; nesting across levels is deliberately not maintained. Also the
+checks that the moves keep every cluster near its original and leave no
+guided pair cut."""
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -32,18 +33,6 @@ class RefinedDecomposition:
     f0_ids: np.ndarray           # guiding facility id per point
     membership: np.ndarray       # (ell+2, n) cluster id per point per level
     moves: list[Move]
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def ell(self) -> int:
-        return self.base.ell
-
-    def members(self, cid: int, level: int | None = None) -> np.ndarray:
-        level = self.base.clusters[cid].level if level is None else level
-        return np.flatnonzero(self.membership[level] == cid)
 
 
 def eliminate_badly_cut(H: HierarchicalDecomposition, f0, eps: float,
@@ -118,11 +107,3 @@ def check_guided_pairs_uncut(T: RefinedDecomposition) -> list[tuple[int, int]]:
             if level >= thr and T.membership[level, x] != T.membership[level, f]:
                 bad.append((level, x))
     return bad
-
-
-def moves_to_csv(T: RefinedDecomposition) -> str:
-    buf = io.StringIO()
-    buf.write("level,point_id,from_cluster,to_cluster\n")
-    for mv in T.moves:
-        buf.write(f"{mv.level},{mv.point},{mv.from_cluster},{mv.to_cluster}\n")
-    return buf.getvalue()

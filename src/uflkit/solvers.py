@@ -40,15 +40,8 @@ def _mask_ids(mask: int, s: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the solver stack.
+    """Knobs for the solver stack."""
 
-    alpha_target is the certified approximation factor of approx_ufl against
-    the continuous optimum: the ball-growing algorithm is 3-approximate with
-    facilities restricted to the input, and moving optimal ambient facilities
-    onto the input loses at most another factor 2.
-    """
-
-    alpha_target: float = 6.0
     weiszfeld_tol: float = 1e-10
     weiszfeld_max_iter: int = 10000
     enum_threshold: int = 12
@@ -498,7 +491,8 @@ def _mp_select(D_cand: np.ndarray, radii: np.ndarray) -> list[int]:
 def approx_ufl(X: PointSet, cfg: SolverConfig = DEFAULT_SOLVER) -> UflSolution:
     """Deterministic constant-factor UFL approximation with facilities drawn
     from the input (ball-growing; 3-approximate against the best such
-    solution, hence at most alpha_target=6 against the continuous optimum)."""
+    solution, hence at most 6 against the continuous optimum, since moving
+    optimal ambient facilities onto the input loses at most a factor 2)."""
     D = X.distance_matrix()
     facilities = _mp_select(D, _mp_radii(D))
     ids = np.asarray(facilities, dtype=int)

@@ -1,0 +1,62 @@
+"""The benchmark harness under benchmarks/ builds its inputs with uflkit and
+wraps pipeline attributes by name for its traced pass (`run.py --trace 1`).
+These checks fail as soon as a refactor renames or removes what the harness
+uses, instead of at the next benchmark run. The harness is imported without
+writing bytecode, so its directory is left as it is."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCHMARKS = str(Path(__file__).resolve().parent.parent / "benchmarks")
+
+
+@pytest.fixture(scope="module")
+def harness():
+    write_bytecode = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, BENCHMARKS)
+    try:
+        import layers
+        import spans
+        import workloads
+    finally:
+        sys.path.remove(BENCHMARKS)
+        sys.dont_write_bytecode = write_bytecode
+    return layers, spans, workloads
+
+
+def test_every_wrapped_attribute_resolves(harness):
+    layers, spans, _ = harness
+    table = layers.replacements(spans.SpanRecorder())
+    assert table
+    for owner, attr, wrapper in table:
+        assert wrapper.__wrapped__ is vars(owner)[attr]
+
+
+def test_traced_solves_see_the_pipeline_layers(harness):
+    # the wrappers take effect only if the pipelines look the attributes up
+    # at call time
+    layers, spans, workloads = harness
+    rec = spans.SpanRecorder()
+    with spans.patched(layers.replacements(rec)):
+        for name in ("euclid_split", "discrete_split"):
+            w = workloads.WORKLOADS[name]
+            _, warmup = w.instances(2001)
+            rec.call(layers.ROOT, w.solve, warmup)
+    seen = set(rec.totals(root=layers.ROOT))
+    assert {"hierarchy.build", "refine.eliminate", "partition.scan", "solvers.mp",
+            "projection.map", "solvers.weiszfeld", "solvers.restricted_value",
+            "ptas.candidate_set"} <= seen
+    assert rec.counts["partition.evals"] > 0
+
+
+@pytest.mark.parametrize("name", ["euclid_split", "discrete_split", "exact_n12"])
+def test_workload_instances_build(harness, name):
+    _, _, workloads = harness
+    w = workloads.WORKLOADS[name]
+    pool, warmup = w.instances(2001)
+    assert len(pool) == w.pool
+    for inst in pool + [warmup]:
+        assert inst.X.n >= 1 and (inst.oracle is not None) == (name == "discrete_split")

@@ -97,6 +97,7 @@ class TestIndividualChecks:
     def test_local_bounds(self):
         rep = local_bounds_check(6, seed=10)
         assert rep["passed"] and rep["checked_parts"] > 0
+        assert rep["unchecked_parts"] == 0           # every part is within the oracle's n <= 12
 
     def test_lambda_scaling(self):
         rep = lambda_scaling_check(trials=15, seed=11)

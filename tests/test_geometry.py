@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uflkit.geometry import (PointSet, dist, estimate_ddim, greedy_net,
+from uflkit.geometry import (PointSet, check_net, dist, estimate_ddim, greedy_net,
                              load_points, load_points_binary, load_points_text,
                              metric_stats, save_points_binary, save_points_text,
                              ufl_cost)
@@ -89,39 +89,48 @@ class TestUflCost:
 
 class TestGreedyNet:
     def test_line_example(self):
-        X = line(0.0, 1.0, 2.0, 3.0)
-        net = greedy_net(X, [0, 1, 2, 3], 1.5)
-        assert list(net.members) == [0, 2]
-        net.check(X)
+        D = line(0.0, 1.0, 2.0, 3.0).distance_matrix()
+        net = greedy_net(D, [0, 1, 2, 3], 1.5)
+        assert list(net) == [0, 2]
+        check_net(D, [0, 1, 2, 3], net, 1.5)
 
     def test_small_radius_keeps_all(self, rng):
         X = random_points(rng, 10, 2)
         gamma, _, _, _ = metric_stats(X)
-        net = greedy_net(X, range(10), gamma * 0.999)
-        assert list(net.members) == list(range(10))
-        net.check(X)
+        D = X.distance_matrix()
+        net = greedy_net(D, range(10), gamma * 0.999)
+        assert list(net) == list(range(10))
+        check_net(D, range(10), net, gamma * 0.999)
 
     def test_single_point(self):
-        X = line(0.0, 5.0)
-        net = greedy_net(X, [1], 2.0)
-        assert list(net.members) == [1]
+        net = greedy_net(line(0.0, 5.0).distance_matrix(), [1], 2.0)
+        assert list(net) == [1]
 
     def test_empty_subset(self):
-        net = greedy_net(line(0.0), [], 1.0)
-        assert len(net.members) == 0
+        net = greedy_net(line(0.0).distance_matrix(), [], 1.0)
+        assert len(net) == 0
 
     def test_packing_and_covering_on_random_instances(self, rng):
         for _ in range(10):
-            X = random_points(rng, 30, 2)
+            D = random_points(rng, 30, 2).distance_matrix()
             radius = float(rng.uniform(0.05, 0.7))
-            greedy_net(X, range(30), radius).check(X)
+            check_net(D, range(30), greedy_net(D, range(30), radius), radius)
 
     def test_packing_cardinality_bound(self):
         X = generate_dataset("grid", 64, 8, 2, 3)
+        D = X.distance_matrix()
         supplied = estimate_ddim(X)
         for radius_frac in (0.1, 0.3, 0.6):
             _, diam, _, _ = metric_stats(X)
-            greedy_net(X, range(64), radius_frac * diam).check(X, ddim=supplied)
+            radius = radius_frac * diam
+            check_net(D, range(64), greedy_net(D, range(64), radius), radius, ddim=supplied)
+
+    def test_check_net_flags_packing_and_covering_violations(self):
+        D = line(0.0, 1.0, 2.0, 3.0).distance_matrix()
+        with pytest.raises(AssertionError, match="packing"):
+            check_net(D, [0, 1, 2, 3], [0, 1, 2], 1.5)
+        with pytest.raises(AssertionError, match="covering"):
+            check_net(D, [0, 1, 2, 3], [0], 1.5)
 
 
 class TestMetricStats:
@@ -201,10 +210,6 @@ class TestFileFormats:
 
 
 class TestPointSet:
-    def test_ids_are_contiguous(self, rng):
-        X = random_points(rng, 6, 2)
-        assert list(X.ids) == list(range(6))
-
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             PointSet(np.array([[np.nan, 0.0]]))

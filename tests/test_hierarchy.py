@@ -5,7 +5,7 @@ import pytest
 
 from uflkit.datasets import KINDS, generate_dataset
 from uflkit.experiments import blob_instance, line_instance
-from uflkit.geometry import PointSet
+from uflkit.geometry import check_net
 from uflkit.hierarchy import (MetricData, build_hierarchy, check_diameters,
                               check_nesting, dump_decomposition, f0_point_ids,
                               is_badly_cut, is_cut, is_good_pair)
@@ -53,17 +53,17 @@ class TestBuild:
             assert check_diameters(build_hierarchy(X, seed)) == []
 
     def test_nets_are_nested_and_valid(self, rng):
-        X = random_points(rng, 30, 2)
-        H = build_hierarchy(X, 4)
-        D = H.metric.matrix
-        for i in range(1, H.ell + 1):
-            prev, cur = H.nets[i - 1], H.nets[i]
-            radius = 2.0 ** (i - 3) * H.gamma
-            assert set(cur) <= set(prev)
-            if len(cur) > 1:
-                sub = D[np.ix_(cur, cur)]
-                assert sub[~np.eye(len(cur), dtype=bool)].min() >= radius - 1e-12
-            assert D[np.ix_(prev, cur)].min(axis=1).max() <= radius + 1e-12
+        # N_i is a 2^(i-3) gamma net of N_(i-1): nested in it, packed at that
+        # radius, and covering every point of it
+        cases = [(random_points(rng, 30, 2), 4)]
+        for seed in range(3):
+            cases += [(X, seed) for X in (line_instance(), blob_instance(8, 50, seed=seed),
+                                         *(generate_dataset(k, 60, 4, 2, seed) for k in KINDS))]
+        for X, seed in cases:
+            H = build_hierarchy(X, seed)
+            for i in range(1, H.ell + 1):
+                assert set(H.nets[i]) <= set(H.nets[i - 1])
+                check_net(H.metric.matrix, H.nets[i - 1], H.nets[i], 2.0 ** (i - 3) * H.gamma)
 
     def test_rho_in_range_and_deterministic(self):
         X = line(0.0, 1.0, 3.0, 9.0)

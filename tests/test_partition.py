@@ -27,6 +27,11 @@ def make_partition(X, seed=0, kappa=2.0, eps=0.3, ddim=2.0, alpha=6.0, **kw):
     return bottom_up_partition(T, kappa, handle, **kw), H, T
 
 
+def refined_members(T, cid):
+    """Members of cluster cid at its own level after the badly-cut moves."""
+    return np.flatnonzero(T.membership[T.base.clusters[cid].level] == cid)
+
+
 class TestBottomUp:
     def test_huge_kappa_gives_single_last_part(self, rng):
         X = random_points(rng, 15, 2)
@@ -106,7 +111,7 @@ class TestBottomUp:
                 children = H.clusters[p.provenance].children
                 union_members, union_fids, child_cost = [], [], 0.0
                 for ch in children:
-                    mem = T.members(ch)
+                    mem = refined_members(T, ch)
                     mem = mem[alive[mem]]
                     if len(mem) == 0:
                         continue
@@ -166,7 +171,9 @@ class TestLocalBounds:
         X = random_points(rng, 40, 2)
         part, _, _ = make_partition(X, kappa=1e9)
         rep = local_value_bounds_check(part, brute_force_ufl_continuous, ddim=2.0)
-        assert any(not e.checked for e in rep.entries)
+        assert rep.unchecked == 1 and rep.ok
+        (e,) = rep.entries
+        assert (e.checked, e.value, e.lower_ok, e.upper_ok) == (False, None, None, None)
 
 
 class TestProperties:
@@ -203,14 +210,13 @@ class TestStatsAndExport:
     def test_single_part_stat(self, rng):
         X = random_points(rng, 9, 2)
         part, _, _ = make_partition(X, kappa=1e9)
-        count, total = part.size_stat()
-        assert count == 1
-        assert total == pytest.approx(approx_ufl(X).total)
+        assert len(part.parts) == 1
+        assert part.parts[0].approx_value == pytest.approx(approx_ufl(X).total)
 
     def test_sum_dominates_threshold(self):
         part, _, _ = make_partition(blob_instance(), kappa=4.0)
-        count, total = part.size_stat()
-        assert total >= part.alpha * part.kappa * (count - 1) * (1 - 1e-9)
+        total = sum(p.approx_value for p in part.parts)
+        assert total >= part.alpha * part.kappa * (len(part.parts) - 1) * (1 - 1e-9)
 
     def test_csv_export(self, rng):
         X = random_points(rng, 8, 2)
@@ -243,7 +249,7 @@ def rescan_calls(T, kappa, handle):
     H = T.base
     threshold = handle.alpha * kappa * (1.0 - 1e-12)
     scan = [cid for level in range(H.ell + 1) for cid in H.levels[level]]
-    base = {cid: T.members(cid) for cid in scan}
+    base = {cid: refined_members(T, cid) for cid in scan}
     alive = np.ones(H.n, dtype=bool)
     cache = {}
 

@@ -6,7 +6,7 @@ import pytest
 from uflkit.experiments import (contraction_tail_check, expansion_tail_check,
                                 expectation_tail_check, norm_expectation_check)
 from uflkit.geometry import PointSet
-from uflkit.projection import load_map, sample_map, save_map, target_dim
+from uflkit.projection import sample_map, target_dim
 from uflkit.util import spawn_seeds
 
 from conftest import random_points
@@ -106,18 +106,3 @@ class TestTailBounds:
         rep = norm_expectation_check(8, trials=4000, seed=16)
         assert rep["passed"], rep
 
-
-class TestSerialization:
-    def test_round_trip_regenerates_matrix(self, tmp_path):
-        pi = sample_map(7, 3, seed=42)
-        path = tmp_path / "map.rlmg"
-        save_map(pi, path)
-        again = load_map(path)
-        assert (again.m, again.d, again.seed) == (3, 7, 42)
-        assert np.array_equal(again.matrix, pi.matrix)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad"
-        path.write_bytes(b"XXXX" + b"\0" * 16)
-        with pytest.raises(ValueError):
-            load_map(path)

@@ -6,6 +6,7 @@ import pytest
 
 from uflkit import solvers
 from uflkit.datasets import generate_dataset
+from uflkit.experiments import blob_instance
 from uflkit.geometry import PointSet
 from uflkit.hierarchy import build_hierarchy
 from uflkit.projection import target_dim
@@ -124,6 +125,23 @@ class TestEuclidean:
         with pytest.raises(ValueError):
             ptas_euclidean(PointSet(np.zeros((1, 0))), PtasConfig())
 
+    def test_event_h_rejects_a_sweep_above_c4_tau(self):
+        # c4 * tau = 25.2: part 0's k* + v = 14 + 35.7 exceeds it and falls
+        # back, part 1's 6 + 12.4 does not
+        cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, c4=1e-6, seed=1)
+        sol, traces = ptas_euclidean(blob_instance(4, 25, seed=1), cfg)
+        assert [(t.event_H, t.adopted) for t in traces] == [
+            (False, "fallback"), (True, "median")]
+        assert traces[0].k_star + traces[0].v > cfg.c4 * cfg.tau
+        assert sol.total == pytest.approx(71.79282905029963, rel=1e-12)
+
+    def test_c4_tau_below_one_falls_back_instead_of_crashing(self):
+        # c4 * tau = 0.025 once emptied the k window of the heuristic sweep
+        cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, c4=1e-9, seed=1)
+        sol, traces = ptas_euclidean(blob_instance(4, 25, seed=1), cfg)
+        assert [t.adopted for t in traces] == ["fallback", "fallback"]
+        assert sol.total == pytest.approx(74.7426, abs=1e-4)
+
     def test_heuristic_sweep_recenters_each_distinct_block_once(self, rng, monkeypatch):
         # three separated groups of 10 (beyond the enumeration scale) and the
         # window k = 1..5: blocks that several k produce are recentered once
@@ -144,7 +162,7 @@ class TestEuclidean:
                 uncached = (k, res.cost, res.clusters)
         uncached_calls, blocks = len(blocks), []
 
-        k_star, cost, clusters = _heuristic_projected_sweep(P, 3, len(P), solver)
+        k_star, cost, clusters = _heuristic_projected_sweep(P, 3, solver)
         assert (k_star, cost) == uncached[:2]
         assert [c.tobytes() for c in clusters] == [c.tobytes() for c in uncached[2]]
         assert len(blocks) == len(set(blocks)) < uncached_calls
@@ -199,6 +217,16 @@ class TestDiscrete:
         with pytest.raises(ValueError, match="triangle"):
             ptas_discrete(DistanceOracle(D), PtasConfig(seed=0))
 
+    def test_tau_below_one_still_sweeps(self):
+        # tau = 0.41 once capped k below 1 and emptied the sweep
+        X = blob_instance(2, 10, seed=1)
+        cfg = PtasConfig(eps=0.3, ddim=1.0, kappa_cap=4.0, alpha=1e-4, seed=1)
+        assert cfg.tau < 1.0
+        sol, traces = ptas_discrete(DistanceOracle.from_points(X), cfg)
+        assert [(t.k_star, t.adopted) for t in traces] == [(10, "median")]
+        conn = X.distance_matrix()[:, sol.facility_ids].min(axis=1).sum()
+        assert sol.total == pytest.approx(len(sol.facility_ids) + conn)
+
     def test_asymmetry_rejected(self):
         D = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError, match="symmetry"):
@@ -225,7 +253,7 @@ class TestDiscrete:
             return kmedian_restricted(*args)
 
         monkeypatch.setattr(solvers, "kmedian_restricted", counted)
-        k_star, v, ids = _restricted_sweep(D, members, cand, kmax, solvers.DEFAULT_SOLVER)
+        k_star, v, ids = _restricted_sweep(D, members, cand, solvers.DEFAULT_SOLVER)
         assert (k_star, v) == full[:2] and ids.tobytes() == full[2].tobytes()
         assert stop is not None and calls == list(range(1, stop + 1))
 

@@ -7,7 +7,7 @@ from uflkit.datasets import generate_dataset
 from uflkit.geometry import ufl_cost
 from uflkit.hierarchy import build_hierarchy, is_cut
 from uflkit.refine import (check_guided_pairs_uncut, consistency_check,
-                           eliminate_badly_cut, moves_to_csv)
+                           eliminate_badly_cut)
 from uflkit.solvers import approx_ufl
 from uflkit.util import spawn_seeds
 
@@ -118,19 +118,3 @@ class TestConsistency:
         T.membership[0, 0] = far
         assert not consistency_check(T).ok
 
-
-class TestMoveLog:
-    def test_csv_format(self):
-        X = line(*range(16))
-        f0 = ufl_cost(X, X.coords[[0]], facility_ids=[0])
-        for seed in range(40):
-            T = eliminate_badly_cut(build_hierarchy(X, seed), f0, 0.5, 1.0)
-            if T.moves:
-                csv = moves_to_csv(T)
-                lines = csv.strip().split("\n")
-                assert lines[0] == "level,point_id,from_cluster,to_cluster"
-                assert len(lines) == len(T.moves) + 1
-                level, pid, frm, to = map(int, lines[1].split(","))
-                assert (level, pid, frm, to) == tuple(T.moves[0])
-                return
-        pytest.skip("no moves observed")

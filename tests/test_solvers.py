@@ -196,12 +196,11 @@ class TestApproxUfl:
         assert sol.num_facilities == 2
 
     def test_within_certified_factor_of_continuous(self, rng):
-        cfg = SolverConfig()
         for _ in range(20):
             X = random_points(rng, 10, 2)
             sol = approx_ufl(X)
             oracle = brute_force_ufl_continuous(X.coords)
-            assert oracle * (1 - 1e-9) <= sol.total <= cfg.alpha_target * oracle
+            assert oracle * (1 - 1e-9) <= sol.total <= 6.0 * oracle
 
     def test_within_three_of_discrete(self, rng):
         for _ in range(20):
