@@ -3,8 +3,9 @@ partitioning, experiments, and the property-suite verifier.
 
 `partition --seed s` emits the low-value partition that `solve --algo ptas
 --seed s` solves (both run `ptas.build_stages` on the same configuration),
-and `reduce --seed s` applies the random linear map it projects with (both
-take the map seed from `PtasConfig.seeds`).
+and `reduce --seed s` writes the projection it solves on: the image of the
+same random linear map in min(m, d) coordinates (both take the map seed
+from `PtasConfig.seeds`).
 
 Every command is deterministic given --seed; rerunning with identical
 arguments reproduces output files byte for byte. Exit code 0 iff all
@@ -109,7 +110,7 @@ def cmd_reduce(args) -> int:
     X = load_points(args.input)
     cfg = _config(args)
     pi = sample_map(X.d, cfg.m if args.m is None else args.m, cfg.seeds[1])
-    save_points_text(pi.apply(X), args.out)
+    save_points_text(pi.embed(X), args.out)
     return 0
 
 

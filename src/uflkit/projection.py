@@ -1,6 +1,10 @@
 """Gaussian random linear maps x -> (1/sqrt(m)) G x, drawn from a seed, and
 the target dimension m that `PtasConfig.m` derives for the Euclidean
-pipeline's projection."""
+pipeline's projection.
+
+Only the distances of the image matter to the pipeline, and the image of
+R^d spans at most min(m, d) dimensions: `RandomLinearMap.embed` writes it
+in min(m, d) coordinates with every pairwise distance kept."""
 
 from __future__ import annotations
 
@@ -16,7 +20,13 @@ from .util import rng_from_seed, snapped_ceil
 @dataclass(frozen=True)
 class RandomLinearMap:
     """m x d matrix of i.i.d. standard normals, fully determined by the seed
-    (PCG64 stream, Ziggurat normal sampling as implemented by numpy)."""
+    (PCG64 stream, Ziggurat normal sampling as implemented by numpy).
+
+    `apply` gives the image pi(X) in R^m. When m > d the image lies in the
+    d-dimensional range of G = QR (Q with orthonormal columns, R d x d), so
+    |pi(x) - pi(y)| = |R(x - y)| / sqrt(m) exactly and `embed` writes
+    pi(X) in an orthonormal basis of that range: d coordinates per point.
+    """
 
     matrix: np.ndarray
     m: int
@@ -29,10 +39,22 @@ class RandomLinearMap:
             raise ValueError(f"dimension mismatch: expected ({self.d},), got {x.shape}")
         return self.matrix @ x / math.sqrt(self.m)
 
-    def apply(self, X: PointSet) -> PointSet:
+    def _coords(self, X: PointSet) -> np.ndarray:
         if X.d != self.d:
             raise ValueError(f"dimension mismatch: map expects d={self.d}, got d={X.d}")
-        return PointSet(X.coords @ self.matrix.T / math.sqrt(self.m))
+        return X.coords
+
+    def apply(self, X: PointSet) -> PointSet:
+        return PointSet(self._coords(X) @ self.matrix.T / math.sqrt(self.m))
+
+    def embed(self, X: PointSet) -> PointSet:
+        """pi(X) up to an isometry, in min(m, d) coordinates: X R^T / sqrt(m)
+        with R from the QR factorisation of G when m > d, `apply(X)` when
+        m <= d."""
+        if self.m <= self.d:
+            return self.apply(X)
+        R = np.linalg.qr(self.matrix, mode="r")
+        return PointSet(self._coords(X) @ R.T / math.sqrt(self.m))
 
 
 def sample_map(d: int, m: int, seed: int) -> RandomLinearMap:

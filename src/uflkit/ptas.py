@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.spatial.distance import pdist
 
 from .geometry import OPENING_COST, PointSet, UflSolution, ufl_cost
 from .hierarchy import HierarchicalDecomposition, MetricData, build_hierarchy
@@ -78,8 +79,9 @@ class PtasConfig:
 class PartTrace(NamedTuple):
     part: int
     level: int
-    event_G: bool                # projection contracted no facility pair too much
-    event_H: bool                # best projected k-median value stayed below c4*tau
+    event_G: bool | None         # projection contracted no facility pair too much
+    event_H: bool | None         # best projected k-median value stayed below c4*tau
+                                 # (None: not tested, as in the discrete pipeline)
     k_star: int | None
     v: float | None
     adopted: str                 # "median" or "fallback"
@@ -197,7 +199,12 @@ def ptas_euclidean(X: PointSet, cfg: PtasConfig,
     """Full pipeline: hierarchical decomposition, badly-cut elimination,
     bottom-up partition, random projection, per-part k-median on projected
     points (with contraction/expansion fallbacks), and 1-median recentering
-    of every adopted cluster in the original space."""
+    of every adopted cluster in the original space.
+
+    The projected points are `pi.embed(X)`: pi(X) written in an orthonormal
+    basis of pi's range, min(m, d) coordinates with the same pairwise
+    distances as pi(X) in R^m, which are all that the contraction check
+    and the sweeps read."""
     if X.n == 0:
         raise ValueError("empty input")
     if X.n == 1:
@@ -208,7 +215,7 @@ def ptas_euclidean(X: PointSet, cfg: PtasConfig,
     partition, _ = build_stages(md, cfg)
 
     pi = sample_map(X.d, cfg.m, cfg.seeds[1])
-    proj = pi.apply(X).coords
+    proj = pi.embed(X).coords
 
     centers: list[np.ndarray] = []
     traces: list[PartTrace] = []
@@ -217,16 +224,8 @@ def ptas_euclidean(X: PointSet, cfg: PtasConfig,
         fids = p.facility_ids
         fallback = _fallback_clusters(md.matrix, members, fids)
 
-        event_g = True
-        for a in range(len(fids)):
-            for b in range(a + 1, len(fids)):
-                orig = md.matrix[fids[a], fids[b]]
-                contracted = float(np.linalg.norm(proj[fids[a]] - proj[fids[b]]))
-                if orig > (1.0 + cfg.eps) * contracted:
-                    event_g = False
-                    break
-            if not event_g:
-                break
+        orig = md.matrix[np.ix_(fids, fids)][np.triu_indices(len(fids), 1)]
+        event_g = not np.any(orig > (1.0 + cfg.eps) * pdist(proj[fids]))
 
         k_star = None
         v = None
@@ -358,7 +357,7 @@ def ptas_discrete(oracle: DistanceOracle, cfg: PtasConfig,
         k_star, v, fids = _restricted_sweep(D, p.members, candidates[p.provenance], solver)
         facility_ids.extend(int(f) for f in fids)
         designated = float(D[np.ix_(p.members, fids)].min(axis=1).sum())
-        traces.append(PartTrace(p.index, p.level, True, True, k_star, v,
+        traces.append(PartTrace(p.index, p.level, None, None, k_star, v,
                                 "median", p.approx_value, designated))
 
     seen = set()

@@ -108,8 +108,9 @@ class TestReduceAndPartition:
         out, expected = tmp_path / "proj.txt", tmp_path / "expected.txt"
         assert run_cli("reduce", str(dataset), "--seed", "7",
                        "--out", str(out)).returncode == 0
-        save_points_text(sample_map(*args).apply(X), expected)
+        save_points_text(sample_map(*args).embed(X), expected)
         assert out.read_bytes() == expected.read_bytes()
+        assert args[1] > X.d and load_points(out).d == X.d
 
     def test_partition_csv(self, dataset):
         res = run_cli("partition", str(dataset), "--seed", "3")

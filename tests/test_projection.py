@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from uflkit.experiments import (contraction_tail_check, expansion_tail_check,
                                 expectation_tail_check, norm_expectation_check)
@@ -65,6 +68,25 @@ class TestApply:
         X = random_points(rng, 11, 6)
         Y = sample_map(6, 3, 0).apply(X)
         assert Y.n == 11 and Y.d == 3
+
+
+class TestEmbed:
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(1, 8), m=st.integers(1, 12), n=st.integers(2, 9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_isometric_to_apply_in_min_m_d_coordinates(self, d, m, n, seed):
+        rng = np.random.default_rng(seed)
+        X = PointSet(rng.standard_normal((n, d)) * 3.0)
+        pi = sample_map(d, m, seed)
+        E, P = pi.embed(X).coords, pi.apply(X).coords
+        assert E.shape == (n, min(m, d))
+        np.testing.assert_allclose(pdist(E), pdist(P), rtol=1e-12, atol=0)
+        if m <= d:
+            assert E.tobytes() == P.tobytes()
+
+    def test_dimension_mismatch(self, rng):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            sample_map(3, 7, 1).embed(random_points(rng, 4, 2))
 
 
 class TestTargetDim:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from uflkit import solvers
+from uflkit import ptas, solvers
 from uflkit.datasets import generate_dataset
 from uflkit.experiments import blob_instance
 from uflkit.geometry import PointSet
@@ -168,6 +168,27 @@ class TestEuclidean:
         assert len(blocks) == len(set(blocks)) < uncached_calls
 
 
+class TestProjectedWidth:
+    @pytest.mark.parametrize("X, cfg, width", [
+        (blob_instance(4, 25), PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, seed=3), 2),
+        (generate_dataset("subspace", 12, 64, 2, 5), PtasConfig(seed=5), 64),
+    ], ids=["euclid_split", "subspace_d64"])
+    def test_sweeps_get_min_m_d_columns(self, X, cfg, width, monkeypatch):
+        # the sweeps read projected points in pi's range, never in R^m
+        assert cfg.m > X.d
+        widths = []
+        for name in ("_heuristic_projected_sweep", "_exact_projected_sweep"):
+            sweep = getattr(ptas, name)
+
+            def recording(proj_members, *args, sweep=sweep):
+                widths.append(proj_members.shape[1])
+                return sweep(proj_members, *args)
+
+            monkeypatch.setattr(ptas, name, recording)
+        ptas_euclidean(X, cfg)
+        assert widths and set(widths) == {width}
+
+
 class TestTrace:
     def test_jsonl_schema(self, rng):
         X = random_points(rng, 10, 2)
@@ -226,6 +247,17 @@ class TestDiscrete:
         assert [(t.k_star, t.adopted) for t in traces] == [(10, "median")]
         conn = X.distance_matrix()[:, sol.facility_ids].min(axis=1).sum()
         assert sol.total == pytest.approx(len(sol.facility_ids) + conn)
+
+    def test_untested_events_are_traced_as_none(self):
+        # the discrete pipeline tests neither event: here k* + v = 14.24
+        # exceeds c4 * tau = 1.64, so a True event_H would be false
+        X = blob_instance(2, 10, seed=1)
+        cfg = PtasConfig(eps=0.3, ddim=1.0, kappa_cap=4.0, alpha=1e-4, seed=1)
+        _, traces = ptas_discrete(DistanceOracle.from_points(X), cfg)
+        assert traces[0].k_star + traces[0].v > cfg.c4 * cfg.tau
+        assert [(t.event_G, t.event_H) for t in traces] == [(None, None)]
+        rec = json.loads(trace_to_jsonl(traces))
+        assert rec["event_G"] is None and rec["event_H"] is None
 
     def test_asymmetry_rejected(self):
         D = np.array([[0.0, 1.0], [2.0, 0.0]])

@@ -622,7 +622,7 @@ GOLDEN_SOLVER_SOURCES = {
 GOLDEN_SOLVER_DIGESTS = {
     "approx_ufl": "bf36ee77b064c76e4c13926cededa2b35072702b9bf1d516ca2d6df80af7b91a",
     "kmedian_restricted": "f1b8088869bf452fee5b838d1d57e16d840a1b325e389436a3fedda4209e011e",
-    "ptas": "a492cf3d2340e888c463c8de73d2678c65889f1ee82629561a3aa2afd7d981f0",
+    "ptas": "569febb2f2c3a39d0678baf4ae3f16ca95ea03c7fb9b3780435394334d0bf780",
     "restricted_ufl_value": "3843dbd3d090b687da672b90d0c48a14d3f9dd606a218661d2ab50a34bcf0640",
     "weiszfeld_1median": "efae5ef0654dbb5f23297bc34b0040a00131d4381a70d35a0034a8d5d06d3d8a",
 }
