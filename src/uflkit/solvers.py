@@ -24,6 +24,7 @@ _MAX_ENUM = 14          # hard cap on exact partition enumeration
 _MAX_DISCRETE = 15      # hard cap on facility-subset enumeration
 _MAX_SUBSET_CELLS = 4_000_000   # cap on (facility subset, client) table cells
 _MAX_DIST_CELLS = 4_000_000     # cap on the distance block a 1-median holds at once
+_RADII_CELLS = 8192             # distances per _mp_radii chunk: 64 KB per float temporary
 
 
 def _subset_enumerable(facilities: int, clients: int) -> bool:
@@ -171,10 +172,14 @@ def _med1_costs(P: np.ndarray, cfg: SolverConfig = DEFAULT_SOLVER,
                 max_iter: int = 2000) -> np.ndarray:
     """1-median cost of every subset of P, indexed by bitmask.
 
-    All masks iterate in lockstep (weights clamped away from zero), far
-    cheaper than per-mask runs. Each value is additionally capped by the best
-    data-point center, which is exact whenever the geometric median sits on a
-    data point (where Weiszfeld converges slowly).
+    All masks of three or more points iterate in lockstep from their
+    centroids (weights clamped away from zero), far cheaper than per-mask
+    runs. A mask stops once a step improves its objective by at most
+    cfg.weiszfeld_tol relative; the arrays then drop its row, so every step
+    works on the still active masks only, in mask order. Each value is
+    additionally capped by the best data-point center, which is exact
+    whenever the geometric median sits on a data point (where Weiszfeld
+    converges slowly).
     """
     s = len(P)
     nm = 1 << s
@@ -192,32 +197,49 @@ def _med1_costs(P: np.ndarray, cfg: SolverConfig = DEFAULT_SOLVER,
     big = np.flatnonzero(sizes >= 3)
     if len(big) == 0:
         return costs
-    M = bits[big].astype(np.float64)
-    Y = (M @ P) / sizes[big][:, None]
-    dist_mat = np.maximum(cdist(Y, P), 1e-15)
-    obj = (dist_mat * M).sum(axis=1)
+    final = np.empty(len(big))
     active = np.arange(len(big))
+    M = bits[big].astype(np.float64)                # rows of the active masks
+    Y = (M @ P) / sizes[big][:, None]
+    dist = np.maximum(cdist(Y, P), 1e-15)
+    obj = (dist * M).sum(axis=1)
     for _ in range(max_iter):
-        W = M[active] / dist_mat[active]
-        Y[active] = (W @ P) / W.sum(axis=1, keepdims=True)
-        dist_mat[active] = np.maximum(cdist(Y[active], P), 1e-15)
-        new_obj = (dist_mat[active] * M[active]).sum(axis=1)
-        moved = (obj[active] - new_obj) > cfg.weiszfeld_tol * np.maximum(new_obj, 1e-30)
-        obj[active] = np.minimum(obj[active], new_obj)
-        active = active[moved]
-        if len(active) == 0:
-            break
-    costs[big] = np.minimum(obj, _best_data_center_costs(D, bits)[big])
+        np.divide(M, dist, out=dist)                # the weights, in the distances' place
+        Y = (dist @ P) / dist.sum(axis=1, keepdims=True)
+        dist = cdist(Y, P)
+        np.maximum(dist, 1e-15, out=dist)
+        new_obj = (dist * M).sum(axis=1)
+        moved = (obj - new_obj) > cfg.weiszfeld_tol * np.maximum(new_obj, 1e-30)
+        obj = np.minimum(obj, new_obj)
+        if not moved.all():
+            final[active] = obj
+            active, obj = active[moved], obj[moved]
+            M = M[moved]
+            dist = dist[moved]
+            if len(active) == 0:
+                break
+    final[active] = obj
+    costs[big] = np.minimum(final, _best_data_center_costs(D, bits)[big])
     return costs
+
+
+def _lowest_bit_pass(table: np.ndarray, rows: np.ndarray, op) -> np.ndarray:
+    """Fill table[mask] = op(table[mask ^ low], rows[b]) in place for every
+    mask >= 1 of a table indexed by bitmask, low = 1 << b its lowest set
+    bit; table[0] is the seed. The masks whose lowest set bit is b are
+    view[:, 1, 0] of a reshape of the table and their parents view[:, 0, 0],
+    which hold larger lowest bits, so b runs downward."""
+    nm = len(table)
+    for b in reversed(range(nm.bit_length() - 1)):
+        view = table.reshape(nm >> (b + 1), 2, 1 << b, *table.shape[1:])
+        op(view[:, 0, 0], rows[b], out=view[:, 1, 0])
+    return table
 
 
 def _best_data_center_costs(D: np.ndarray, bits: np.ndarray) -> np.ndarray:
     """min over data points j in each mask of sum_{i in mask} D[i, j]."""
     nm, s = bits.shape
-    sums = np.zeros((nm, s))
-    for mask in range(1, nm):
-        low = mask & (-mask)
-        sums[mask] = sums[mask ^ low] + D[low.bit_length() - 1]
+    sums = _lowest_bit_pass(np.zeros((nm, s)), D, np.add)
     return np.where(bits, sums, np.inf).min(axis=1)
 
 
@@ -225,70 +247,92 @@ def _best_data_center_costs(D: np.ndarray, bits: np.ndarray) -> np.ndarray:
 # Exact partition DPs (facilities anywhere in space)
 # ---------------------------------------------------------------------------
 
+_DP_PAIRS = 8192        # (mask, submask) pairs per DP step: 64 KB per float temporary
+
+
+def _submask_layers(s: int):
+    """The (mask, submask) pairs the partition DPs scan, one popcount layer
+    at a time. For p = 1..s, yields row chunks (S, T) of at most _DP_PAIRS
+    pairs (s <= 14): S the masks of {0..s-1} with p set bits, ascending, and
+    T[i] the 2^(p-1) submasks of S[i] that contain its lowest set bit, in
+    decreasing order; both int32. Every split S = T + (S ^ T) of a layer
+    refers to smaller layers only."""
+    masks = np.arange(1, 1 << s, dtype=np.int32)
+    bits = (masks[:, None] >> np.arange(s, dtype=np.int32)) & 1
+    pop = bits.sum(axis=1)
+    for p in range(1, s + 1):
+        layer = pop == p
+        S = masks[layer]
+        pos = np.nonzero(bits[layer])[1].astype(np.int32).reshape(len(S), p)
+        # bit i of j selects S's i-th set bit: decreasing odd j gives the
+        # submasks holding the lowest bit, in decreasing order
+        j = np.arange((1 << p) - 1, 0, -2, dtype=np.int32)
+        T = np.zeros((len(S), len(j)), dtype=np.int32)
+        for i in range(p):
+            T |= ((j >> i) & 1) << pos[:, i, None]
+        rows = max(1, _DP_PAIRS >> (p - 1))
+        for a in range(0, len(S), rows):
+            yield S[a:a + rows], T[a:a + rows]
+
+
 def _ufl_partition_dp(med1: np.ndarray, s: int):
     """Minimize  #blocks + sum of 1-median costs  over all partitions of
-    {0..s-1}; ties prefer fewer blocks. Returns (value, blocks)."""
+    {0..s-1}. Returns (value, blocks).
+
+    dp[S] splits off the block T holding S's lowest bit, at value
+    dp[S ^ T] + 1 + med1[T]. It takes the least such value; among the
+    values within 1e-12 of that least one, the split with the fewest
+    blocks; among those, the first T in decreasing order."""
     nm = 1 << s
-    inf = float("inf")
-    dp = [inf] * nm
-    blocks = [0] * nm
-    choice = [0] * nm
-    dp[0] = 0.0
-    med = med1.tolist()
-    for S in range(1, nm):
-        low = S & (-S)
-        best, bblk, bch = inf, 0, 0
-        T = S
-        while T:
-            if T & low:
-                rest = S ^ T
-                v = dp[rest] + OPENING_COST + med[T]
-                b = blocks[rest] + 1
-                if v < best - 1e-12 or (v <= best + 1e-12 and b < bblk):
-                    best, bblk, bch = v, b, T
-            T = (T - 1) & S
-        dp[S], blocks[S], choice[S] = best, bblk, bch
+    dp = np.zeros(nm)
+    blocks = np.zeros(nm, dtype=np.int64)
+    choice = np.zeros(nm, dtype=np.int64)
+    for S, T in _submask_layers(s):
+        rest = S[:, None] ^ T
+        v = dp[rest] + OPENING_COST
+        v += med1[T]
+        b = blocks[rest] + 1
+        near = v <= v.min(axis=1, keepdims=True) + 1e-12
+        i = np.where(near, b, nm).argmin(axis=1)
+        r = np.arange(len(S))
+        dp[S], blocks[S], choice[S] = v[r, i], b[r, i], T[r, i]
     parts = []
     S = nm - 1
     while S:
-        T = choice[S]
+        T = int(choice[S])
         parts.append(_mask_ids(T, s))
         S ^= T
-    return dp[nm - 1], parts
+    return float(dp[nm - 1]), parts
 
 
 def _kmedian_exact_dp(med1: np.ndarray, s: int, k: int):
     """Minimum sum of 1-median costs over partitions into exactly k blocks.
-    Returns (value, blocks)."""
+    Returns (value, blocks).
+
+    value[j, S] is the least cost of S in j blocks, splitting off the block
+    T holding S's lowest bit: the first least T in decreasing order. A mask
+    of p points has no split into more than p blocks and keeps inf there."""
     nm = 1 << s
-    inf = float("inf")
-    med = med1.tolist()
-    prev = [inf] * nm
-    prev[0] = 0.0
-    choices = []
-    for _ in range(k):
-        cur = [inf] * nm
-        ch = [0] * nm
-        for S in range(1, nm):
-            low = S & (-S)
-            best, bch = inf, 0
-            T = S
-            while T:
-                if T & low:
-                    v = prev[S ^ T] + med[T]
-                    if v < best:
-                        best, bch = v, T
-                T = (T - 1) & S
-            cur[S], ch[S] = best, bch
-        choices.append(ch)
-        prev = cur
+    value = np.full((k + 1, nm), np.inf)
+    value[0, 0] = 0.0
+    choice = np.zeros((k + 1, nm), dtype=np.int32)
+    for S, T in _submask_layers(s):
+        p = T.shape[1].bit_length()                 # T has 2^(p-1) columns
+        rest = S[:, None] ^ T
+        med = med1[T]
+        r = np.arange(len(S))
+        for j in range(1, min(k, p) + 1):
+            v = value[j - 1][rest]
+            v += med
+            i = v.argmin(axis=1)
+            value[j, S], choice[j, S] = v[r, i], T[r, i]
     parts = []
     S = nm - 1
-    for j in range(k - 1, -1, -1):
-        T = choices[j][S]
+    for j in range(k, 0, -1):
+        T = int(choice[j, S])
         parts.append(_mask_ids(T, s))
         S ^= T
-    return prev[nm - 1], parts
+    return float(value[k, nm - 1]), parts
 
 
 def brute_force_ufl_continuous(points, cfg: SolverConfig = DEFAULT_SOLVER) -> float:
@@ -318,12 +362,9 @@ def _subset_table(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     nm = 1 << m
     dmin = np.empty((nm, nc))
     dmin[0] = np.inf
-    size = [0] * nm
-    for mask in range(1, nm):
-        low = mask & (-mask)
-        np.minimum(dmin[mask ^ low], sub[:, low.bit_length() - 1], out=dmin[mask])
-        size[mask] = size[mask ^ low] + 1
-    return dmin.sum(axis=1), np.asarray(size)
+    _lowest_bit_pass(dmin, sub.T, np.minimum)
+    size = _lowest_bit_pass(np.zeros(nm, dtype=np.int64), np.ones(m, dtype=np.int64), np.add)
+    return dmin.sum(axis=1), size
 
 
 def brute_force_ufl_discrete(points_or_matrix, is_matrix: bool = False) -> float:
@@ -462,21 +503,37 @@ def _recenter(P: np.ndarray, blocks, cfg: SolverConfig, medians: dict | None):
 
 def _mp_radii(rows: np.ndarray) -> np.ndarray:
     """Per-candidate radius r solving sum_clients max(0, r - d) = opening cost,
-    for rows of candidate-to-client distances."""
-    s = rows.shape[1]
-    order = np.sort(rows, axis=1)
-    csum = np.cumsum(order, axis=1)
+    for rows of candidate-to-client distances.
+
+    With the row sorted, r_j = (1 + d_1 + ... + d_j) / j, and r is the first
+    r_j at most the next distance (1 + 1e-12 relative, 1e-15 absolute slack);
+    the last r_j always qualifies. Rows are taken _RADII_CELLS distances at
+    a time, so the temporaries stay small whatever the input's size and are
+    reused from the heap instead of being mapped afresh on every call: per
+    chunk, the sorted rows, scaled in place to the slackened bounds once
+    their sums are taken, and the candidate radii."""
+    n, s = rows.shape
+    radii = np.empty(n)
     j = np.arange(1, s + 1)
-    r_cand = (OPENING_COST + csum) / j
-    nxt = np.concatenate([order[:, 1:], np.full((len(rows), 1), np.inf)], axis=1)
-    valid = r_cand <= nxt * (1 + 1e-12) + 1e-15
-    jstar = valid.argmax(axis=1)
-    return r_cand[np.arange(len(rows)), jstar]
+    step = max(1, _RADII_CELLS // max(s, 1))
+    for a in range(0, n, step):
+        order = np.sort(rows[a:a + step], axis=1)
+        r_cand = np.cumsum(order, axis=1)
+        r_cand += OPENING_COST
+        r_cand /= j
+        order *= 1 + 1e-12
+        order += 1e-15
+        valid = np.ones(order.shape, dtype=bool)
+        np.less_equal(r_cand[:, :-1], order[:, 1:], out=valid[:, :-1])
+        radii[a:a + step] = r_cand[np.arange(len(order)), valid.argmax(axis=1)]
+    return radii
 
 
-def _mp_select(D_cand: np.ndarray, radii: np.ndarray) -> list[int]:
-    """Process candidates by increasing radius, ties by index; keep one
-    unless an already kept candidate lies within twice its radius."""
+def _mp_select(D: np.ndarray, ids: np.ndarray, radii: np.ndarray) -> list[int]:
+    """Process candidates ids by increasing radius, ties by position; keep
+    one unless an already kept candidate lies within twice its radius.
+    Reads one column of D, restricted to ids, per kept candidate; returns
+    positions into ids."""
     order = np.lexsort((np.arange(len(radii)), radii))
     reach = 2.0 * radii
     blocked = np.zeros(len(radii), dtype=bool)   # within reach of a kept candidate
@@ -484,7 +541,7 @@ def _mp_select(D_cand: np.ndarray, radii: np.ndarray) -> list[int]:
     for y in order:
         if not blocked[y]:
             selected.append(int(y))
-            blocked |= D_cand[:, y] <= reach
+            blocked |= D[:, ids[y]][ids] <= reach
     return selected
 
 
@@ -494,7 +551,7 @@ def approx_ufl(X: PointSet, cfg: SolverConfig = DEFAULT_SOLVER) -> UflSolution:
     solution, hence at most 6 against the continuous optimum, since moving
     optimal ambient facilities onto the input loses at most a factor 2)."""
     D = X.distance_matrix()
-    facilities = _mp_select(D, _mp_radii(D))
+    facilities = _mp_select(D, np.arange(X.n), _mp_radii(D))
     ids = np.asarray(facilities, dtype=int)
     return ufl_cost(X, X.coords[ids], facility_ids=ids)
 
@@ -504,7 +561,7 @@ def mp_ufl_value(D: np.ndarray, members: np.ndarray) -> tuple[float, np.ndarray]
     Returns (cost, facility ids within members)."""
     members = np.asarray(members, dtype=int)
     sub = D[np.ix_(members, members)]
-    sel = _mp_select(sub, _mp_radii(sub))
+    sel = _mp_select(D, members, _mp_radii(sub))
     conn = sub[:, sel].min(axis=1).sum()
     return float(OPENING_COST * len(sel) + conn), members[sel]
 
@@ -525,6 +582,6 @@ def restricted_ufl_value(D: np.ndarray, clients: np.ndarray, candidates: np.ndar
         best = int(np.argmin(totals)) + 1
         return float(totals[best - 1]), 1.0, candidates[_mask_ids(best, len(candidates))]
     radii = _mp_radii(sub)
-    sel = _mp_select(D[np.ix_(candidates, candidates)], radii)
+    sel = _mp_select(D, candidates, radii)
     conn = sub[sel].min(axis=0).sum()
     return float(OPENING_COST * len(sel) + conn), 3.0, candidates[sel]

@@ -60,3 +60,27 @@ def test_workload_instances_build(harness, name):
     assert len(pool) == w.pool
     for inst in pool + [warmup]:
         assert inst.X.n >= 1 and (inst.oracle is not None) == (name == "discrete_split")
+
+
+def test_exact_part_passes_the_euclidean_checks(harness, monkeypatch):
+    # blob_instance(4, 25, seed=11) at the euclid_split config has a part of
+    # 12 points, which the exact projected sweep solves: its solution must
+    # pass the benchmark's re-pricing and come out the same when solved again
+    _, _, workloads = harness
+    from uflkit import ptas
+    from uflkit.ptas import trace_to_jsonl
+
+    sizes = []
+    sweep = ptas._exact_projected_sweep
+
+    def counted(proj_members, solver):
+        sizes.append(len(proj_members))
+        return sweep(proj_members, solver)
+
+    monkeypatch.setattr(ptas, "_exact_projected_sweep", counted)
+    inst = workloads._blobs(4, 25, discrete=False)(11, 11)
+    first, again = workloads._euclidean(inst), workloads._euclidean(inst)
+    assert sizes == [12, 12]
+    workloads._check_euclidean(inst, first, None)
+    assert first.matches(again)
+    assert trace_to_jsonl(first.traces) == trace_to_jsonl(again.traces)

@@ -1,19 +1,24 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from uflkit.datasets import generate_dataset
 from uflkit.experiments import blob_instance
-from uflkit.geometry import OracleScaleError, PointSet
+from uflkit.geometry import OPENING_COST, OracleScaleError, PointSet
 from uflkit.partition import MatrixApproxHandle
-from uflkit.ptas import (DistanceOracle, PtasConfig, ptas_discrete, ptas_euclidean,
-                         trace_to_jsonl)
-from uflkit.solvers import (DEFAULT_SOLVER, SolverConfig, WeiszfeldResult, _mp_select,
-                            approx_ufl, brute_force_ufl_continuous, brute_force_ufl_discrete,
+from uflkit.ptas import (DistanceOracle, PtasConfig, _exact_projected_sweep, ptas_discrete,
+                         ptas_euclidean, trace_to_jsonl)
+from uflkit.solvers import (DEFAULT_SOLVER, SolverConfig, WeiszfeldResult, _affine_reduce,
+                            _best_data_center_costs, _kmedian_exact_dp, _mask_ids,
+                            _med1_costs, _mp_radii, _mp_select, _submask_layers,
+                            _subset_table, _ufl_partition_dp, approx_ufl,
+                            brute_force_ufl_continuous, brute_force_ufl_discrete,
                             kmedian, kmedian_restricted, mp_ufl_value,
                             restricted_ufl_value, weiszfeld_1median)
 
@@ -361,7 +366,7 @@ class TestCandidateScans:
         rng = np.random.default_rng(seed)
         D = _distances(rng, (m, m), ties)
         radii = _distances(rng, m, ties) / 2.0
-        assert _mp_select(D, radii) == reference_mp_select(D, radii)
+        assert _mp_select(D, np.arange(m), radii) == reference_mp_select(D, radii)
 
     def test_duplicate_columns_lowest_position_wins(self):
         # clients 3x at 0, 1x at 10, 3x at 20; candidates 0, 10, 10, 20, 20
@@ -395,9 +400,9 @@ class TestCandidateScans:
 
     def test_mp_select_equal_radii_keep_index_order(self):
         D = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 5.0], [5.0, 5.0, 0.0]])
-        assert _mp_select(D, np.ones(3)) == [0, 2]
-        assert _mp_select(D, np.full(3, 3.0)) == [0]
-        assert _mp_select(D, np.array([2.0, 1.0, 1.0])) == [1, 2]
+        assert _mp_select(D, np.arange(3), np.ones(3)) == [0, 2]
+        assert _mp_select(D, np.arange(3), np.full(3, 3.0)) == [0]
+        assert _mp_select(D, np.arange(3), np.array([2.0, 1.0, 1.0])) == [1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +557,247 @@ class TestBallGrowingCostBound:
         cost, fids = mp_ufl_value(D, ids[:1])
         assert cost == 1.0 and fids.tolist() == ids[:1].tolist()
 
+    def test_whole_instance_peak_memory(self):
+        # the guiding solution's call: the members' block, then chunks of
+        # _RADII_CELLS distances and one column per kept candidate, about
+        # 1.14 matrices
+        D = blob_instance(20, 50, seed=1).distance_matrix()
+        tracemalloc.start()
+        try:
+            mp_ufl_value(D, np.arange(len(D)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(D) == 1000 and peak <= 1.5 * D.nbytes
+
+
+# ---------------------------------------------------------------------------
+# Sequential reference loops for the exact subset kernels
+# ---------------------------------------------------------------------------
+
+def reference_ufl_partition_dp(med1, s):
+    """_ufl_partition_dp one (mask, submask) pair at a time."""
+    nm = 1 << s
+    inf = float("inf")
+    dp = [inf] * nm
+    blocks = [0] * nm
+    choice = [0] * nm
+    dp[0] = 0.0
+    med = med1.tolist()
+    for S in range(1, nm):
+        low = S & (-S)
+        best, bblk, bch = inf, 0, 0
+        T = S
+        while T:
+            if T & low:
+                rest = S ^ T
+                v = dp[rest] + OPENING_COST + med[T]
+                b = blocks[rest] + 1
+                if v < best - 1e-12 or (v <= best + 1e-12 and b < bblk):
+                    best, bblk, bch = v, b, T
+            T = (T - 1) & S
+        dp[S], blocks[S], choice[S] = best, bblk, bch
+    parts = []
+    S = nm - 1
+    while S:
+        T = choice[S]
+        parts.append(_mask_ids(T, s))
+        S ^= T
+    return dp[nm - 1], parts
+
+
+def reference_kmedian_exact_dp(med1, s, k):
+    """_kmedian_exact_dp one (mask, submask) pair at a time."""
+    nm = 1 << s
+    inf = float("inf")
+    med = med1.tolist()
+    prev = [inf] * nm
+    prev[0] = 0.0
+    choices = []
+    for _ in range(k):
+        cur = [inf] * nm
+        ch = [0] * nm
+        for S in range(1, nm):
+            low = S & (-S)
+            best, bch = inf, 0
+            T = S
+            while T:
+                if T & low:
+                    v = prev[S ^ T] + med[T]
+                    if v < best:
+                        best, bch = v, T
+                T = (T - 1) & S
+            cur[S], ch[S] = best, bch
+        choices.append(ch)
+        prev = cur
+    parts = []
+    S = nm - 1
+    for j in range(k - 1, -1, -1):
+        T = choices[j][S]
+        parts.append(_mask_ids(T, s))
+        S ^= T
+    return prev[nm - 1], parts
+
+
+def reference_subset_table(sub):
+    """_subset_table one mask at a time."""
+    nc, m = sub.shape
+    nm = 1 << m
+    dmin = np.empty((nm, nc))
+    dmin[0] = np.inf
+    size = [0] * nm
+    for mask in range(1, nm):
+        low = mask & (-mask)
+        np.minimum(dmin[mask ^ low], sub[:, low.bit_length() - 1], out=dmin[mask])
+        size[mask] = size[mask ^ low] + 1
+    return dmin.sum(axis=1), np.asarray(size)
+
+
+def reference_best_data_center_costs(D, bits):
+    """_best_data_center_costs one mask at a time."""
+    nm, s = bits.shape
+    sums = np.zeros((nm, s))
+    for mask in range(1, nm):
+        low = mask & (-mask)
+        sums[mask] = sums[mask ^ low] + D[low.bit_length() - 1]
+    return np.where(bits, sums, np.inf).min(axis=1)
+
+
+def reference_mp_radii(rows):
+    """_mp_radii with the shifted copy of the sorted rows."""
+    s = rows.shape[1]
+    order = np.sort(rows, axis=1)
+    csum = np.cumsum(order, axis=1)
+    r_cand = (OPENING_COST + csum) / np.arange(1, s + 1)
+    nxt = np.concatenate([order[:, 1:], np.full((len(rows), 1), np.inf)], axis=1)
+    valid = r_cand <= nxt * (1 + 1e-12) + 1e-15
+    return r_cand[np.arange(len(rows)), valid.argmax(axis=1)]
+
+
+def _exact_input(rng, kind, s):
+    """s points in 3-d: random floats, collinear, a small integer grid (many
+    tied distances) or copies of at most four distinct points."""
+    if kind == "random":
+        return rng.random((s, 3)) * 3.0
+    if kind == "collinear":
+        return rng.random((s, 1)) * 4.0 * rng.normal(size=3) + rng.random(3)
+    if kind == "grid":
+        return rng.integers(0, 3, (s, 3)).astype(float)
+    return (rng.random((4, 3)) * 3.0)[rng.integers(0, 4, s)]
+
+
+EXACT_KINDS = ("random", "collinear", "grid", "coincident")
+
+
+def _blocks_bytes(value, blocks) -> bytes:
+    return _f8(value) + b"".join(_i8(b) for b in blocks)
+
+
+@st.composite
+def exact_inputs(draw, max_size=14):
+    """1..max_size points of one of the EXACT_KINDS, from a drawn seed."""
+    s = draw(st.integers(1, max_size))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _exact_input(rng, draw(st.sampled_from(EXACT_KINDS)), s)
+
+
+class TestExactKernelsEqualTheLoops:
+    @given(P=exact_inputs())
+    @settings(max_examples=30, deadline=None)
+    def test_ufl_partition_dp(self, P):
+        med1 = _med1_costs(_affine_reduce(P))
+        assert (_blocks_bytes(*_ufl_partition_dp(med1, len(P)))
+                == _blocks_bytes(*reference_ufl_partition_dp(med1, len(P))))
+
+    @given(P=exact_inputs(), data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_kmedian_exact_dp(self, P, data):
+        # the loop takes k * 3^s / 2 steps: above 11 points, k stays small
+        s = len(P)
+        k = data.draw(st.integers(1, s if s <= 11 else 2))
+        med1 = _med1_costs(_affine_reduce(P))
+        assert (_blocks_bytes(*_kmedian_exact_dp(med1, s, k))
+                == _blocks_bytes(*reference_kmedian_exact_dp(med1, s, k)))
+
+    @given(seed=st.integers(0, 2**32 - 1), nc=st.integers(1, 30), m=st.integers(1, 14),
+           ties=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_subset_table(self, seed, nc, m, ties):
+        sub = _distances(np.random.default_rng(seed), (nc, m), ties)
+        cost, size = _subset_table(sub)
+        ref_cost, ref_size = reference_subset_table(sub)
+        assert cost.tobytes() == ref_cost.tobytes()
+        assert size.dtype == ref_size.dtype and np.array_equal(size, ref_size)
+
+    @given(P=exact_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_best_data_center_costs(self, P):
+        D = PointSet(P).distance_matrix()
+        bits = ((np.arange(1 << len(P))[:, None] >> np.arange(len(P))) & 1).astype(bool)
+        assert (_best_data_center_costs(D, bits).tobytes()
+                == reference_best_data_center_costs(D, bits).tobytes())
+
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 30), cols=st.integers(1, 30),
+           ties=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    @example(seed=1, rows=1, cols=9000, ties=True)      # several chunks: see _RADII_CELLS
+    @example(seed=2, rows=300, cols=30, ties=True)
+    @example(seed=3, rows=700, cols=41, ties=False)
+    @example(seed=4, rows=8193, cols=1, ties=True)
+    def test_mp_radii(self, seed, rows, cols, ties):
+        R = _distances(np.random.default_rng(seed), (rows, cols), ties)
+        assert _mp_radii(R).tobytes() == reference_mp_radii(R).tobytes()
+
+    def test_submask_layers_cover_every_split_once(self):
+        for s in (1, 2, 5, 12):
+            seen, last_p = [], 0
+            for S, T in _submask_layers(s):
+                assert S.dtype == T.dtype == np.int32 and T.size <= 8192
+                p = int(T.shape[1]).bit_length()
+                assert p >= last_p and all(bin(x).count("1") == p for x in S.tolist())
+                assert np.all(np.diff(T, axis=1) < 0) and np.all(T & ~S[:, None] == 0)
+                assert np.all(T & (S & -S)[:, None])
+                seen += [(int(a), int(b)) for a, row in zip(S, T) for b in row]
+                last_p = p
+            assert len(seen) == len(set(seen)) == (3 ** s - 1) // 2
+
+
+class TestExactKernelsRetainNothing:
+    # the n = 12 oracle and the exact sweep keep no state between calls: a
+    # second call returns the same bytes, and nothing the first call made
+    # outlives it beyond its result
+    def test_repeated_calls(self):
+        P = generate_dataset("subspace", 12, 64, 2, 7).coords
+
+        def sweep(Q):
+            k, v, blocks = _exact_projected_sweep(Q, DEFAULT_SOLVER)
+            return _f8(k) + _blocks_bytes(v, blocks)
+
+        for call in (sweep, lambda Q: _f8(brute_force_ufl_continuous(Q))):
+            call(P[:4])                                   # lazy imports and set-up
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                first = call(P)
+                retained = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert retained <= 8192
+            assert call(P) == first
+
+    def test_oracle_peak_memory(self):
+        # 1.1 times 2.28 MB: the lockstep holds the active masks' rows only,
+        # and full-size copies next to them would exceed the bound
+        P = generate_dataset("subspace", 12, 64, 2, 7).coords
+        brute_force_ufl_continuous(P[:4])
+        tracemalloc.start()
+        try:
+            brute_force_ufl_continuous(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 2.28e6
+
 
 # ---------------------------------------------------------------------------
 # Golden solver outputs
@@ -596,6 +842,23 @@ def _golden_weiszfeld(rng):
         yield res.center.astype("<f8").tobytes() + _f8(res.cost, res.converged)
 
 
+def _golden_exact_oracles(seed):
+    # every kind at s = 1, 2, 3, 7; one kind per seed at s = 12 and s = 14
+    rng = np.random.default_rng(seed)
+    inputs = [_exact_input(rng, kind, s) for s in (1, 2, 3, 7) for kind in EXACT_KINDS]
+    inputs.append(_exact_input(rng, EXACT_KINDS[seed % 4], 12))
+    inputs.append(_exact_input(rng, EXACT_KINDS[(seed + 1) % 4], 14))
+    for P in inputs:
+        s = len(P)
+        cfg = SolverConfig(enum_threshold=max(s, 12))
+        yield (_med1_costs(_affine_reduce(P), cfg).astype("<f8").tobytes()
+               + _f8(brute_force_ufl_continuous(P, cfg), brute_force_ufl_discrete(P)))
+        for k in range(1, s + 1 if s <= 12 else 1):
+            res = kmedian(P, k)
+            yield (b"".join(_i8(b) for b in res.clusters)
+                   + res.centers.astype("<f8").tobytes() + _f8(res.cost, res.certified))
+
+
 def _golden_ptas(seed):
     X = blob_instance(4, 25)
     cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, seed=seed)
@@ -614,6 +877,7 @@ GOLDEN_SOLVER_SOURCES = {
     "restricted_ufl_value": lambda s: _golden_restricted_value(np.random.default_rng(s)),
     "approx_ufl": lambda s: _golden_approx_ufl(np.random.default_rng(s)),
     "weiszfeld_1median": lambda s: _golden_weiszfeld(np.random.default_rng(s)),
+    "exact_oracles": _golden_exact_oracles,
     "ptas": _golden_ptas,
 }
 
@@ -621,6 +885,7 @@ GOLDEN_SOLVER_SOURCES = {
 # facility, its position, a cost's last bit or a trace changes the digest.
 GOLDEN_SOLVER_DIGESTS = {
     "approx_ufl": "bf36ee77b064c76e4c13926cededa2b35072702b9bf1d516ca2d6df80af7b91a",
+    "exact_oracles": "70ca7bf34e258c605864a969387e95eb33de8976558a321076e3871d31da6a49",
     "kmedian_restricted": "f1b8088869bf452fee5b838d1d57e16d840a1b325e389436a3fedda4209e011e",
     "ptas": "569febb2f2c3a39d0678baf4ae3f16ca95ea03c7fb9b3780435394334d0bf780",
     "restricted_ufl_value": "3843dbd3d090b687da672b90d0c48a14d3f9dd606a218661d2ab50a34bcf0640",
