@@ -1,5 +1,5 @@
 """UFL and k-median subroutines: a deterministic O(n^2) ball-growing
-constant-factor UFL approximation, Weiszfeld's 1-median iteration, exact
+constant-factor UFL approximation, a certified 1-median iteration, exact
 k-median by dynamic programming over subsets, a local-search fallback for
 larger inputs, and exhaustive oracles used for validation.
 
@@ -12,7 +12,6 @@ no longer depends on the ambient dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +40,9 @@ def _mask_ids(mask: int, s: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the solver stack."""
+    """Knobs for the solver stack. A 1-median stops once its distance sum
+    is within weiszfeld_tol (relative) of Kuhn's lower bound, which proves
+    it within that of the optimum, or after weiszfeld_max_iter steps."""
 
     weiszfeld_tol: float = 1e-10
     weiszfeld_max_iter: int = 10000
@@ -60,8 +61,9 @@ DEFAULT_SOLVER = SolverConfig()
 
 class WeiszfeldResult(NamedTuple):
     center: np.ndarray
-    cost: float
-    converged: bool
+    cost: float                  # distance sum at center
+    converged: bool              # cost - lower <= weiszfeld_tol * cost
+    lower: float                 # at most the distance sum anywhere
 
 
 class KMedianResult(NamedTuple):
@@ -97,27 +99,28 @@ def _affine_reduce(P: np.ndarray) -> np.ndarray:
 
 def weiszfeld_1median(points, cfg: SolverConfig = DEFAULT_SOLVER,
                       return_history: bool = False):
-    """Geometric median: a data-point certificate, else Weiszfeld iteration
-    from the centroid.
+    """Geometric median: a data-point certificate, else the certified
+    iteration of _median_lockstep from the centroid.
 
     The certificate is Kuhn's optimality test at x = P[j], j the first point
     of least distance sum: with eta the number of points equal to x and g
     the sum of unit vectors from x toward the others, x is a median iff
     |g| <= eta. A median minimises the distance sum over all of space, so if
     any data point is a median, P[j] is one. A certified P[j] is returned
-    with its distance sum and no iteration, where Weiszfeld would approach
-    it only sublinearly.
+    with its distance sum as both cost and lower bound, and no iteration.
 
     The test is strict, |g| < eta * (1 - 1e-9): two points, or an even
     number on a line, have |g| = eta exactly, because a whole segment of
     medians joins the middle two, and there the iteration keeps its midpoint
-    answer. Only exact copies of x count toward eta; a point merely within
-    the iteration's 1e-12 of x still pulls, or a vertex of a tiny triangle
-    would pass although its centroid costs less.
+    answer. Only exact copies of x count toward eta; a point merely close
+    to x still pulls, or a vertex of a tiny triangle would pass although
+    its centroid costs less.
 
-    Every input that fails the test gets the plain iteration, unchanged:
-    when an iterate lands on a data point, the subgradient test decides
-    optimality and otherwise a blended step (Vardi-Zhang) escapes it.
+    Every other input runs the iteration as one row. The result's cost is
+    the distance sum at its center and lower a bound below every distance
+    sum; converged means cost - lower <= cfg.weiszfeld_tol * cost, which
+    only a run cut at cfg.weiszfeld_max_iter steps misses. The history is
+    the distance sum at the start and after every step.
     """
     P = _as_points(points)
     n = len(P)
@@ -128,99 +131,262 @@ def weiszfeld_1median(points, cfg: SolverConfig = DEFAULT_SOLVER,
     same = d == 0.0
     g = ((P[~same] - P[j]) / d[~same, None]).sum(axis=0)
     if np.linalg.norm(g) < same.sum() * (1.0 - 1e-9):
-        res = WeiszfeldResult(P[j].copy(), float(sums[j]), True)
+        res = WeiszfeldResult(P[j].copy(), float(sums[j]), True, float(sums[j]))
         return (res, [res.cost]) if return_history else res
 
-    y = P.mean(axis=0)
-    d = np.linalg.norm(P - y, axis=1)
-    obj = float(d.sum())
-    history = [obj]
-    converged = False
-    for _ in range(cfg.weiszfeld_max_iter):
-        hit = d < 1e-12
-        if hit.any():
-            others = ~hit
-            if not others.any():
-                converged = True
-                break
-            w = 1.0 / d[others]
-            pull = ((P[others] - y) * w[:, None]).sum(axis=0)
-            eta = float(hit.sum())
-            rnorm = float(np.linalg.norm(pull))
-            if rnorm <= eta:        # the data point is the optimum
-                converged = True
-                break
-            t_step = (P[others] * w[:, None]).sum(axis=0) / w.sum()
-            lam = min(1.0, eta / rnorm)
-            y_new = (1.0 - lam) * t_step + lam * y
-        else:
-            w = 1.0 / d
-            y_new = (P * w[:, None]).sum(axis=0) / w.sum()
-        d = np.linalg.norm(P - y_new, axis=1)
-        new_obj = float(d.sum())
-        history.append(new_obj)
-        improvement = obj - new_obj
-        y, obj = y_new, min(obj, new_obj)
-        if improvement <= cfg.weiszfeld_tol * max(obj, 1e-30):
-            converged = True
-            break
-    res = WeiszfeldResult(y, obj, converged)
+    history: list[float] = []
+    upper, lower, centers = _median_lockstep(P, np.ones((1, n)), cfg, history)
+    cost, low = float(upper[0]), float(lower[0])
+    res = WeiszfeldResult(centers[0], cost, cost - low <= cfg.weiszfeld_tol * cost, low)
     return (res, history) if return_history else res
 
 
-def _med1_costs(P: np.ndarray, cfg: SolverConfig = DEFAULT_SOLVER,
-                max_iter: int = 2000) -> np.ndarray:
+def _med1_costs(P: np.ndarray, cfg: SolverConfig = DEFAULT_SOLVER) -> np.ndarray:
     """1-median cost of every subset of P, indexed by bitmask.
 
-    All masks of three or more points iterate in lockstep from their
-    centroids (weights clamped away from zero), far cheaper than per-mask
-    runs. A mask stops once a step improves its objective by at most
-    cfg.weiszfeld_tol relative; the arrays then drop its row, so every step
-    works on the still active masks only, in mask order. Each value is
-    additionally capped by the best data-point center, which is exact
-    whenever the geometric median sits on a data point (where Weiszfeld
-    converges slowly).
+    Every mask first gets Kuhn's test (see weiszfeld_1median) at each of
+    its points. It passes only at a median, so a mask that passes, like
+    every mask of at most two points, costs its least data-point sum, its
+    optimum. The other masks run _median_lockstep together from their
+    centroids, so each value is a distance sum attained at a real center
+    and within cfg.weiszfeld_tol (relative) of the optimum unless its row
+    ran cfg.weiszfeld_max_iter steps; the least data-point sum still caps
+    it.
     """
     s = len(P)
     nm = 1 << s
-    costs = np.zeros(nm)
     if s == 1:
-        return costs
-    masks = np.arange(nm, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(s)[None, :]) & 1).astype(bool)
-    sizes = bits.sum(axis=1)
-
-    D = squareform(pdist(P)) if s > 1 else np.zeros((1, 1))
-    for i, j in combinations(range(s), 2):     # 2-point masks: any point between
-        costs[(1 << i) | (1 << j)] = D[i, j]
-
-    big = np.flatnonzero(sizes >= 3)
-    if len(big) == 0:
-        return costs
-    final = np.empty(len(big))
-    active = np.arange(len(big))
-    M = bits[big].astype(np.float64)                # rows of the active masks
-    Y = (M @ P) / sizes[big][:, None]
-    dist = np.maximum(cdist(Y, P), 1e-15)
-    obj = (dist * M).sum(axis=1)
-    for _ in range(max_iter):
-        np.divide(M, dist, out=dist)                # the weights, in the distances' place
-        Y = (dist @ P) / dist.sum(axis=1, keepdims=True)
-        dist = cdist(Y, P)
-        np.maximum(dist, 1e-15, out=dist)
-        new_obj = (dist * M).sum(axis=1)
-        moved = (obj - new_obj) > cfg.weiszfeld_tol * np.maximum(new_obj, 1e-30)
-        obj = np.minimum(obj, new_obj)
-        if not moved.all():
-            final[active] = obj
-            active, obj = active[moved], obj[moved]
-            M = M[moved]
-            dist = dist[moved]
-            if len(active) == 0:
-                break
-    final[active] = obj
-    costs[big] = np.minimum(final, _best_data_center_costs(D, bits)[big])
+        return np.zeros(nm)
+    bits = ((np.arange(nm)[:, None] >> np.arange(s)) & 1).astype(bool)
+    D = squareform(pdist(P))
+    costs = _best_data_center_costs(D, bits)
+    costs[0] = 0.0
+    same = D == 0.0
+    unit = np.divide(P[None, :, :] - P[:, None, :], D[:, :, None], out=np.zeros((s, s, P.shape[1])),
+                     where=~same[:, :, None])
+    M = bits.astype(np.float64)
+    certified = np.zeros(nm, dtype=bool)
+    for j in range(s):
+        g = M @ unit[j]
+        certified |= bits[:, j] & (np.sqrt(np.einsum("mk,mk->m", g, g)) < (M @ same[j]) * (1.0 - 1e-9))
+    rest = np.flatnonzero(~certified & (bits.sum(axis=1) >= 3))
+    M = M[rest]                             # drops the full table before the kernel
+    upper, _, _ = _median_lockstep(P, M, cfg)
+    costs[rest] = np.minimum(upper, costs[rest])
     return costs
+
+
+_MEDIAN_CELLS = 16384   # (row, point, coordinate) cells per lockstep chunk: 128 KB per temporary
+_BACKTRACK = 12         # halvings of a Newton step before a Weiszfeld step replaces it
+_SLACK = 1.0 + 4.0 * np.finfo(np.float64).eps   # a step may raise the sum by 4 ulp
+_ROUNDING = 16.0 * np.finfo(np.float64).eps     # Newton gains below this share are unmeasurable
+_NEAR = 1e-3            # a member this close, relative to the distance sum, anchors its row
+
+
+def _median_lockstep(P: np.ndarray, M: np.ndarray, cfg: SolverConfig,
+                     history: list | None = None):
+    """Certified geometric medians of the subsets of P (n points) that the
+    0/1 rows of M (r x n) select, iterated in lockstep from their centroids.
+    Returns (upper, lower, centers): upper[i] is the distance sum of subset
+    i at centers[i], and lower[i] is at most its distance sum anywhere.
+
+    A step tries, per row, the Newton step y - H^-1 g, with g = sum u_i the
+    gradient, H = sum w_i (I - u_i u_i^T), w_i = 1/d_i and u_i the unit
+    vector from p_i to y. The step stands if it does not raise the distance
+    sum by more than 4 ulp, or if its predicted gain g . H^-1 g / 2 is below
+    rounding. Otherwise, on a row with a member within _NEAR of its
+    distance sum, Vardi and Zhang's step from that member (_escape_offsets)
+    stands if it lowers the sum, as Newton's model misses the kink there;
+    then the Newton step is halved up to _BACKTRACK times; then a Weiszfeld
+    step replaces it, as it does for a singular H (a collinear span). A row
+    on a data point skips Newton, and its Weiszfeld step is blended with y
+    as Vardi and Zhang's is. Members within cfg.weiszfeld_tol * f / (4 *
+    size) of y, f the row's distance sum, count as copies of y: they add at
+    most a quarter of the tolerance to the gap, and a cluster finer than
+    that is not resolved point by point.
+
+    The bound is Kuhn's dual: for vectors v_i of norm at most 1 that sum to
+    zero, sum v_i . (y - p_i) is at most every distance sum. The v_i are
+    the u_i shifted by -g / size (on a data point, the eta copies of y take
+    -g / eta each and the others stay), divided by the largest norm that
+    shift can give. A row keeps the best bound it reaches and stops once
+    upper - lower <= cfg.weiszfeld_tol * upper, or after
+    cfg.weiszfeld_max_iter steps; a stopped row leaves the arrays. Rows run
+    _MEDIAN_CELLS (row, point, coordinate) cells at a time, which bounds
+    every temporary.
+
+    history, if given, receives the first row's distance sum at the start
+    and after every step."""
+    upper = np.empty(len(M))
+    lower = np.empty(len(M))
+    centers = np.empty((len(M), P.shape[1]))
+    rows = max(1, _MEDIAN_CELLS // P.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a in range(0, len(M), rows):
+            part = slice(a, a + rows)
+            _median_rows(P, M[part], centers[part], upper[part], lower[part], cfg,
+                         history if a == 0 else None)
+    return upper, lower, centers
+
+
+def _sums_at(D: np.ndarray, M: np.ndarray):
+    """Lengths (r x n) of the differences D (r x n x k) and the rows'
+    distance sums over their members M."""
+    d = np.einsum("rnk,rnk->rn", D, D)
+    np.sqrt(d, out=d)
+    return d, np.einsum("rn,rn->r", d, M)
+
+
+def _escape_offsets(B: np.ndarray, M: np.ndarray, near: np.ndarray) -> np.ndarray:
+    """Vardi-Zhang's step from each row's anchor p_a, as an offset from p_a:
+    with eta members within near * (their distance sum from p_a) of p_a
+    and g the sum of the unit vectors from the other members to p_a, the
+    others' Weiszfeld point blended with p_a by min(1, eta / |g|); zero if
+    p_a is the median (|g| <= eta)."""
+    nb = np.sqrt(np.einsum("rnk,rnk->rn", B, B))
+    copies = nb <= (near * np.einsum("rn,rn->r", nb, M))[:, None]
+    w = np.divide(M, nb, out=np.zeros(nb.shape), where=~copies)
+    g = np.einsum("rnk,rn->rk", B, w)
+    eta = np.einsum("rn,rn->r", M, copies)
+    blend = np.minimum(1.0, eta / np.sqrt(np.einsum("rk,rk->r", g, g)))
+    return g * ((blend - 1.0) / w.sum(axis=1))[:, None]
+
+
+def _median_rows(P, M, y, upper, lower, cfg, history):
+    """_median_lockstep on one chunk of rows, writing into the views y,
+    upper and lower.
+
+    A row holds y as an anchor p_a and the offset delta = y - p_a, with B =
+    p_a - P, so that y - p_i = B + delta. Once a member comes within _NEAR
+    of the distance sum, it becomes the anchor: the differences then keep
+    their full relative precision however close y comes to it, and a
+    median can lie 1e-7 of its set's diameter away from a data point."""
+    keep_frac, last = 1.0 - cfg.weiszfeld_tol, cfg.weiszfeld_max_iter
+    pos = np.arange(len(M))                     # active row -> chunk row
+    member = M > 0
+    size = M.sum(axis=1)
+    copy = cfg.weiszfeld_tol / (4.0 * size)     # copies of y: within copy * f
+    centroid = (M @ P) / size[:, None]
+    eye = np.eye(P.shape[1])
+    a = member.argmax(axis=1)
+    B = P[a][:, None, :] - P
+    ac = P[a] - centroid                        # y - centroid = ac + delta
+    delta = -ac
+    D = B + delta[:, None, :]
+    d, f = _sums_at(D, M)
+    lo = np.zeros(len(M))
+    for it in range(last + 1):
+        if history is not None and pos[0] == 0:
+            history.append(float(f[0]))
+        W = np.divide(M, d, out=np.zeros(d.shape), where=member)
+        close = W.max(axis=1) * f >= 1.0 / _NEAR
+        on = None
+        if close.any():
+            c = np.flatnonzero(close)
+            near = W[c].argmax(axis=1)
+            a[c], delta[c] = near, D[c, near]
+            B[c] = P[near][:, None, :] - P
+            ac[c] = P[near] - centroid[c]
+            hit = member[c] & (d[c] <= (copy[c] * f[c])[:, None])
+            at = hit.any(axis=1)
+            if at.any():
+                h, hit = c[at], hit[at]
+                on, share = np.zeros(len(M), dtype=bool), np.zeros(len(M))
+                on[h] = True
+                eta = share[h] = hit.sum(axis=1)
+                W[h] = np.where(hit, 0.0, W[h])
+        U = D                                   # D is rebuilt by the step
+        U *= W[:, :, None]
+        g = U.sum(axis=1)
+        gnorm = np.sqrt(np.einsum("rk,rk->r", g, g))
+        # sum v_i . (y - p_i) is the others' distance sum minus g . (y - c),
+        # c the mean of the shifted points
+        yc, rest, scale = ac + delta, f, 1.0 + gnorm / size
+        if on is not None:
+            rest = f.copy()
+            yc[h] += centroid[h] - (hit @ P) / eta[:, None]
+            rest[h] = np.einsum("rn,rn->r", np.where(hit, 0.0, d[h]), M[h])
+            scale[h] = np.maximum(1.0, gnorm[h] / eta)
+        np.maximum(lo, (rest - np.einsum("rk,rk->r", g, yc)) / scale, out=lo)
+        stop = lo >= f * keep_frac
+        if it == last or stop.all():
+            y[pos] = P[a] + delta
+            upper[pos], lower[pos] = f, np.minimum(lo, f)
+            return
+        if stop.any():
+            out = pos[stop]
+            y[out] = P[a[stop]] + delta[stop]
+            upper[out], lower[out] = f[stop], np.minimum(lo[stop], f[stop])
+            # one array at a time, so that each old copy is freed before
+            # the next is made
+            keep = ~stop
+            B = B[keep]
+            U = U[keep]
+            W = W[keep]
+            d = d[keep]
+            M = M[keep]
+            member = member[keep]
+            pos, size, copy, centroid = pos[keep], size[keep], copy[keep], centroid[keep]
+            a, ac = a[keep], ac[keep]
+            delta, f, lo, g, gnorm = delta[keep], f[keep], lo[keep], g[keep], gnorm[keep]
+            close = close[keep]
+            if on is not None:
+                on, share = on[keep], share[keep]
+
+        sw = W.sum(axis=1)
+        H = sw[:, None, None] * eye - np.einsum("rn,rni,rnj->rij", W, U, U)
+        try:
+            s = np.linalg.solve(H, g[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            singular = np.linalg.det(H) == 0.0
+            H[singular] = eye
+            s = np.linalg.solve(H, g[:, :, None])[:, :, 0]
+            s[singular] = np.nan
+        if on is not None:
+            s[on] = np.nan
+        step = delta - s
+        Dt = B + step[:, None, :]
+        dt, ft = _sums_at(Dt, M)
+        ok = ft <= f * _SLACK
+        if not ok.all():
+            # a step whose predicted gain g . s / 2 is below rounding stands;
+            # one that does not descend is replaced
+            slope = np.einsum("rk,rk->r", g, s)
+            ok |= (slope >= 0.0) & (slope <= _ROUNDING * f)
+            # near a data point Newton's model misses the kink there: try
+            # Vardi-Zhang's step from that point
+            e = np.flatnonzero(~ok & close)
+            if len(e):
+                Db = B[e]
+                sb = _escape_offsets(Db, M[e], copy[e])
+                Db += sb[:, None, :]
+                db, fb = _sums_at(Db, M[e])
+                good = fb < f[e]                # repeating it gains nothing
+                done = e[good]
+                step[done], Dt[done], dt[done], ft[done] = sb[good], Db[good], db[good], fb[good]
+                ok[done] = True
+            retry = np.flatnonzero(~ok & np.isfinite(ft) & (slope > 0.0))
+            t = 1.0
+            for _ in range(_BACKTRACK):
+                if len(retry) == 0:
+                    break
+                t *= 0.5
+                sb = delta[retry] - t * s[retry]
+                Db = B[retry]
+                Db += sb[:, None, :]
+                db, fb = _sums_at(Db, M[retry])
+                good = fb <= f[retry] * _SLACK
+                done = retry[good]
+                step[done], Dt[done], dt[done], ft[done] = sb[good], Db[good], db[good], fb[good]
+                ok[done] = True
+                retry = retry[~good]
+            e = np.flatnonzero(~ok)             # Weiszfeld, on a data point blended with y
+            if len(e):
+                keep_y = 0.0 if on is None else np.minimum(1.0, share[e] / gnorm[e]) * on[e]
+                step[e] = delta[e] - g[e] * ((1.0 - keep_y) / sw[e])[:, None]
+                Dt[e] = B[e] + step[e][:, None, :]
+                dt[e], ft[e] = _sums_at(Dt[e], M[e])
+        delta, D, d, f = step, Dt, dt, ft
 
 
 def _lowest_bit_pass(table: np.ndarray, rows: np.ndarray, op) -> np.ndarray:
@@ -337,7 +503,8 @@ def _kmedian_exact_dp(med1: np.ndarray, s: int, k: int):
 
 def brute_force_ufl_continuous(points, cfg: SolverConfig = DEFAULT_SOLVER) -> float:
     """opt(S) with ambient facilities, by exhaustive partition DP with
-    geometric-median block centers (exact up to the Weiszfeld tolerance)."""
+    geometric-median block centers, each within cfg.weiszfeld_tol of its
+    optimum by Kuhn's bound unless cut at cfg.weiszfeld_max_iter steps."""
     P = _as_points(points)
     if len(P) > cfg.enum_threshold:
         raise OracleScaleError("oracle scale exceeded")
@@ -448,7 +615,7 @@ def kmedian(points, k: int, cfg: SolverConfig = DEFAULT_SOLVER,
 
     Small inputs are solved exactly over all k-partitions with geometric
     median centers; larger ones fall back to local search over data-point
-    centers followed by Weiszfeld refinement (certified=False).
+    centers followed by 1-median recentering (certified=False).
 
     medians, if given, caches the 1-median of every block this call
     recenters: it maps the block's index array (block.tobytes()) to its
