@@ -9,25 +9,23 @@ against per-cluster candidate facility sets over a distance oracle."""
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import pdist, squareform
 
+from . import solvers
 from .geometry import OPENING_COST, PointSet, UflSolution, ufl_cost
 from .hierarchy import HierarchicalDecomposition, MetricData, build_hierarchy
 from .partition import LowValuePartition, MatrixApproxHandle, bottom_up_partition
 from .projection import sample_map, target_dim
 from .refine import eliminate_badly_cut
 from .solvers import (_MAX_DISCRETE, DEFAULT_SOLVER, SolverConfig, _affine_reduce,
-                      _mask_ids, _med1_costs, _subset_enumerable, _subset_table,
-                      _ufl_partition_dp, mp_ufl_value, restricted_ufl_value,
-                      weiszfeld_1median)
+                      _local_search_blocks, _mask_ids, _med1_costs, _subset_enumerable,
+                      _subset_table, _ufl_partition_dp, mp_ufl_value,
+                      restricted_ufl_value, weiszfeld_1median)
 from .util import spawn_seeds
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -161,9 +159,11 @@ def _nearest_assignment_ids(D: np.ndarray, facility_ids: np.ndarray) -> np.ndarr
 
 def _fallback_clusters(D: np.ndarray, members: np.ndarray,
                        facility_ids: np.ndarray) -> list[np.ndarray]:
+    """Positions within members of each facility's nearest members, empty
+    clusters dropped."""
     assign = np.argmin(D[np.ix_(members, facility_ids)], axis=1)
-    return [members[assign == j] for j in range(len(facility_ids))
-            if (assign == j).any()]
+    blocks = [np.flatnonzero(assign == j) for j in range(len(facility_ids))]
+    return [b for b in blocks if len(b)]
 
 
 def _exact_projected_sweep(proj_members: np.ndarray, solver: SolverConfig):
@@ -179,17 +179,21 @@ def _heuristic_projected_sweep(proj_members: np.ndarray, k_hint: int,
                                solver: SolverConfig):
     """Local-search k-median over a small k window around the constant-factor
     facility count; uncertified, used only beyond the enumeration scale.
-    The window shares one median cache, so a block that several k produce
-    is recentered once."""
-    from .solvers import kmedian
-
-    best = None
-    medians: dict = {}
+    Every k's blocks come from one distance matrix, and the window's
+    distinct blocks are recentered in one weiszfeld_1median call, so a
+    block that several k produce is recentered once. The result equals
+    that of kmedian at each k of the window."""
+    D = squareform(pdist(proj_members))
     lo, hi = max(1, k_hint - 2), min(len(proj_members), k_hint + 2)
-    for k in range(lo, hi + 1):
-        res = kmedian(proj_members, k, cfg=solver, medians=medians)
-        if best is None or k + res.cost < best[0] + best[1]:
-            best = (k, res.cost, res.clusters)
+    window = [(k, _local_search_blocks(proj_members, k, solver, D)) for k in range(lo, hi + 1)]
+    distinct = {b.tobytes(): b for _, blocks in window for b in blocks}
+    meds = dict(zip(distinct, solvers.weiszfeld_1median(proj_members, solver,
+                                                        blocks=list(distinct.values()))))
+    best = None
+    for k, blocks in window:
+        cost = float(sum(meds[b.tobytes()].cost for b in blocks))
+        if best is None or k + cost < best[0] + best[1]:
+            best = (k, cost, blocks)
     return best
 
 
@@ -199,7 +203,8 @@ def ptas_euclidean(X: PointSet, cfg: PtasConfig,
     """Full pipeline: hierarchical decomposition, badly-cut elimination,
     bottom-up partition, random projection, per-part k-median on projected
     points (with contraction/expansion fallbacks), and 1-median recentering
-    of every adopted cluster in the original space.
+    of every adopted cluster in the original space, one weiszfeld_1median
+    call per part.
 
     The projected points are `pi.embed(X)`: pi(X) written in an orthonormal
     basis of pi's range, min(m, d) coordinates with the same pairwise
@@ -222,7 +227,6 @@ def ptas_euclidean(X: PointSet, cfg: PtasConfig,
     for p in partition.parts:
         members = p.members
         fids = p.facility_ids
-        fallback = _fallback_clusters(md.matrix, members, fids)
 
         orig = md.matrix[np.ix_(fids, fids)][np.triu_indices(len(fids), 1)]
         event_g = not np.any(orig > (1.0 + cfg.eps) * pdist(proj[fids]))
@@ -230,8 +234,7 @@ def ptas_euclidean(X: PointSet, cfg: PtasConfig,
         k_star = None
         v = None
         event_h = True
-        adopted = fallback
-        label = "fallback"
+        adopted = None                  # positions within members
         if event_g:
             if len(members) <= solver.enum_threshold:
                 k_star, v, blocks = _exact_projected_sweep(proj[members], solver)
@@ -241,17 +244,14 @@ def ptas_euclidean(X: PointSet, cfg: PtasConfig,
             if k_star + v > cfg.c4 * cfg.tau:
                 event_h = False
             else:
-                adopted = [members[b] for b in blocks]
-                label = "median"
+                adopted = blocks
+        label = "median"
+        if adopted is None:
+            label, adopted = "fallback", _fallback_clusters(md.matrix, members, fids)
 
-        designated = 0.0
-        for cl in adopted:
-            if len(cl) == 0:
-                logger.info("skipping empty cluster in part %d", p.index)
-                continue
-            med = weiszfeld_1median(X.coords[cl], solver)
-            centers.append(med.center)
-            designated += med.cost
+        meds = weiszfeld_1median(X.coords[members], solver, blocks=adopted)
+        centers.extend(med.center for med in meds)
+        designated = float(sum(med.cost for med in meds))
         traces.append(PartTrace(p.index, p.level, event_g, event_h, k_star, v,
                                 label, p.approx_value, designated))
 

@@ -98,82 +98,107 @@ def _affine_reduce(P: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def weiszfeld_1median(points, cfg: SolverConfig = DEFAULT_SOLVER,
-                      return_history: bool = False):
-    """Geometric median: a data-point certificate, else the certified
-    iteration of _median_lockstep from the centroid.
+                      return_history: bool = False, *, blocks=None):
+    """Geometric medians of blocks of points: the data-point certificate of
+    _certify, else the certified iteration of _median_lockstep from the
+    centroid.
 
-    The certificate is Kuhn's optimality test at x = P[j], j the first point
-    of least distance sum: with eta the number of points equal to x and g
-    the sum of unit vectors from x toward the others, x is a median iff
-    |g| <= eta. A median minimises the distance sum over all of space, so if
-    any data point is a median, P[j] is one. A certified P[j] is returned
-    with its distance sum as both cost and lower bound, and no iteration.
+    blocks is a list of non-empty index arrays into points, and the result
+    a list of WeiszfeldResult, one per block in block order; without it all
+    points form one block and the result is its WeiszfeldResult. Blocks are
+    rows of one 0/1 mask over points and every pass reduces row by row, so
+    a block's result does not depend on the other blocks of its call.
 
-    The test is strict, |g| < eta * (1 - 1e-9): two points, or an even
-    number on a line, have |g| = eta exactly, because a whole segment of
-    medians joins the middle two, and there the iteration keeps its midpoint
-    answer. Only exact copies of x count toward eta; a point merely close
-    to x still pulls, or a vertex of a tiny triangle would pass although
-    its centroid costs less.
-
-    Every other input runs the iteration as one row. The result's cost is
-    the distance sum at its center and lower a bound below every distance
-    sum; converged means cost - lower <= cfg.weiszfeld_tol * cost, which
-    only a run cut at cfg.weiszfeld_max_iter steps misses. The history is
-    the distance sum at the start and after every step.
+    A certified block returns P[j] with its distance sum as both cost and
+    lower bound, and no iteration. Otherwise cost is the distance sum at
+    the center and lower a bound below every distance sum; converged means
+    cost - lower <= cfg.weiszfeld_tol * cost, which only a run cut at
+    cfg.weiszfeld_max_iter steps misses. The history is the first block's
+    distance sum at the start and after every step.
     """
     P = _as_points(points)
-    n = len(P)
-    step = max(1, _MAX_DIST_CELLS // n)
-    sums = np.concatenate([cdist(P[i:i + step], P).sum(axis=1) for i in range(0, n, step)])
-    j = int(np.argmin(sums))
-    d = np.linalg.norm(P - P[j], axis=1)
-    same = d == 0.0
-    g = ((P[~same] - P[j]) / d[~same, None]).sum(axis=0)
-    if np.linalg.norm(g) < same.sum() * (1.0 - 1e-9):
-        res = WeiszfeldResult(P[j].copy(), float(sums[j]), True, float(sums[j]))
-        return (res, [res.cost]) if return_history else res
-
-    history: list[float] = []
-    upper, lower, centers = _median_lockstep(P, np.ones((1, n)), cfg, history)
-    cost, low = float(upper[0]), float(lower[0])
-    res = WeiszfeldResult(centers[0], cost, cost - low <= cfg.weiszfeld_tol * cost, low)
+    if blocks is None:
+        M = np.ones((1, len(P)))
+    else:
+        sizes = [len(b) for b in blocks]
+        if not all(sizes):
+            raise ValueError("empty block")
+        M = np.zeros((len(blocks), len(P)))
+        M[np.repeat(np.arange(len(blocks)), sizes), np.concatenate(blocks)] = 1.0
+    j, cost, certified = _certify(P, M)
+    lower, centers = cost.copy(), P[j]
+    history = [float(cost[0])] if certified[0] else []
+    rest = np.flatnonzero(~certified)
+    if len(rest):
+        cost[rest], lower[rest], centers[rest] = _median_lockstep(
+            P, M[rest], cfg, None if certified[0] else history)
+    converged = cost - lower <= cfg.weiszfeld_tol * cost
+    out = [WeiszfeldResult(c, float(u), bool(ok), float(lo))
+           for c, u, ok, lo in zip(centers, cost, converged, lower)]
+    res = out[0] if blocks is None else out
     return (res, history) if return_history else res
+
+
+def _certify(P: np.ndarray, M: np.ndarray):
+    """Kuhn's data-point certificate for the subsets of P that the 0/1 rows
+    of M select. Returns (j, sums, certified): j[i] the first member of
+    least distance sum over subset i, sums[i] that sum, and certified[i]
+    whether the test below proves P[j[i]] a median of subset i.
+
+    The test is Kuhn's optimality test at x = P[j]: with eta the members
+    equal to x and g the sum of unit vectors from x toward the others, x is
+    a median iff |g| <= eta. A median minimises the distance sum over all
+    of space, so if any member is a median, P[j] is one. The test is
+    strict, |g| < eta * (1 - 1e-9): two points, or an even number on a
+    line, have |g| = eta exactly, because a whole segment of medians joins
+    the middle two, and there the iteration keeps its midpoint answer. Only
+    exact copies of x count toward eta; a point merely close to x still
+    pulls, or a vertex of a tiny triangle would pass although its centroid
+    costs less.
+
+    The sums take _MAX_DIST_CELLS distances at a time and the test
+    _MEDIAN_CELLS (row, point, coordinate) cells at a time, both reduced
+    row by row."""
+    r, n = M.shape
+    sums = np.empty((r, n))
+    step = max(1, _MAX_DIST_CELLS // n)
+    for a in range(0, n, step):
+        sums[:, a:a + step] = np.einsum("rn,cn->rc", M, cdist(P[a:a + step], P))
+    sums[M == 0.0] = np.inf
+    j = sums.argmin(axis=1)
+    best = sums[np.arange(r), j]
+    certified = np.empty(r, dtype=bool)
+    PT = np.ascontiguousarray(P.T)          # B is (row, coordinate, point): sums run along points
+    rows = max(1, _MEDIAN_CELLS // P.size)
+    for a in range(0, r, rows):
+        m = M[a:a + rows]
+        B = PT - P[j[a:a + rows], :, None]
+        d = np.sqrt(np.einsum("rkn,rkn->rn", B, B))
+        eta = np.einsum("rn,rn->r", m, d == 0.0)
+        g = np.einsum("rkn,rn->rk", B, np.divide(m, d, out=np.zeros(d.shape), where=d > 0.0))
+        certified[a:a + rows] = np.sqrt(np.einsum("rk,rk->r", g, g)) < eta * (1.0 - 1e-9)
+    return j, best, certified
 
 
 def _med1_costs(P: np.ndarray, cfg: SolverConfig = DEFAULT_SOLVER) -> np.ndarray:
     """1-median cost of every subset of P, indexed by bitmask.
 
-    Every mask first gets Kuhn's test (see weiszfeld_1median) at each of
-    its points. It passes only at a median, so a mask that passes, like
-    every mask of at most two points, costs its least data-point sum, its
-    optimum. The other masks run _median_lockstep together from their
-    centroids, so each value is a distance sum attained at a real center
-    and within cfg.weiszfeld_tol (relative) of the optimum unless its row
-    ran cfg.weiszfeld_max_iter steps; the least data-point sum still caps
-    it.
+    Every mask first gets the data-point certificate of _certify. A mask
+    that passes costs its least data-point sum, its optimum, and so does
+    every mask of at most two points. The other masks run _median_lockstep
+    together from their centroids, so each value is a distance sum attained
+    at a real center and within cfg.weiszfeld_tol (relative) of the optimum
+    unless its row ran cfg.weiszfeld_max_iter steps; the least data-point
+    sum still caps it.
     """
     s = len(P)
-    nm = 1 << s
-    if s == 1:
-        return np.zeros(nm)
-    bits = ((np.arange(nm)[:, None] >> np.arange(s)) & 1).astype(bool)
-    D = squareform(pdist(P))
-    costs = _best_data_center_costs(D, bits)
-    costs[0] = 0.0
-    same = D == 0.0
-    unit = np.divide(P[None, :, :] - P[:, None, :], D[:, :, None], out=np.zeros((s, s, P.shape[1])),
-                     where=~same[:, :, None])
-    M = bits.astype(np.float64)
-    certified = np.zeros(nm, dtype=bool)
-    for j in range(s):
-        g = M @ unit[j]
-        certified |= bits[:, j] & (np.sqrt(np.einsum("mk,mk->m", g, g)) < (M @ same[j]) * (1.0 - 1e-9))
-    rest = np.flatnonzero(~certified & (bits.sum(axis=1) >= 3))
+    M = ((np.arange(1, 1 << s)[:, None] >> np.arange(s)) & 1).astype(np.float64)
+    _, costs, certified = _certify(P, M)
+    rest = np.flatnonzero(~certified & (M.sum(axis=1) >= 3))
     M = M[rest]                             # drops the full table before the kernel
     upper, _, _ = _median_lockstep(P, M, cfg)
     costs[rest] = np.minimum(upper, costs[rest])
-    return costs
+    return np.concatenate(([0.0], costs))
 
 
 _MEDIAN_CELLS = 16384   # (row, point, coordinate) cells per lockstep chunk: 128 KB per temporary
@@ -266,7 +291,9 @@ def _median_rows(P, M, y, upper, lower, cfg, history):
     member = M > 0
     size = M.sum(axis=1)
     copy = cfg.weiszfeld_tol / (4.0 * size)     # copies of y: within copy * f
-    centroid = (M @ P) / size[:, None]
+    # einsum, not M @ P: a matrix product rounds a row differently
+    # depending on the rows beside it
+    centroid = np.einsum("rn,nk->rk", M, P) / size[:, None]
     eye = np.eye(P.shape[1])
     a = member.argmax(axis=1)
     B = P[a][:, None, :] - P
@@ -304,7 +331,7 @@ def _median_rows(P, M, y, upper, lower, cfg, history):
         yc, rest, scale = ac + delta, f, 1.0 + gnorm / size
         if on is not None:
             rest = f.copy()
-            yc[h] += centroid[h] - (hit @ P) / eta[:, None]
+            yc[h] += centroid[h] - np.einsum("rn,nk->rk", hit, P) / eta[:, None]
             rest[h] = np.einsum("rn,rn->r", np.where(hit, 0.0, d[h]), M[h])
             scale[h] = np.maximum(1.0, gnorm[h] / eta)
         np.maximum(lo, (rest - np.einsum("rk,rk->r", g, yc)) / scale, out=lo)
@@ -400,13 +427,6 @@ def _lowest_bit_pass(table: np.ndarray, rows: np.ndarray, op) -> np.ndarray:
         view = table.reshape(nm >> (b + 1), 2, 1 << b, *table.shape[1:])
         op(view[:, 0, 0], rows[b], out=view[:, 1, 0])
     return table
-
-
-def _best_data_center_costs(D: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """min over data points j in each mask of sum_{i in mask} D[i, j]."""
-    nm, s = bits.shape
-    sums = _lowest_bit_pass(np.zeros((nm, s)), D, np.add)
-    return np.where(bits, sums, np.inf).min(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -609,59 +629,44 @@ def kmedian_restricted(D: np.ndarray, clients: np.ndarray, candidates: np.ndarra
 # k-median with ambient centers
 # ---------------------------------------------------------------------------
 
-def kmedian(points, k: int, cfg: SolverConfig = DEFAULT_SOLVER,
-            medians: dict | None = None) -> KMedianResult:
+def kmedian(points, k: int, cfg: SolverConfig = DEFAULT_SOLVER) -> KMedianResult:
     """k-median clustering with centers anywhere in space.
 
     Small inputs are solved exactly over all k-partitions with geometric
-    median centers; larger ones fall back to local search over data-point
-    centers followed by 1-median recentering (certified=False).
-
-    medians, if given, caches the 1-median of every block this call
-    recenters: it maps the block's index array (block.tobytes()) to its
-    WeiszfeldResult, and a block already in it is not solved again. Keys
-    name rows of these points, so share one dict only across calls on the
-    same points and cfg, as over a window of k.
+    median centers; larger ones fall back to the local search of
+    _local_search_blocks (certified=False). Either way the k blocks are
+    recentered in one weiszfeld_1median call.
     """
     P = _as_points(points)
     s = len(P)
     if not 1 <= k <= s:
         raise ValueError("k must lie in [1, |S|]")
+    if 1 < k < s and s <= cfg.enum_threshold:
+        _, blocks = _kmedian_exact_dp(_med1_costs(_affine_reduce(P), cfg), s, k)
+    else:
+        blocks = _local_search_blocks(P, k, cfg)
+    meds = weiszfeld_1median(P, cfg, blocks=blocks)
+    return KMedianResult(blocks, np.array([m.center for m in meds]),
+                         float(sum(m.cost for m in meds)), k in (1, s) or s <= cfg.enum_threshold)
+
+
+def _local_search_blocks(P: np.ndarray, k: int, cfg: SolverConfig,
+                         D: np.ndarray | None = None) -> list[np.ndarray]:
+    """kmedian's blocks beyond the enumeration scale: kmedian_restricted
+    over all points of D, P's distance matrix (built if not given), then
+    each point in the block of its nearest chosen center, empty blocks
+    dropped. k = 1 is one block and k = len(P) singletons."""
+    s = len(P)
     if k == s:
-        return KMedianResult([np.array([i]) for i in range(s)], P.copy(), 0.0, True)
+        return [np.array([i]) for i in range(s)]
     if k == 1:
-        blocks = [np.arange(s)]
-        centers, cost = _recenter(P, blocks, cfg, medians)
-        return KMedianResult(blocks, centers, cost, True)
-
-    if s <= cfg.enum_threshold:
-        med1 = _med1_costs(_affine_reduce(P), cfg)
-        _, blocks = _kmedian_exact_dp(med1, s, k)
-        centers, cost = _recenter(P, blocks, cfg, medians)
-        return KMedianResult(blocks, centers, cost, True)
-
-    D = squareform(pdist(P))
+        return [np.arange(s)]
+    if D is None:
+        D = squareform(pdist(P))
     ids, _, _ = kmedian_restricted(D, np.arange(s), np.arange(s), k, cfg)
-    centers = P[ids]
-    assign = np.argmin(cdist(P, centers), axis=1)
+    assign = np.argmin(cdist(P, P[ids]), axis=1)
     blocks = [np.flatnonzero(assign == j) for j in range(k)]
-    blocks = [b for b in blocks if len(b)]
-    centers, cost = _recenter(P, blocks, cfg, medians)
-    return KMedianResult(blocks, centers, cost, False)
-
-
-def _recenter(P: np.ndarray, blocks, cfg: SolverConfig, medians: dict | None):
-    medians = {} if medians is None else medians
-    centers = []
-    cost = 0.0
-    for b in blocks:
-        key = b.tobytes()
-        if key not in medians:
-            medians[key] = weiszfeld_1median(P[b], cfg)
-        res = medians[key]
-        centers.append(res.center)
-        cost += res.cost
-    return np.asarray(centers), float(cost)
+    return [b for b in blocks if len(b)]
 
 
 # ---------------------------------------------------------------------------

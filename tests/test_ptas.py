@@ -144,28 +144,30 @@ class TestEuclidean:
 
     def test_heuristic_sweep_recenters_each_distinct_block_once(self, rng, monkeypatch):
         # three separated groups of 10 (beyond the enumeration scale) and the
-        # window k = 1..5: blocks that several k produce are recentered once
+        # window k = 1..5: one weiszfeld_1median call recenters the window's
+        # distinct blocks, and the result is the per-k kmedian loop's
         P = np.vstack([rng.random((10, 2)) + off for off in (0.0, 4.0, 9.0)])
         solver = solvers.DEFAULT_SOLVER
-        blocks = []
-        weiszfeld = solvers.weiszfeld_1median
-
-        def counted(points, cfg=solver):
-            blocks.append(np.asarray(points).tobytes())
-            return weiszfeld(points, cfg)
-
-        monkeypatch.setattr(solvers, "weiszfeld_1median", counted)
-        uncached = None
+        expected, produced = None, 0
         for k in range(1, 6):
             res = solvers.kmedian(P, k, cfg=solver)
-            if uncached is None or k + res.cost < uncached[0] + uncached[1]:
-                uncached = (k, res.cost, res.clusters)
-        uncached_calls, blocks = len(blocks), []
+            produced += len(res.clusters)
+            if expected is None or k + res.cost < expected[0] + expected[1]:
+                expected = (k, res.cost, res.clusters)
 
+        calls = []
+        weiszfeld = solvers.weiszfeld_1median
+
+        def counted(points, cfg, *, blocks):
+            calls.append([b.tobytes() for b in blocks])
+            return weiszfeld(points, cfg, blocks=blocks)
+
+        monkeypatch.setattr(solvers, "weiszfeld_1median", counted)
         k_star, cost, clusters = _heuristic_projected_sweep(P, 3, solver)
-        assert (k_star, cost) == uncached[:2]
-        assert [c.tobytes() for c in clusters] == [c.tobytes() for c in uncached[2]]
-        assert len(blocks) == len(set(blocks)) < uncached_calls
+        assert (k_star, cost) == expected[:2]
+        assert [c.tobytes() for c in clusters] == [c.tobytes() for c in expected[2]]
+        assert len(calls) == 1
+        assert len(calls[0]) == len(set(calls[0])) < produced
 
 
 class TestProjectedWidth:

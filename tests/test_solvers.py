@@ -15,9 +15,9 @@ from uflkit.geometry import OPENING_COST, OracleScaleError, PointSet
 from uflkit.partition import MatrixApproxHandle
 from uflkit.ptas import (DistanceOracle, PtasConfig, _exact_projected_sweep, ptas_discrete,
                          ptas_euclidean, trace_to_jsonl)
-from uflkit.solvers import (DEFAULT_SOLVER, SolverConfig, WeiszfeldResult, _affine_reduce,
-                            _best_data_center_costs, _kmedian_exact_dp, _mask_ids,
-                            _med1_costs, _mp_radii, _mp_select, _submask_layers,
+from uflkit.solvers import (_MAX_DIST_CELLS, DEFAULT_SOLVER, SolverConfig, WeiszfeldResult,
+                            _affine_reduce, _kmedian_exact_dp, _mask_ids, _med1_costs,
+                            _mp_radii, _mp_select, _submask_layers,
                             _subset_table, _ufl_partition_dp, approx_ufl,
                             brute_force_ufl_continuous, brute_force_ufl_discrete,
                             kmedian, kmedian_restricted, mp_ufl_value,
@@ -91,6 +91,23 @@ class TestWeiszfeld:
         res = weiszfeld_1median(rng.random((20, 2)), cfg)
         assert res.cost > 0.0   # still a usable iterate
         assert res.converged in (False, True)
+
+    def test_one_large_block_peak_memory(self, rng):
+        # the certificate's distance sums take _MAX_DIST_CELLS distances at a
+        # time: a 5000 x 5000 block would hold 200 MB
+        P = rng.random((5000, 2))
+        weiszfeld_1median(P[:10])
+        tracemalloc.start()
+        try:
+            weiszfeld_1median(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * _MAX_DIST_CELLS * 8
+
+    def test_empty_block_rejected(self):
+        with pytest.raises(ValueError, match="empty block"):
+            weiszfeld_1median(np.zeros((3, 2)), blocks=[np.arange(2), np.arange(0)])
 
 
 class TestKMedian:
@@ -494,7 +511,53 @@ def point_sets(draw, max_dim=4):
     return np.array([rows[i] for i in picks], dtype=np.float64)
 
 
+@st.composite
+def blocked_point_sets(draw):
+    """(P, blocks, order): P from point_sets, at times made collinear or
+    given near-duplicates 1e-12 apart; 1..6 blocks of P, repeats allowed;
+    and a permutation of the blocks."""
+    P = draw(point_sets())
+    if draw(st.booleans()):
+        P[:, 1:] = 0.0
+    if draw(st.booleans()):
+        near = P[:draw(st.integers(1, len(P)))].copy()
+        near[:, 0] += 1e-12
+        P = np.vstack([P, near])
+    block = st.lists(st.integers(0, len(P) - 1), min_size=1, max_size=len(P), unique=True)
+    blocks = draw(st.lists(block, min_size=1, max_size=6))
+    order = draw(st.permutations(range(len(blocks))))
+    return P, [np.array(b) for b in blocks], order
+
+
+def _result_bytes(res):
+    return res.center.tobytes() + _f8(res.cost, res.converged, res.lower)
+
+
 class TestWeiszfeldCertificate:
+    @given(case=blocked_point_sets())
+    @settings(max_examples=200, deadline=None)
+    @example(case=(np.array([[0, 0], [1, 0], [1, 0], [2, 0], [0, 1], [5, 5], [5, 5 + 1e-12],
+                             [3, 3]], dtype=float),
+                   # a singleton, a pair, copies, a collinear block with a
+                   # data-point median, near-duplicates, and all points
+                   [np.array(b) for b in ([0], [0, 4], [1, 2], [0, 1, 3], [5, 6], [5, 6, 7],
+                                          range(8))],
+                   [6, 5, 4, 3, 2, 1, 0]))
+    def test_blocks_match_solo_calls(self, case):
+        # rows reduce row by row, so a block's bytes do not depend on the
+        # other blocks of its call or their order
+        P, blocks, order = case
+        batch = weiszfeld_1median(P, blocks=blocks)
+        shuffled = weiszfeld_1median(P, blocks=[blocks[i] for i in order])
+        assert len(batch) == len(blocks)
+        for i, b in enumerate(blocks):
+            res = batch[i]
+            solo = _result_bytes(weiszfeld_1median(P, blocks=[b])[0])
+            assert _result_bytes(res) == solo == _result_bytes(shuffled[order.index(i)])
+            sub = weiszfeld_1median(P[b]).cost
+            assert abs(res.cost - sub) <= DEFAULT_SOLVER.weiszfeld_tol * max(res.cost, sub) + 1e-12
+            assert res.lower <= res.cost
+
     @given(P=point_sets())
     @settings(max_examples=300, deadline=None)
     def test_at_most_the_reference_or_certified_data_point(self, P):
@@ -663,16 +726,6 @@ def reference_subset_table(sub):
     return dmin.sum(axis=1), np.asarray(size)
 
 
-def reference_best_data_center_costs(D, bits):
-    """_best_data_center_costs one mask at a time."""
-    nm, s = bits.shape
-    sums = np.zeros((nm, s))
-    for mask in range(1, nm):
-        low = mask & (-mask)
-        sums[mask] = sums[mask ^ low] + D[low.bit_length() - 1]
-    return np.where(bits, sums, np.inf).min(axis=1)
-
-
 def reference_mp_radii(rows):
     """_mp_radii with the shifted copy of the sorted rows."""
     s = rows.shape[1]
@@ -738,14 +791,6 @@ class TestExactKernelsEqualTheLoops:
         ref_cost, ref_size = reference_subset_table(sub)
         assert cost.tobytes() == ref_cost.tobytes()
         assert size.dtype == ref_size.dtype and np.array_equal(size, ref_size)
-
-    @given(P=exact_inputs())
-    @settings(max_examples=60, deadline=None)
-    def test_best_data_center_costs(self, P):
-        D = PointSet(P).distance_matrix()
-        bits = ((np.arange(1 << len(P))[:, None] >> np.arange(len(P))) & 1).astype(bool)
-        assert (_best_data_center_costs(D, bits).tobytes()
-                == reference_best_data_center_costs(D, bits).tobytes())
 
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 30), cols=st.integers(1, 30),
            ties=st.booleans())
@@ -918,11 +963,11 @@ GOLDEN_SOLVER_SOURCES = {
 # facility, its position, a cost's last bit or a trace changes the digest.
 GOLDEN_SOLVER_DIGESTS = {
     "approx_ufl": "bf36ee77b064c76e4c13926cededa2b35072702b9bf1d516ca2d6df80af7b91a",
-    "exact_oracles": "9270c8d13fa0d50eccb602ca5c6b3817b588e9962d3a9f546ec510dffce0dbf4",
+    "exact_oracles": "39c9911f23db05d5c1670fcb7640face1aeaaf88ed772a2440bfa83c979c067b",
     "kmedian_restricted": "f1b8088869bf452fee5b838d1d57e16d840a1b325e389436a3fedda4209e011e",
     "ptas": "d9470bc1cdadea9496111be2a989d802bbb5a85192e899d5d8dedc5a784ff2db",
     "restricted_ufl_value": "3843dbd3d090b687da672b90d0c48a14d3f9dd606a218661d2ab50a34bcf0640",
-    "weiszfeld_1median": "215e85bce3e572717a87a96b0934007d915966a8cdd32611185d02cb79b348fb",
+    "weiszfeld_1median": "9959a1d8152bb60fde8055dfe52815f87e0c36d2e0a10ecb918683526128792b",
 }
 
 
