@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -44,11 +44,6 @@ class ExperimentSpec(PtasConfig):
         super().__post_init__()
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-
-    def ptas_config(self, seed: int) -> PtasConfig:
-        """The pipeline parameters alone, run under the given seed."""
-        values = {f.name: getattr(self, f.name) for f in fields(PtasConfig)}
-        return PtasConfig(**(values | {"seed": seed}))
 
 
 def rows_to_csv(rows: list[dict], columns: list[str]) -> str:
@@ -102,7 +97,7 @@ def run_ptas_experiment(spec: ExperimentSpec):
     for trial, s in enumerate(spawn_seeds(spec.seed, spec.trials)):
         ds_seed, run_seed = spawn_seeds(s, 2)
         X = generate_dataset(spec.kind, spec.n, spec.d, spec.intrinsic_dim, ds_seed)
-        sol, _ = ptas_euclidean(X, spec.ptas_config(seed=run_seed))
+        sol, _ = ptas_euclidean(X, replace(spec, seed=run_seed))
         opt = brute_force_ufl_continuous(X.coords)
         rows.append({"trial": trial, "dataset_seed": ds_seed, "n": X.n,
                      "cost": sol.total, "oracle": opt, "ratio": sol.total / opt})
@@ -303,7 +298,8 @@ def local_bounds_check(instances: int, seed: int, eps: float = 0.3,
     for X, s in _instance_stream(instances, seed, max_n=12, max_d=8):
         cfg = PtasConfig(eps=eps, ddim=ddim, kappa_cap=kappa_cap, seed=s)
         part = build_stages(X, cfg).partition
-        rep = local_value_bounds_check(part, brute_force_ufl_continuous, ddim)
+        rep = local_value_bounds_check(
+            part, lambda ids: brute_force_ufl_continuous(X.coords[ids]), ddim)
         failures += sum(e.checked and not (e.lower_ok and e.upper_ok) for e in rep.entries)
         checked_parts += len(rep.entries) - rep.unchecked
         unchecked_parts += rep.unchecked

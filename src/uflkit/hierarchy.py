@@ -20,16 +20,15 @@ from .util import rng_from_seed
 class MetricData:
     """Dense pairwise distances for points addressed by ids 0..n-1."""
 
-    def __init__(self, matrix: np.ndarray, coords: np.ndarray | None = None):
+    def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("distance matrix must be square")
         self.matrix = matrix
-        self.coords = coords
 
     @classmethod
     def from_points(cls, X: PointSet) -> "MetricData":
-        return cls(X.distance_matrix(), X.coords)
+        return cls(X.distance_matrix())
 
     @classmethod
     def coerce(cls, source) -> "MetricData":

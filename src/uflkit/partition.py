@@ -180,18 +180,18 @@ class BoundsReport(NamedTuple):
         return sum(not e.checked for e in self.entries)
 
 
-def local_value_bounds_check(P: LowValuePartition, oracle, ddim: float,
-                             kappa: float | None = None) -> BoundsReport:
-    """Check kappa <= opt(part) <= 2^(10 ddim) * alpha * kappa with an exact
-    (or near-exact) oracle; the lower bound is skipped for the last part and
-    parts beyond the oracle's reach are reported unchecked."""
-    kappa = P.kappa if kappa is None else float(kappa)
+def local_value_bounds_check(P: LowValuePartition, oracle, ddim: float) -> BoundsReport:
+    """Check kappa <= opt(part) <= 2^(10 ddim) * alpha * kappa, kappa the
+    partition's, with an exact (or near-exact) oracle that maps a part's
+    member ids to its value, so any metric can be checked; the lower bound
+    is skipped for the last part, and parts the oracle rejects with
+    OracleScaleError are reported unchecked."""
+    kappa = P.kappa
     tau = (2.0 ** (10.0 * ddim)) * P.alpha * kappa
-    coords = P.hierarchy.metric.coords
     entries = []
     for p in P.parts:
         try:
-            value = float(oracle(coords[p.members]))
+            value = float(oracle(p.members))
         except OracleScaleError:
             entries.append(BoundsEntry(p.index, len(p.members), None, False, None, None))
             continue
@@ -237,18 +237,16 @@ def check_partition_invariants(P: LowValuePartition) -> tuple[bool, bool, bool, 
     return partition_ok, holes_total_ok, holes_disjoint_ok, approx_lower_ok
 
 
-def partition_properties_check(P: LowValuePartition, f0, pairs,
-                               eps: float | None = None,
-                               ddim: float | None = None) -> PartitionCheckReport:
+def partition_properties_check(P: LowValuePartition, f0, pairs) -> PartitionCheckReport:
     """Verify the separation bounds on the supplied good pairs that fall in
-    distinct parts, and the consistency radius for every part.
+    distinct parts, and the consistency radius for every part, at the eps
+    and ddim of the badly-cut elimination.
 
     Pairs in one part (or pairs that are not good) are skipped.
     """
     T = P.refined
     H = T.base
-    eps = T.eps if eps is None else eps
-    ddim = T.ddim if ddim is None else ddim
+    eps, ddim = T.eps, T.ddim
     D = H.metric.matrix
     part_of = P.part_of_point()
 

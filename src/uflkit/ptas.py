@@ -21,9 +21,8 @@ from .hierarchy import HierarchicalDecomposition, MetricData, build_hierarchy
 from .partition import LowValuePartition, MatrixApproxHandle, bottom_up_partition
 from .projection import sample_map, target_dim
 from .refine import eliminate_badly_cut
-from .solvers import (_MAX_DISCRETE, DEFAULT_SOLVER, SolverConfig, _affine_reduce,
-                      _local_search_blocks, _mask_ids, _med1_costs, _subset_enumerable,
-                      _subset_table, _ufl_partition_dp, mp_ufl_value,
+from .solvers import (_MAX_DISCRETE, DEFAULT_SOLVER, _affine_reduce, _local_search_blocks,
+                      _med1_costs, _subset_enumerable, _ufl_partition_dp, mp_ufl_value,
                       restricted_ufl_value, weiszfeld_1median)
 from .util import spawn_seeds
 
@@ -166,17 +165,16 @@ def _fallback_clusters(D: np.ndarray, members: np.ndarray,
     return [b for b in blocks if len(b)]
 
 
-def _exact_projected_sweep(proj_members: np.ndarray, solver: SolverConfig):
+def _exact_projected_sweep(proj_members: np.ndarray):
     """min_k (k + v_k) over all k at once: the per-k sweep of the exact
     k-median enumeration collapses into one partition DP."""
-    med1 = _med1_costs(_affine_reduce(proj_members), solver)
+    med1 = _med1_costs(_affine_reduce(proj_members))
     total, blocks = _ufl_partition_dp(med1, len(proj_members))
     k_star = len(blocks)
     return k_star, float(total - k_star), blocks
 
 
-def _heuristic_projected_sweep(proj_members: np.ndarray, k_hint: int,
-                               solver: SolverConfig):
+def _heuristic_projected_sweep(proj_members: np.ndarray, k_hint: int):
     """Local-search k-median over a small k window around the constant-factor
     facility count; uncertified, used only beyond the enumeration scale.
     Every k's blocks come from one distance matrix, and the window's
@@ -185,9 +183,10 @@ def _heuristic_projected_sweep(proj_members: np.ndarray, k_hint: int,
     that of kmedian at each k of the window."""
     D = squareform(pdist(proj_members))
     lo, hi = max(1, k_hint - 2), min(len(proj_members), k_hint + 2)
-    window = [(k, _local_search_blocks(proj_members, k, solver, D)) for k in range(lo, hi + 1)]
+    window = [(k, _local_search_blocks(proj_members, k, DEFAULT_SOLVER, D))
+              for k in range(lo, hi + 1)]
     distinct = {b.tobytes(): b for _, blocks in window for b in blocks}
-    meds = dict(zip(distinct, solvers.weiszfeld_1median(proj_members, solver,
+    meds = dict(zip(distinct, solvers.weiszfeld_1median(proj_members, DEFAULT_SOLVER,
                                                         blocks=list(distinct.values()))))
     best = None
     for k, blocks in window:
@@ -197,9 +196,7 @@ def _heuristic_projected_sweep(proj_members: np.ndarray, k_hint: int,
     return best
 
 
-def ptas_euclidean(X: PointSet, cfg: PtasConfig,
-                   solver: SolverConfig = DEFAULT_SOLVER
-                   ) -> tuple[UflSolution, list[PartTrace]]:
+def ptas_euclidean(X: PointSet, cfg: PtasConfig) -> tuple[UflSolution, list[PartTrace]]:
     """Full pipeline: hierarchical decomposition, badly-cut elimination,
     bottom-up partition, random projection, per-part k-median on projected
     points (with contraction/expansion fallbacks), and 1-median recentering
@@ -236,11 +233,10 @@ def ptas_euclidean(X: PointSet, cfg: PtasConfig,
         event_h = True
         adopted = None                  # positions within members
         if event_g:
-            if len(members) <= solver.enum_threshold:
-                k_star, v, blocks = _exact_projected_sweep(proj[members], solver)
+            if len(members) <= DEFAULT_SOLVER.enum_threshold:
+                k_star, v, blocks = _exact_projected_sweep(proj[members])
             else:
-                k_star, v, blocks = _heuristic_projected_sweep(
-                    proj[members], len(fids), solver)
+                k_star, v, blocks = _heuristic_projected_sweep(proj[members], len(fids))
             if k_star + v > cfg.c4 * cfg.tau:
                 event_h = False
             else:
@@ -249,25 +245,22 @@ def ptas_euclidean(X: PointSet, cfg: PtasConfig,
         if adopted is None:
             label, adopted = "fallback", _fallback_clusters(md.matrix, members, fids)
 
-        meds = weiszfeld_1median(X.coords[members], solver, blocks=adopted)
+        meds = weiszfeld_1median(X.coords[members], blocks=adopted)
         centers.extend(med.center for med in meds)
         designated = float(sum(med.cost for med in meds))
         traces.append(PartTrace(p.index, p.level, event_g, event_h, k_star, v,
                                 label, p.approx_value, designated))
 
-    F = _dedupe_rows(np.asarray(centers))
-    return ufl_cost(X, F), traces
+    return ufl_cost(X, _dedupe(np.asarray(centers))), traces
 
 
-def _dedupe_rows(F: np.ndarray) -> np.ndarray:
-    seen = set()
-    keep = []
-    for i, row in enumerate(F):
-        key = row.tobytes()
-        if key not in seen:
-            seen.add(key)
-            keep.append(i)
-    return F[keep]
+def _dedupe(A: np.ndarray) -> np.ndarray:
+    """A without its repeated rows (entries, if A is 1-d), first
+    occurrences kept in order."""
+    first: dict[bytes, int] = {}
+    for i, row in enumerate(A):
+        first.setdefault(row.tobytes(), i)
+    return A[list(first.values())]
 
 
 # ---------------------------------------------------------------------------
@@ -301,39 +294,23 @@ class RestrictedApproxHandle:
         return cost, fids
 
 
-def _restricted_sweep(D: np.ndarray, members: np.ndarray, cand: np.ndarray,
-                      solver: SolverConfig):
+def _restricted_sweep(D: np.ndarray, members: np.ndarray, cand: np.ndarray):
     """Best k + v_k over k = 1..min(|members|, |cand|) with facilities from
-    cand, the smallest k among equal values; exact by subset enumeration
-    when feasible. The local-search sweep stops once k alone reaches the
-    best k + v_k found: v_k >= 0, so no larger k can do strictly better."""
-    kmax = min(len(members), len(cand))
-    if _subset_enumerable(len(cand), len(members)):
-        cost, size = _subset_table(D[np.ix_(members, cand)])
-        best = None
-        for k in range(1, kmax + 1):
-            masks = np.flatnonzero(size == k)
-            if len(masks) == 0:
-                break
-            vals = cost[masks]
-            j = int(np.argmin(vals))
-            if best is None or k + vals[j] < best[0] + best[1]:
-                best = (k, float(vals[j]), cand[_mask_ids(masks[j], len(cand))])
-        return best
-    from .solvers import kmedian_restricted
-
+    cand, the smallest k among equal values, each v_k from
+    kmedian_restricted (exact when its subset table is enumerable). The
+    sweep stops once k alone reaches the best k + v_k found: v_k >= 0, so
+    no larger k can do strictly better."""
     best = None
-    for k in range(1, kmax + 1):
+    for k in range(1, min(len(members), len(cand)) + 1):
         if best is not None and k >= best[0] + best[1]:
             break
-        ids, v, _ = kmedian_restricted(D, members, cand, k, solver)
+        ids, v, _ = solvers.kmedian_restricted(D, members, cand, k)
         if best is None or k + v < best[0] + best[1]:
             best = (k, v, ids)
     return best
 
 
-def ptas_discrete(oracle: DistanceOracle, cfg: PtasConfig,
-                  solver: SolverConfig = DEFAULT_SOLVER
+def ptas_discrete(oracle: DistanceOracle, cfg: PtasConfig
                   ) -> tuple[DiscreteSolution, list[PartTrace]]:
     """Discrete-metric pipeline: same decomposition stages over the oracle
     metric, then per part a k-median sweep restricted to the candidate
@@ -354,15 +331,13 @@ def ptas_discrete(oracle: DistanceOracle, cfg: PtasConfig,
     facility_ids: list[int] = []
     traces: list[PartTrace] = []
     for p in partition.parts:
-        k_star, v, fids = _restricted_sweep(D, p.members, candidates[p.provenance], solver)
+        k_star, v, fids = _restricted_sweep(D, p.members, candidates[p.provenance])
         facility_ids.extend(int(f) for f in fids)
         designated = float(D[np.ix_(p.members, fids)].min(axis=1).sum())
         traces.append(PartTrace(p.index, p.level, None, None, k_star, v,
                                 "median", p.approx_value, designated))
 
-    seen = set()
-    unique = [f for f in facility_ids if not (f in seen or seen.add(f))]
-    fid_arr = np.asarray(unique, dtype=int)
+    fid_arr = _dedupe(np.asarray(facility_ids, dtype=int))
     cols = D[:, fid_arr]
     assignment = np.argmin(cols, axis=1)
     connection = float(cols[np.arange(oracle.n), assignment].sum())

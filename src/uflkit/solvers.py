@@ -40,9 +40,10 @@ def _mask_ids(mask: int, s: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the solver stack. A 1-median stops once its distance sum
-    is within weiszfeld_tol (relative) of Kuhn's lower bound, which proves
-    it within that of the optimum, or after weiszfeld_max_iter steps."""
+    """Knobs for the solver stack; both pipelines run the defaults. A
+    1-median stops once its distance sum is within weiszfeld_tol (relative)
+    of Kuhn's lower bound, which proves it within that of the optimum, or
+    after weiszfeld_max_iter steps."""
 
     weiszfeld_tol: float = 1e-10
     weiszfeld_max_iter: int = 10000
@@ -560,13 +561,11 @@ def brute_force_ufl_discrete(points_or_matrix, is_matrix: bool = False) -> float
 
     Accepts a point list, or a precomputed distance matrix with is_matrix.
     """
-    arr = np.asarray(points_or_matrix if not isinstance(points_or_matrix, PointSet)
-                     else points_or_matrix.coords, dtype=np.float64)
+    arr = _as_points(points_or_matrix)
     if is_matrix:
         D = arr
     else:
-        P = np.atleast_2d(arr)
-        D = squareform(pdist(P)) if len(P) > 1 else np.zeros((1, 1))
+        D = squareform(pdist(arr)) if len(arr) > 1 else np.zeros((1, 1))
     cost, size = _subset_table(D)
     return float((OPENING_COST * size[1:] + cost[1:]).min())
 
@@ -729,13 +728,11 @@ def approx_ufl(X: PointSet, cfg: SolverConfig = DEFAULT_SOLVER) -> UflSolution:
 
 
 def mp_ufl_value(D: np.ndarray, members: np.ndarray) -> tuple[float, np.ndarray]:
-    """Ball-growing UFL cost of a subset of a distance matrix.
+    """Ball-growing UFL cost of a subset of a symmetric distance matrix,
+    with the members as both clients and candidates.
     Returns (cost, facility ids within members)."""
-    members = np.asarray(members, dtype=int)
-    sub = D[np.ix_(members, members)]
-    sel = _mp_select(D, members, _mp_radii(sub))
-    conn = sub[:, sel].min(axis=1).sum()
-    return float(OPENING_COST * len(sel) + conn), members[sel]
+    cost, _, ids = restricted_ufl_value(D, members, members, exact_cap=0)
+    return cost, ids
 
 
 def restricted_ufl_value(D: np.ndarray, clients: np.ndarray, candidates: np.ndarray,

@@ -41,14 +41,15 @@ def test_traced_solves_see_the_pipeline_layers(harness):
     layers, spans, workloads = harness
     rec = spans.SpanRecorder()
     with spans.patched(layers.replacements(rec)):
-        for name in ("euclid_split", "discrete_split"):
+        for name in ("euclid_split", "discrete_split", "exact_n12"):
             w = workloads.WORKLOADS[name]
             _, warmup = w.instances(2001)
             rec.call(layers.ROOT, w.solve, warmup)
     seen = set(rec.totals(root=layers.ROOT))
     assert {"hierarchy.build", "refine.eliminate", "partition.scan", "solvers.mp",
             "projection.map", "solvers.weiszfeld", "solvers.restricted_value",
-            "ptas.candidate_set"} <= seen
+            "ptas.candidate_set", "solvers.sweep_exact", "solvers.sweep_heuristic",
+            "solvers.kmedian_restricted"} <= seen
     assert rec.counts["partition.evals"] > 0
 
 
@@ -73,9 +74,9 @@ def test_exact_part_passes_the_euclidean_checks(harness, monkeypatch):
     sizes = []
     sweep = ptas._exact_projected_sweep
 
-    def counted(proj_members, solver):
+    def counted(proj_members):
         sizes.append(len(proj_members))
-        return sweep(proj_members, solver)
+        return sweep(proj_members)
 
     monkeypatch.setattr(ptas, "_exact_projected_sweep", counted)
     inst = workloads._blobs(4, 25, discrete=False)(11, 11)

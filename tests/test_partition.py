@@ -11,10 +11,11 @@ from uflkit.partition import (MatrixApproxHandle, Part, bottom_up_partition,
                               check_partition_invariants,
                               local_value_bounds_check,
                               partition_properties_check, partition_to_csv)
-from uflkit.ptas import PtasConfig, RestrictedApproxHandle, build_stages, candidate_set
+from uflkit.ptas import (DistanceOracle, PtasConfig, RestrictedApproxHandle, build_stages,
+                         candidate_set)
 from uflkit.refine import eliminate_badly_cut
 from uflkit.solvers import (approx_ufl, brute_force_ufl_continuous,
-                            mp_ufl_value)
+                            brute_force_ufl_discrete, mp_ufl_value)
 from uflkit.util import spawn_seeds
 
 from conftest import random_points
@@ -145,35 +146,50 @@ class TestHoles:
             assert total == len(part.parts) - 1
 
 
+def continuous_oracle(X):
+    """The exhaustive continuous oracle on a part's member ids."""
+    return lambda ids: brute_force_ufl_continuous(X.coords[ids])
+
+
 class TestLocalBounds:
     def test_last_part_excluded_from_lower_bound(self, rng):
         X = random_points(rng, 10, 2)
         part, _, _ = make_partition(X, kappa=1e9)
-        rep = local_value_bounds_check(part, brute_force_ufl_continuous, ddim=2.0)
+        rep = local_value_bounds_check(part, continuous_oracle(X), ddim=2.0)
         assert rep.ok                       # value way below kappa, but it is the last part
 
     def test_bounds_hold_on_small_instances(self):
         for seed in spawn_seeds(13, 10):
             X = generate_dataset("subspace", 11, 4, 2, seed)
             part, _, _ = make_partition(X, seed=seed, kappa=1.5)
-            rep = local_value_bounds_check(part, brute_force_ufl_continuous, ddim=2.0)
+            rep = local_value_bounds_check(part, continuous_oracle(X), ddim=2.0)
             assert rep.ok, rep
 
     def test_adversarial_low_value_part_flagged(self, rng):
         X = random_points(rng, 10, 2)
         part, _, _ = make_partition(X, kappa=1e9)
         part.parts[0] = Part(**{**part.parts[0].__dict__, "is_last": False})
-        rep = local_value_bounds_check(part, brute_force_ufl_continuous,
-                                       ddim=2.0, kappa=1e9)
+        rep = local_value_bounds_check(part, continuous_oracle(X), ddim=2.0)
         assert not rep.ok
 
     def test_oversized_parts_marked_unchecked(self, rng):
         X = random_points(rng, 40, 2)
         part, _, _ = make_partition(X, kappa=1e9)
-        rep = local_value_bounds_check(part, brute_force_ufl_continuous, ddim=2.0)
+        rep = local_value_bounds_check(part, continuous_oracle(X), ddim=2.0)
         assert rep.unchecked == 1 and rep.ok
         (e,) = rep.entries
         assert (e.checked, e.value, e.lower_ok, e.upper_ok) == (False, None, None, None)
+
+    def test_abstract_metric_partition_checked(self, rng):
+        # a DistanceOracle has no coordinates; reading them crashed the check
+        D = random_points(rng, 10, 2).distance_matrix()
+        cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=2.0, seed=1)
+        part = build_stages(DistanceOracle(D), cfg).partition
+        rep = local_value_bounds_check(
+            part, lambda ids: brute_force_ufl_discrete(D[np.ix_(ids, ids)], is_matrix=True),
+            ddim=2.0)
+        assert rep.unchecked == 0 and len(rep.entries) == len(part.parts)
+        assert rep.ok, rep
 
 
 class TestProperties:

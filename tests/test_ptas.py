@@ -147,10 +147,9 @@ class TestEuclidean:
         # window k = 1..5: one weiszfeld_1median call recenters the window's
         # distinct blocks, and the result is the per-k kmedian loop's
         P = np.vstack([rng.random((10, 2)) + off for off in (0.0, 4.0, 9.0)])
-        solver = solvers.DEFAULT_SOLVER
         expected, produced = None, 0
         for k in range(1, 6):
-            res = solvers.kmedian(P, k, cfg=solver)
+            res = solvers.kmedian(P, k)
             produced += len(res.clusters)
             if expected is None or k + res.cost < expected[0] + expected[1]:
                 expected = (k, res.cost, res.clusters)
@@ -163,7 +162,7 @@ class TestEuclidean:
             return weiszfeld(points, cfg, blocks=blocks)
 
         monkeypatch.setattr(solvers, "weiszfeld_1median", counted)
-        k_star, cost, clusters = _heuristic_projected_sweep(P, 3, solver)
+        k_star, cost, clusters = _heuristic_projected_sweep(P, 3)
         assert (k_star, cost) == expected[:2]
         assert [c.tobytes() for c in clusters] == [c.tobytes() for c in expected[2]]
         assert len(calls) == 1
@@ -268,17 +267,8 @@ class TestDiscrete:
 
     def test_heuristic_sweep_stops_early_with_the_full_sweeps_answer(self, rng,
                                                                        monkeypatch):
-        # 20 candidates exceed the enumeration cap: the local-search sweep runs
-        D = random_points(rng, 40, 2).distance_matrix()
-        members, cand, kmax = np.arange(40), np.arange(20), 20
-        full, stop = None, None
-        for k in range(1, kmax + 1):
-            if stop is None and full is not None and k >= full[0] + full[1]:
-                stop = k - 1                    # calls made before k alone reaches the best
-            ids, v, _ = solvers.kmedian_restricted(D, members, cand, k)
-            if full is None or k + v < full[0] + full[1]:
-                full = (k, v, ids)
-
+        # 20 candidates exceed the enumeration cap, so local search runs; 15
+        # are enumerated, through the same kmedian_restricted calls
         calls = []
         kmedian_restricted = solvers.kmedian_restricted
 
@@ -287,9 +277,22 @@ class TestDiscrete:
             return kmedian_restricted(*args)
 
         monkeypatch.setattr(solvers, "kmedian_restricted", counted)
-        k_star, v, ids = _restricted_sweep(D, members, cand, solvers.DEFAULT_SOLVER)
-        assert (k_star, v) == full[:2] and ids.tobytes() == full[2].tobytes()
-        assert stop is not None and calls == list(range(1, stop + 1))
+        for n, m, scale in [(40, 20, 1.0), (30, 15, 2.0)]:
+            D = random_points(rng, n, 2, scale).distance_matrix()
+            members, cand = np.arange(n), np.arange(m)
+            full, stop = None, None
+            for k in range(1, m + 1):
+                if stop is None and full is not None and k >= full[0] + full[1]:
+                    stop = k - 1                # calls made before k alone reaches the best
+                ids, v, certified = kmedian_restricted(D, members, cand, k)
+                assert certified == (m <= 15)
+                if full is None or k + v < full[0] + full[1]:
+                    full = (k, v, ids)
+
+            calls.clear()
+            k_star, v, ids = _restricted_sweep(D, members, cand)
+            assert (k_star, v) == full[:2] and ids.tobytes() == full[2].tobytes()
+            assert stop is not None and calls == list(range(1, stop + 1))
 
     def test_candidate_containment_along_tree(self, rng):
         # the candidate set of a child cluster is contained in its parent's

@@ -151,12 +151,14 @@ class TestKMedian:
 
 
 @pytest.mark.parametrize("solve", [weiszfeld_1median, lambda P: kmedian(P, 1),
-                                   brute_force_ufl_continuous],
-                         ids=["weiszfeld_1median", "kmedian", "brute_force_ufl_continuous"])
+                                   brute_force_ufl_continuous, brute_force_ufl_discrete],
+                         ids=["weiszfeld_1median", "kmedian", "brute_force_ufl_continuous",
+                              "brute_force_ufl_discrete"])
 def test_empty_point_list_rejected(solve):
     # an empty list is no points, not one point in zero dimensions
-    with pytest.raises(ValueError, match="empty point set"):
-        solve([])
+    for empty in ([], np.zeros((0, 3))):
+        with pytest.raises(ValueError, match="empty point set"):
+            solve(empty)
 
 
 class TestContinuousOracle:
@@ -848,7 +850,7 @@ class TestExactKernelsRetainNothing:
         P = generate_dataset("subspace", 12, 64, 2, 7).coords
 
         def sweep(Q):
-            k, v, blocks = _exact_projected_sweep(Q, DEFAULT_SOLVER)
+            k, v, blocks = _exact_projected_sweep(Q)
             return _f8(k) + _blocks_bytes(v, blocks)
 
         for call in (sweep, lambda Q: _f8(brute_force_ufl_continuous(Q))):
@@ -938,8 +940,19 @@ def _golden_exact_oracles(seed):
 
 
 def _golden_ptas(seed):
-    X = blob_instance(4, 25)
-    cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, seed=seed)
+    yield from _ptas_chunks(blob_instance(4, 25),
+                            PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, seed=seed))
+
+
+def _golden_ptas_small(seed):
+    # n = 15: every candidate set is enumerable, so the discrete handle is
+    # exact and every discrete sweep enumerates; the Euclidean parts take
+    # the exact sweep
+    yield from _ptas_chunks(blob_instance(3, 5),
+                            PtasConfig(eps=0.3, ddim=2.0, kappa_cap=2.0, alpha=1.0, seed=seed))
+
+
+def _ptas_chunks(X, cfg):
     sol, traces = ptas_discrete(DistanceOracle.from_points(X), cfg)
     yield (_i8(sol.facility_ids) + _i8(sol.assignment)
            + _f8(sol.opening_cost, sol.connection_cost, sol.total)
@@ -957,6 +970,7 @@ GOLDEN_SOLVER_SOURCES = {
     "weiszfeld_1median": lambda s: _golden_weiszfeld(np.random.default_rng(s)),
     "exact_oracles": _golden_exact_oracles,
     "ptas": _golden_ptas,
+    "ptas_small": _golden_ptas_small,
 }
 
 # sha256 over seeds 0..3 of the outputs above: any change to a chosen
@@ -966,6 +980,7 @@ GOLDEN_SOLVER_DIGESTS = {
     "exact_oracles": "39c9911f23db05d5c1670fcb7640face1aeaaf88ed772a2440bfa83c979c067b",
     "kmedian_restricted": "f1b8088869bf452fee5b838d1d57e16d840a1b325e389436a3fedda4209e011e",
     "ptas": "d9470bc1cdadea9496111be2a989d802bbb5a85192e899d5d8dedc5a784ff2db",
+    "ptas_small": "af9cedfe0ef282c73206db2e8f15c18c7df87584747e95fb3546f5fd8e0a7638",
     "restricted_ufl_value": "3843dbd3d090b687da672b90d0c48a14d3f9dd606a218661d2ab50a34bcf0640",
     "weiszfeld_1median": "9959a1d8152bb60fde8055dfe52815f87e0c36d2e0a10ecb918683526128792b",
 }
