@@ -76,7 +76,7 @@ def bottom_up_partition(T: RefinedDecomposition, kappa: float, approx) -> LowVal
 
     approx has .alpha and .evaluate(members, cluster id), and may have
     .cost_bound(c), a bound on its cost for c members (2c - 1 for ball
-    growing; candidate-set handles have none, their radii may exceed 1): a
+    growing over the members, 3c over candidate sets that contain them): a
     cluster whose bound * (1 + 1e-9) is below the threshold fails unevaluated.
 
     A cluster that fails keeps that verdict until it loses a point: an

@@ -103,12 +103,13 @@ class DistanceOracle(MetricData):
         if np.any(np.abs(np.diag(D)) > tol) or np.any(D < -tol):
             raise ValueError("distance oracle violates nonnegativity")
         rng = np.random.default_rng(seed)
-        idx = rng.integers(0, n, size=(triples, 3))
-        for i, j, k in idx:
-            if abs(D[i, j] - D[j, i]) > tol * max(1.0, D[i, j]):
+        i, j, k = rng.integers(0, n, size=(triples, 3)).T
+        asym = np.abs(D[i, j] - D[j, i]) > tol * np.maximum(1.0, D[i, j])
+        bad = asym | (D[i, k] > D[i, j] + D[j, k] + tol * np.maximum(1.0, D[i, k]))
+        if bad.any():      # the first failing triple decides, symmetry tested first
+            if asym[bad.argmax()]:
                 raise ValueError("distance oracle violates symmetry")
-            if D[i, k] > D[i, j] + D[j, k] + tol * max(1.0, D[i, k]):
-                raise ValueError("distance oracle violates the triangle inequality")
+            raise ValueError("distance oracle violates the triangle inequality")
 
 
 def candidate_set(H: HierarchicalDecomposition, cluster_id: int, eps: float) -> np.ndarray:
@@ -277,21 +278,50 @@ class DiscreteSolution:
 
 
 class RestrictedApproxHandle:
-    """Qualification test against per-cluster candidate facility sets: exact
-    enumeration when every candidate set is small, ball growing otherwise."""
+    """Qualification test against per-cluster candidate facility sets:
+    exact enumeration when n points are few enough for every candidate set
+    to be enumerable (the root's set is every id), ball growing otherwise.
+    A cluster's candidate set is built the first time it is asked for and
+    then kept."""
 
-    def __init__(self, matrix: np.ndarray, candidates: dict[int, np.ndarray]):
-        self.matrix = matrix
-        self.candidates = candidates
-        largest = max(len(c) for c in candidates.values())
-        self.exact = _subset_enumerable(largest, matrix.shape[0])
+    def __init__(self, H: HierarchicalDecomposition, eps: float):
+        self.H = H
+        self.eps = eps
+        self.matrix = H.metric.matrix
+        self._candidates: dict[int, np.ndarray] = {}
+        self.exact = _subset_enumerable(H.n, H.n)
         self.alpha = 1.0 if self.exact else 3.0
+
+    def candidates(self, cluster_id: int) -> np.ndarray:
+        if cluster_id not in self._candidates:
+            self._candidates[cluster_id] = candidate_set(self.H, cluster_id, self.eps)
+        return self._candidates[cluster_id]
 
     def evaluate(self, members: np.ndarray, cluster_id: int) -> tuple[float, np.ndarray]:
         cost, _, fids = restricted_ufl_value(
-            self.matrix, members, self.candidates[cluster_id],
+            self.matrix, members, self.candidates(cluster_id),
             exact_cap=_MAX_DISCRETE if self.exact else 0)
         return cost, fids
+
+    @staticmethod
+    def cost_bound(size: int) -> float:
+        """3c for c members, when every member is a candidate and the
+        matrix is a metric. Ball growing over the candidates costs at most
+        that (enumeration, when taken, at most what ball growing costs):
+
+        (i) each member j has D[j, j] = 0, so its radius is r_j <= 1;
+        (ii) each member is either kept (connection 0) or blocked by an
+            earlier kept y with D(y, j) <= 2 r_j <= 2, so the connection
+            cost is at most 2c;
+        (iii) each kept y has a client strictly inside B(y, r_y), and for
+            kept y before y', D(y, y') > 2 r_y' >= r_y + r_y', so by the
+            triangle inequality the balls share no client and at most c
+            candidates are kept.
+
+        A cluster's refined members are its candidates: a badly-cut move
+        brings x to within eps^2 * rang / ddim of f0(x), a base member,
+        which is less than the candidate radius (100 / eps) * rang."""
+        return 3.0 * size
 
 
 def _restricted_sweep(D: np.ndarray, members: np.ndarray, cand: np.ndarray):
@@ -321,17 +351,13 @@ def ptas_discrete(oracle: DistanceOracle, cfg: PtasConfig
         return DiscreteSolution(np.array([0]), np.array([0]), OPENING_COST, 0.0,
                                 OPENING_COST), []
 
-    def restricted(H: HierarchicalDecomposition) -> RestrictedApproxHandle:
-        return RestrictedApproxHandle(
-            D, {c.cid: candidate_set(H, c.cid, cfg.eps) for c in H.clusters})
-
-    partition, handle = build_stages(oracle, cfg, restricted)
-    candidates = handle.candidates
+    partition, handle = build_stages(oracle, cfg,
+                                     lambda H: RestrictedApproxHandle(H, cfg.eps))
 
     facility_ids: list[int] = []
     traces: list[PartTrace] = []
     for p in partition.parts:
-        k_star, v, fids = _restricted_sweep(D, p.members, candidates[p.provenance])
+        k_star, v, fids = _restricted_sweep(D, p.members, handle.candidates(p.provenance))
         facility_ids.extend(int(f) for f in fids)
         designated = float(D[np.ix_(p.members, fids)].min(axis=1).sum())
         traces.append(PartTrace(p.index, p.level, None, None, k_star, v,

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from uflkit import ptas
 from uflkit.datasets import generate_dataset
 from uflkit.experiments import blob_instance
 from uflkit.geometry import PointSet
@@ -12,7 +13,7 @@ from uflkit.partition import (MatrixApproxHandle, Part, bottom_up_partition,
                               local_value_bounds_check,
                               partition_properties_check, partition_to_csv)
 from uflkit.ptas import (DistanceOracle, PtasConfig, RestrictedApproxHandle, build_stages,
-                         candidate_set)
+                         ptas_discrete)
 from uflkit.refine import eliminate_badly_cut
 from uflkit.solvers import (approx_ufl, brute_force_ufl_continuous,
                             brute_force_ufl_discrete, mp_ufl_value)
@@ -294,8 +295,7 @@ def split_stages(X, seed, kappa_cap=4.0, restricted=False):
     cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=kappa_cap, seed=seed)
 
     def handle(H):
-        return RestrictedApproxHandle(
-            md.matrix, {c.cid: candidate_set(H, c.cid, cfg.eps) for c in H.clusters})
+        return RestrictedApproxHandle(H, cfg.eps)
     return build_stages(md, cfg, handle if restricted else None)
 
 
@@ -340,6 +340,45 @@ class TestScan:
         rescans = rescan_calls(P.refined, P.kappa, MatrixApproxHandle(P.hierarchy.metric.matrix))
         small = [c for c in rescans if c[0] != root
                  and (2 * (len(c[1]) // 8) - 1) * (1 + 1e-9) < threshold]
+        assert calls == [c for c in rescans if c not in small]
+        assert P.bound_skips == len(small) > 0
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_restricted_scan_counts_on_the_discrete_split_instance(self, monkeypatch, seed):
+        calls, cand_calls, partitions = [], [], []
+        evaluate, cands, scan = (RestrictedApproxHandle.evaluate, ptas.candidate_set,
+                                 ptas.bottom_up_partition)
+
+        def counting(self, members, cluster_id):
+            calls.append((cluster_id, members.tobytes()))
+            return evaluate(self, members, cluster_id)
+
+        def counting_cands(H, cluster_id, eps):
+            cand_calls.append(cluster_id)
+            return cands(H, cluster_id, eps)
+
+        def kept(*args):
+            partitions.append(scan(*args))
+            return partitions[-1]
+
+        monkeypatch.setattr(RestrictedApproxHandle, "evaluate", counting)
+        monkeypatch.setattr(ptas, "candidate_set", counting_cands)
+        monkeypatch.setattr(ptas, "bottom_up_partition", kept)
+        cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, seed=seed)
+        ptas_discrete(DistanceOracle.from_points(blob_instance(6, 25)), cfg)
+        monkeypatch.undo()
+        [P] = partitions
+        assert P.evaluations == len(calls) <= 100
+        # one candidate set per cluster the scan evaluates or the sweep solves
+        provenances = {p.provenance for p in P.parts}
+        assert sorted(cand_calls) == sorted({c for c, _ in calls} | provenances)
+        # the 3c bound rules out exactly the rescan evaluations of clusters
+        # of at most 3 members; the root's last-part evaluation is never skipped
+        threshold = P.alpha * P.kappa * (1 - 1e-12)
+        root = P.hierarchy.levels[-1][0]
+        rescans = rescan_calls(P.refined, P.kappa, RestrictedApproxHandle(P.hierarchy, cfg.eps))
+        small = [c for c in rescans if c[0] != root
+                 and 3 * (len(c[1]) // 8) * (1 + 1e-9) < threshold]
         assert calls == [c for c in rescans if c not in small]
         assert P.bound_skips == len(small) > 0
 

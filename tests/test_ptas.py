@@ -10,10 +10,10 @@ from uflkit.experiments import blob_instance
 from uflkit.geometry import PointSet
 from uflkit.hierarchy import build_hierarchy
 from uflkit.projection import target_dim
-from uflkit.ptas import (DistanceOracle, PtasConfig, _heuristic_projected_sweep,
-                         _restricted_sweep, candidate_set, ptas_discrete, ptas_euclidean,
-                         trace_to_jsonl)
-from uflkit.solvers import (approx_ufl, brute_force_ufl_continuous,
+from uflkit.ptas import (DistanceOracle, PtasConfig, RestrictedApproxHandle,
+                         _heuristic_projected_sweep, _restricted_sweep, build_stages,
+                         candidate_set, ptas_discrete, ptas_euclidean, trace_to_jsonl)
+from uflkit.solvers import (_subset_enumerable, approx_ufl, brute_force_ufl_continuous,
                             brute_force_ufl_discrete)
 from uflkit.util import spawn_seeds
 
@@ -201,6 +201,17 @@ class TestTrace:
             assert rec["adopted"] in ("median", "fallback")
 
 
+def reference_spot_check(D, triples=300, seed=0, tol=1e-9):
+    """DistanceOracle.spot_check's triple tests one triple at a time: the
+    kind of the first failing test, or None."""
+    for i, j, k in np.random.default_rng(seed).integers(0, len(D), size=(triples, 3)):
+        if abs(D[i, j] - D[j, i]) > tol * max(1.0, D[i, j]):
+            return "symmetry"
+        if D[i, k] > D[i, j] + D[j, k] + tol * max(1.0, D[i, k]):
+            return "triangle"
+    return None
+
+
 class TestDiscrete:
     def test_single_point(self):
         sol, traces = ptas_discrete(DistanceOracle.from_points(line(5.0)),
@@ -265,6 +276,56 @@ class TestDiscrete:
         with pytest.raises(ValueError, match="symmetry"):
             DistanceOracle(D).spot_check()
 
+    def test_spot_check_reports_the_first_failing_triple(self):
+        # violations planted at triples of spot_check's own sample whose id
+        # pairs no other sampled triple shares, so each one fails only its
+        # own triple; within a triple, symmetry is tested first
+        n = 200
+        x = np.arange(n, dtype=np.float64)
+        D = np.abs(np.subtract.outer(x, x))
+        idx = np.random.default_rng(0).integers(0, n, size=(300, 3))
+        pairs = [{frozenset(p) for p in ((i, j), (j, k), (i, k))} for i, j, k in idx]
+        lone = [t for t in range(300) if len(set(idx[t])) == 3
+                and not any(pairs[t] & pairs[u] for u in range(300) if u != t)]
+        assert len(lone) >= 3
+        a, b, last = lone[0], lone[1], lone[-1]
+
+        def planted(*plants):
+            M = D.copy()
+            for kind, t in plants:
+                i, j, k = idx[t]
+                if kind == "symmetry":
+                    M[i, j] += 0.5
+                else:
+                    M[i, k] = M[k, i] = M[i, j] + M[j, k] + 1.0
+            return DistanceOracle(M)
+
+        DistanceOracle(D).spot_check()
+        cases = [([("symmetry", a), ("triangle", b)], "symmetry"),
+                 ([("triangle", a), ("symmetry", b)], "triangle"),
+                 ([("triangle", a), ("symmetry", a)], "symmetry"),
+                 ([("symmetry", last)], "symmetry"),
+                 ([("triangle", last)], "triangle")]
+        for plants, kind in cases:
+            oracle = planted(*plants)
+            assert reference_spot_check(oracle.matrix) == kind
+            with pytest.raises(ValueError, match=kind):
+                oracle.spot_check()
+
+    def test_spot_check_agrees_with_the_triple_loop(self, rng):
+        for noise in (0.0, 1e-12, 1e-6, 0.3, 3.0):
+            for seed in range(20):
+                D = random_points(rng, 8, 2).distance_matrix()
+                D += np.triu(rng.random(D.shape) * noise, 1)
+                if seed % 2:
+                    D = np.triu(D) + np.triu(D, 1).T       # symmetric, triangles may fail
+                try:
+                    DistanceOracle(D).spot_check(triples=40, seed=seed)
+                    got = None
+                except ValueError as err:
+                    got = "symmetry" if "symmetry" in str(err) else "triangle"
+                assert got == reference_spot_check(D, triples=40, seed=seed)
+
     def test_heuristic_sweep_stops_early_with_the_full_sweeps_answer(self, rng,
                                                                        monkeypatch):
         # 20 candidates exceed the enumeration cap, so local search runs; 15
@@ -306,6 +367,30 @@ class TestDiscrete:
 
 
 class TestCandidateSet:
+    @pytest.mark.parametrize("eps", [0.3, 0.99])
+    def test_refined_members_are_candidates(self, eps):
+        # the premise of RestrictedApproxHandle.cost_bound: a badly-cut move
+        # brings x to within eps^2 * rang / ddim of f0(x), a base member of
+        # its new cluster, well inside the (100 / eps) * rang candidate radius
+        moves = 0
+        for X, seed in [(blob_instance(6, 25), s) for s in range(4)] + [(blob_instance(4, 25), 6)]:
+            cfg = PtasConfig(eps=eps, ddim=2.0, kappa_cap=4.0, seed=seed)
+            T = build_stages(X, cfg).partition.refined
+            H = T.base
+            moves += len(T.moves)
+            for c in H.clusters:
+                members = np.flatnonzero(T.membership[c.level] == c.cid)
+                assert np.isin(members, candidate_set(H, c.cid, eps)).all()
+        assert moves > 0
+
+    @pytest.mark.parametrize("n", [10, 15, 16])
+    def test_exact_is_the_largest_candidate_sets_test(self, rng, n):
+        H = build_hierarchy(random_points(rng, n, 2), 1)
+        largest = max(len(candidate_set(H, c.cid, 0.5)) for c in H.clusters)
+        handle = RestrictedApproxHandle(H, 0.5)
+        assert handle.exact == _subset_enumerable(largest, n) == (n <= 15)
+        assert handle.alpha == (1.0 if n <= 15 else 3.0)
+
     def test_root_covers_everything(self, rng):
         X = random_points(rng, 12, 2)
         H = build_hierarchy(X, 1)

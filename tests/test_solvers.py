@@ -13,8 +13,8 @@ from uflkit.datasets import generate_dataset
 from uflkit.experiments import blob_instance
 from uflkit.geometry import OPENING_COST, OracleScaleError, PointSet
 from uflkit.partition import MatrixApproxHandle
-from uflkit.ptas import (DistanceOracle, PtasConfig, _exact_projected_sweep, ptas_discrete,
-                         ptas_euclidean, trace_to_jsonl)
+from uflkit.ptas import (DistanceOracle, PtasConfig, RestrictedApproxHandle,
+                         _exact_projected_sweep, ptas_discrete, ptas_euclidean, trace_to_jsonl)
 from uflkit.solvers import (_MAX_DIST_CELLS, DEFAULT_SOLVER, SolverConfig, WeiszfeldResult,
                             _affine_reduce, _kmedian_exact_dp, _mask_ids, _med1_costs,
                             _mp_radii, _mp_select, _submask_layers,
@@ -631,6 +631,32 @@ class TestBallGrowingCostBound:
         assert mp_ufl_value(D, ids)[0] <= bound * (1 + 1e-9)
         cost, fids = mp_ufl_value(D, ids[:1])
         assert cost == 1.0 and fids.tolist() == ids[:1].tolist()
+
+    @given(P=point_sets(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_candidate_sets_holding_the_members_cost_at_most_three_c(self, P, data):
+        # members are candidates of radius at most 1, so every client lies
+        # within 2 of a kept candidate; kept candidates' balls hold distinct
+        # clients, so at most c open. Non-members are candidates too, some
+        # of them near members, in an order that interleaves the two.
+        dim = P.shape[1]
+        offsets = st.lists(st.floats(-1.5, 1.5), min_size=dim, max_size=dim)
+        near = [P[data.draw(st.integers(0, len(P) - 1))] + data.draw(offsets)
+                for _ in range(data.draw(st.integers(0, 6)))]
+        far = data.draw(st.lists(st.lists(st.floats(-100.0, 100.0), min_size=dim,
+                                          max_size=dim), max_size=6))
+        pts = np.concatenate([P, np.reshape(near, (-1, dim)), np.reshape(far, (-1, dim))])
+        pts = pts[data.draw(st.permutations(range(len(pts))))]
+        flags = st.lists(st.booleans(), min_size=len(pts), max_size=len(pts))
+        member = np.array(data.draw(flags))
+        member[data.draw(st.integers(0, len(pts) - 1))] = True
+        members = np.flatnonzero(member)
+        cand = np.flatnonzero(member | np.array(data.draw(flags)))
+        D = PointSet(pts).distance_matrix()
+        bound = RestrictedApproxHandle.cost_bound(len(members))
+        assert bound == 3 * len(members)
+        assert restricted_ufl_value(D, members, cand, exact_cap=0)[0] <= bound * (1 + 1e-9)
+        assert restricted_ufl_value(D, members[:1], cand, exact_cap=0)[0] == 1.0
 
     def test_whole_instance_peak_memory(self):
         # the guiding solution's call: the members' block, then chunks of
