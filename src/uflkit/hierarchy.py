@@ -3,13 +3,15 @@ cut / badly-cut / good-pair predicates defined on it.
 
 The construction needs only pairwise distances, so it runs over a
 MetricData (dense matrix) and therefore works for both Euclidean point sets
-and abstract finite metrics.
+and abstract finite metrics. A decomposition is two arrays: the (levels, n)
+membership matrix, from which members are read, and one table row (level,
+parent, center) per cluster id.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,30 +50,25 @@ class MetricData:
 
 
 @dataclass
-class Cluster:
-    cid: int
-    level: int
-    center: int                 # net point that formed the cluster; -1 for the root
-    parent: int                 # parent cluster id; -1 for the root
-    members: np.ndarray         # point ids
-    children: tuple[int, ...] = field(default_factory=tuple)
-
-
-@dataclass
 class HierarchicalDecomposition:
-    """Levels 0..l+1 of nested random partitions at scales 2^i * gamma."""
+    """Levels 0..l+1 of nested random partitions at scales 2^i * gamma.
+
+    membership[i, x] is the id of point x's level-i cluster, and it is the
+    only record of members: cluster C's members are the points whose entry
+    in row level(C) is C, read off in ascending order. clusters holds one
+    row per cluster id, with columns level, parent (-1 for the root) and
+    center (the net point that formed the cluster, -1 for the root). The
+    root is id 0 at level l+1; ids are contiguous within a level, and the
+    level falls as the id grows.
+    """
 
     metric: MetricData
-    seed: int
     rho: float                  # scaling factor, uniform in (1/2, 1)
-    mu: np.ndarray              # mu[point id] = rank in the random permutation
     gamma: float
-    diam: float
     ell: int
     nets: list[np.ndarray]      # N_0 .. N_ell, nested
     membership: np.ndarray      # (ell+2, n): cluster id of each point per level
-    clusters: list[Cluster]     # indexed by cluster id
-    levels: list[list[int]]     # cluster ids per level, creation order
+    clusters: np.recarray       # indexed by cluster id: level, parent, center
 
     @property
     def n(self) -> int:
@@ -85,18 +82,28 @@ class HierarchicalDecomposition:
         """Diameter budget 2^level * gamma of a cluster at the given level."""
         return (2.0 ** level) * self.gamma
 
+    def members(self, cid: int) -> np.ndarray:
+        """Point ids of a cluster, ascending."""
+        return np.flatnonzero(self.membership[self.clusters.level[cid]] == cid)
+
     def ancestors(self, cid: int) -> list[int]:
         """Strict ancestors of a cluster, nearest first."""
-        out = []
-        cur = self.clusters[cid].parent
-        while cur != -1:
-            out.append(cur)
-            cur = self.clusters[cur].parent
-        return out
+        out = [int(self.clusters.parent[cid])]
+        while out[-1] != -1:
+            out.append(int(self.clusters.parent[out[-1]]))
+        return out[:-1]
 
     def _check_level(self, level: int) -> None:
         if not 0 <= level <= self.ell + 1:
             raise ValueError(f"level must lie in [0, {self.ell + 1}]")
+
+
+def group_members(membership: np.ndarray, count: int) -> list[np.ndarray]:
+    """Point ids of each cluster id 0..count-1 in the rows of a membership
+    array, ascending, from one stable grouping; absent ids get empty arrays."""
+    ids = membership.ravel()
+    order = np.argsort(ids, kind="stable")
+    return np.split(order % membership.shape[1], np.searchsorted(ids[order], np.arange(1, count)))
 
 
 def build_hierarchy(source, seed: int) -> HierarchicalDecomposition:
@@ -107,11 +114,13 @@ def build_hierarchy(source, seed: int) -> HierarchicalDecomposition:
     A point's level-i cluster is therefore fixed by its level-(i+1) cluster
     and its first covering net point alone, so each level is one stable
     grouping of all points by (parent id, mu-rank of that net point): cluster
-    ids follow parents in ascending id, then net points in mu order, and
-    members ascend.
+    ids follow parents in ascending id, then net points in mu order.
+
+    Levels 1-3 have net radius 2^(i-3) * gamma <= gamma, the minimum
+    distance, so no point blocks another and they reuse N_0.
     """
     md = MetricData.coerce(source)
-    gamma, diam, _, ell = md.stats()
+    gamma, _, _, ell = md.stats()
     n = md.n
     D = md.matrix
 
@@ -123,17 +132,10 @@ def build_hierarchy(source, seed: int) -> HierarchicalDecomposition:
 
     nets = [np.arange(n)]
     for i in range(1, ell + 1):
-        nets.append(greedy_net(D, nets[-1], (2.0 ** (i - 3)) * gamma))
+        nets.append(nets[0] if i <= 3 else greedy_net(D, nets[-1], (2.0 ** (i - 3)) * gamma))
 
-    membership = np.full((ell + 2, n), -1, dtype=np.int64)
-    clusters: list[Cluster] = []
-    levels: list[list[int]] = [[] for _ in range(ell + 2)]
-
-    root = Cluster(cid=0, level=ell + 1, center=-1, parent=-1, members=np.arange(n))
-    clusters.append(root)
-    levels[ell + 1] = [0]
-    membership[ell + 1] = 0
-
+    membership = np.zeros((ell + 2, n), dtype=np.int64)    # the root, id 0, holds every point
+    table = [([ell + 1], [-1], [-1])]                      # level, parent, center columns
     for i in range(ell, -1, -1):
         r_i = rho * (2.0 ** (i - 1)) * gamma
         net = nets[i][np.argsort(mu[nets[i]])]                # mu order
@@ -143,19 +145,15 @@ def build_hierarchy(source, seed: int) -> HierarchicalDecomposition:
         rank = np.argmax(within, axis=1)                       # first covering net point
         parent = membership[i + 1]
         order = np.lexsort((rank, parent))                     # stable: ids ascend per run
-        cuts = np.flatnonzero(np.diff(parent[order]) | np.diff(rank[order])) + 1
-        first = len(clusters)
-        for sub in np.split(order, cuts):
-            cid, p = len(clusters), int(parent[sub[0]])
-            clusters.append(Cluster(cid=cid, level=i, center=int(net[rank[sub[0]]]),
-                                    parent=p, members=sub))
-            clusters[p].children += (cid,)
-            membership[i, sub] = cid
-        levels[i] = list(range(first, len(clusters)))
+        start = np.r_[True, (np.diff(parent[order]) | np.diff(rank[order])) != 0]
+        membership[i, order] = parent.max() + np.cumsum(start)  # ids follow the level above's
+        heads = order[start]                                   # first member of each cluster
+        table.append((np.full(len(heads), i), parent[heads], net[rank[heads]]))
 
-    return HierarchicalDecomposition(
-        metric=md, seed=int(seed), rho=rho, mu=mu, gamma=gamma, diam=diam,
-        ell=ell, nets=nets, membership=membership, clusters=clusters, levels=levels)
+    clusters = np.rec.fromarrays([np.concatenate(col) for col in zip(*table)],
+                                 names="level,parent,center")
+    return HierarchicalDecomposition(metric=md, rho=rho, gamma=gamma, ell=ell, nets=nets,
+                                     membership=membership, clusters=clusters)
 
 
 # ---------------------------------------------------------------------------
@@ -225,31 +223,28 @@ def f0_point_ids(f0, n: int) -> np.ndarray:
 
 def check_nesting(H: HierarchicalDecomposition) -> list[tuple[int, int]]:
     """(level, point) pairs whose level-i cluster is not a child of their
-    level-(i+1) cluster; empty for any correctly built decomposition."""
-    bad = []
-    for i in range(H.ell + 1):
-        for x in range(H.n):
-            cid = int(H.membership[i, x])
-            if H.clusters[cid].parent != int(H.membership[i + 1, x]):
-                bad.append((i, x))
-    return bad
+    level-(i+1) cluster, level-major; empty for any correctly built
+    decomposition."""
+    bad = H.clusters.parent[H.membership[:-1]] != H.membership[1:]
+    return [(int(i), int(x)) for i, x in zip(*np.nonzero(bad))]
 
 
 def check_diameters(H: HierarchicalDecomposition) -> list[int]:
     """Cluster ids whose diameter exceeds rang(C) = 2^level * gamma."""
     bad = []
-    for c in H.clusters:
-        if len(c.members) > 1:
-            sub = H.metric.matrix[np.ix_(c.members, c.members)]
-            if sub.max() > H.rang(c.level) * (1 + 1e-9):
-                bad.append(c.cid)
+    for cid, members in enumerate(group_members(H.membership, len(H.clusters))):
+        if len(members) > 1:
+            sub = H.metric.matrix[np.ix_(members, members)]
+            if sub.max() > H.rang(H.clusters.level[cid]) * (1 + 1e-9):
+                bad.append(cid)
     return bad
 
 
 def dump_decomposition(H: HierarchicalDecomposition) -> str:
     """One line per cluster: 'level cluster_id parent_id center_id n: ids...'."""
     lines = []
-    for c in H.clusters:
-        ids = " ".join(str(int(i)) for i in c.members)
-        lines.append(f"{c.level} {c.cid} {c.parent} {c.center} {len(c.members)}: {ids}")
+    rows = zip(H.clusters.tolist(), group_members(H.membership, len(H.clusters)))
+    for cid, ((level, parent, center), members) in enumerate(rows):
+        ids = " ".join(map(str, members.tolist()))
+        lines.append(f"{level} {cid} {parent} {center} {len(members)}: {ids}")
     return "\n".join(lines) + "\n"

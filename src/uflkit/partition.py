@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hierarchy import is_good_pair
+from .hierarchy import group_members, is_good_pair
 from .refine import RefinedDecomposition
 from .solvers import mp_ufl_value
 from .geometry import OracleScaleError
@@ -91,13 +91,11 @@ def bottom_up_partition(T: RefinedDecomposition, kappa: float, approx) -> LowVal
     threshold = alpha * kappa * (1.0 - 1e-12)
     bound = getattr(approx, "cost_bound", None)
 
-    scan = np.concatenate(H.levels[:H.ell + 1])          # the root level is never scanned
-    root = H.levels[H.ell + 1][0]
-    # members by cluster id, in one stable grouping: ids ascend, and a
-    # cluster that badly-cut moves emptied keeps an empty entry
-    ids = T.membership[:H.ell + 1].ravel()
-    order = np.argsort(ids, kind="stable")
-    members = np.split(order % H.n, np.searchsorted(ids[order], np.arange(1, len(H.clusters))))
+    root = 0
+    scan = np.argsort(H.clusters.level, kind="stable")[:-1]   # by level, then id; not the root
+    # refined members by cluster id: a cluster that badly-cut moves emptied
+    # keeps an empty entry
+    members = group_members(T.membership[:H.ell + 1], len(H.clusters))
     failed = np.zeros(len(H.clusters), dtype=bool)       # the current member set fails
     results: dict[int, tuple[float, np.ndarray]] = {}
     alive = np.ones(H.n, dtype=bool)
@@ -121,7 +119,7 @@ def bottom_up_partition(T: RefinedDecomposition, kappa: float, approx) -> LowVal
             members[root] = np.flatnonzero(alive)
             out.evaluations += 1
             results[root] = approx.evaluate(members[root], root)
-        level = H.clusters[cid].level
+        level = int(H.clusters.level[cid])
         cost, fids = results[cid]
         out.parts.append(Part(len(out.parts), members[cid], cid, level, H.rang(level),
                               cost, fids, is_last=cid == root))
@@ -278,7 +276,7 @@ def partition_properties_check(P: LowValuePartition, f0, pairs) -> PartitionChec
 
     cons_viol: list[tuple[int, int, float, float]] = []
     for p in P.parts:
-        orig = H.clusters[p.provenance].members
+        orig = H.members(p.provenance)
         radius = eps * eps * p.rang
         dmin = D[np.ix_(p.members, orig)].min(axis=1)
         for pos in np.flatnonzero(dmin > radius * (1 + 1e-9)):

@@ -114,9 +114,8 @@ class DistanceOracle(MetricData):
 
 def candidate_set(H: HierarchicalDecomposition, cluster_id: int, eps: float) -> np.ndarray:
     """Ids within (100/eps) * rang(C) of some member of cluster C."""
-    c = H.clusters[cluster_id]
-    radius = (100.0 / eps) * H.rang(c.level)
-    near = (H.metric.matrix[c.members] <= radius).any(axis=0)
+    radius = (100.0 / eps) * H.rang(H.clusters.level[cluster_id])
+    near = (H.metric.matrix[H.members(cluster_id)] <= radius).any(axis=0)
     return np.flatnonzero(near)
 
 

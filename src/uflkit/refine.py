@@ -86,7 +86,7 @@ def consistency_check(T: RefinedDecomposition) -> ConsistencyReport:
         changed = np.flatnonzero(T.membership[level] != H.membership[level])
         for x in changed:
             cid = int(T.membership[level, x])
-            orig = H.clusters[cid].members
+            orig = H.members(cid)
             d = float(D[x, orig].min())
             if d > radius * (1 + 1e-9):
                 violations.append((level, cid, int(x), d, radius))

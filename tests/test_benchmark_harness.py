@@ -7,6 +7,7 @@ writing bytecode, so its directory is left as it is."""
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCHMARKS = str(Path(__file__).resolve().parent.parent / "benchmarks")
@@ -100,3 +101,20 @@ def test_exact_pipeline_is_not_below_the_oracle(harness, seed, index):
     ref = w.reference(inst)
     w.check(inst, out, ref)
     assert out.total >= ref[0] * (1 - 1e-10)
+
+
+def test_traced_hierarchy_counts_match_the_decomposition(harness):
+    # the counts the traced pass reads off the hierarchy: clusters as the
+    # distinct ids in the membership matrix, levels 0..ell+1, and net sizes
+    layers, spans, workloads = harness
+    from uflkit.hierarchy import build_hierarchy
+
+    w = workloads.WORKLOADS["euclid_split"]
+    _, warmup = w.instances(2001)
+    rec = spans.SpanRecorder()
+    with spans.patched(layers.replacements(rec)):
+        rec.call(layers.ROOT, w.solve, warmup)
+    H = build_hierarchy(warmup.X, warmup.cfg.seeds[0])
+    assert rec.counts["hierarchy.clusters"] == len(np.unique(H.membership))
+    assert rec.counts["hierarchy.levels"] == H.ell + 2
+    assert rec.counts["hierarchy.net_points"] == sum(len(net) for net in H.nets)

@@ -5,7 +5,8 @@ import pytest
 
 from uflkit.datasets import KINDS, generate_dataset
 from uflkit.experiments import blob_instance, line_instance
-from uflkit.geometry import check_net
+from uflkit import hierarchy
+from uflkit.geometry import check_net, greedy_net
 from uflkit.hierarchy import (MetricData, build_hierarchy, check_diameters,
                               check_nesting, dump_decomposition, f0_point_ids,
                               is_badly_cut, is_cut, is_good_pair)
@@ -21,31 +22,31 @@ class TestBuild:
         for seed in range(5):
             H = build_hierarchy(X, seed)
             assert H.ell == 0
-            assert len(H.levels[1]) == 1                    # the root holds everything
-            assert len(H.levels[0]) == 2                    # singletons below gamma scale
-            assert all(len(H.clusters[c].members) == 1 for c in H.levels[0])
+            assert H.clusters.level.tolist() == [1, 0, 0]   # the root, then two singletons
+            assert [H.members(c).tolist() for c in (1, 2)] in ([[0], [1]], [[1], [0]])
 
     def test_every_level_partitions(self, rng):
         X = random_points(rng, 40, 3)
         H = build_hierarchy(X, 3)
         for level in range(H.ell + 2):
-            total = sum(len(H.clusters[c].members) for c in H.levels[level])
+            total = sum(len(H.members(c)) for c in np.flatnonzero(H.clusters.level == level))
             assert total == 40
             assert (H.membership[level] >= 0).all()
 
     def test_root_is_everything(self, rng):
         X = random_points(rng, 17, 2)
         H = build_hierarchy(X, 9)
-        root = H.clusters[H.levels[H.ell + 1][0]]
-        assert np.array_equal(np.sort(root.members), np.arange(17))
+        assert H.clusters[0].tolist() == (H.ell + 1, -1, -1)
+        assert np.array_equal(H.members(0), np.arange(17))
 
     def test_children_union_parent(self, rng):
         X = random_points(rng, 25, 2)
         H = build_hierarchy(X, 1)
-        for c in H.clusters:
-            if c.level > 0:
-                kids = np.sort(np.concatenate([H.clusters[k].members for k in c.children]))
-                assert np.array_equal(kids, np.sort(c.members))
+        for cid, level in enumerate(H.clusters.level):
+            if level > 0:
+                children = np.flatnonzero(H.clusters.parent == cid)
+                kids = np.sort(np.concatenate([H.members(k) for k in children]))
+                assert np.array_equal(kids, H.members(cid))
 
     def test_diameter_bounds(self, rng):
         for seed in range(5):
@@ -64,6 +65,36 @@ class TestBuild:
             for i in range(1, H.ell + 1):
                 assert set(H.nets[i]) <= set(H.nets[i - 1])
                 check_net(H.metric.matrix, H.nets[i - 1], H.nets[i], 2.0 ** (i - 3) * H.gamma)
+
+    def test_cluster_table_layout(self, rng):
+        # root at id 0, ids contiguous within a level with the level falling
+        # as the id grows, every parent one level up, and each level-i
+        # center a point of N_i
+        for X, seed in [(random_points(rng, 40, 2), 1), (blob_instance(4, 25), 2)]:
+            H = build_hierarchy(X, seed)
+            level, parent, center = H.clusters.level, H.clusters.parent, H.clusters.center
+            assert len(H.clusters) == len(np.unique(H.membership))
+            assert (level[0], parent[0], center[0]) == (H.ell + 1, -1, -1)
+            assert np.array_equal(level, np.sort(level)[::-1])
+            assert (level[parent[1:]] == level[1:] + 1).all()
+            for cid in range(1, len(H.clusters)):
+                assert center[cid] in H.nets[level[cid]]
+                assert H.members(cid).size > 0
+
+    def test_greedy_pass_skipped_below_gamma(self, monkeypatch):
+        # levels 1-3 have net radius <= gamma and reuse N_0 unchanged
+        calls = []
+
+        def counted(D, ids, radius):
+            calls.append(radius)
+            return greedy_net(D, ids, radius)
+
+        monkeypatch.setattr(hierarchy, "greedy_net", counted)
+        for X in (line(0.0, 1.0), line(0.0, 1.0, 3.0, 9.0), line_instance(), blob_instance()):
+            calls.clear()
+            H = build_hierarchy(X, 0)
+            assert len(calls) == max(0, H.ell - 3)
+            assert all(H.nets[i] is H.nets[0] for i in range(1, min(H.ell, 3) + 1))
 
     def test_rho_in_range_and_deterministic(self):
         X = line(0.0, 1.0, 3.0, 9.0)
@@ -127,6 +158,54 @@ class TestIsCut:
         assert check_nesting(H) == []
         H.membership[0, 0] = H.membership[0, 11]     # corrupt: teleport a point
         assert check_nesting(H) != []
+
+
+def nesting_loop(H):
+    """check_nesting as a loop over levels and points."""
+    bad = []
+    for i in range(H.ell + 1):
+        for x in range(H.n):
+            cid = int(H.membership[i, x])
+            if H.clusters.parent[cid] != int(H.membership[i + 1, x]):
+                bad.append((i, x))
+    return bad
+
+
+def diameters_loop(H):
+    """check_diameters as a loop over cluster ids."""
+    bad = []
+    for cid in range(len(H.clusters)):
+        members = H.members(cid)
+        if len(members) > 1:
+            sub = H.metric.matrix[np.ix_(members, members)]
+            if sub.max() > H.rang(H.clusters.level[cid]) * (1 + 1e-9):
+                bad.append(cid)
+    return bad
+
+
+class TestChecksMatchTheLoops:
+    def test_nesting_check_matches_the_loop(self, rng):
+        for X, seed in [(random_points(rng, 30, 2), 4), (blob_instance(4, 25), 1)]:
+            H = build_hierarchy(X, seed)
+            last = len(H.clusters) - 1                   # a level-0 cluster
+            H.membership[0, [0, 7]] = last               # teleport two points
+            H.membership[2, 3] = H.membership[2, 20]
+            H.clusters.parent[last - 1] = 0              # re-parent to the root
+            bad = check_nesting(H)
+            assert bad == nesting_loop(H) and len(bad) >= 2
+            assert bad == sorted(bad)                    # level-major, then point id
+
+    def test_diameter_check_matches_the_loop(self, rng):
+        for X, seed in [(random_points(rng, 30, 2), 4), (blob_instance(4, 25), 1)]:
+            H = build_hierarchy(X, seed)
+            assert check_diameters(H) == diameters_loop(H) == []
+            x, y = H.members(1)[:2]                      # two points of a level-ell cluster
+            H.metric.matrix[x, y] = H.metric.matrix[y, x] = 2.0 * H.rang(H.ell)
+            both = [c for c in range(1, len(H.clusters)) if np.isin([x, y], H.members(c)).all()]
+            assert check_diameters(H) == diameters_loop(H) == both
+            H.gamma *= 0.6                               # shrink every budget
+            bad = check_diameters(H)
+            assert bad == diameters_loop(H) and len(bad) > 1
 
 
 class TestIsBadlyCut:
@@ -216,7 +295,7 @@ class TestDump:
         lines = text.strip().split("\n")
         assert len(lines) == len(H.clusters)
         level, cid, parent, center, count = lines[0].split(":")[0].split()
-        assert int(count) == len(H.clusters[int(cid)].members)
+        assert int(count) == len(H.members(int(cid)))
 
 
 def _l1_metric() -> MetricData:
@@ -227,16 +306,19 @@ def _l1_metric() -> MetricData:
 
 GOLDEN_SOURCES = {"line": lambda s: line_instance(),
                   "blob": lambda s: blob_instance(),
+                  "blob_8x50": lambda s: blob_instance(8, 50, seed=s),
                   "l1_metric": lambda s: _l1_metric(),
                   **{f"{kind}_{n}": lambda s, kind=kind, n=n: generate_dataset(kind, n, 8, 2, s)
                      for kind in KINDS for n in (3, 40, 120)}}
 
 # sha256 over seeds 0..3 of dump_decomposition, nets, membership, children
 # and levels: any change to cluster ids, their order, centers or members
-# changes the digest.
+# changes the digest. Children and levels are derived from the cluster
+# table, children and level ids ascending.
 GOLDEN_DIGESTS = {
     "line": "e9cb0d2733dc942566a5baf4fb2e8368052039dd876e65c0ce07ea82a211115d",
     "blob": "24c895682ed66168c724ad076ebad8c37439825c7ddbfea53b12e449e7f9a854",
+    "blob_8x50": "01d8be6928a8e91013ff7d13896dfbaa52dc2b290be9053ef9360819a5c9f151",
     "l1_metric": "5c3065b21663dc768f8a5608439ffdcd2f20a4cb0914c4280bade1ec16050f23",
     "subspace_3": "ad24231fd07c44a59fbfe3f6713970f8f9af8d6d27802d5015c4238bb6a9b5da",
     "subspace_40": "602c2e4bcfadce774bf2e9610d21d932292dd4ed773dcc05cb616ac4e1a085cd",
@@ -255,7 +337,9 @@ def _decomposition_digest(source) -> str:
     for seed in range(4):
         H = build_hierarchy(source(seed), seed)
         h.update(dump_decomposition(H).encode())
-        for ids in [*H.nets, *(c.children for c in H.clusters), *H.levels]:
+        children = [np.flatnonzero(H.clusters.parent == cid) for cid in range(len(H.clusters))]
+        levels = [np.flatnonzero(H.clusters.level == i) for i in range(H.num_levels)]
+        for ids in [*H.nets, *children, *levels]:
             h.update(np.asarray(ids, dtype="<i8").tobytes() + b"|")
         h.update(H.membership.astype("<i8").tobytes())
     return h.hexdigest()

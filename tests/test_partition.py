@@ -29,9 +29,14 @@ def make_partition(X, seed=0, kappa=2.0, eps=0.3, ddim=2.0, alpha=6.0, **kw):
     return bottom_up_partition(T, kappa, handle, **kw), H, T
 
 
+def cluster_ids(H, level):
+    """Ids of the level's clusters, ascending."""
+    return np.flatnonzero(H.clusters.level == level).tolist()
+
+
 def refined_members(T, cid):
     """Members of cluster cid at its own level after the badly-cut moves."""
-    return np.flatnonzero(T.membership[T.base.clusters[cid].level] == cid)
+    return np.flatnonzero(T.membership[T.base.clusters.level[cid]] == cid)
 
 
 class TestBottomUp:
@@ -110,7 +115,7 @@ class TestBottomUp:
         alive = np.ones(H.n, dtype=bool)
         for p in part.parts:
             if not p.is_last and p.level > 0:
-                children = H.clusters[p.provenance].children
+                children = np.flatnonzero(H.clusters.parent == p.provenance)
                 union_members, union_fids, child_cost = [], [], 0.0
                 for ch in children:
                     mem = refined_members(T, ch)
@@ -265,7 +270,7 @@ def rescan_calls(T, kappa, handle):
     cluster after each emitted part and caches results by member set."""
     H = T.base
     threshold = handle.alpha * kappa * (1.0 - 1e-12)
-    scan = [cid for level in range(H.ell + 1) for cid in H.levels[level]]
+    scan = [cid for level in range(H.ell + 1) for cid in cluster_ids(H, level)]
     base = {cid: refined_members(T, cid) for cid in scan}
     alive = np.ones(H.n, dtype=bool)
     cache = {}
@@ -283,7 +288,7 @@ def rescan_calls(T, kappa, handle):
                 alive[members] = False
                 break
         else:
-            cost(H.levels[H.ell + 1][0], np.flatnonzero(alive))
+            cost(0, np.flatnonzero(alive))                   # the root
             alive[:] = False
     return list(cache)
 
@@ -305,7 +310,7 @@ EMPTIED = (blob_instance(4, 25), 6)
 
 def emptied_clusters(T):
     H = T.base
-    return [cid for level in range(H.ell + 1) for cid in H.levels[level]
+    return [cid for level in range(H.ell + 1) for cid in cluster_ids(H, level)
             if not (T.membership[level] == cid).any()]
 
 
@@ -336,9 +341,8 @@ class TestScan:
         # the bound rules out exactly the rescan evaluations of clusters too
         # small to qualify; the root's last-part evaluation is never skipped
         threshold = P.alpha * P.kappa * (1 - 1e-12)
-        root = P.hierarchy.levels[-1][0]
         rescans = rescan_calls(P.refined, P.kappa, MatrixApproxHandle(P.hierarchy.metric.matrix))
-        small = [c for c in rescans if c[0] != root
+        small = [c for c in rescans if c[0] != 0                 # not the root
                  and (2 * (len(c[1]) // 8) - 1) * (1 + 1e-9) < threshold]
         assert calls == [c for c in rescans if c not in small]
         assert P.bound_skips == len(small) > 0
@@ -375,9 +379,8 @@ class TestScan:
         # the 3c bound rules out exactly the rescan evaluations of clusters
         # of at most 3 members; the root's last-part evaluation is never skipped
         threshold = P.alpha * P.kappa * (1 - 1e-12)
-        root = P.hierarchy.levels[-1][0]
         rescans = rescan_calls(P.refined, P.kappa, RestrictedApproxHandle(P.hierarchy, cfg.eps))
-        small = [c for c in rescans if c[0] != root
+        small = [c for c in rescans if c[0] != 0                 # not the root
                  and 3 * (len(c[1]) // 8) * (1 + 1e-9) < threshold]
         assert calls == [c for c in rescans if c not in small]
         assert P.bound_skips == len(small) > 0

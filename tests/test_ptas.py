@@ -360,10 +360,9 @@ class TestDiscrete:
         X = random_points(rng, 20, 2)
         H = build_hierarchy(X, 5)
         eps = 0.4
-        sets = {c.cid: set(candidate_set(H, c.cid, eps).tolist()) for c in H.clusters}
-        for c in H.clusters:
-            for child in c.children:
-                assert sets[child] <= sets[c.cid]
+        sets = [set(candidate_set(H, cid, eps).tolist()) for cid in range(len(H.clusters))]
+        for child, parent in enumerate(H.clusters.parent[1:].tolist(), start=1):
+            assert sets[child] <= sets[parent]
 
 
 class TestCandidateSet:
@@ -378,15 +377,15 @@ class TestCandidateSet:
             T = build_stages(X, cfg).partition.refined
             H = T.base
             moves += len(T.moves)
-            for c in H.clusters:
-                members = np.flatnonzero(T.membership[c.level] == c.cid)
-                assert np.isin(members, candidate_set(H, c.cid, eps)).all()
+            for cid, level in enumerate(H.clusters.level):
+                members = np.flatnonzero(T.membership[level] == cid)
+                assert np.isin(members, candidate_set(H, cid, eps)).all()
         assert moves > 0
 
     @pytest.mark.parametrize("n", [10, 15, 16])
     def test_exact_is_the_largest_candidate_sets_test(self, rng, n):
         H = build_hierarchy(random_points(rng, n, 2), 1)
-        largest = max(len(candidate_set(H, c.cid, 0.5)) for c in H.clusters)
+        largest = max(len(candidate_set(H, cid, 0.5)) for cid in range(len(H.clusters)))
         handle = RestrictedApproxHandle(H, 0.5)
         assert handle.exact == _subset_enumerable(largest, n) == (n <= 15)
         assert handle.alpha == (1.0 if n <= 15 else 3.0)
@@ -394,8 +393,7 @@ class TestCandidateSet:
     def test_root_covers_everything(self, rng):
         X = random_points(rng, 12, 2)
         H = build_hierarchy(X, 1)
-        root = H.levels[H.ell + 1][0]
-        assert len(candidate_set(H, root, 0.5)) == 12
+        assert len(candidate_set(H, 0, 0.5)) == 12               # the root
 
     def test_isolated_cluster_stays_local(self):
         X = line(0.0, 1.0, 1e9)
@@ -409,8 +407,8 @@ class TestCandidateSet:
         H = build_hierarchy(X, 3)
         eps = 0.35
         D = X.distance_matrix()
-        for c in H.clusters:
-            radius = (100.0 / eps) * H.rang(c.level)
+        for cid, level in enumerate(H.clusters.level.tolist()):
+            radius = (100.0 / eps) * H.rang(level)
             direct = {j for j in range(18)
-                      if min(D[j, m] for m in c.members) <= radius}
-            assert set(candidate_set(H, c.cid, eps).tolist()) == direct
+                      if min(D[j, m] for m in H.members(cid)) <= radius}
+            assert set(candidate_set(H, cid, eps).tolist()) == direct

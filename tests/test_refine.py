@@ -68,7 +68,7 @@ class TestEliminate:
                 counts = np.bincount(T.membership[level], minlength=len(H.clusters))
                 assert counts.sum() == 20
                 live = set(T.membership[level])
-                assert all(H.clusters[c].level == level for c in live)
+                assert all(H.clusters.level[c] == level for c in live)
 
     def test_facilities_never_move(self, rng):
         X = random_points(rng, 18, 2)
@@ -113,8 +113,8 @@ class TestConsistency:
         H = build_hierarchy(X, 5)
         T = eliminate_badly_cut(H, approx_ufl(X), 0.3, 2.0)
         # corrupt: drop point 0 into a far-away cluster at a low level
-        others = [c for c in H.levels[0] if 0 not in H.clusters[c].members]
-        far = max(others, key=lambda c: H.metric.matrix[0, H.clusters[c].members].min())
+        others = [c for c in np.flatnonzero(H.clusters.level == 0) if 0 not in H.members(c)]
+        far = max(others, key=lambda c: H.metric.matrix[0, H.members(c)].min())
         T.membership[0, 0] = far
         assert not consistency_check(T).ok
 
