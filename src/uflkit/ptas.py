@@ -325,15 +325,14 @@ class RestrictedApproxHandle:
 
 def _restricted_sweep(D: np.ndarray, members: np.ndarray, cand: np.ndarray):
     """Best k + v_k over k = 1..min(|members|, |cand|) with facilities from
-    cand, the smallest k among equal values, each v_k from
-    kmedian_restricted (exact when its subset table is enumerable). The
-    sweep stops once k alone reaches the best k + v_k found: v_k >= 0, so
-    no larger k can do strictly better."""
-    best = None
+    cand (the smallest k among ties), v_k drawn in turn from one
+    restricted_kmedians sweep. It stops once k alone reaches the best k + v_k
+    found: v_k >= 0, so no larger k can do strictly better."""
+    sweep, best = solvers.restricted_kmedians(D, members, cand), None
     for k in range(1, min(len(members), len(cand)) + 1):
         if best is not None and k >= best[0] + best[1]:
             break
-        ids, v, _ = solvers.kmedian_restricted(D, members, cand, k)
+        ids, v, _ = next(sweep)
         if best is None or k + v < best[0] + best[1]:
             best = (k, v, ids)
     return best

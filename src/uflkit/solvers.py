@@ -570,58 +570,79 @@ def brute_force_ufl_discrete(points_or_matrix, is_matrix: bool = False) -> float
     return float((OPENING_COST * size[1:] + cost[1:]).min())
 
 
-def kmedian_restricted(D: np.ndarray, clients: np.ndarray, candidates: np.ndarray,
-                       k: int, cfg: SolverConfig = DEFAULT_SOLVER):
-    """k-median with facilities restricted to candidate ids, over a distance
-    matrix. Exact by enumeration when the candidate set is small, otherwise
-    greedy + swap local search. Returns (facility ids, cost, certified).
-
-    Local search scans candidates in position order and scores all of them
-    at once. The greedy step adds the candidate of least total cost, the
-    lowest position among equal costs. A swap round tries the chosen
-    positions in order and, for each, replaces it by the lowest-position
-    unchosen candidate that lowers the cost by a relative 1e-12; the first
-    such swap restarts the round, and at most cfg.local_search_swaps rounds
-    run. Returned ids are in chosen-position order."""
+def restricted_kmedians(D: np.ndarray, clients: np.ndarray, candidates: np.ndarray,
+                        k_lo: int = 1, cfg: SolverConfig = DEFAULT_SOLVER):
+    """k-median over D restricted to candidate ids for k = k_lo, ...,
+    #candidates from one slice of D, yielding (facility ids, cost, certified)
+    per k: the first least mask of each size in one subset table when the
+    candidates are enumerable, else a greedy order (least total cost, lowest
+    position among ties) grown a step per k, a copy of each prefix improved
+    by _swap_rounds. Ids are in chosen order."""
     clients = np.asarray(clients, dtype=int)
     candidates = np.asarray(candidates, dtype=int)
-    if not 1 <= k <= len(candidates):
+    m = len(candidates)
+    if not 1 <= k_lo <= m:
         raise ValueError("k must lie in [1, #candidates]")
-    sub = D[np.ix_(clients, candidates)]
-    if _subset_enumerable(len(candidates), len(clients)):
-        cost, size = _subset_table(sub)
-        eligible = np.flatnonzero(size == k)
-        best = eligible[int(np.argmin(cost[eligible]))]
-        return candidates[_mask_ids(best, len(candidates))], float(cost[best]), True
+    if _subset_enumerable(m, len(clients)):
+        cost, size = _subset_table(D[np.ix_(clients, candidates)])
+        for k in range(k_lo, m + 1):
+            best = int(np.argmin(np.where(size == k, cost, np.inf)))   # first least mask
+            yield candidates[_mask_ids(best, m)], float(cost[best]), True
+        return
 
-    # candidates x clients, C-contiguous: every row sum is a contiguous
-    # reduction, rounded exactly like the sum of one client-cost vector
-    subT = np.ascontiguousarray(sub.T)
-    chosen: list[int] = []
-    dcur = np.full(len(clients), np.inf)
-    for _ in range(k):
+    # candidates x clients, C-contiguous: a row sum rounds as one client-cost vector's
+    subT = D[np.ix_(clients, candidates)].T.copy()
+    order, dcur = [], np.full(len(clients), np.inf)
+    for k in range(1, m + 1):
         totals = np.minimum(dcur, subT).sum(axis=1)
-        totals[chosen] = np.inf
-        jbest = int(np.argmin(totals))
-        chosen.append(jbest)
-        dcur = np.minimum(dcur, subT[jbest])
-    cost = float(dcur.sum())
+        totals[order] = np.inf
+        order.append(int(np.argmin(totals)))
+        dcur = np.minimum(dcur, subT[order[-1]])
+        if k >= k_lo:
+            chosen, cost = _swap_rounds(subT, np.array(order), float(dcur.sum()), cfg)
+            yield candidates[chosen], cost, False
+
+
+def _swap_rounds(subT: np.ndarray, chosen: np.ndarray, cost: float, cfg: SolverConfig):
+    """Single-swap local search on subT's rows from chosen at its cost, at
+    most cfg.local_search_swaps rounds. A round makes the first swap that
+    lowers the cost by a relative 1e-12 (chosen positions in order, each
+    against the unchosen candidates in position order). It scores chunks of
+    positions at once, each temporary at most subT's size, over the
+    candidates R nearer than the chosen set to some client, or all rows if
+    R has more than half. Dropping position o leaves the clients at base_o =
+    where(near == o, d2, d1) >= d1 (d1, d2 the nearest and second-nearest
+    chosen distances, d1 at near), so a j outside R, chosen ones included,
+    scores >= sum(d1) = cost, rounding being monotone for a fixed reduction:
+    it never passes, and scoring it changes nothing."""
+    cols = np.arange(subT.shape[1])
     for _ in range(cfg.local_search_swaps):
-        improved = False
-        for out_pos in range(k):
-            others = chosen[:out_pos] + chosen[out_pos + 1:]
-            base = subT[others].min(axis=0) if others else np.full(len(clients), np.inf)
-            trials = np.minimum(base, subT).sum(axis=1)
-            trials[chosen] = np.inf
-            better = np.flatnonzero(trials < cost * (1 - 1e-12))
-            if len(better):
-                chosen[out_pos] = int(better[0])
-                cost = float(trials[better[0]])
-                improved = True
+        threshold = cost * (1 - 1e-12)
+        block = subT[chosen]
+        near = block.argmin(axis=0)
+        d1 = block[near, cols]
+        block[near, cols] = np.inf
+        base = d1[None].repeat(len(chosen), axis=0)             # row o is base_o
+        base[near, cols] = block.min(axis=0)
+        R = (subT < d1).any(axis=1).nonzero()[0]
+        # gathering more than half the rows would cost more than it saves
+        R, rows = (np.arange(len(subT)), subT) if 2 * len(R) > len(subT) else (R, subT[R])
+        step = len(subT) // max(1, len(R))      # R is empty when no swap can pass
+        for lo in range(0, len(chosen), step):
+            trials = np.minimum(base[lo:lo + step, None], rows).sum(axis=2)
+            if trials.min(initial=np.inf) < threshold:
+                o, r = divmod(int((trials < threshold).argmax()), len(R))
+                chosen[lo + o], cost = R[r], float(trials[o, r])
                 break
-        if not improved:
+        else:
             break
-    return candidates[np.asarray(chosen)], cost, False
+    return chosen, cost
+
+
+def kmedian_restricted(D: np.ndarray, clients: np.ndarray, candidates: np.ndarray,
+                       k: int, cfg: SolverConfig = DEFAULT_SOLVER):
+    """restricted_kmedians' first yield from k_lo = k."""
+    return next(restricted_kmedians(D, clients, candidates, k, cfg))
 
 
 # ---------------------------------------------------------------------------

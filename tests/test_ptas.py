@@ -329,31 +329,59 @@ class TestDiscrete:
     def test_heuristic_sweep_stops_early_with_the_full_sweeps_answer(self, rng,
                                                                        monkeypatch):
         # 20 candidates exceed the enumeration cap, so local search runs; 15
-        # are enumerated, through the same kmedian_restricted calls
-        calls = []
-        kmedian_restricted = solvers.kmedian_restricted
+        # are enumerated; either way the sweep draws k = 1..stop from one
+        # restricted_kmedians sweep and no more
+        drawn = []
+        restricted_kmedians = solvers.restricted_kmedians
 
-        def counted(*args):
-            calls.append(args[3])
-            return kmedian_restricted(*args)
+        def counted(D, clients, candidates, k_lo=1, *rest):
+            for k, out in enumerate(restricted_kmedians(D, clients, candidates, k_lo, *rest),
+                                    start=k_lo):
+                drawn.append(k)
+                yield out
 
-        monkeypatch.setattr(solvers, "kmedian_restricted", counted)
+        monkeypatch.setattr(solvers, "restricted_kmedians", counted)
         for n, m, scale in [(40, 20, 1.0), (30, 15, 2.0)]:
             D = random_points(rng, n, 2, scale).distance_matrix()
             members, cand = np.arange(n), np.arange(m)
             full, stop = None, None
             for k in range(1, m + 1):
                 if stop is None and full is not None and k >= full[0] + full[1]:
-                    stop = k - 1                # calls made before k alone reaches the best
-                ids, v, certified = kmedian_restricted(D, members, cand, k)
+                    stop = k - 1                # draws made before k alone reaches the best
+                ids, v, certified = solvers.kmedian_restricted(D, members, cand, k)
                 assert certified == (m <= 15)
                 if full is None or k + v < full[0] + full[1]:
                     full = (k, v, ids)
 
-            calls.clear()
+            drawn.clear()
             k_star, v, ids = _restricted_sweep(D, members, cand)
             assert (k_star, v) == full[:2] and ids.tobytes() == full[2].tobytes()
-            assert stop is not None and calls == list(range(1, stop + 1))
+            assert stop is not None and drawn == list(range(1, stop + 1))
+
+    def test_enumerable_sweep_builds_one_subset_table(self, rng, monkeypatch):
+        # 15 candidates are enumerable: every k's first least mask comes from
+        # one _subset_table, where the per-k loop built one per k
+        D = random_points(rng, 30, 2).distance_matrix()
+        members, cand = np.arange(30), np.arange(15)
+        per_k, calls = None, 0
+        for k in range(1, 16):
+            if per_k is not None and k >= per_k[0] + per_k[1]:
+                break
+            ids, v, certified = solvers.kmedian_restricted(D, members, cand, k)
+            assert certified
+            calls += 1
+            if per_k is None or k + v < per_k[0] + per_k[1]:
+                per_k = (k, v, ids)
+        assert calls > 1
+
+        tables = []
+        subset_table = solvers._subset_table
+        monkeypatch.setattr(solvers, "_subset_table",
+                            lambda sub: tables.append(sub.shape) or subset_table(sub))
+        k_star, v, ids = _restricted_sweep(D, members, cand)
+        assert tables == [(30, 15)]
+        assert k_star == per_k[0] and np.float64(v).tobytes() == np.float64(per_k[1]).tobytes()
+        assert ids.tobytes() == per_k[2].tobytes()
 
     def test_candidate_containment_along_tree(self, rng):
         # the candidate set of a child cluster is contained in its parent's

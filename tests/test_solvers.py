@@ -21,7 +21,7 @@ from uflkit.solvers import (_MAX_DIST_CELLS, DEFAULT_SOLVER, SolverConfig, Weisz
                             _subset_table, _ufl_partition_dp, approx_ufl,
                             brute_force_ufl_continuous, brute_force_ufl_discrete,
                             kmedian, kmedian_restricted, mp_ufl_value,
-                            restricted_ufl_value, weiszfeld_1median)
+                            restricted_kmedians, restricted_ufl_value, weiszfeld_1median)
 
 from conftest import line, random_points
 
@@ -417,6 +417,62 @@ class TestCandidateScans:
         for k in (1, 3, 20):
             _, cost = assert_matches_reference(D, np.array([0]), np.arange(20), k)
             assert cost == D.min()
+
+    @given(seed=st.integers(0, 2**32 - 1), nc=st.integers(1, 30), m=st.integers(1, 24),
+           far=st.integers(0, 6), ties=st.booleans(), dup=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    @example(seed=0, nc=1, m=24, far=0, ties=False, dup=False)   # one client, k up to m
+    @example(seed=1, nc=1, m=12, far=6, ties=True, dup=True)
+    @example(seed=2, nc=30, m=24, far=6, ties=True, dup=True)
+    def test_sweep_equals_the_per_k_references(self, seed, nc, m, far, ties, dup):
+        # every k from one sweep: the first least mask of its size when the
+        # candidates are enumerable, the scalar local search otherwise; a
+        # sweep started at k_lo is the tail of one started at 1
+        rng = np.random.default_rng(seed)
+        D = _distances(rng, (nc, m), ties)
+        if dup:                                   # copy some candidate columns
+            D[:, rng.integers(0, m, 4)] = D[:, rng.integers(0, m, 4)]
+        D = np.hstack([D, 1000.0 + _distances(rng, (nc, far), ties)])    # far candidates
+        clients, candidates = np.arange(nc), np.arange(m + far)
+        enumerable = m + far <= 15
+        if enumerable:
+            ref_cost, ref_size = reference_subset_table(D)
+        run = [ids.tobytes() + _f8(cost, certified)
+               for ids, cost, certified in restricted_kmedians(D, clients, candidates)]
+        assert len(run) == m + far
+        for k, got in enumerate(run, start=1):
+            if enumerable:
+                mask = min(np.flatnonzero(ref_size == k), key=lambda x: (ref_cost[x], x))
+                ref_ids, ref = _mask_ids(mask, m + far), ref_cost[mask]
+            else:
+                ref_ids, ref = reference_local_search(D, clients, candidates, k)
+            assert got == ref_ids.tobytes() + _f8(ref, enumerable)
+        k_lo = 1 + seed % (m + far)
+        tail = [ids.tobytes() + _f8(cost, certified)
+                for ids, cost, certified in restricted_kmedians(D, clients, candidates, k_lo)]
+        assert tail == run[k_lo - 1:]
+
+    def test_sweep_rejects_k_lo_outside_the_candidates(self, rng):
+        D = rng.random((5, 4))
+        for k_lo in (0, 5):
+            with pytest.raises(ValueError, match="k must lie"):
+                next(restricted_kmedians(D, np.arange(5), np.arange(4), k_lo))
+
+    def test_local_search_peak_memory(self, rng):
+        # 96 131 008 bytes is the peak of the per-position swap scan that
+        # restricted_kmedians replaced (the block, its transposed copy and one
+        # candidates x clients temporary at once), measured on this input;
+        # 2000 x 2000 floats are 32 MB, and the sweep holds at most 2.5 of them
+        D = random_points(rng, 2000, 2).distance_matrix()
+        ids = np.arange(2000)
+        kmedian_restricted(D[:20, :20], ids[:20], ids[:20], 3)   # lazy imports and set-up
+        tracemalloc.start()
+        try:
+            kmedian_restricted(D, ids, ids, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 96_131_008
 
     def test_mp_select_equal_radii_keep_index_order(self):
         D = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 5.0], [5.0, 5.0, 0.0]])
@@ -978,11 +1034,21 @@ def _golden_ptas_small(seed):
                             PtasConfig(eps=0.3, ddim=2.0, kappa_cap=2.0, alpha=1.0, seed=seed))
 
 
-def _ptas_chunks(X, cfg):
+def _golden_ptas_discrete_split(seed):
+    # discrete_split's shape: n = 150, where the sweeps run local search
+    yield _discrete_chunk(blob_instance(6, 25),
+                          PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, seed=seed))
+
+
+def _discrete_chunk(X, cfg):
     sol, traces = ptas_discrete(DistanceOracle.from_points(X), cfg)
-    yield (_i8(sol.facility_ids) + _i8(sol.assignment)
-           + _f8(sol.opening_cost, sol.connection_cost, sol.total)
-           + trace_to_jsonl(traces).encode())
+    return (_i8(sol.facility_ids) + _i8(sol.assignment)
+            + _f8(sol.opening_cost, sol.connection_cost, sol.total)
+            + trace_to_jsonl(traces).encode())
+
+
+def _ptas_chunks(X, cfg):
+    yield _discrete_chunk(X, cfg)
     sol, traces = ptas_euclidean(X, cfg)
     yield (sol.facilities.astype("<f8").tobytes() + _i8(sol.assignment)
            + _f8(sol.opening_cost, sol.connection_cost, sol.total)
@@ -997,6 +1063,7 @@ GOLDEN_SOLVER_SOURCES = {
     "exact_oracles": _golden_exact_oracles,
     "ptas": _golden_ptas,
     "ptas_small": _golden_ptas_small,
+    "ptas_discrete_split": _golden_ptas_discrete_split,
 }
 
 # sha256 over seeds 0..3 of the outputs above: any change to a chosen
@@ -1006,6 +1073,7 @@ GOLDEN_SOLVER_DIGESTS = {
     "exact_oracles": "39c9911f23db05d5c1670fcb7640face1aeaaf88ed772a2440bfa83c979c067b",
     "kmedian_restricted": "f1b8088869bf452fee5b838d1d57e16d840a1b325e389436a3fedda4209e011e",
     "ptas": "d9470bc1cdadea9496111be2a989d802bbb5a85192e899d5d8dedc5a784ff2db",
+    "ptas_discrete_split": "88b4c12f5e6f6b32125cfe96dcce4856cfa5f86e2c0724476578905a2e69ac01",
     "ptas_small": "af9cedfe0ef282c73206db2e8f15c18c7df87584747e95fb3546f5fd8e0a7638",
     "restricted_ufl_value": "3843dbd3d090b687da672b90d0c48a14d3f9dd606a218661d2ab50a34bcf0640",
     "weiszfeld_1median": "9959a1d8152bb60fde8055dfe52815f87e0c36d2e0a10ecb918683526128792b",
