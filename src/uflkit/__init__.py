@@ -13,9 +13,8 @@ from .refine import RefinedDecomposition, consistency_check, eliminate_badly_cut
 from .partition import (LowValuePartition, MatrixApproxHandle,
                         bottom_up_partition, local_value_bounds_check,
                         partition_properties_check, partition_to_csv)
-from .solvers import (KMedianResult, SolverConfig, WeiszfeldResult, approx_ufl,
-                      brute_force_ufl_continuous, brute_force_ufl_discrete,
-                      kmedian, kmedian_restricted, weiszfeld_1median)
+from .solvers import (KMedianResult, WeiszfeldResult, approx_ufl, brute_force_ufl_continuous,
+                      brute_force_ufl_discrete, kmedian, kmedian_restricted, weiszfeld_1median)
 from .ptas import (DiscreteSolution, DistanceOracle, PtasConfig, candidate_set,
                    ptas_discrete, ptas_euclidean)
 from .datasets import generate_dataset

@@ -305,7 +305,7 @@ def local_bounds_check(instances: int, seed: int, eps: float = 0.3,
         unchecked_parts += rep.unchecked
     return {"name": "local_value_bounds", "failures": failures,
             "checked_parts": checked_parts, "unchecked_parts": unchecked_parts,
-            "passed": failures == 0}
+            "passed": failures == 0 and checked_parts > 0}
 
 
 def blob_instance(blobs: int = 6, per_blob: int = 25, spread: float = 1.0,

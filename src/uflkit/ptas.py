@@ -21,9 +21,8 @@ from .hierarchy import HierarchicalDecomposition, MetricData, build_hierarchy
 from .partition import LowValuePartition, MatrixApproxHandle, bottom_up_partition
 from .projection import sample_map, target_dim
 from .refine import eliminate_badly_cut
-from .solvers import (_MAX_DISCRETE, DEFAULT_SOLVER, _affine_reduce, _local_search_blocks,
-                      _med1_costs, _subset_enumerable, _ufl_partition_dp, mp_ufl_value,
-                      restricted_ufl_value, weiszfeld_1median)
+from .solvers import (_affine_reduce, _local_search_blocks, _med1_costs, _subset_enumerable,
+                      _ufl_partition_dp, mp_ufl_value, restricted_ufl_value, weiszfeld_1median)
 from .util import spawn_seeds
 
 
@@ -183,10 +182,9 @@ def _heuristic_projected_sweep(proj_members: np.ndarray, k_hint: int):
     that of kmedian at each k of the window."""
     D = squareform(pdist(proj_members))
     lo, hi = max(1, k_hint - 2), min(len(proj_members), k_hint + 2)
-    window = [(k, _local_search_blocks(proj_members, k, DEFAULT_SOLVER, D))
-              for k in range(lo, hi + 1)]
+    window = [(k, _local_search_blocks(proj_members, k, D)) for k in range(lo, hi + 1)]
     distinct = {b.tobytes(): b for _, blocks in window for b in blocks}
-    meds = dict(zip(distinct, solvers.weiszfeld_1median(proj_members, DEFAULT_SOLVER,
+    meds = dict(zip(distinct, solvers.weiszfeld_1median(proj_members,
                                                         blocks=list(distinct.values()))))
     best = None
     for k, blocks in window:
@@ -233,7 +231,7 @@ def ptas_euclidean(X: PointSet, cfg: PtasConfig) -> tuple[UflSolution, list[Part
         event_h = True
         adopted = None                  # positions within members
         if event_g:
-            if len(members) <= DEFAULT_SOLVER.enum_threshold:
+            if len(members) <= solvers._ENUM_THRESHOLD:
                 k_star, v, blocks = _exact_projected_sweep(proj[members])
             else:
                 k_star, v, blocks = _heuristic_projected_sweep(proj[members], len(fids))
@@ -297,9 +295,8 @@ class RestrictedApproxHandle:
         return self._candidates[cluster_id]
 
     def evaluate(self, members: np.ndarray, cluster_id: int) -> tuple[float, np.ndarray]:
-        cost, _, fids = restricted_ufl_value(
-            self.matrix, members, self.candidates(cluster_id),
-            exact_cap=_MAX_DISCRETE if self.exact else 0)
+        cost, _, fids = restricted_ufl_value(self.matrix, members, self.candidates(cluster_id),
+                                             exact=self.exact)
         return cost, fids
 
     @staticmethod

@@ -3,6 +3,13 @@ constant-factor UFL approximation, a certified 1-median iteration, exact
 k-median by dynamic programming over subsets, a local-search fallback for
 larger inputs, and exhaustive oracles used for validation.
 
+Both pipelines run these solvers with fixed settings, the module constants
+below: a 1-median stops once its distance sum is within _WEISZFELD_TOL
+(relative) of Kuhn's lower bound, which proves it within that of the
+optimum, or after _WEISZFELD_MAX_ITER steps; k-median and the continuous
+oracle enumerate up to _ENUM_THRESHOLD points; and local search makes at
+most _LOCAL_SEARCH_SWAPS swap rounds.
+
 Exhaustive paths reduce coordinates to the affine span of the input first;
 this is an exact isometry on the points and on any geometric median (which
 lies in their convex hull), so oracle values are unaffected while the cost
@@ -11,7 +18,6 @@ no longer depends on the ambient dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -19,7 +25,10 @@ from scipy.spatial.distance import cdist, squareform, pdist
 
 from .geometry import OPENING_COST, OracleScaleError, PointSet, UflSolution, ufl_cost
 
-_MAX_ENUM = 14          # hard cap on exact partition enumeration
+_WEISZFELD_TOL = 1e-10
+_WEISZFELD_MAX_ITER = 10000
+_ENUM_THRESHOLD = 12    # at most 14, the partition DPs' scale; read at call time
+_LOCAL_SEARCH_SWAPS = 40
 _MAX_DISCRETE = 15      # hard cap on facility-subset enumeration
 _MAX_SUBSET_CELLS = 4_000_000   # cap on (facility subset, client) table cells
 _MAX_DIST_CELLS = 4_000_000     # cap on the distance block a 1-median holds at once
@@ -38,32 +47,10 @@ def _mask_ids(mask: int, s: int) -> np.ndarray:
     return np.flatnonzero((int(mask) >> np.arange(s)) & 1)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Knobs for the solver stack; both pipelines run the defaults. A
-    1-median stops once its distance sum is within weiszfeld_tol (relative)
-    of Kuhn's lower bound, which proves it within that of the optimum, or
-    after weiszfeld_max_iter steps."""
-
-    weiszfeld_tol: float = 1e-10
-    weiszfeld_max_iter: int = 10000
-    enum_threshold: int = 12
-    local_search_swaps: int = 40
-
-    def __post_init__(self):
-        if self.weiszfeld_tol <= 0 or self.weiszfeld_max_iter < 1:
-            raise ValueError("weiszfeld tolerances must be positive")
-        if not 1 <= self.enum_threshold <= _MAX_ENUM:
-            raise ValueError(f"enum_threshold must lie in [1, {_MAX_ENUM}]")
-
-
-DEFAULT_SOLVER = SolverConfig()
-
-
 class WeiszfeldResult(NamedTuple):
     center: np.ndarray
     cost: float                  # distance sum at center
-    converged: bool              # cost - lower <= weiszfeld_tol * cost
+    converged: bool              # cost - lower <= _WEISZFELD_TOL * cost
     lower: float                 # at most the distance sum anywhere
 
 
@@ -98,8 +85,7 @@ def _affine_reduce(P: np.ndarray) -> np.ndarray:
 # 1-median
 # ---------------------------------------------------------------------------
 
-def weiszfeld_1median(points, cfg: SolverConfig = DEFAULT_SOLVER,
-                      return_history: bool = False, *, blocks=None):
+def weiszfeld_1median(points, return_history: bool = False, *, blocks=None):
     """Geometric medians of blocks of points: the data-point certificate of
     _certify, else the certified iteration of _median_lockstep from the
     centroid.
@@ -113,8 +99,8 @@ def weiszfeld_1median(points, cfg: SolverConfig = DEFAULT_SOLVER,
     A certified block returns P[j] with its distance sum as both cost and
     lower bound, and no iteration. Otherwise cost is the distance sum at
     the center and lower a bound below every distance sum; converged means
-    cost - lower <= cfg.weiszfeld_tol * cost, which only a run cut at
-    cfg.weiszfeld_max_iter steps misses. The history is the first block's
+    cost - lower <= _WEISZFELD_TOL * cost, which only a run cut at
+    _WEISZFELD_MAX_ITER steps misses. The history is the first block's
     distance sum at the start and after every step.
     """
     P = _as_points(points)
@@ -132,8 +118,8 @@ def weiszfeld_1median(points, cfg: SolverConfig = DEFAULT_SOLVER,
     rest = np.flatnonzero(~certified)
     if len(rest):
         cost[rest], lower[rest], centers[rest] = _median_lockstep(
-            P, M[rest], cfg, None if certified[0] else history)
-    converged = cost - lower <= cfg.weiszfeld_tol * cost
+            P, M[rest], None if certified[0] else history)
+    converged = cost - lower <= _WEISZFELD_TOL * cost
     out = [WeiszfeldResult(c, float(u), bool(ok), float(lo))
            for c, u, ok, lo in zip(centers, cost, converged, lower)]
     res = out[0] if blocks is None else out
@@ -181,15 +167,15 @@ def _certify(P: np.ndarray, M: np.ndarray):
     return j, best, certified
 
 
-def _med1_costs(P: np.ndarray, cfg: SolverConfig = DEFAULT_SOLVER) -> np.ndarray:
+def _med1_costs(P: np.ndarray) -> np.ndarray:
     """1-median cost of every subset of P, indexed by bitmask.
 
     Every mask first gets the data-point certificate of _certify. A mask
     that passes costs its least data-point sum, its optimum, and so does
     every mask of at most two points. The other masks run _median_lockstep
     together from their centroids, so each value is a distance sum attained
-    at a real center and within cfg.weiszfeld_tol (relative) of the optimum
-    unless its row ran cfg.weiszfeld_max_iter steps; the least data-point
+    at a real center and within _WEISZFELD_TOL (relative) of the optimum
+    unless its row ran _WEISZFELD_MAX_ITER steps; the least data-point
     sum still caps it.
     """
     s = len(P)
@@ -197,7 +183,7 @@ def _med1_costs(P: np.ndarray, cfg: SolverConfig = DEFAULT_SOLVER) -> np.ndarray
     _, costs, certified = _certify(P, M)
     rest = np.flatnonzero(~certified & (M.sum(axis=1) >= 3))
     M = M[rest]                             # drops the full table before the kernel
-    upper, _, _ = _median_lockstep(P, M, cfg)
+    upper, _, _ = _median_lockstep(P, M)
     costs[rest] = np.minimum(upper, costs[rest])
     return np.concatenate(([0.0], costs))
 
@@ -209,8 +195,7 @@ _ROUNDING = 16.0 * np.finfo(np.float64).eps     # Newton gains below this share 
 _NEAR = 1e-3            # a member this close, relative to the distance sum, anchors its row
 
 
-def _median_lockstep(P: np.ndarray, M: np.ndarray, cfg: SolverConfig,
-                     history: list | None = None):
+def _median_lockstep(P: np.ndarray, M: np.ndarray, history: list | None = None):
     """Certified geometric medians of the subsets of P (n points) that the
     0/1 rows of M (r x n) select, iterated in lockstep from their centroids.
     Returns (upper, lower, centers): upper[i] is the distance sum of subset
@@ -226,7 +211,7 @@ def _median_lockstep(P: np.ndarray, M: np.ndarray, cfg: SolverConfig,
     then the Newton step is halved up to _BACKTRACK times; then a Weiszfeld
     step replaces it, as it does for a singular H (a collinear span). A row
     on a data point skips Newton, and its Weiszfeld step is blended with y
-    as Vardi and Zhang's is. Members within cfg.weiszfeld_tol * f / (4 *
+    as Vardi and Zhang's is. Members within _WEISZFELD_TOL * f / (4 *
     size) of y, f the row's distance sum, count as copies of y: they add at
     most a quarter of the tolerance to the gap, and a cluster finer than
     that is not resolved point by point.
@@ -236,8 +221,8 @@ def _median_lockstep(P: np.ndarray, M: np.ndarray, cfg: SolverConfig,
     the u_i shifted by -g / size (on a data point, the eta copies of y take
     -g / eta each and the others stay), divided by the largest norm that
     shift can give. A row keeps the best bound it reaches and stops once
-    upper - lower <= cfg.weiszfeld_tol * upper, or after
-    cfg.weiszfeld_max_iter steps; a stopped row leaves the arrays. Rows run
+    upper - lower <= _WEISZFELD_TOL * upper, or after
+    _WEISZFELD_MAX_ITER steps; a stopped row leaves the arrays. Rows run
     _MEDIAN_CELLS (row, point, coordinate) cells at a time, which bounds
     every temporary.
 
@@ -250,7 +235,7 @@ def _median_lockstep(P: np.ndarray, M: np.ndarray, cfg: SolverConfig,
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in range(0, len(M), rows):
             part = slice(a, a + rows)
-            _median_rows(P, M[part], centers[part], upper[part], lower[part], cfg,
+            _median_rows(P, M[part], centers[part], upper[part], lower[part],
                          history if a == 0 else None)
     return upper, lower, centers
 
@@ -278,7 +263,7 @@ def _escape_offsets(B: np.ndarray, M: np.ndarray, near: np.ndarray) -> np.ndarra
     return g * ((blend - 1.0) / w.sum(axis=1))[:, None]
 
 
-def _median_rows(P, M, y, upper, lower, cfg, history):
+def _median_rows(P, M, y, upper, lower, history):
     """_median_lockstep on one chunk of rows, writing into the views y,
     upper and lower.
 
@@ -287,11 +272,11 @@ def _median_rows(P, M, y, upper, lower, cfg, history):
     of the distance sum, it becomes the anchor: the differences then keep
     their full relative precision however close y comes to it, and a
     median can lie 1e-7 of its set's diameter away from a data point."""
-    keep_frac, last = 1.0 - cfg.weiszfeld_tol, cfg.weiszfeld_max_iter
+    keep_frac, last = 1.0 - _WEISZFELD_TOL, _WEISZFELD_MAX_ITER
     pos = np.arange(len(M))                     # active row -> chunk row
     member = M > 0
     size = M.sum(axis=1)
-    copy = cfg.weiszfeld_tol / (4.0 * size)     # copies of y: within copy * f
+    copy = _WEISZFELD_TOL / (4.0 * size)        # copies of y: within copy * f
     # einsum, not M @ P: a matrix product rounds a row differently
     # depending on the rows beside it
     centroid = np.einsum("rn,nk->rk", M, P) / size[:, None]
@@ -522,15 +507,16 @@ def _kmedian_exact_dp(med1: np.ndarray, s: int, k: int):
     return float(value[k, nm - 1]), parts
 
 
-def brute_force_ufl_continuous(points, cfg: SolverConfig = DEFAULT_SOLVER) -> float:
+def brute_force_ufl_continuous(points) -> float:
     """opt(S) with ambient facilities, by exhaustive partition DP with
-    geometric-median block centers, each within cfg.weiszfeld_tol of its
-    optimum by Kuhn's bound unless cut at cfg.weiszfeld_max_iter steps."""
+    geometric-median block centers, each within _WEISZFELD_TOL of its
+    optimum by Kuhn's bound unless cut at _WEISZFELD_MAX_ITER steps. Raises
+    OracleScaleError beyond _ENUM_THRESHOLD points."""
     P = _as_points(points)
-    if len(P) > cfg.enum_threshold:
+    if len(P) > _ENUM_THRESHOLD:
         raise OracleScaleError("oracle scale exceeded")
     R = _affine_reduce(P)
-    value, _ = _ufl_partition_dp(_med1_costs(R, cfg), len(P))
+    value, _ = _ufl_partition_dp(_med1_costs(R), len(P))
     return float(value)
 
 
@@ -571,7 +557,7 @@ def brute_force_ufl_discrete(points_or_matrix, is_matrix: bool = False) -> float
 
 
 def restricted_kmedians(D: np.ndarray, clients: np.ndarray, candidates: np.ndarray,
-                        k_lo: int = 1, cfg: SolverConfig = DEFAULT_SOLVER):
+                        k_lo: int = 1):
     """k-median over D restricted to candidate ids for k = k_lo, ...,
     #candidates from one slice of D, yielding (facility ids, cost, certified)
     per k: the first least mask of each size in one subset table when the
@@ -599,13 +585,13 @@ def restricted_kmedians(D: np.ndarray, clients: np.ndarray, candidates: np.ndarr
         order.append(int(np.argmin(totals)))
         dcur = np.minimum(dcur, subT[order[-1]])
         if k >= k_lo:
-            chosen, cost = _swap_rounds(subT, np.array(order), float(dcur.sum()), cfg)
+            chosen, cost = _swap_rounds(subT, np.array(order), float(dcur.sum()))
             yield candidates[chosen], cost, False
 
 
-def _swap_rounds(subT: np.ndarray, chosen: np.ndarray, cost: float, cfg: SolverConfig):
+def _swap_rounds(subT: np.ndarray, chosen: np.ndarray, cost: float):
     """Single-swap local search on subT's rows from chosen at its cost, at
-    most cfg.local_search_swaps rounds. A round makes the first swap that
+    most _LOCAL_SEARCH_SWAPS rounds. A round makes the first swap that
     lowers the cost by a relative 1e-12 (chosen positions in order, each
     against the unchosen candidates in position order). It scores chunks of
     positions at once, each temporary at most subT's size, over the
@@ -616,7 +602,7 @@ def _swap_rounds(subT: np.ndarray, chosen: np.ndarray, cost: float, cfg: SolverC
     scores >= sum(d1) = cost, rounding being monotone for a fixed reduction:
     it never passes, and scoring it changes nothing."""
     cols = np.arange(subT.shape[1])
-    for _ in range(cfg.local_search_swaps):
+    for _ in range(_LOCAL_SEARCH_SWAPS):
         threshold = cost * (1 - 1e-12)
         block = subT[chosen]
         near = block.argmin(axis=0)
@@ -639,39 +625,38 @@ def _swap_rounds(subT: np.ndarray, chosen: np.ndarray, cost: float, cfg: SolverC
     return chosen, cost
 
 
-def kmedian_restricted(D: np.ndarray, clients: np.ndarray, candidates: np.ndarray,
-                       k: int, cfg: SolverConfig = DEFAULT_SOLVER):
+def kmedian_restricted(D: np.ndarray, clients: np.ndarray, candidates: np.ndarray, k: int):
     """restricted_kmedians' first yield from k_lo = k."""
-    return next(restricted_kmedians(D, clients, candidates, k, cfg))
+    return next(restricted_kmedians(D, clients, candidates, k))
 
 
 # ---------------------------------------------------------------------------
 # k-median with ambient centers
 # ---------------------------------------------------------------------------
 
-def kmedian(points, k: int, cfg: SolverConfig = DEFAULT_SOLVER) -> KMedianResult:
+def kmedian(points, k: int) -> KMedianResult:
     """k-median clustering with centers anywhere in space.
 
-    Small inputs are solved exactly over all k-partitions with geometric
-    median centers; larger ones fall back to the local search of
-    _local_search_blocks (certified=False). Either way the k blocks are
+    Inputs of at most _ENUM_THRESHOLD points are solved exactly over all
+    k-partitions with geometric median centers; larger ones fall back to
+    the local search of _local_search_blocks (certified=False). Either way the k blocks are
     recentered in one weiszfeld_1median call.
     """
     P = _as_points(points)
     s = len(P)
     if not 1 <= k <= s:
         raise ValueError("k must lie in [1, |S|]")
-    if 1 < k < s and s <= cfg.enum_threshold:
-        _, blocks = _kmedian_exact_dp(_med1_costs(_affine_reduce(P), cfg), s, k)
+    exact = s <= _ENUM_THRESHOLD
+    if 1 < k < s and exact:
+        _, blocks = _kmedian_exact_dp(_med1_costs(_affine_reduce(P)), s, k)
     else:
-        blocks = _local_search_blocks(P, k, cfg)
-    meds = weiszfeld_1median(P, cfg, blocks=blocks)
+        blocks = _local_search_blocks(P, k)
+    meds = weiszfeld_1median(P, blocks=blocks)
     return KMedianResult(blocks, np.array([m.center for m in meds]),
-                         float(sum(m.cost for m in meds)), k in (1, s) or s <= cfg.enum_threshold)
+                         float(sum(m.cost for m in meds)), k in (1, s) or exact)
 
 
-def _local_search_blocks(P: np.ndarray, k: int, cfg: SolverConfig,
-                         D: np.ndarray | None = None) -> list[np.ndarray]:
+def _local_search_blocks(P: np.ndarray, k: int, D: np.ndarray | None = None) -> list[np.ndarray]:
     """kmedian's blocks beyond the enumeration scale: kmedian_restricted
     over all points of D, P's distance matrix (built if not given), then
     each point in the block of its nearest chosen center, empty blocks
@@ -683,7 +668,7 @@ def _local_search_blocks(P: np.ndarray, k: int, cfg: SolverConfig,
         return [np.arange(s)]
     if D is None:
         D = squareform(pdist(P))
-    ids, _, _ = kmedian_restricted(D, np.arange(s), np.arange(s), k, cfg)
+    ids, _, _ = kmedian_restricted(D, np.arange(s), np.arange(s), k)
     assign = np.argmin(cdist(P, P[ids]), axis=1)
     blocks = [np.flatnonzero(assign == j) for j in range(k)]
     return [b for b in blocks if len(b)]
@@ -737,7 +722,7 @@ def _mp_select(D: np.ndarray, ids: np.ndarray, radii: np.ndarray) -> list[int]:
     return selected
 
 
-def approx_ufl(X: PointSet, cfg: SolverConfig = DEFAULT_SOLVER) -> UflSolution:
+def approx_ufl(X: PointSet) -> UflSolution:
     """Deterministic constant-factor UFL approximation with facilities drawn
     from the input (ball-growing; 3-approximate against the best such
     solution, hence at most 6 against the continuous optimum, since moving
@@ -752,21 +737,21 @@ def mp_ufl_value(D: np.ndarray, members: np.ndarray) -> tuple[float, np.ndarray]
     """Ball-growing UFL cost of a subset of a symmetric distance matrix,
     with the members as both clients and candidates.
     Returns (cost, facility ids within members)."""
-    cost, _, ids = restricted_ufl_value(D, members, members, exact_cap=0)
+    cost, _, ids = restricted_ufl_value(D, members, members, exact=False)
     return cost, ids
 
 
 def restricted_ufl_value(D: np.ndarray, clients: np.ndarray, candidates: np.ndarray,
-                         exact_cap: int = _MAX_DISCRETE) -> tuple[float, float, np.ndarray]:
+                         exact: bool = True) -> tuple[float, float, np.ndarray]:
     """UFL cost of clients with facilities restricted to candidate ids.
 
-    Exact enumeration when feasible (certified factor 1), else ball growing
-    over the candidate set (certified factor 3 against the restricted
-    optimum). Returns (cost, certified factor, facility ids)."""
+    With exact, enumeration when feasible (certified factor 1), else ball
+    growing over the candidate set (certified factor 3 against the
+    restricted optimum). Returns (cost, certified factor, facility ids)."""
     clients = np.asarray(clients, dtype=int)
     candidates = np.asarray(candidates, dtype=int)
     sub = D[np.ix_(candidates, clients)]
-    if len(candidates) <= exact_cap and _subset_enumerable(len(candidates), len(clients)):
+    if exact and _subset_enumerable(len(candidates), len(clients)):
         cost, size = _subset_table(sub.T)
         totals = OPENING_COST * size[1:] + cost[1:]
         best = int(np.argmin(totals)) + 1

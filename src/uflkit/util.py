@@ -9,10 +9,6 @@ import numpy as np
 # Relative tolerance for cost/distance comparisons throughout the package.
 COST_RTOL = 1e-9
 
-# Slack used when taking the ceiling of float expressions whose exact value
-# is (or is meant to be) an integer, e.g. log2 of a power of two.
-_CEIL_SNAP = 1e-8
-
 
 def snapped_ceil(value: float) -> int:
     """Ceiling that forgives float noise within 1e-8 of an integer."""

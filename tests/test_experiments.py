@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from uflkit import experiments
 from uflkit.datasets import generate_dataset
 from uflkit.experiments import (DIMRED_COLUMNS, ExperimentSpec,
                                 badly_cut_rate_check, cutting_probability_check,
@@ -10,6 +11,7 @@ from uflkit.experiments import (DIMRED_COLUMNS, ExperimentSpec,
                                 partition_structure_check, refine_structure_check,
                                 rows_to_csv, run_dimred_experiment,
                                 run_property_suite, run_ptas_experiment)
+from uflkit.geometry import OracleScaleError
 from uflkit.projection import sample_map
 from uflkit.solvers import brute_force_ufl_continuous
 from uflkit.util import spawn_seeds
@@ -98,6 +100,15 @@ class TestIndividualChecks:
         rep = local_bounds_check(6, seed=10)
         assert rep["passed"] and rep["checked_parts"] > 0
         assert rep["unchecked_parts"] == 0           # every part is within the oracle's n <= 12
+
+    def test_local_bounds_with_every_part_unchecked_does_not_pass(self, monkeypatch):
+        def out_of_scale(points):
+            raise OracleScaleError("oracle scale exceeded")
+
+        monkeypatch.setattr(experiments, "brute_force_ufl_continuous", out_of_scale)
+        rep = local_bounds_check(6, seed=10)
+        assert rep["checked_parts"] == 0 and rep["unchecked_parts"] > 0
+        assert rep["failures"] == 0 and not rep["passed"]
 
     def test_lambda_scaling(self):
         rep = lambda_scaling_check(trials=15, seed=11)

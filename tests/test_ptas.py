@@ -157,9 +157,9 @@ class TestEuclidean:
         calls = []
         weiszfeld = solvers.weiszfeld_1median
 
-        def counted(points, cfg, *, blocks):
+        def counted(points, *, blocks):
             calls.append([b.tobytes() for b in blocks])
-            return weiszfeld(points, cfg, blocks=blocks)
+            return weiszfeld(points, blocks=blocks)
 
         monkeypatch.setattr(solvers, "weiszfeld_1median", counted)
         k_star, cost, clusters = _heuristic_projected_sweep(P, 3)
@@ -334,8 +334,8 @@ class TestDiscrete:
         drawn = []
         restricted_kmedians = solvers.restricted_kmedians
 
-        def counted(D, clients, candidates, k_lo=1, *rest):
-            for k, out in enumerate(restricted_kmedians(D, clients, candidates, k_lo, *rest),
+        def counted(D, clients, candidates, k_lo=1):
+            for k, out in enumerate(restricted_kmedians(D, clients, candidates, k_lo),
                                     start=k_lo):
                 drawn.append(k)
                 yield out

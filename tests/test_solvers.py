@@ -9,16 +9,16 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.spatial.distance import cdist
 
+from uflkit import ptas, solvers
 from uflkit.datasets import generate_dataset
 from uflkit.experiments import blob_instance
 from uflkit.geometry import OPENING_COST, OracleScaleError, PointSet
 from uflkit.partition import MatrixApproxHandle
 from uflkit.ptas import (DistanceOracle, PtasConfig, RestrictedApproxHandle,
                          _exact_projected_sweep, ptas_discrete, ptas_euclidean, trace_to_jsonl)
-from uflkit.solvers import (_MAX_DIST_CELLS, DEFAULT_SOLVER, SolverConfig, WeiszfeldResult,
-                            _affine_reduce, _kmedian_exact_dp, _mask_ids, _med1_costs,
-                            _mp_radii, _mp_select, _submask_layers,
-                            _subset_table, _ufl_partition_dp, approx_ufl,
+from uflkit.solvers import (_MAX_DIST_CELLS, WeiszfeldResult, _affine_reduce, _certify,
+                            _kmedian_exact_dp, _mask_ids, _med1_costs, _mp_radii, _mp_select,
+                            _submask_layers, _subset_table, _ufl_partition_dp, approx_ufl,
                             brute_force_ufl_continuous, brute_force_ufl_discrete,
                             kmedian, kmedian_restricted, mp_ufl_value,
                             restricted_kmedians, restricted_ufl_value, weiszfeld_1median)
@@ -86,11 +86,18 @@ class TestWeiszfeld:
             oracle = grid_1median_oracle(P)
             assert abs(res.cost - oracle) <= 1e-3 * oracle
 
-    def test_nonconvergence_flag(self, rng):
-        cfg = SolverConfig(weiszfeld_max_iter=1, weiszfeld_tol=1e-16)
-        res = weiszfeld_1median(rng.random((20, 2)), cfg)
+    def test_nonconvergence_flag(self, rng, monkeypatch):
+        # one step cannot close the gap to 1e-16 on an input whose median is
+        # no data point (the certificate rejects it)
+        monkeypatch.setattr(solvers, "_WEISZFELD_MAX_ITER", 1)
+        monkeypatch.setattr(solvers, "_WEISZFELD_TOL", 1e-16)
+        P = rng.random((20, 2))
+        assert not _certify(P, np.ones((1, len(P))))[2][0]
+        res = weiszfeld_1median(P)
         assert res.cost > 0.0   # still a usable iterate
-        assert res.converged in (False, True)
+        assert not res.converged
+        assert res.lower <= res.cost
+        assert res.converged == (res.cost - res.lower <= 1e-16 * res.cost)
 
     def test_one_large_block_peak_memory(self, rng):
         # the certificate's distance sums take _MAX_DIST_CELLS distances at a
@@ -126,12 +133,13 @@ class TestKMedian:
         with pytest.raises(ValueError):
             kmedian(rng.random((4, 2)), 5)
 
-    def test_enumeration_beats_local_search(self, rng):
-        small = SolverConfig(enum_threshold=4)   # forces the heuristic path
+    def test_enumeration_beats_local_search(self, rng, monkeypatch):
         for _ in range(5):
             P = rng.random((8, 2))
             exact = kmedian(P, 2)
-            heur = kmedian(P, 2, cfg=small)
+            with monkeypatch.context() as m:
+                m.setattr(solvers, "_ENUM_THRESHOLD", 4)   # forces the heuristic path
+                heur = kmedian(P, 2)
             assert exact.certified and not heur.certified
             assert exact.cost <= heur.cost + 1e-9
             assert exact.cost >= 0.0
@@ -275,7 +283,7 @@ class TestRestricted:
             assert cost == pytest.approx(brute_force_ufl_discrete(X.coords))
 
     def test_ball_growing_mode_within_factor(self, rng):
-        cases = [(10, 10, {"exact_cap": 0}, 15), (16, 16, {}, 15), (977, 12, {}, 2)]
+        cases = [(10, 10, {"exact": False}, 15), (16, 16, {}, 15), (977, 12, {}, 2)]
         for n, m, cap, trials in cases:
             for _ in range(trials):
                 X = random_points(rng, n, 2)
@@ -296,21 +304,37 @@ class TestRestricted:
             assert v >= D[:, ids].min(axis=1).sum() * (1 - 1e-9)
 
 
-class TestSolverConfig:
-    def test_enum_threshold_cap(self):
-        with pytest.raises(ValueError):
-            SolverConfig(enum_threshold=15)
+class TestEnumThreshold:
+    def test_read_at_call_time(self, monkeypatch):
+        # one constant sets kmedian's exact path, the continuous oracle's cap
+        # and the Euclidean pipeline's choice of sweep
+        monkeypatch.setattr(solvers, "_ENUM_THRESHOLD", 4)
+        P = np.random.default_rng(3).random((8, 2))
+        assert not kmedian(P, 2).certified
+        with pytest.raises(OracleScaleError):
+            brute_force_ufl_continuous(P[:5])
 
-    def test_positive_tolerances(self):
-        with pytest.raises(ValueError):
-            SolverConfig(weiszfeld_tol=0.0)
+        sizes = {}
+        for name in ("_heuristic_projected_sweep", "_exact_projected_sweep"):
+            sweep = getattr(ptas, name)
+
+            def recording(proj_members, *args, sweep=sweep, name=name):
+                sizes.setdefault(name, []).append(len(proj_members))
+                return sweep(proj_members, *args)
+
+            monkeypatch.setattr(ptas, name, recording)
+        # parts of 1-10 points, all within the default threshold
+        ptas_euclidean(blob_instance(3, 10), PtasConfig(eps=0.3, ddim=2.0, kappa_cap=2.0,
+                                                        alpha=1.0, seed=0))
+        assert sorted(sizes["_heuristic_projected_sweep"]) == [6, 10]
+        assert max(sizes["_exact_projected_sweep"]) == 4
 
 
 # ---------------------------------------------------------------------------
 # Scalar reference loops for the vectorised candidate scans
 # ---------------------------------------------------------------------------
 
-def reference_local_search(D, clients, candidates, k, cfg=DEFAULT_SOLVER):
+def reference_local_search(D, clients, candidates, k):
     """kmedian_restricted's greedy + swap local search, one candidate at a
     time: the first minimum in the greedy step, the first improving
     candidate in the swap step."""
@@ -324,7 +348,7 @@ def reference_local_search(D, clients, candidates, k, cfg=DEFAULT_SOLVER):
         chosen.append(jbest)
         dcur = np.minimum(dcur, sub[:, jbest])
     cost = float(dcur.sum())
-    for _ in range(cfg.local_search_swaps):
+    for _ in range(solvers._LOCAL_SEARCH_SWAPS):
         improved = False
         for out_pos in range(k):
             others = [c for i, c in enumerate(chosen) if i != out_pos]
@@ -485,7 +509,7 @@ class TestCandidateScans:
 # Data-point certificate of the 1-median
 # ---------------------------------------------------------------------------
 
-def reference_weiszfeld(points, cfg=DEFAULT_SOLVER, return_history=False):
+def reference_weiszfeld(points, return_history=False):
     """weiszfeld_1median without the data-point certificate: Weiszfeld
     iteration from the centroid with the Vardi-Zhang escape step."""
     P = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -498,7 +522,7 @@ def reference_weiszfeld(points, cfg=DEFAULT_SOLVER, return_history=False):
     obj = float(d.sum())
     history = [obj]
     converged = False
-    for _ in range(cfg.weiszfeld_max_iter):
+    for _ in range(solvers._WEISZFELD_MAX_ITER):
         hit = d < 1e-12
         if hit.any():
             others = ~hit
@@ -523,7 +547,7 @@ def reference_weiszfeld(points, cfg=DEFAULT_SOLVER, return_history=False):
         history.append(new_obj)
         improvement = obj - new_obj
         y, obj = y_new, min(obj, new_obj)
-        if improvement <= cfg.weiszfeld_tol * max(obj, 1e-30):
+        if improvement <= solvers._WEISZFELD_TOL * max(obj, 1e-30):
             converged = True
             break
     res = WeiszfeldResult(y, obj, converged, 0.0)
@@ -548,7 +572,7 @@ def assert_at_most_reference(P):
     ref = reference_weiszfeld(P)
     assert res.cost <= ref.cost * (1 + 1e-12)
     assert res.lower <= res.cost
-    assert not res.converged or res.cost - res.lower <= DEFAULT_SOLVER.weiszfeld_tol * res.cost
+    assert not res.converged or res.cost - res.lower <= solvers._WEISZFELD_TOL * res.cost
     return res, history
 
 
@@ -613,7 +637,7 @@ class TestWeiszfeldCertificate:
             solo = _result_bytes(weiszfeld_1median(P, blocks=[b])[0])
             assert _result_bytes(res) == solo == _result_bytes(shuffled[order.index(i)])
             sub = weiszfeld_1median(P[b]).cost
-            assert abs(res.cost - sub) <= DEFAULT_SOLVER.weiszfeld_tol * max(res.cost, sub) + 1e-12
+            assert abs(res.cost - sub) <= solvers._WEISZFELD_TOL * max(res.cost, sub) + 1e-12
             assert res.lower <= res.cost
 
     @given(P=point_sets())
@@ -711,8 +735,8 @@ class TestBallGrowingCostBound:
         D = PointSet(pts).distance_matrix()
         bound = RestrictedApproxHandle.cost_bound(len(members))
         assert bound == 3 * len(members)
-        assert restricted_ufl_value(D, members, cand, exact_cap=0)[0] <= bound * (1 + 1e-9)
-        assert restricted_ufl_value(D, members[:1], cand, exact_cap=0)[0] == 1.0
+        assert restricted_ufl_value(D, members, cand, exact=False)[0] <= bound * (1 + 1e-9)
+        assert restricted_ufl_value(D, members[:1], cand, exact=False)[0] == 1.0
 
     def test_whole_instance_peak_memory(self):
         # the guiding solution's call: the members' block, then chunks of
@@ -921,7 +945,7 @@ class TestCertifiedSubsetMedians:
         med1 = _med1_costs(R)
         for mask in range(1, 1 << len(P)):
             one = weiszfeld_1median(R[_mask_ids(mask, len(P))]).cost
-            assert abs(med1[mask] - one) <= DEFAULT_SOLVER.weiszfeld_tol * max(med1[mask], one) + 1e-12
+            assert abs(med1[mask] - one) <= solvers._WEISZFELD_TOL * max(med1[mask], one) + 1e-12
 
 
 class TestExactKernelsRetainNothing:
@@ -986,7 +1010,7 @@ def _golden_restricted_value(rng):
     D = random_points(rng, 60, 2, scale=4.0).distance_matrix()
     for clients, candidates in [(np.arange(60), np.arange(60)),
                                 (np.arange(10, 60), np.arange(0, 25))]:
-        cost, factor, ids = restricted_ufl_value(D, clients, candidates, exact_cap=0)
+        cost, factor, ids = restricted_ufl_value(D, clients, candidates, exact=False)
         yield _i8(ids) + _f8(cost, factor)
 
 
@@ -1012,9 +1036,10 @@ def _golden_exact_oracles(seed):
     inputs.append(_exact_input(rng, EXACT_KINDS[(seed + 1) % 4], 14))
     for P in inputs:
         s = len(P)
-        cfg = SolverConfig(enum_threshold=max(s, 12))
-        yield (_med1_costs(_affine_reduce(P), cfg).astype("<f8").tobytes()
-               + _f8(brute_force_ufl_continuous(P, cfg), brute_force_ufl_discrete(P)))
+        med1 = _med1_costs(_affine_reduce(P))
+        # the continuous oracle's body without its cap at s = 14
+        value = brute_force_ufl_continuous(P) if s <= 12 else _ufl_partition_dp(med1, s)[0]
+        yield med1.astype("<f8").tobytes() + _f8(value, brute_force_ufl_discrete(P))
         for k in range(1, s + 1 if s <= 12 else 1):
             res = kmedian(P, k)
             yield (b"".join(_i8(b) for b in res.clusters)
