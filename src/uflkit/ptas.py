@@ -21,7 +21,7 @@ from .hierarchy import HierarchicalDecomposition, MetricData, build_hierarchy
 from .partition import LowValuePartition, MatrixApproxHandle, bottom_up_partition
 from .projection import sample_map, target_dim
 from .refine import eliminate_badly_cut
-from .solvers import (_affine_reduce, _local_search_blocks, _med1_costs, _subset_enumerable,
+from .solvers import (_affine_reduce, _med1_costs, _nearest_blocks, _subset_enumerable,
                       _ufl_partition_dp, mp_ufl_value, restricted_ufl_value, weiszfeld_1median)
 from .util import spawn_seeds
 
@@ -155,15 +155,6 @@ def _nearest_assignment_ids(D: np.ndarray, facility_ids: np.ndarray) -> np.ndarr
 # Euclidean pipeline
 # ---------------------------------------------------------------------------
 
-def _fallback_clusters(D: np.ndarray, members: np.ndarray,
-                       facility_ids: np.ndarray) -> list[np.ndarray]:
-    """Positions within members of each facility's nearest members, empty
-    clusters dropped."""
-    assign = np.argmin(D[np.ix_(members, facility_ids)], axis=1)
-    blocks = [np.flatnonzero(assign == j) for j in range(len(facility_ids))]
-    return [b for b in blocks if len(b)]
-
-
 def _exact_projected_sweep(proj_members: np.ndarray):
     """min_k (k + v_k) over all k at once: the per-k sweep of the exact
     k-median enumeration collapses into one partition DP."""
@@ -174,15 +165,15 @@ def _exact_projected_sweep(proj_members: np.ndarray):
 
 
 def _heuristic_projected_sweep(proj_members: np.ndarray, k_hint: int):
-    """Local-search k-median over a small k window around the constant-factor
-    facility count; uncertified, used only beyond the enumeration scale.
-    Every k's blocks come from one distance matrix, and the window's
-    distinct blocks are recentered in one weiszfeld_1median call, so a
-    block that several k produce is recentered once. The result equals
-    that of kmedian at each k of the window."""
+    """Local-search k-median over k = k_hint - 2..k_hint + 2 (within 1..s),
+    around the constant-factor facility count; uncertified, used only beyond
+    the enumeration scale. One _local_search_blocks sweep over one distance
+    matrix yields every k's blocks, and the window's distinct blocks are
+    recentered in one weiszfeld_1median call, so a block that several k
+    produce is recentered once. The result equals kmedian's at each k."""
     D = squareform(pdist(proj_members))
     lo, hi = max(1, k_hint - 2), min(len(proj_members), k_hint + 2)
-    window = [(k, _local_search_blocks(proj_members, k, D)) for k in range(lo, hi + 1)]
+    window = list(solvers._local_search_blocks(D, lo, hi))
     distinct = {b.tobytes(): b for _, blocks in window for b in blocks}
     meds = dict(zip(distinct, solvers.weiszfeld_1median(proj_members,
                                                         blocks=list(distinct.values()))))
@@ -241,7 +232,7 @@ def ptas_euclidean(X: PointSet, cfg: PtasConfig) -> tuple[UflSolution, list[Part
                 adopted = blocks
         label = "median"
         if adopted is None:
-            label, adopted = "fallback", _fallback_clusters(md.matrix, members, fids)
+            label, adopted = "fallback", _nearest_blocks(md.matrix[np.ix_(members, fids)])
 
         meds = weiszfeld_1median(X.coords[members], blocks=adopted)
         centers.extend(med.center for med in meds)

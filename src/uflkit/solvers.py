@@ -637,40 +637,45 @@ def kmedian_restricted(D: np.ndarray, clients: np.ndarray, candidates: np.ndarra
 def kmedian(points, k: int) -> KMedianResult:
     """k-median clustering with centers anywhere in space.
 
-    Inputs of at most _ENUM_THRESHOLD points are solved exactly over all
-    k-partitions with geometric median centers; larger ones fall back to
-    the local search of _local_search_blocks (certified=False). Either way the k blocks are
-    recentered in one weiszfeld_1median call.
-    """
+    k = 1 is one block. Otherwise inputs of at most _ENUM_THRESHOLD points
+    are solved exactly over all k-partitions with geometric median centers,
+    larger ones by _local_search_blocks over their distance matrix
+    (certified=False). The k blocks are recentered in one weiszfeld_1median
+    call."""
     P = _as_points(points)
     s = len(P)
     if not 1 <= k <= s:
         raise ValueError("k must lie in [1, |S|]")
     exact = s <= _ENUM_THRESHOLD
-    if 1 < k < s and exact:
+    if k == 1:
+        blocks = [np.arange(s)]
+    elif k < s and exact:
         _, blocks = _kmedian_exact_dp(_med1_costs(_affine_reduce(P)), s, k)
     else:
-        blocks = _local_search_blocks(P, k)
+        _, blocks = next(_local_search_blocks(squareform(pdist(P)), k, k))
     meds = weiszfeld_1median(P, blocks=blocks)
     return KMedianResult(blocks, np.array([m.center for m in meds]),
                          float(sum(m.cost for m in meds)), k in (1, s) or exact)
 
 
-def _local_search_blocks(P: np.ndarray, k: int, D: np.ndarray | None = None) -> list[np.ndarray]:
-    """kmedian's blocks beyond the enumeration scale: kmedian_restricted
-    over all points of D, P's distance matrix (built if not given), then
-    each point in the block of its nearest chosen center, empty blocks
-    dropped. k = 1 is one block and k = len(P) singletons."""
-    s = len(P)
-    if k == s:
-        return [np.array([i]) for i in range(s)]
-    if k == 1:
-        return [np.arange(s)]
-    if D is None:
-        D = squareform(pdist(P))
-    ids, _, _ = kmedian_restricted(D, np.arange(s), np.arange(s), k)
-    assign = np.argmin(cdist(P, P[ids]), axis=1)
-    blocks = [np.flatnonzero(assign == j) for j in range(k)]
+def _local_search_blocks(D: np.ndarray, lo: int, hi: int):
+    """Local-search k-median blocks over the points of D, their distance
+    matrix, yielding (k, blocks) for k = lo..hi: each k < len(D) draws the
+    next centers of one restricted_kmedians sweep over all points and groups
+    the points by _nearest_blocks; k = len(D) is singletons in point order."""
+    s = len(D)
+    every = np.arange(s)
+    sweep = restricted_kmedians(D, every, every, lo)
+    for k in range(lo, hi + 1):
+        yield k, ([np.array([i]) for i in range(s)] if k == s
+                  else _nearest_blocks(D[:, next(sweep)[0]]))
+
+
+def _nearest_blocks(dist: np.ndarray) -> list[np.ndarray]:
+    """For each column of dist (points x facilities), the positions of the
+    points nearest it, the first column among ties; empty blocks dropped."""
+    assign = np.argmin(dist, axis=1)
+    blocks = [np.flatnonzero(assign == j) for j in range(dist.shape[1])]
     return [b for b in blocks if len(b)]
 
 

@@ -142,29 +142,43 @@ class TestEuclidean:
         assert [t.adopted for t in traces] == ["fallback", "fallback"]
         assert sol.total == pytest.approx(74.7426, abs=1e-4)
 
-    def test_heuristic_sweep_recenters_each_distinct_block_once(self, rng, monkeypatch):
+    @pytest.mark.parametrize("k_hint", [1, 3, 29], ids=["lower_clamp", "inside", "upper_clamp"])
+    def test_heuristic_sweep_recenters_each_distinct_block_once(self, rng, monkeypatch, k_hint):
         # three separated groups of 10 (beyond the enumeration scale) and the
-        # window k = 1..5: one weiszfeld_1median call recenters the window's
-        # distinct blocks, and the result is the per-k kmedian loop's
+        # window k_hint -/+ 2 within 1..30: one restricted_kmedians sweep
+        # yields every k < 30 of it, one weiszfeld_1median call recenters the
+        # window's distinct blocks, and the result is the per-k kmedian loop's
         P = np.vstack([rng.random((10, 2)) + off for off in (0.0, 4.0, 9.0)])
+        s = len(P)
+        lo, hi = max(1, k_hint - 2), min(s, k_hint + 2)
         expected, produced = None, 0
-        for k in range(1, 6):
+        for k in range(lo, hi + 1):
             res = solvers.kmedian(P, k)
             produced += len(res.clusters)
             if expected is None or k + res.cost < expected[0] + expected[1]:
                 expected = (k, res.cost, res.clusters)
 
-        calls = []
+        calls, sweeps = [], []
         weiszfeld = solvers.weiszfeld_1median
+        restricted_kmedians = solvers.restricted_kmedians
 
         def counted(points, *, blocks):
             calls.append([b.tobytes() for b in blocks])
             return weiszfeld(points, blocks=blocks)
 
+        def drawn(*args):
+            sweeps.append(0)
+            for out in restricted_kmedians(*args):
+                sweeps[-1] += 1
+                yield out
+
         monkeypatch.setattr(solvers, "weiszfeld_1median", counted)
-        k_star, cost, clusters = _heuristic_projected_sweep(P, 3)
+        monkeypatch.setattr(solvers, "restricted_kmedians", drawn)
+        k_star, cost, clusters = _heuristic_projected_sweep(P, k_hint)
         assert (k_star, cost) == expected[:2]
         assert [c.tobytes() for c in clusters] == [c.tobytes() for c in expected[2]]
+        # k = s is the singletons, which draw nothing from the sweep
+        assert sweeps == [min(hi, s - 1) - lo + 1]
         assert len(calls) == 1
         assert len(calls[0]) == len(set(calls[0])) < produced
 

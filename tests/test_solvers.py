@@ -18,8 +18,8 @@ from uflkit.ptas import (DistanceOracle, PtasConfig, RestrictedApproxHandle,
                          _exact_projected_sweep, ptas_discrete, ptas_euclidean, trace_to_jsonl)
 from uflkit.solvers import (_MAX_DIST_CELLS, WeiszfeldResult, _affine_reduce, _certify,
                             _kmedian_exact_dp, _mask_ids, _med1_costs, _mp_radii, _mp_select,
-                            _submask_layers, _subset_table, _ufl_partition_dp, approx_ufl,
-                            brute_force_ufl_continuous, brute_force_ufl_discrete,
+                            _nearest_blocks, _submask_layers, _subset_table, _ufl_partition_dp,
+                            approx_ufl, brute_force_ufl_continuous, brute_force_ufl_discrete,
                             kmedian, kmedian_restricted, mp_ufl_value,
                             restricted_kmedians, restricted_ufl_value, weiszfeld_1median)
 
@@ -150,6 +150,16 @@ class TestKMedian:
             costs = [kmedian(P, k).cost for k in range(1, 9)]
             for a, b in zip(costs, costs[1:]):
                 assert b <= a * (1 + 1e-9) + 1e-12
+
+    def test_nearest_blocks_ties_go_to_the_earlier_column(self):
+        # point 1 is equidistant from facilities 0 and 2 and joins 0's block;
+        # facility 1 is nearest no point, so its block is dropped
+        dist = np.array([[0.0, 5.0, 2.0],
+                         [1.0, 3.0, 1.0],
+                         [4.0, 6.0, 0.0],
+                         [0.5, 9.0, 0.5]])
+        blocks = _nearest_blocks(dist)
+        assert [b.tolist() for b in blocks] == [[0, 1, 3], [2]]
 
     def test_clusters_partition_input(self, rng):
         P = rng.random((9, 2))
@@ -1041,9 +1051,12 @@ def _golden_exact_oracles(seed):
         value = brute_force_ufl_continuous(P) if s <= 12 else _ufl_partition_dp(med1, s)[0]
         yield med1.astype("<f8").tobytes() + _f8(value, brute_force_ufl_discrete(P))
         for k in range(1, s + 1 if s <= 12 else 1):
-            res = kmedian(P, k)
-            yield (b"".join(_i8(b) for b in res.clusters)
-                   + res.centers.astype("<f8").tobytes() + _f8(res.cost, res.certified))
+            yield _kmedian_chunk(kmedian(P, k))
+
+
+def _kmedian_chunk(res):
+    return (b"".join(_i8(b) for b in res.clusters)
+            + res.centers.astype("<f8").tobytes() + _f8(res.cost, res.certified))
 
 
 def _golden_ptas(seed):
@@ -1065,6 +1078,30 @@ def _golden_ptas_discrete_split(seed):
                           PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, seed=seed))
 
 
+def _golden_ptas_euclid_split(seed):
+    # euclid_split's shape: n = 400, where the heuristic k window runs
+    yield _euclidean_chunk(*ptas_euclidean(blob_instance(8, 50),
+                                           PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0,
+                                                      seed=seed)))
+
+
+def _golden_ptas_fallback(seed):
+    # c4 = 1e-6 mixes adopted medians and fallbacks; at c4 = 1e-9 every
+    # part falls back to its facilities' nearest-member clusters
+    for c4 in (1e-6, 1e-9):
+        cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, c4=c4, seed=seed)
+        yield _euclidean_chunk(*ptas_euclidean(blob_instance(4, 25, seed=1), cfg))
+
+
+def _golden_kmedian_local_search(rng):
+    # beyond the enumeration scale kmedian runs local search, with the
+    # clamps k = 1 (one block) and k = s (singletons)
+    for s in (13, 20, 40):
+        P = random_points(rng, s, 2).coords
+        for k in (1, 2, 5, s - 1, s):
+            yield _kmedian_chunk(kmedian(P, k))
+
+
 def _discrete_chunk(X, cfg):
     sol, traces = ptas_discrete(DistanceOracle.from_points(X), cfg)
     return (_i8(sol.facility_ids) + _i8(sol.assignment)
@@ -1074,10 +1111,13 @@ def _discrete_chunk(X, cfg):
 
 def _ptas_chunks(X, cfg):
     yield _discrete_chunk(X, cfg)
-    sol, traces = ptas_euclidean(X, cfg)
-    yield (sol.facilities.astype("<f8").tobytes() + _i8(sol.assignment)
-           + _f8(sol.opening_cost, sol.connection_cost, sol.total)
-           + trace_to_jsonl(traces).encode())
+    yield _euclidean_chunk(*ptas_euclidean(X, cfg))
+
+
+def _euclidean_chunk(sol, traces):
+    return (sol.facilities.astype("<f8").tobytes() + _i8(sol.assignment)
+            + _f8(sol.opening_cost, sol.connection_cost, sol.total)
+            + trace_to_jsonl(traces).encode())
 
 
 GOLDEN_SOLVER_SOURCES = {
@@ -1089,6 +1129,9 @@ GOLDEN_SOLVER_SOURCES = {
     "ptas": _golden_ptas,
     "ptas_small": _golden_ptas_small,
     "ptas_discrete_split": _golden_ptas_discrete_split,
+    "ptas_euclid_split": _golden_ptas_euclid_split,
+    "ptas_fallback": _golden_ptas_fallback,
+    "kmedian_local_search": lambda s: _golden_kmedian_local_search(np.random.default_rng(s)),
 }
 
 # sha256 over seeds 0..3 of the outputs above: any change to a chosen
@@ -1096,9 +1139,12 @@ GOLDEN_SOLVER_SOURCES = {
 GOLDEN_SOLVER_DIGESTS = {
     "approx_ufl": "bf36ee77b064c76e4c13926cededa2b35072702b9bf1d516ca2d6df80af7b91a",
     "exact_oracles": "39c9911f23db05d5c1670fcb7640face1aeaaf88ed772a2440bfa83c979c067b",
+    "kmedian_local_search": "4c25748de28f3aa88ed550174ae09101fa151c70ed9e9399c9490f0d2869c406",
     "kmedian_restricted": "f1b8088869bf452fee5b838d1d57e16d840a1b325e389436a3fedda4209e011e",
     "ptas": "d9470bc1cdadea9496111be2a989d802bbb5a85192e899d5d8dedc5a784ff2db",
     "ptas_discrete_split": "88b4c12f5e6f6b32125cfe96dcce4856cfa5f86e2c0724476578905a2e69ac01",
+    "ptas_euclid_split": "46a628e780e8578937d75b5cabee1cfdad35af377c36244dea6bb2c9a485a6e7",
+    "ptas_fallback": "cd03883bf7d046c41e6c3a816dae0b5cf376df5363077da0444e51be8e113def",
     "ptas_small": "af9cedfe0ef282c73206db2e8f15c18c7df87584747e95fb3546f5fd8e0a7638",
     "restricted_ufl_value": "3843dbd3d090b687da672b90d0c48a14d3f9dd606a218661d2ab50a34bcf0640",
     "weiszfeld_1median": "9959a1d8152bb60fde8055dfe52815f87e0c36d2e0a10ecb918683526128792b",
