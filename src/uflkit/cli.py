@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -42,12 +42,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                        default=f.default)
 
 
-def _config_values(args) -> dict:
-    return {f.name: getattr(args, f.name) for f in fields(PtasConfig)}
-
-
 def _config(args) -> PtasConfig:
-    return PtasConfig(**_config_values(args))
+    return PtasConfig(**{f.name: getattr(args, f.name) for f in fields(PtasConfig)})
 
 
 def _write(path: str | None, text: str) -> None:
@@ -123,7 +119,7 @@ def cmd_partition(args) -> int:
 def cmd_experiment(args) -> int:
     spec = ExperimentSpec(kind=args.kind, n=args.n, d=args.d,
                           intrinsic_dim=args.intrinsic_dim, trials=args.trials,
-                          **_config_values(args))
+                          **asdict(_config(args)))
     if args.mode == "dimred":
         rows, summary = run_dimred_experiment(spec)
         text = rows_to_csv(rows, DIMRED_COLUMNS)

@@ -30,15 +30,14 @@ from .util import format_float, spawn_seeds
 
 @dataclass(frozen=True)
 class ExperimentSpec(PtasConfig):
-    """Generator, trial count, and failure probability on top of the
-    pipeline parameters (every PtasConfig field) for one experiment."""
+    """Generator and trial count on top of the pipeline parameters (every
+    PtasConfig field) for one experiment."""
 
     kind: str = "subspace"
     n: int = 12
     d: int = 64
     intrinsic_dim: int = 2
     trials: int = 50
-    delta: float = 0.1
 
     def __post_init__(self):
         super().__post_init__()
@@ -82,7 +81,7 @@ def run_dimred_experiment(spec: ExperimentSpec):
     summary = {"m": m, "trials": spec.trials, "band_low": lo, "band_high": hi,
                "fraction_in_band": float(np.mean((ratios >= lo) & (ratios <= hi))),
                "median_ratio": float(np.median(ratios)),
-               "target_fraction": 1.0 - spec.delta}
+               "target_fraction": 0.9}
     return rows, summary
 
 
@@ -196,7 +195,7 @@ def cutting_probability_check(trials: int, seed: int, K: float = 64.0,
             checks.append({"pair": list(p), "level": i, "rate": c / trials,
                            "bound": bound, "passed": bool(c / trials <= bound)})
     return {"name": "cutting_probability", "checks": checks,
-            "passed": all(c["passed"] for c in checks)}
+            "passed": bool(checks) and all(c["passed"] for c in checks)}
 
 
 def badly_cut_rate_check(eps: float, trials: int, seed: int,
@@ -289,7 +288,8 @@ def partition_structure_check(instances: int, seed: int, eps: float = 0.3,
             "separation_violations": sep_violations,
             "consistency_violations": cons_violations,
             "good_cross_pairs_checked": pairs_checked,
-            "passed": bad_invariants == 0 and sep_violations == 0 and cons_violations == 0}
+            "passed": (bad_invariants == 0 and sep_violations == 0 and cons_violations == 0
+                       and pairs_checked > 0)}
 
 
 def local_bounds_check(instances: int, seed: int, eps: float = 0.3,

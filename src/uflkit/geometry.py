@@ -21,6 +21,8 @@ from .util import COST_RTOL, ceil_log2
 OPENING_COST = 1.0
 
 _BINARY_MAGIC = b"UFLP"
+_DDIM_SCALES = 8            # estimate_ddim's log-spaced radii
+_DDIM_MAX_CENTERS = 256     # and its cap on sampled ball centers
 
 
 class OracleScaleError(RuntimeError):
@@ -161,18 +163,18 @@ def pair_stats(pair: np.ndarray) -> tuple[float, float, float, int]:
     return gamma, diam, delta, max(0, ceil_log2(delta))
 
 
-def estimate_ddim(X: PointSet, scales: int = 8, max_centers: int = 256) -> float:
+def estimate_ddim(X: PointSet) -> float:
     """Doubling-dimension estimate: the largest log2 of the greedy cover
     count of any ball B(x, r) by radius-r/2 balls, over log-spaced scales
     r in [gamma, Diam] and (a deterministic sample of) centers x.
 
     Diagnostic only; always in [0, log2 n].
     """
-    gamma, diam, _, _ = metric_stats(X)
     D = X.distance_matrix()
-    step = max(1, -(-X.n // max_centers))
+    gamma, diam, _, _ = pair_stats(D[~np.eye(X.n, dtype=bool)])
+    step = max(1, -(-X.n // _DDIM_MAX_CENTERS))
     best = 0.0
-    for r in np.geomspace(gamma, diam, num=max(1, scales)):
+    for r in np.geomspace(gamma, diam, num=_DDIM_SCALES):
         for row in D[::step]:
             ball = np.flatnonzero(row <= r * (1 + COST_RTOL))
             count = len(greedy_net(D, ball, r / 2.0))

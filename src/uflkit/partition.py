@@ -22,11 +22,14 @@ class MatrixApproxHandle:
     the qualification test of the partition loop. c members cost at most
     2c - 1: a client at distance 0 pays any radius, so with opening cost 1
     every radius is at most 1, a blocked client lies within 2 of a kept one,
-    and at least one facility opens."""
+    and at least one facility opens. alpha is 6 (PtasConfig.tau reads it
+    too): ball growing is 3-approximate against facilities at data points,
+    and data points lose at most a factor 2 against ambient facilities."""
 
-    def __init__(self, matrix: np.ndarray, alpha: float = 6.0):
+    alpha = 6.0
+
+    def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
-        self.alpha = float(alpha)
 
     def evaluate(self, members: np.ndarray, cluster_id: int) -> tuple[float, np.ndarray]:
         return mp_ufl_value(self.matrix, members)

@@ -66,8 +66,11 @@ def sample_map(d: int, m: int, seed: int) -> RandomLinearMap:
     return RandomLinearMap(matrix=G, m=int(m), d=int(d), seed=int(seed))
 
 
-def target_dim(eps: float, tau: float, c3: float = 2.0) -> int:
-    """m = ceil(c3 * eps^-2 * (log2 tau + log2(1/eps))), at least 1.
+_C3 = 2.0       # the paper's c3, which need only be large enough; read at call time
+
+
+def target_dim(eps: float, tau: float) -> int:
+    """m = ceil(_C3 * eps^-2 * (log2 tau + log2(1/eps))), at least 1.
 
     Values within 1e-8 of an integer snap down before the ceiling to absorb
     float rounding of the log terms.
@@ -76,7 +79,5 @@ def target_dim(eps: float, tau: float, c3: float = 2.0) -> int:
         raise ValueError("eps must lie in (0, 1)")
     if tau < 2.0:
         raise ValueError("tau must be at least 2")
-    if c3 <= 0.0:
-        raise ValueError("c3 must be positive")
-    raw = c3 * eps ** -2 * (math.log2(tau) + math.log2(1.0 / eps))
+    raw = _C3 * eps ** -2 * (math.log2(tau) + math.log2(1.0 / eps))
     return max(1, snapped_ceil(raw))

@@ -26,9 +26,16 @@ from .solvers import (_affine_reduce, _med1_costs, _nearest_blocks, _subset_enum
 from .util import spawn_seeds
 
 
+# The paper's constants, which need only be large enough; read at call time
+_C1 = 1.0       # kappa = _C2 * (ddim / eps)^(_C1 * ddim)
+_C2 = 1.0
+_C4 = 4.0       # event H: a part's best projected k + v_k is at most _C4 * tau
+
+
 @dataclass(frozen=True)
 class PtasConfig:
-    """Pipeline parameters and the derived threshold/dimension values.
+    """Pipeline parameters. kappa, tau and m derive from them and from _C1,
+    _C2, projection._C3 and MatrixApproxHandle.alpha.
 
     The theoretical constants behind kappa are astronomically large, so kappa
     is clamped to kappa_cap by default; every downstream guarantee is checked
@@ -37,12 +44,7 @@ class PtasConfig:
 
     eps: float = 0.2
     ddim: float = 2.0
-    c1: float = 1.0
-    c2: float = 1.0
-    c3: float = 2.0
-    c4: float = 4.0
     kappa_cap: float = 32.0
-    alpha: float = 6.0
     seed: int = 0
 
     def __post_init__(self):
@@ -50,21 +52,21 @@ class PtasConfig:
             raise ValueError("eps must lie in (0, 1)")
         if self.ddim < 1.0:
             raise ValueError("ddim must be at least 1")
-        if min(self.c1, self.c2, self.c3, self.c4, self.kappa_cap, self.alpha) <= 0:
-            raise ValueError("constants must be positive")
+        if self.kappa_cap <= 0:
+            raise ValueError("kappa_cap must be positive")
 
     @property
     def kappa(self) -> float:
-        raw = self.c2 * (self.ddim / self.eps) ** (self.c1 * self.ddim)
+        raw = _C2 * (self.ddim / self.eps) ** (_C1 * self.ddim)
         return max(1.0, min(raw, self.kappa_cap))
 
     @property
     def tau(self) -> float:
-        return (2.0 ** (10.0 * self.ddim)) * self.alpha * self.kappa
+        return (2.0 ** (10.0 * self.ddim)) * MatrixApproxHandle.alpha * self.kappa
 
     @property
     def m(self) -> int:
-        return target_dim(self.eps, self.tau, self.c3)
+        return target_dim(self.eps, self.tau)
 
     @property
     def seeds(self) -> tuple[int, int]:
@@ -76,7 +78,7 @@ class PartTrace(NamedTuple):
     part: int
     level: int
     event_G: bool | None         # projection contracted no facility pair too much
-    event_H: bool | None         # best projected k-median value stayed below c4*tau
+    event_H: bool | None         # best projected k + v_k stayed at most _C4 * tau
                                  # (None: not tested, as in the discrete pipeline)
     k_star: int | None
     v: float | None
@@ -140,15 +142,10 @@ def build_stages(md, cfg: PtasConfig, approx=None) -> Stages:
     md = MetricData.coerce(md)
     H = build_hierarchy(md, cfg.seeds[0])
     _, f0_ids = mp_ufl_value(md.matrix, np.arange(md.n))
-    T = eliminate_badly_cut(H, _nearest_assignment_ids(md.matrix, f0_ids),
-                            cfg.eps, cfg.ddim)
-    handle = MatrixApproxHandle(md.matrix, alpha=cfg.alpha) if approx is None else approx(H)
+    nearest = f0_ids[np.argmin(md.matrix[:, f0_ids], axis=1)]
+    T = eliminate_badly_cut(H, nearest, cfg.eps, cfg.ddim)
+    handle = MatrixApproxHandle(md.matrix) if approx is None else approx(H)
     return Stages(bottom_up_partition(T, cfg.kappa, handle), handle)
-
-
-def _nearest_assignment_ids(D: np.ndarray, facility_ids: np.ndarray) -> np.ndarray:
-    cols = D[:, facility_ids]
-    return facility_ids[np.argmin(cols, axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +223,7 @@ def ptas_euclidean(X: PointSet, cfg: PtasConfig) -> tuple[UflSolution, list[Part
                 k_star, v, blocks = _exact_projected_sweep(proj[members])
             else:
                 k_star, v, blocks = _heuristic_projected_sweep(proj[members], len(fids))
-            if k_star + v > cfg.c4 * cfg.tau:
+            if k_star + v > _C4 * cfg.tau:
                 event_h = False
             else:
                 adopted = blocks

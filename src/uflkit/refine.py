@@ -1,6 +1,6 @@
 """Badly-cut elimination: at every level of a hierarchical decomposition,
 move each point into its guiding facility's cluster when the level is high
-enough to make the pair badly cut, and log the moves. Each level remains a
+enough to make the pair badly cut, and list the moves. Each level remains a
 partition; nesting across levels is deliberately not maintained. Also the
 checks that the moves keep every cluster near its original and leave no
 guided pair cut."""
@@ -32,7 +32,14 @@ class RefinedDecomposition:
     ddim: float
     f0_ids: np.ndarray           # guiding facility id per point
     membership: np.ndarray       # (ell+2, n) cluster id per point per level
-    moves: list[Move]
+
+    @property
+    def moves(self) -> list[Move]:
+        """Every (level, point) whose cluster differs from the base's,
+        level-major with points ascending."""
+        base = self.base.membership
+        return [Move(int(level), int(x), int(base[level, x]), int(self.membership[level, x]))
+                for level, x in zip(*np.nonzero(self.membership != base))]
 
 
 def eliminate_badly_cut(H: HierarchicalDecomposition, f0, eps: float,
@@ -41,8 +48,8 @@ def eliminate_badly_cut(H: HierarchicalDecomposition, f0, eps: float,
     from its guiding facility's cluster, provided the level is at or above
     log2(ddim * dist(x, F0(x)) / (eps^2 * gamma)).
 
-    Guiding facilities never move, so the processing order is immaterial;
-    points are handled in ascending id order.
+    Guiding facilities never move, so every move reads the base membership
+    and all levels are moved at once.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -54,17 +61,10 @@ def eliminate_badly_cut(H: HierarchicalDecomposition, f0, eps: float,
     nz = d_to_f0 > 0
     thresholds[nz] = np.log2(ddim * d_to_f0[nz] / (eps * eps * H.gamma))
 
-    membership = H.membership.copy()
-    moves: list[Move] = []
-    for level in range(H.ell + 2):
-        own = H.membership[level]
-        target = own[ids]
-        to_move = np.flatnonzero((own != target) & (level >= thresholds))
-        for x in to_move:
-            moves.append(Move(level, int(x), int(own[x]), int(target[x])))
-        membership[level, to_move] = target[to_move]
+    levels = np.arange(H.ell + 2)[:, None]
+    membership = np.where(levels >= thresholds, H.membership[:, ids], H.membership)
     return RefinedDecomposition(base=H, eps=eps, ddim=ddim, f0_ids=ids,
-                                membership=membership, moves=moves)
+                                membership=membership)
 
 
 class ConsistencyReport(NamedTuple):
@@ -79,17 +79,12 @@ def consistency_check(T: RefinedDecomposition) -> ConsistencyReport:
     """Verify that every modified cluster stays within distance
     eps^2 * 2^level * gamma of its original cluster."""
     H = T.base
-    D = H.metric.matrix
     violations = []
-    for level in range(H.ell + 2):
+    for level, x, _, cid in T.moves:
         radius = T.eps ** 2 * H.rang(level)
-        changed = np.flatnonzero(T.membership[level] != H.membership[level])
-        for x in changed:
-            cid = int(T.membership[level, x])
-            orig = H.members(cid)
-            d = float(D[x, orig].min())
-            if d > radius * (1 + 1e-9):
-                violations.append((level, cid, int(x), d, radius))
+        d = float(H.metric.matrix[x, H.members(cid)].min())
+        if d > radius * (1 + 1e-9):
+            violations.append((level, cid, x, d, radius))
     return ConsistencyReport(violations)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from uflkit import ptas
+from uflkit.cli import _config, build_parser
 from uflkit.experiments import blob_instance
 from uflkit.geometry import load_points, save_points_text
 from uflkit.projection import sample_map
@@ -23,6 +24,18 @@ def dataset(tmp_path_factory):
                   "--intrinsic-dim", "2", "--seed", "4", "--out", str(path))
     assert res.returncode == 0
     return path
+
+
+@pytest.mark.parametrize("argv", [["solve", "in"], ["reduce", "in", "--out", "o"],
+                                  ["partition", "in"], ["experiment", "ptas"]],
+                         ids=lambda argv: argv[0])
+def test_config_flags_are_the_config_fields(argv):
+    args = build_parser().parse_args(argv + ["--eps", "0.3", "--ddim", "1.5",
+                                             "--kappa-cap", "2", "--seed", "5"])
+    assert _config(args) == ptas.PtasConfig(eps=0.3, ddim=1.5, kappa_cap=2.0, seed=5)
+    for flag in ("--c1", "--c2", "--c3", "--c4", "--alpha"):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + [flag, "1"])
 
 
 class TestGen:

@@ -81,6 +81,11 @@ class TestIndividualChecks:
         assert rep["passed"]
         assert len(rep["checks"]) > 0
 
+    def test_cutting_probability_with_no_checked_level_does_not_pass(self):
+        # K so large that no (pair, level) bound is at most 1/2
+        rep = cutting_probability_check(trials=2, seed=5, K=1e12)
+        assert rep["checks"] == [] and not rep["passed"]
+
     def test_badly_cut_rate(self):
         for eps in (0.2, 0.3):
             rep = badly_cut_rate_check(eps, trials=150, seed=6)
@@ -95,6 +100,10 @@ class TestIndividualChecks:
 
     def test_partition_structure(self):
         assert partition_structure_check(6, seed=9)["passed"]
+
+    def test_partition_structure_with_no_checked_pair_does_not_pass(self):
+        rep = partition_structure_check(2, seed=9, pairs_per_instance=0)
+        assert rep["good_cross_pairs_checked"] == 0 and not rep["passed"]
 
     def test_local_bounds(self):
         rep = local_bounds_check(6, seed=10)

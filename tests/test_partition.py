@@ -22,10 +22,10 @@ from uflkit.util import spawn_seeds
 from conftest import random_points
 
 
-def make_partition(X, seed=0, kappa=2.0, eps=0.3, ddim=2.0, alpha=6.0, **kw):
+def make_partition(X, seed=0, kappa=2.0, eps=0.3, ddim=2.0, **kw):
     H = build_hierarchy(X, seed)
     T = eliminate_badly_cut(H, approx_ufl(X), eps, ddim)
-    handle = MatrixApproxHandle(H.metric.matrix, alpha)
+    handle = MatrixApproxHandle(H.metric.matrix)
     return bottom_up_partition(T, kappa, handle, **kw), H, T
 
 
@@ -50,7 +50,7 @@ class TestBottomUp:
         assert part.holes == {0: []}
         assert np.array_equal(np.sort(p.members), np.arange(15))
 
-    def test_two_far_groups_split(self, rng):
+    def test_two_far_groups_split(self, rng, monkeypatch):
         # two 10-point groups at mutual distance 1e6; the threshold sits just
         # below each whole-group cost, so parts never mix groups and some
         # seed emits exactly the two groups
@@ -60,10 +60,10 @@ class TestBottomUp:
         D = X.distance_matrix()
         g_cost = min(mp_ufl_value(D, np.arange(10))[0],
                      mp_ufl_value(D, np.arange(10, 20))[0])
+        monkeypatch.setattr(MatrixApproxHandle, "alpha", g_cost * 0.98)
         exact_two = 0
         for seed in spawn_seeds(3, 8):
-            part, _, _ = make_partition(X, seed=seed, kappa=1.0,
-                                        alpha=g_cost * 0.98)
+            part, _, _ = make_partition(X, seed=seed, kappa=1.0)
             groups = [set(p.members.tolist()) for p in part.parts]
             for g in groups:
                 assert g <= set(range(10)) or g <= set(range(10, 20))
@@ -214,7 +214,7 @@ class TestProperties:
             H = build_hierarchy(X, seed)
             f0 = approx_ufl(X)
             T = eliminate_badly_cut(H, f0, 0.3, 2.0)
-            part = bottom_up_partition(T, 2.0, MatrixApproxHandle(H.metric.matrix, 6.0))
+            part = bottom_up_partition(T, 2.0, MatrixApproxHandle(H.metric.matrix))
             pairs = [tuple(rng.choice(30, 2, replace=False)) for _ in range(80)]
             rep = partition_properties_check(part, f0, pairs)
             assert rep.ok, rep
@@ -223,7 +223,7 @@ class TestProperties:
         X = random_points(rng, 14, 2)
         H = build_hierarchy(X, 4)
         T = eliminate_badly_cut(H, np.arange(14), 0.3, 2.0)   # identity: no moves
-        part = bottom_up_partition(T, 2.0, MatrixApproxHandle(H.metric.matrix, 6.0))
+        part = bottom_up_partition(T, 2.0, MatrixApproxHandle(H.metric.matrix))
         rep = partition_properties_check(part, np.arange(14), [])
         assert rep.consistency_violations == []
 
@@ -401,7 +401,7 @@ def _partition_chunks(P):
 def _golden_matrix(X, seed):
     T = split_stages(X, seed).partition.refined
     for kappa in (2.0, 4.0, 1e9):
-        handle = MatrixApproxHandle(T.base.metric.matrix, 6.0)
+        handle = MatrixApproxHandle(T.base.metric.matrix)
         yield from _partition_chunks(bottom_up_partition(T, kappa, handle))
 
 

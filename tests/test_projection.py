@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
+from uflkit import projection
 from uflkit.experiments import (contraction_tail_check, expansion_tail_check,
                                 expectation_tail_check, norm_expectation_check)
 from uflkit.geometry import PointSet
@@ -90,14 +91,16 @@ class TestEmbed:
 
 
 class TestTargetDim:
-    def test_formula_small(self):
-        assert target_dim(0.5, 16.0, c3=1.0) == 20
+    def test_formula_small(self, monkeypatch):
+        monkeypatch.setattr(projection, "_C3", 1.0)
+        assert target_dim(0.5, 16.0) == 20
 
-    def test_clamp_case(self):
-        assert target_dim(1 - 1e-9, 2.0, c3=1.0) == 1
+    def test_clamp_case(self, monkeypatch):
+        monkeypatch.setattr(projection, "_C3", 1.0)
+        assert target_dim(1 - 1e-9, 2.0) == 1
 
     def test_formula_large(self):
-        assert target_dim(0.25, 256.0, c3=2.0) == 320
+        assert target_dim(0.25, 256.0) == 320           # at the default _C3 = 2
 
     def test_eps_out_of_range(self):
         for eps in (0.0, 1.0, -0.2, 1.5):

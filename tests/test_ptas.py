@@ -1,14 +1,16 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from uflkit import ptas, solvers
+from uflkit import projection, ptas, solvers
 from uflkit.datasets import generate_dataset
 from uflkit.experiments import blob_instance
 from uflkit.geometry import PointSet
 from uflkit.hierarchy import build_hierarchy
+from uflkit.partition import MatrixApproxHandle
 from uflkit.projection import target_dim
 from uflkit.ptas import (DistanceOracle, PtasConfig, RestrictedApproxHandle,
                          _heuristic_projected_sweep, _restricted_sweep, build_stages,
@@ -22,15 +24,16 @@ from conftest import line, random_points
 
 class TestConfig:
     def test_derived_values(self):
-        cfg = PtasConfig(eps=0.2, ddim=2.0, alpha=6.0, kappa_cap=32.0)
+        cfg = PtasConfig(eps=0.2, ddim=2.0, kappa_cap=32.0)
+        assert [f.name for f in fields(PtasConfig)] == ["eps", "ddim", "kappa_cap", "seed"]
         assert cfg.kappa == 32.0                       # (2/0.2)^2 = 100 clamps to the cap
         assert cfg.tau == pytest.approx(2.0 ** 20 * 6.0 * 32.0)
-        assert cfg.m == target_dim(0.2, cfg.tau, cfg.c3)
+        assert cfg.m == target_dim(0.2, cfg.tau)
         assert cfg.tau >= cfg.kappa and cfg.m >= 1
 
-    def test_kappa_floor(self):
-        cfg = PtasConfig(eps=0.9, ddim=1.0, c2=0.01)
-        assert cfg.kappa == 1.0
+    def test_kappa_floor(self, monkeypatch):
+        monkeypatch.setattr(ptas, "_C2", 0.01)
+        assert PtasConfig(eps=0.9, ddim=1.0).kappa == 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -38,7 +41,27 @@ class TestConfig:
         with pytest.raises(ValueError):
             PtasConfig(ddim=0.5)
         with pytest.raises(ValueError):
-            PtasConfig(c3=-1.0)
+            PtasConfig(kappa_cap=0.0)
+
+    def test_constants_read_at_call_time(self, monkeypatch):
+        cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, seed=1)
+        X = blob_instance(4, 25, seed=1)
+        monkeypatch.setattr(ptas, "_C1", 0.5)
+        monkeypatch.setattr(ptas, "_C2", 0.5)
+        monkeypatch.setattr(MatrixApproxHandle, "alpha", 3.0)
+        monkeypatch.setattr(projection, "_C3", 1e-6)
+        assert cfg.kappa == pytest.approx(0.5 * 2.0 / 0.3)
+        assert cfg.tau == pytest.approx(2.0 ** 20 * 3.0 * cfg.kappa)
+        assert cfg.m == 1
+        P = build_stages(X, cfg).partition        # the scan threshold is alpha * kappa
+        assert (P.alpha, P.kappa) == (3.0, cfg.kappa)
+        monkeypatch.undo()
+        _, traces = ptas_euclidean(X, cfg)
+        assert [(t.event_H, t.adopted) for t in traces] == [(True, "median")] * 2
+        monkeypatch.setattr(ptas, "_C4", 1e-9)
+        _, traces = ptas_euclidean(X, cfg)
+        assert [(t.event_G, t.event_H, t.adopted) for t in traces] == [
+            (True, False, "fallback")] * 2
 
 
 class TestEuclidean:
@@ -86,28 +109,28 @@ class TestEuclidean:
         assert s1.total == s2.total
         assert trace_to_jsonl(t1) == trace_to_jsonl(t2)
 
-    def test_fallback_fires_with_crushed_target_dimension(self, rng):
+    def test_fallback_fires_with_crushed_target_dimension(self, rng, monkeypatch):
         # two tight groups force a two-facility constant-factor solution;
-        # c3 tiny forces m = 1, so the facility pair contracts on roughly
+        # _C3 tiny forces m = 1, so the facility pair contracts on roughly
         # half the seeds and the constant-factor clustering takes over
         X = PointSet(np.vstack([rng.random((6, 2)) * 0.2,
                                 rng.random((6, 2)) * 0.2 + 5.0]))
         oracle = brute_force_ufl_continuous(X.coords)
-        assert PtasConfig(eps=0.2, ddim=2.0, c3=1e-6, seed=0).m == 1
+        monkeypatch.setattr(projection, "_C3", 1e-6)
+        assert PtasConfig(eps=0.2, ddim=2.0, seed=0).m == 1
         fallbacks = 0
         for seed in range(12):
-            sol, traces = ptas_euclidean(X, PtasConfig(eps=0.2, ddim=2.0,
-                                                       c3=1e-6, seed=seed))
+            sol, traces = ptas_euclidean(X, PtasConfig(eps=0.2, ddim=2.0, seed=seed))
             fallbacks += sum(t.adopted == "fallback" for t in traces)
             assert sol.total <= 6.0 * oracle * (1 + 1e-9)
         assert fallbacks >= 1
 
-    def test_fallback_designated_within_approx_dumbbell(self, rng):
+    def test_fallback_designated_within_approx_dumbbell(self, rng, monkeypatch):
         X = PointSet(np.vstack([rng.random((6, 2)) * 0.2,
                                 rng.random((6, 2)) * 0.2 + 5.0]))
+        monkeypatch.setattr(projection, "_C3", 1e-6)
         for seed in range(12):
-            _, traces = ptas_euclidean(X, PtasConfig(eps=0.2, ddim=2.0,
-                                                     c3=1e-6, seed=seed))
+            _, traces = ptas_euclidean(X, PtasConfig(eps=0.2, ddim=2.0, seed=seed))
             for t in traces:
                 if t.adopted == "fallback":
                     assert t.designated_cost <= t.approx_cost * (1 + 1e-9)
@@ -125,19 +148,21 @@ class TestEuclidean:
         with pytest.raises(ValueError):
             ptas_euclidean(PointSet(np.zeros((1, 0))), PtasConfig())
 
-    def test_event_h_rejects_a_sweep_above_c4_tau(self):
-        # c4 * tau = 25.2: part 0's k* + v = 14 + 35.7 exceeds it and falls
+    def test_event_h_rejects_a_sweep_above_c4_tau(self, monkeypatch):
+        # _C4 * tau = 25.2: part 0's k* + v = 14 + 35.7 exceeds it and falls
         # back, part 1's 6 + 12.4 does not
-        cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, c4=1e-6, seed=1)
+        monkeypatch.setattr(ptas, "_C4", 1e-6)
+        cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, seed=1)
         sol, traces = ptas_euclidean(blob_instance(4, 25, seed=1), cfg)
         assert [(t.event_H, t.adopted) for t in traces] == [
             (False, "fallback"), (True, "median")]
-        assert traces[0].k_star + traces[0].v > cfg.c4 * cfg.tau
+        assert traces[0].k_star + traces[0].v > ptas._C4 * cfg.tau
         assert sol.total == pytest.approx(71.79282904228702, rel=1e-12)
 
-    def test_c4_tau_below_one_falls_back_instead_of_crashing(self):
-        # c4 * tau = 0.025 once emptied the k window of the heuristic sweep
-        cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, c4=1e-9, seed=1)
+    def test_c4_tau_below_one_falls_back_instead_of_crashing(self, monkeypatch):
+        # _C4 * tau = 0.025 once emptied the k window of the heuristic sweep
+        monkeypatch.setattr(ptas, "_C4", 1e-9)
+        cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, seed=1)
         sol, traces = ptas_euclidean(blob_instance(4, 25, seed=1), cfg)
         assert [t.adopted for t in traces] == ["fallback", "fallback"]
         assert sol.total == pytest.approx(74.7426, abs=1e-4)
@@ -264,23 +289,25 @@ class TestDiscrete:
         with pytest.raises(ValueError, match="triangle"):
             ptas_discrete(DistanceOracle(D), PtasConfig(seed=0))
 
-    def test_tau_below_one_still_sweeps(self):
+    def test_tau_below_one_still_sweeps(self, monkeypatch):
         # tau = 0.41 once capped k below 1 and emptied the sweep
         X = blob_instance(2, 10, seed=1)
-        cfg = PtasConfig(eps=0.3, ddim=1.0, kappa_cap=4.0, alpha=1e-4, seed=1)
+        monkeypatch.setattr(MatrixApproxHandle, "alpha", 1e-4)
+        cfg = PtasConfig(eps=0.3, ddim=1.0, kappa_cap=4.0, seed=1)
         assert cfg.tau < 1.0
         sol, traces = ptas_discrete(DistanceOracle.from_points(X), cfg)
         assert [(t.k_star, t.adopted) for t in traces] == [(10, "median")]
         conn = X.distance_matrix()[:, sol.facility_ids].min(axis=1).sum()
         assert sol.total == pytest.approx(len(sol.facility_ids) + conn)
 
-    def test_untested_events_are_traced_as_none(self):
+    def test_untested_events_are_traced_as_none(self, monkeypatch):
         # the discrete pipeline tests neither event: here k* + v = 14.24
-        # exceeds c4 * tau = 1.64, so a True event_H would be false
+        # exceeds _C4 * tau = 1.64, so a True event_H would be false
         X = blob_instance(2, 10, seed=1)
-        cfg = PtasConfig(eps=0.3, ddim=1.0, kappa_cap=4.0, alpha=1e-4, seed=1)
+        monkeypatch.setattr(MatrixApproxHandle, "alpha", 1e-4)
+        cfg = PtasConfig(eps=0.3, ddim=1.0, kappa_cap=4.0, seed=1)
         _, traces = ptas_discrete(DistanceOracle.from_points(X), cfg)
-        assert traces[0].k_star + traces[0].v > cfg.c4 * cfg.tau
+        assert traces[0].k_star + traces[0].v > ptas._C4 * cfg.tau
         assert [(t.event_G, t.event_H) for t in traces] == [(None, None)]
         rec = json.loads(trace_to_jsonl(traces))
         assert rec["event_G"] is None and rec["event_H"] is None

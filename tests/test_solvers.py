@@ -334,8 +334,9 @@ class TestEnumThreshold:
 
             monkeypatch.setattr(ptas, name, recording)
         # parts of 1-10 points, all within the default threshold
+        monkeypatch.setattr(MatrixApproxHandle, "alpha", 1.0)
         ptas_euclidean(blob_instance(3, 10), PtasConfig(eps=0.3, ddim=2.0, kappa_cap=2.0,
-                                                        alpha=1.0, seed=0))
+                                                        seed=0))
         assert sorted(sizes["_heuristic_projected_sweep"]) == [6, 10]
         assert max(sizes["_exact_projected_sweep"]) == 4
 
@@ -1067,9 +1068,11 @@ def _golden_ptas(seed):
 def _golden_ptas_small(seed):
     # n = 15: every candidate set is enumerable, so the discrete handle is
     # exact and every discrete sweep enumerates; the Euclidean parts take
-    # the exact sweep
-    yield from _ptas_chunks(blob_instance(3, 5),
-                            PtasConfig(eps=0.3, ddim=2.0, kappa_cap=2.0, alpha=1.0, seed=seed))
+    # the exact sweep, with ball growing's alpha set to 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MatrixApproxHandle, "alpha", 1.0)
+        yield from _ptas_chunks(blob_instance(3, 5),
+                                PtasConfig(eps=0.3, ddim=2.0, kappa_cap=2.0, seed=seed))
 
 
 def _golden_ptas_discrete_split(seed):
@@ -1086,11 +1089,13 @@ def _golden_ptas_euclid_split(seed):
 
 
 def _golden_ptas_fallback(seed):
-    # c4 = 1e-6 mixes adopted medians and fallbacks; at c4 = 1e-9 every
+    # _C4 = 1e-6 mixes adopted medians and fallbacks; at _C4 = 1e-9 every
     # part falls back to its facilities' nearest-member clusters
+    cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, seed=seed)
     for c4 in (1e-6, 1e-9):
-        cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, c4=c4, seed=seed)
-        yield _euclidean_chunk(*ptas_euclidean(blob_instance(4, 25, seed=1), cfg))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ptas, "_C4", c4)
+            yield _euclidean_chunk(*ptas_euclidean(blob_instance(4, 25, seed=1), cfg))
 
 
 def _golden_kmedian_local_search(rng):
