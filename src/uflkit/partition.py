@@ -169,6 +169,7 @@ class BoundsEntry(NamedTuple):
 class BoundsReport(NamedTuple):
     entries: list[BoundsEntry]
     kappa: float
+    alpha: float                 # the approximation factor tau was computed with
     tau: float
 
     @property
@@ -181,14 +182,20 @@ class BoundsReport(NamedTuple):
         return sum(not e.checked for e in self.entries)
 
 
+def tau_bound(ddim: float, alpha: float, kappa: float) -> float:
+    """tau = 2^(10 ddim) * alpha * kappa, the paper's upper bound on a part's
+    value for a partition scanned at threshold alpha * kappa."""
+    return (2.0 ** (10.0 * ddim)) * alpha * kappa
+
+
 def local_value_bounds_check(P: LowValuePartition, oracle, ddim: float) -> BoundsReport:
-    """Check kappa <= opt(part) <= 2^(10 ddim) * alpha * kappa, kappa the
-    partition's, with an exact (or near-exact) oracle that maps a part's
-    member ids to its value, so any metric can be checked; the lower bound
-    is skipped for the last part, and parts the oracle rejects with
+    """Check kappa <= opt(part) <= tau_bound(ddim, alpha, kappa), alpha and
+    kappa the partition's, with an exact (or near-exact) oracle that maps a
+    part's member ids to its value, so any metric can be checked; the lower
+    bound is skipped for the last part, and parts the oracle rejects with
     OracleScaleError are reported unchecked."""
     kappa = P.kappa
-    tau = (2.0 ** (10.0 * ddim)) * P.alpha * kappa
+    tau = tau_bound(ddim, P.alpha, kappa)
     entries = []
     for p in P.parts:
         try:
@@ -199,7 +206,7 @@ def local_value_bounds_check(P: LowValuePartition, oracle, ddim: float) -> Bound
         lower_ok = p.is_last or value >= kappa * (1 - 1e-9)
         upper_ok = value <= tau * (1 + 1e-9)
         entries.append(BoundsEntry(p.index, len(p.members), value, True, lower_ok, upper_ok))
-    return BoundsReport(entries, kappa, tau)
+    return BoundsReport(entries, kappa, P.alpha, tau)
 
 
 class PartitionCheckReport(NamedTuple):

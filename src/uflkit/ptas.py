@@ -18,7 +18,7 @@ from scipy.spatial.distance import pdist, squareform
 from . import solvers
 from .geometry import OPENING_COST, PointSet, UflSolution, ufl_cost
 from .hierarchy import HierarchicalDecomposition, MetricData, build_hierarchy
-from .partition import LowValuePartition, MatrixApproxHandle, bottom_up_partition
+from .partition import LowValuePartition, MatrixApproxHandle, bottom_up_partition, tau_bound
 from .projection import sample_map, target_dim
 from .refine import eliminate_badly_cut
 from .solvers import (_affine_reduce, _med1_costs, _nearest_blocks, _subset_enumerable,
@@ -62,7 +62,7 @@ class PtasConfig:
 
     @property
     def tau(self) -> float:
-        return (2.0 ** (10.0 * self.ddim)) * MatrixApproxHandle.alpha * self.kappa
+        return tau_bound(self.ddim, MatrixApproxHandle.alpha, self.kappa)
 
     @property
     def m(self) -> int:

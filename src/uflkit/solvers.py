@@ -18,6 +18,7 @@ no longer depends on the ambient dimension.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -226,6 +227,11 @@ def _median_lockstep(P: np.ndarray, M: np.ndarray, history: list | None = None):
     _MEDIAN_CELLS (row, point, coordinate) cells at a time, which bounds
     every temporary.
 
+    Per step, g is one einsum reduction over the points, and sum w_i u_i
+    u_i^T one batched matrix product (U W)^T U with a k x k result per row.
+    Each reduces within its row, so a row's result does not depend on the
+    rows beside it.
+
     history, if given, receives the first row's distance sum at the start
     and after every step."""
     upper = np.empty(len(M))
@@ -271,7 +277,12 @@ def _median_rows(P, M, y, upper, lower, history):
     p_a - P, so that y - p_i = B + delta. Once a member comes within _NEAR
     of the distance sum, it becomes the anchor: the differences then keep
     their full relative precision however close y comes to it, and a
-    median can lie 1e-7 of its set's diameter away from a data point."""
+    median can lie 1e-7 of its set's diameter away from a data point.
+
+    U = (y - p_i) w_i holds the unit vectors, so g = einsum("rnk->rk", U)
+    and the Hessian's sum is (U W)^T @ U, batched over rows. Stopped rows
+    leave by one integer take per array; the rows a Newton step fails on
+    are gathered once for the halvings and shrunk only when one passes."""
     keep_frac, last = 1.0 - _WEISZFELD_TOL, _WEISZFELD_MAX_ITER
     pos = np.arange(len(M))                     # active row -> chunk row
     member = M > 0
@@ -310,7 +321,7 @@ def _median_rows(P, M, y, upper, lower, history):
                 W[h] = np.where(hit, 0.0, W[h])
         U = D                                   # D is rebuilt by the step
         U *= W[:, :, None]
-        g = U.sum(axis=1)
+        g = np.einsum("rnk->rk", U)
         gnorm = np.sqrt(np.einsum("rk,rk->r", g, g))
         # sum v_i . (y - p_i) is the others' distance sum minus g . (y - c),
         # c the mean of the shifted points
@@ -330,24 +341,24 @@ def _median_rows(P, M, y, upper, lower, history):
             out = pos[stop]
             y[out] = P[a[stop]] + delta[stop]
             upper[out], lower[out] = f[stop], np.minimum(lo[stop], f[stop])
-            # one array at a time, so that each old copy is freed before
-            # the next is made
-            keep = ~stop
-            B = B[keep]
-            U = U[keep]
-            W = W[keep]
-            d = d[keep]
-            M = M[keep]
-            member = member[keep]
-            pos, size, copy, centroid = pos[keep], size[keep], copy[keep], centroid[keep]
-            a, ac = a[keep], ac[keep]
-            delta, f, lo, g, gnorm = delta[keep], f[keep], lo[keep], g[keep], gnorm[keep]
-            close = close[keep]
+            # take, which gathers rows far faster than a boolean mask; the
+            # large arrays one at a time, so that each old copy is freed
+            # before the next is made (d is rebuilt by the step)
+            keep = np.flatnonzero(~stop)
+            B = B.take(keep, axis=0)
+            U = U.take(keep, axis=0)
+            W = W.take(keep, axis=0)
+            M = M.take(keep, axis=0)
+            member = member.take(keep, axis=0)
+            pos, size, copy, centroid, a, ac, delta, f, lo, g, gnorm, close = (
+                v.take(keep, axis=0) for v in
+                (pos, size, copy, centroid, a, ac, delta, f, lo, g, gnorm, close))
             if on is not None:
-                on, share = on[keep], share[keep]
+                on, share = on.take(keep), share.take(keep)
 
         sw = W.sum(axis=1)
-        H = sw[:, None, None] * eye - np.einsum("rn,rni,rnj->rij", W, U, U)
+        H = sw[:, None, None] * eye
+        H -= (U * W[:, :, None]).transpose(0, 2, 1) @ U
         try:
             s = np.linalg.solve(H, g[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
@@ -379,20 +390,27 @@ def _median_rows(P, M, y, upper, lower, history):
                 step[done], Dt[done], dt[done], ft[done] = sb[good], Db[good], db[good], fb[good]
                 ok[done] = True
             retry = np.flatnonzero(~ok & np.isfinite(ft) & (slope > 0.0))
+            # the retried rows' arrays, gathered once and shrunk only when
+            # a halving passes
+            Br, Mr, dr, sr, fr = (v.take(retry, axis=0) for v in (B, M, delta, s, f))
+            fr *= _SLACK
             t = 1.0
             for _ in range(_BACKTRACK):
                 if len(retry) == 0:
                     break
                 t *= 0.5
-                sb = delta[retry] - t * s[retry]
-                Db = B[retry]
-                Db += sb[:, None, :]
-                db, fb = _sums_at(Db, M[retry])
-                good = fb <= f[retry] * _SLACK
-                done = retry[good]
-                step[done], Dt[done], dt[done], ft[done] = sb[good], Db[good], db[good], fb[good]
-                ok[done] = True
-                retry = retry[~good]
+                sb = dr - t * sr
+                Db = Br + sb[:, None, :]
+                db, fb = _sums_at(Db, Mr)
+                good = fb <= fr
+                if good.any():
+                    won = np.flatnonzero(good)
+                    done = retry[won]
+                    step[done], Dt[done], dt[done], ft[done] = sb[won], Db[won], db[won], fb[won]
+                    ok[done] = True
+                    left = np.flatnonzero(~good)
+                    retry, Br, Mr, dr, sr, fr = (v.take(left, axis=0)
+                                                 for v in (retry, Br, Mr, dr, sr, fr))
             e = np.flatnonzero(~ok)             # Weiszfeld, on a data point blended with y
             if len(e):
                 keep_y = 0.0 if on is None else np.minimum(1.0, share[e] / gnorm[e]) * on[e]
@@ -428,23 +446,33 @@ def _submask_layers(s: int):
     pairs (s <= 14): S the masks of {0..s-1} with p set bits, ascending, and
     T[i] the 2^(p-1) submasks of S[i] that contain its lowest set bit, in
     decreasing order; both int32. Every split S = T + (S ^ T) of a layer
-    refers to smaller layers only."""
-    masks = np.arange(1, 1 << s, dtype=np.int32)
-    bits = (masks[:, None] >> np.arange(s, dtype=np.int32)) & 1
-    pop = bits.sum(axis=1)
+    refers to smaller layers only.
+
+    Each layer is built from the one before it. The masks of layer p + 1
+    with highest bit h are h | R for the masks R of layer p below 1 << h,
+    which are its first comb(h, p) rows; and T(h | R) = [T(R) | h, T(R)],
+    since the submasks holding h come first in decreasing order. Only the
+    current and the next layer are held: 4.1 MB of int32 at s = 14 (layers
+    9 and 10, 1 025 024 submasks)."""
+    S = 1 << np.arange(s, dtype=np.int32)
+    T = S[:, None]
     for p in range(1, s + 1):
-        layer = pop == p
-        S = masks[layer]
-        pos = np.nonzero(bits[layer])[1].astype(np.int32).reshape(len(S), p)
-        # bit i of j selects S's i-th set bit: decreasing odd j gives the
-        # submasks holding the lowest bit, in decreasing order
-        j = np.arange((1 << p) - 1, 0, -2, dtype=np.int32)
-        T = np.zeros((len(S), len(j)), dtype=np.int32)
-        for i in range(p):
-            T |= ((j >> i) & 1) << pos[:, i, None]
         rows = max(1, _DP_PAIRS >> (p - 1))
         for a in range(0, len(S), rows):
             yield S[a:a + rows], T[a:a + rows]
+        if p == s:
+            return
+        half = T.shape[1]
+        S_next = np.empty(math.comb(s, p + 1), dtype=np.int32)
+        T_next = np.empty((len(S_next), 2 * half), dtype=np.int32)
+        at = 0
+        for h in range(p, s):
+            c = math.comb(h, p)
+            np.bitwise_or(S[:c], 1 << h, out=S_next[at:at + c])
+            np.bitwise_or(T[:c], 1 << h, out=T_next[at:at + c, :half])
+            T_next[at:at + c, half:] = T[:c]
+            at += c
+        S, T = S_next, T_next
 
 
 def _ufl_partition_dp(med1: np.ndarray, s: int):
@@ -637,11 +665,11 @@ def kmedian_restricted(D: np.ndarray, clients: np.ndarray, candidates: np.ndarra
 def kmedian(points, k: int) -> KMedianResult:
     """k-median clustering with centers anywhere in space.
 
-    k = 1 is one block. Otherwise inputs of at most _ENUM_THRESHOLD points
-    are solved exactly over all k-partitions with geometric median centers,
-    larger ones by _local_search_blocks over their distance matrix
-    (certified=False). The k blocks are recentered in one weiszfeld_1median
-    call."""
+    k = 1 is one block and k = s singletons. Otherwise inputs of at most
+    _ENUM_THRESHOLD points are solved exactly over all k-partitions with
+    geometric median centers, larger ones by _local_search_blocks over their
+    distance matrix (certified=False). The k blocks are recentered in one
+    weiszfeld_1median call."""
     P = _as_points(points)
     s = len(P)
     if not 1 <= k <= s:
@@ -649,7 +677,9 @@ def kmedian(points, k: int) -> KMedianResult:
     exact = s <= _ENUM_THRESHOLD
     if k == 1:
         blocks = [np.arange(s)]
-    elif k < s and exact:
+    elif k == s:
+        blocks = [np.array([i]) for i in range(s)]
+    elif exact:
         _, blocks = _kmedian_exact_dp(_med1_costs(_affine_reduce(P)), s, k)
     else:
         _, blocks = next(_local_search_blocks(squareform(pdist(P)), k, k))

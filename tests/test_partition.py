@@ -11,7 +11,7 @@ from uflkit.hierarchy import MetricData, build_hierarchy
 from uflkit.partition import (MatrixApproxHandle, Part, bottom_up_partition,
                               check_partition_invariants,
                               local_value_bounds_check,
-                              partition_properties_check, partition_to_csv)
+                              partition_properties_check, partition_to_csv, tau_bound)
 from uflkit.ptas import (DistanceOracle, PtasConfig, RestrictedApproxHandle, build_stages,
                          ptas_discrete)
 from uflkit.refine import eliminate_badly_cut
@@ -185,6 +185,17 @@ class TestLocalBounds:
         assert rep.unchecked == 1 and rep.ok
         (e,) = rep.entries
         assert (e.checked, e.value, e.lower_ok, e.upper_ok) == (False, None, None, None)
+
+    def test_tau_uses_the_partitions_alpha(self, rng):
+        # a discrete partition is scanned with RestrictedApproxHandle's
+        # alpha, not ball growing's; the report records the one it used
+        X = random_points(rng, 12, 2)
+        part = split_stages(X, 1, restricted=True).partition
+        rep = local_value_bounds_check(part, continuous_oracle(X), ddim=2.0)
+        assert rep.alpha == part.alpha != MatrixApproxHandle.alpha
+        assert rep.tau == tau_bound(2.0, part.alpha, part.kappa)
+        cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0)
+        assert cfg.tau == tau_bound(2.0, MatrixApproxHandle.alpha, cfg.kappa)
 
     def test_abstract_metric_partition_checked(self, rng):
         # a DistanceOracle has no coordinates; reading them crashed the check

@@ -606,10 +606,11 @@ def point_sets(draw, max_dim=4):
 
 @st.composite
 def blocked_point_sets(draw):
-    """(P, blocks, order): P from point_sets, at times made collinear or
-    given near-duplicates 1e-12 apart; 1..6 blocks of P, repeats allowed;
-    and a permutation of the blocks."""
-    P = draw(point_sets())
+    """(P, blocks, order): P from point_sets in up to 12 dimensions, past
+    the 11 that 12 points can span, at times made collinear or given
+    near-duplicates 1e-12 apart; 1..6 blocks of P, repeats allowed; and a
+    permutation of the blocks."""
+    P = draw(point_sets(max_dim=12))
     if draw(st.booleans()):
         P[:, 1:] = 0.0
     if draw(st.booleans()):
@@ -636,6 +637,11 @@ class TestWeiszfeldCertificate:
                    [np.array(b) for b in ([0], [0, 4], [1, 2], [0, 1, 3], [5, 6], [5, 6, 7],
                                           range(8))],
                    [6, 5, 4, 3, 2, 1, 0]))
+    # exact_n12's final recentering: 12 points in 64 dimensions
+    @example(case=(generate_dataset("subspace", 12, 64, 2, 12).coords,
+                   [np.array(b) for b in (range(12), [0, 3, 5, 7, 11], [1, 2, 4], [6, 8, 9, 10],
+                                          [2, 9])],
+                   [3, 0, 4, 1, 2]))
     def test_blocks_match_solo_calls(self, case):
         # rows reduce row by row, so a block's bytes do not depend on the
         # other blocks of its call or their order
@@ -1143,16 +1149,16 @@ GOLDEN_SOLVER_SOURCES = {
 # facility, its position, a cost's last bit or a trace changes the digest.
 GOLDEN_SOLVER_DIGESTS = {
     "approx_ufl": "bf36ee77b064c76e4c13926cededa2b35072702b9bf1d516ca2d6df80af7b91a",
-    "exact_oracles": "39c9911f23db05d5c1670fcb7640face1aeaaf88ed772a2440bfa83c979c067b",
-    "kmedian_local_search": "4c25748de28f3aa88ed550174ae09101fa151c70ed9e9399c9490f0d2869c406",
+    "exact_oracles": "7de47d92bc0ac7838b9ba9194b389eb260f9da2d246818c28fadaa7b2be0a096",
+    "kmedian_local_search": "0e6e2ef16ee0b5711607658501dee458a4b6a97a72e7ecf804ea33fec4f4c25c",
     "kmedian_restricted": "f1b8088869bf452fee5b838d1d57e16d840a1b325e389436a3fedda4209e011e",
     "ptas": "d9470bc1cdadea9496111be2a989d802bbb5a85192e899d5d8dedc5a784ff2db",
     "ptas_discrete_split": "88b4c12f5e6f6b32125cfe96dcce4856cfa5f86e2c0724476578905a2e69ac01",
-    "ptas_euclid_split": "46a628e780e8578937d75b5cabee1cfdad35af377c36244dea6bb2c9a485a6e7",
+    "ptas_euclid_split": "83f8f8db9c514e62fbb8e1787893c1e11753f4eb75703d4f9a1cf3ad5aa5ed8f",
     "ptas_fallback": "cd03883bf7d046c41e6c3a816dae0b5cf376df5363077da0444e51be8e113def",
-    "ptas_small": "af9cedfe0ef282c73206db2e8f15c18c7df87584747e95fb3546f5fd8e0a7638",
+    "ptas_small": "399d84f334c837fc0193b2ba340c673b31d20e5f0f258b345eefb35ffd531a38",
     "restricted_ufl_value": "3843dbd3d090b687da672b90d0c48a14d3f9dd606a218661d2ab50a34bcf0640",
-    "weiszfeld_1median": "9959a1d8152bb60fde8055dfe52815f87e0c36d2e0a10ecb918683526128792b",
+    "weiszfeld_1median": "4727e4a34068cb4f3c153dcc62144f056d82c1c2a5f4d449f93419523a5d81cb",
 }
 
 
