@@ -4,8 +4,8 @@ partitioning, and full approximation pipelines validated against brute force.
 """
 
 from .geometry import (OracleScaleError, PointSet, UflSolution, check_net, dist,
-                       estimate_ddim, greedy_net, load_points, metric_stats,
-                       save_points_binary, save_points_text, ufl_cost)
+                       estimate_ddim, greedy_net, load_points, save_points_binary,
+                       save_points_text, ufl_cost)
 from .projection import RandomLinearMap, sample_map, target_dim
 from .hierarchy import (HierarchicalDecomposition, MetricData, build_hierarchy,
                         dump_decomposition, is_badly_cut, is_cut, is_good_pair)
@@ -16,7 +16,7 @@ from .partition import (LowValuePartition, MatrixApproxHandle,
 from .solvers import (KMedianResult, WeiszfeldResult, approx_ufl, brute_force_ufl_continuous,
                       brute_force_ufl_discrete, kmedian, kmedian_restricted, weiszfeld_1median)
 from .ptas import (DiscreteSolution, DistanceOracle, PtasConfig, candidate_set,
-                   ptas_discrete, ptas_euclidean)
+                   guiding_assignment, ptas_discrete, ptas_euclidean)
 from .datasets import generate_dataset
 from .experiments import (ExperimentSpec, run_dimred_experiment,
                           run_property_suite, run_ptas_experiment)

@@ -2,6 +2,10 @@
 benchmarking against brute-force oracles, and the property suite that checks
 every probabilistic guarantee (with explicit slack) on seeded instances.
 
+A check takes only what the suite varies (trial or instance counts, a seed,
+the probed eps, t or m); its fixed settings are the module constants below,
+read at call time. Guiding assignments come from `ptas.guiding_assignment`.
+
 All randomness flows from one root seed through SeedSequence splitting, so
 any experiment is reproducible from a single integer.
 """
@@ -21,11 +25,25 @@ from .hierarchy import (build_hierarchy, check_diameters, check_nesting,
 from .partition import (check_partition_invariants, local_value_bounds_check,
                         partition_properties_check)
 from .projection import sample_map
-from .ptas import PtasConfig, build_stages, ptas_euclidean
+from .ptas import PtasConfig, build_stages, guiding_assignment, ptas_euclidean
 from .refine import (check_guided_pairs_uncut, consistency_check,
                      eliminate_badly_cut)
 from .solvers import approx_ufl, brute_force_ufl_continuous
 from .util import format_float, spawn_seeds
+
+
+# The checks' fixed settings, read at call time
+_TAIL_D = 8                          # ambient dimension of the random-map tail checks
+_TAIL_SLACK = 4.0                    # factor on every tail bound, opt_upper_tail's too
+_CUT_K, _CUT_DDIM = 64.0, 1.0        # cut rate <= K * ddim * dist / (2^i gamma)
+_BADLY_CUT_K, _GOOD_PAIR_K = 64.0, 192.0   # rate <= K eps^2, and >= 1 - K eps^2
+_PAIR_DDIM = 2.0                     # ddim of the badly-cut and good-pair checks
+_SPLIT_CFG = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0)   # blob_instance() splits
+_SMALL_CFG = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=2.0)   # n <= 12, oracle-checked
+_PAIRS_PER_INSTANCE = 60             # random pairs partition_structure_check draws
+_LAMBDA_SLACK, _PART_SUM_SLACK, _UPPER_TAIL_T = 8.0, 0.5, 0.5
+_TREND_EPS, _TREND_MS, _TREND_TOL = 0.2, (8, 32, 128), 0.02
+_BLOB_SPREAD, _BLOB_SEPARATION = 1.0, 50.0
 
 
 @dataclass(frozen=True)
@@ -115,49 +133,46 @@ PTAS_COLUMNS = ["trial", "dataset_seed", "n", "cost", "oracle", "ratio"]
 # Random-linear-map tail checks
 # ---------------------------------------------------------------------------
 
-def expansion_tail_check(t: float, m: int, trials: int, seed: int,
-                         d: int = 8, slack: float = 4.0) -> dict:
+def expansion_tail_check(t: float, m: int, trials: int, seed: int) -> dict:
     """Empirical Pr[|pi(x)| outside 1 +- t] against slack * exp(-t^2 m / 8)."""
-    norms = _unit_norms(m, trials, seed, d)
+    norms = _unit_norms(m, trials, seed)
     rate = float(np.mean((norms < 1.0 - t) | (norms > 1.0 + t)))
-    bound = slack * math.exp(-t * t * m / 8.0)
+    bound = _TAIL_SLACK * math.exp(-t * t * m / 8.0)
     return {"name": f"expansion_tail_t{t}_m{m}", "measured": rate,
             "bound": bound, "passed": rate <= bound}
 
 
-def contraction_tail_check(t: float, m: int, trials: int, seed: int,
-                           d: int = 8, slack: float = 4.0) -> dict:
-    norms = _unit_norms(m, trials, seed, d)
+def contraction_tail_check(t: float, m: int, trials: int, seed: int) -> dict:
+    norms = _unit_norms(m, trials, seed)
     rate = float(np.mean(norms <= 1.0 / t))
-    bound = slack * (3.0 / t) ** m
+    bound = _TAIL_SLACK * (3.0 / t) ** m
     return {"name": f"contraction_tail_t{t}_m{m}", "measured": rate,
             "bound": bound, "passed": rate <= bound}
 
 
-def expectation_tail_check(t: float, m: int, trials: int, seed: int,
-                           d: int = 8, slack: float = 4.0) -> dict:
-    norms = _unit_norms(m, trials, seed, d)
+def expectation_tail_check(t: float, m: int, trials: int, seed: int) -> dict:
+    norms = _unit_norms(m, trials, seed)
     measured = float(np.maximum(0.0, norms - (1.0 + t)).mean())
-    bound = slack / (m * t) * math.exp(-t * t * m / 2.0)
+    bound = _TAIL_SLACK / (m * t) * math.exp(-t * t * m / 2.0)
     return {"name": f"expectation_tail_t{t}_m{m}", "measured": measured,
             "bound": bound, "passed": measured <= bound}
 
 
-def norm_expectation_check(m: int, trials: int, seed: int, d: int = 8) -> dict:
+def norm_expectation_check(m: int, trials: int, seed: int) -> dict:
     """Mean of |pi(x)|^2 must sit within 3 standard errors of |x|^2 = 1."""
-    sq = _unit_norms(m, trials, seed, d) ** 2
+    sq = _unit_norms(m, trials, seed) ** 2
     mean = float(sq.mean())
     se = float(sq.std(ddof=1) / math.sqrt(trials))
     return {"name": f"norm_expectation_m{m}", "measured": mean,
             "bound": f"1 +- {3 * se}", "passed": abs(mean - 1.0) <= 3.0 * se}
 
 
-def _unit_norms(m: int, trials: int, seed: int, d: int) -> np.ndarray:
-    x = np.zeros(d)
+def _unit_norms(m: int, trials: int, seed: int) -> np.ndarray:
+    x = np.zeros(_TAIL_D)
     x[0] = 1.0
     out = np.empty(trials)
     for i, s in enumerate(spawn_seeds(seed, trials)):
-        out[i] = np.linalg.norm(sample_map(d, m, s).apply_vector(x))
+        out[i] = np.linalg.norm(sample_map(_TAIL_D, m, s).apply_vector(x))
     return out
 
 
@@ -172,8 +187,7 @@ def line_instance() -> PointSet:
     return PointSet(np.array(coords, dtype=np.float64)[:, None])
 
 
-def cutting_probability_check(trials: int, seed: int, K: float = 64.0,
-                              ddim: float = 1.0) -> dict:
+def cutting_probability_check(trials: int, seed: int) -> dict:
     """Empirical per-level cut rates of fixed pairs on the line instance
     against K * ddim * dist / (2^i gamma), wherever that bound is <= 1/2."""
     X = line_instance()
@@ -190,7 +204,7 @@ def cutting_probability_check(trials: int, seed: int, K: float = 64.0,
     checks = []
     for (p, i), c in counts.items():
         d = float(abs(X.coords[p[0], 0] - X.coords[p[1], 0]))
-        bound = float(K * ddim * d / (2.0 ** i * gamma))
+        bound = float(_CUT_K * _CUT_DDIM * d / (2.0 ** i * gamma))
         if bound <= 0.5:
             checks.append({"pair": list(p), "level": i, "rate": c / trials,
                            "bound": bound, "passed": bool(c / trials <= bound)})
@@ -198,8 +212,7 @@ def cutting_probability_check(trials: int, seed: int, K: float = 64.0,
             "passed": bool(checks) and all(c["passed"] for c in checks)}
 
 
-def badly_cut_rate_check(eps: float, trials: int, seed: int,
-                         K: float = 64.0, ddim: float = 2.0) -> dict:
+def badly_cut_rate_check(eps: float, trials: int, seed: int) -> dict:
     """Worst per-pair empirical badly-cut rate against the K * eps^2 bound."""
     X = generate_dataset("subspace", 24, 8, 2, 12345)
     rng = np.random.default_rng(99)
@@ -208,28 +221,27 @@ def badly_cut_rate_check(eps: float, trials: int, seed: int,
     for s in spawn_seeds(seed, trials):
         H = build_hierarchy(X, s)
         for p in pairs:
-            if is_badly_cut(H, p[0], p[1], eps, ddim):
+            if is_badly_cut(H, p[0], p[1], eps, _PAIR_DDIM):
                 hits[p] += 1
     rate = max(hits.values()) / trials
-    bound = K * eps * eps
+    bound = _BADLY_CUT_K * eps * eps
     return {"name": f"badly_cut_rate_eps{eps}", "measured": rate,
             "bound": bound, "passed": rate <= bound}
 
 
-def good_pair_rate_check(eps: float, trials: int, seed: int,
-                         K: float = 192.0, ddim: float = 2.0) -> dict:
+def good_pair_rate_check(eps: float, trials: int, seed: int) -> dict:
     X = generate_dataset("subspace", 24, 8, 2, 54321)
-    f0 = approx_ufl(X)
+    f0 = guiding_assignment(X.distance_matrix())
     rng = np.random.default_rng(7)
     pairs = [tuple(sorted(rng.choice(24, size=2, replace=False))) for _ in range(6)]
     good = {p: 0 for p in pairs}
     for s in spawn_seeds(seed, trials):
         H = build_hierarchy(X, s)
         for p in pairs:
-            if is_good_pair(H, f0, p[0], p[1], eps, ddim):
+            if is_good_pair(H, f0, p[0], p[1], eps, _PAIR_DDIM):
                 good[p] += 1
     rate = min(good.values()) / trials
-    bound = max(0.0, 1.0 - K * eps * eps)
+    bound = max(0.0, 1.0 - _GOOD_PAIR_K * eps * eps)
     return {"name": f"good_pair_rate_eps{eps}", "measured": rate,
             "bound": bound, "passed": rate >= bound}
 
@@ -249,15 +261,13 @@ def _instance_stream(count: int, seed: int, max_n: int = 120, max_d: int = 16):
         yield generate_dataset(kind, n, d, intrinsic, int(rng.integers(0, 2 ** 31))), s
 
 
-def refine_structure_check(instances: int, seed: int, eps: float = 0.3,
-                           ddim: float = 2.0) -> dict:
-    violations = 0
-    uncut_failures = 0
-    nesting = 0
+def refine_structure_check(instances: int, seed: int) -> dict:
+    violations = uncut_failures = nesting = 0
     for X, s in _instance_stream(instances, seed):
         H = build_hierarchy(X, s)
         nesting += len(check_nesting(H)) + len(check_diameters(H))
-        T = eliminate_badly_cut(H, approx_ufl(X), eps, ddim)
+        T = eliminate_badly_cut(H, guiding_assignment(H.metric.matrix),
+                                _SPLIT_CFG.eps, _SPLIT_CFG.ddim)
         violations += len(consistency_check(T).violations)
         uncut_failures += len(check_guided_pairs_uncut(T))
     return {"name": "refine_structure", "consistency_violations": violations,
@@ -265,22 +275,16 @@ def refine_structure_check(instances: int, seed: int, eps: float = 0.3,
             "passed": violations == 0 and uncut_failures == 0 and nesting == 0}
 
 
-def partition_structure_check(instances: int, seed: int, eps: float = 0.3,
-                              ddim: float = 2.0, kappa_cap: float = 4.0,
-                              pairs_per_instance: int = 60) -> dict:
-    bad_invariants = 0
-    sep_violations = 0
-    cons_violations = 0
-    pairs_checked = 0
+def partition_structure_check(instances: int, seed: int) -> dict:
+    bad_invariants = sep_violations = cons_violations = pairs_checked = 0
     for X, s in _instance_stream(instances, seed):
-        cfg = PtasConfig(eps=eps, ddim=ddim, kappa_cap=kappa_cap, seed=s)
-        part = build_stages(X, cfg).partition
+        part = build_stages(X, replace(_SPLIT_CFG, seed=s)).partition
         ok = check_partition_invariants(part)
         bad_invariants += sum(not flag for flag in ok)
         rng = np.random.default_rng(s)
         pairs = [tuple(rng.choice(X.n, size=2, replace=False))
-                 for _ in range(pairs_per_instance)]
-        rep = partition_properties_check(part, part.refined.f0_ids, pairs)
+                 for _ in range(_PAIRS_PER_INSTANCE)]
+        rep = partition_properties_check(part, pairs)
         sep_violations += len(rep.separation_violations)
         cons_violations += len(rep.consistency_violations)
         pairs_checked += rep.pairs_checked
@@ -292,14 +296,12 @@ def partition_structure_check(instances: int, seed: int, eps: float = 0.3,
                        and pairs_checked > 0)}
 
 
-def local_bounds_check(instances: int, seed: int, eps: float = 0.3,
-                       ddim: float = 2.0, kappa_cap: float = 2.0) -> dict:
+def local_bounds_check(instances: int, seed: int) -> dict:
     failures = checked_parts = unchecked_parts = 0
     for X, s in _instance_stream(instances, seed, max_n=12, max_d=8):
-        cfg = PtasConfig(eps=eps, ddim=ddim, kappa_cap=kappa_cap, seed=s)
-        part = build_stages(X, cfg).partition
+        part = build_stages(X, replace(_SMALL_CFG, seed=s)).partition
         rep = local_value_bounds_check(
-            part, lambda ids: brute_force_ufl_continuous(X.coords[ids]), ddim)
+            part, lambda ids: brute_force_ufl_continuous(X.coords[ids]))
         failures += sum(e.checked and not (e.lower_ok and e.upper_ok) for e in rep.entries)
         checked_parts += len(rep.entries) - rep.unchecked
         unchecked_parts += rep.unchecked
@@ -308,87 +310,80 @@ def local_bounds_check(instances: int, seed: int, eps: float = 0.3,
             "passed": failures == 0 and checked_parts > 0}
 
 
-def blob_instance(blobs: int = 6, per_blob: int = 25, spread: float = 1.0,
-                  separation: float = 50.0, seed: int = 2024) -> PointSet:
+def blob_instance(blobs: int = 6, per_blob: int = 25, seed: int = 2024) -> PointSet:
     """Well-separated Gaussian blobs fat enough that each blob alone carries
     a nontrivial UFL value, so partitions genuinely split."""
     rng = np.random.default_rng(seed)
-    centers = separation * np.stack([np.arange(blobs, dtype=np.float64),
-                                     np.arange(blobs, dtype=np.float64) % 2], axis=1)
-    pts = np.concatenate([c + rng.normal(0.0, spread, size=(per_blob, 2))
+    centers = _BLOB_SEPARATION * np.stack([np.arange(blobs, dtype=np.float64),
+                                           np.arange(blobs, dtype=np.float64) % 2], axis=1)
+    pts = np.concatenate([c + rng.normal(0.0, _BLOB_SPREAD, size=(per_blob, 2))
                           for c in centers])
     return PointSet(pts)
 
 
-def lambda_scaling_check(trials: int, seed: int, slack: float = 8.0,
-                         kappa_cap: float = 4.0) -> dict:
+def lambda_scaling_check(trials: int, seed: int) -> dict:
     """Mean partition size over decomposition seeds against
     slack * approx_ufl(X) / kappa on one fixed instance that splits."""
     X = blob_instance()
-    approx_total = approx_ufl(X).total
-    kappa = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=kappa_cap).kappa
+    approx_total, kappa = approx_ufl(X).total, _SPLIT_CFG.kappa
     sizes = []
     for s in spawn_seeds(seed, trials):
-        cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=kappa_cap, seed=s)
-        part = build_stages(X, cfg).partition
+        part = build_stages(X, replace(_SPLIT_CFG, seed=s)).partition
         sizes.append(len(part.parts))
     mean = float(np.mean(sizes))
-    bound = slack * approx_total / kappa
+    bound = _LAMBDA_SLACK * approx_total / kappa
     return {"name": "lambda_scaling", "measured": mean, "bound": bound,
             "kappa": kappa, "approx_total": approx_total,
             "mean_parts": mean, "passed": mean <= bound}
 
 
-def part_sum_check(instances: int, seed: int, slack: float = 0.5) -> dict:
+def part_sum_check(instances: int, seed: int) -> dict:
     """Sum of exhaustive part values against (1 + slack) * opt(X)."""
     worst = 0.0
     for X, s in _instance_stream(instances, seed, max_n=12, max_d=8):
-        cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=2.0, seed=s)
-        part = build_stages(X, cfg).partition
+        part = build_stages(X, replace(_SMALL_CFG, seed=s)).partition
         total = sum(brute_force_ufl_continuous(X.coords[p.members]) for p in part.parts)
         worst = max(worst, total / brute_force_ufl_continuous(X.coords))
-    return {"name": "part_value_sum", "measured": worst, "bound": 1.0 + slack,
-            "passed": worst <= 1.0 + slack}
+    return {"name": "part_value_sum", "measured": worst, "bound": 1.0 + _PART_SUM_SLACK,
+            "passed": worst <= 1.0 + _PART_SUM_SLACK}
 
 
 # ---------------------------------------------------------------------------
 # Dimension-reduction tail checks at the optimum level
 # ---------------------------------------------------------------------------
 
-def opt_upper_tail_check(trials: int, seed: int, t: float = 0.5,
-                         m: int | None = None, slack: float = 4.0) -> dict:
+def opt_upper_tail_check(trials: int, seed: int) -> dict:
     """Empirical Pr[opt(pi(X)) >= (1+t) opt(X)] against
-    max(slack * 4/(t^2 m) * exp(-t^2 m / 8), 3/trials)."""
+    max(slack * 4/(t^2 m) * exp(-t^2 m / 8), 3/trials), m the default
+    config's target dimension."""
     X = generate_dataset("subspace", 10, 32, 2, 777)
-    m = PtasConfig().m if m is None else m
+    t, m = _UPPER_TAIL_T, PtasConfig().m
     opt_x = brute_force_ufl_continuous(X.coords)
     hits = 0
     for s in spawn_seeds(seed, trials):
         opt_p = brute_force_ufl_continuous(sample_map(X.d, m, s).apply(X).coords)
         if opt_p >= (1.0 + t) * opt_x:
             hits += 1
-    bound = max(slack * 4.0 / (t * t * m) * math.exp(-t * t * m / 8.0), 3.0 / trials)
+    bound = max(_TAIL_SLACK * 4.0 / (t * t * m) * math.exp(-t * t * m / 8.0), 3.0 / trials)
     return {"name": "opt_upper_tail", "measured": hits / trials, "bound": bound,
             "m": m, "passed": hits / trials <= bound}
 
 
-def opt_contraction_trend_check(trials: int, seed: int, eps: float = 0.2,
-                                ms: tuple[int, ...] = (8, 32, 128),
-                                tol: float = 0.02) -> dict:
+def opt_contraction_trend_check(trials: int, seed: int) -> dict:
     """Pr[opt(pi(C)) <= opt(C)/(1+eps)] should decrease (up to Monte-Carlo
-    slack) as m grows, on one fixed small cluster."""
+    slack tol) as m grows, on one fixed small cluster."""
     X = generate_dataset("subspace", 8, 32, 2, 4242)
     opt_x = brute_force_ufl_continuous(X.coords)
     rates = []
-    for m in ms:
+    for m in _TREND_MS:
         hits = 0
         for s in spawn_seeds(seed + m, trials):
             opt_p = brute_force_ufl_continuous(sample_map(X.d, m, s).apply(X).coords)
-            if opt_p <= opt_x / (1.0 + eps):
+            if opt_p <= opt_x / (1.0 + _TREND_EPS):
                 hits += 1
         rates.append(hits / trials)
-    ok = all(rates[i + 1] <= rates[i] + tol for i in range(len(rates) - 1))
-    return {"name": "opt_contraction_trend", "ms": list(ms), "rates": rates,
+    ok = all(rates[i + 1] <= rates[i] + _TREND_TOL for i in range(len(rates) - 1))
+    return {"name": "opt_contraction_trend", "ms": list(_TREND_MS), "rates": rates,
             "passed": ok}
 
 

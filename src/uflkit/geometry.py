@@ -145,14 +145,10 @@ def check_net(D: np.ndarray, covered, net, radius: float,
             raise AssertionError(f"packing bound exceeded: {len(net)} > {bound}")
 
 
-def metric_stats(X: PointSet) -> tuple[float, float, float, int]:
-    """(gamma, Diam, Delta, l): minimum pairwise distance, diameter, aspect
-    ratio Diam/gamma, and l = ceil(log2 Delta)."""
-    return pair_stats(pdist(X.coords))
-
-
 def pair_stats(pair: np.ndarray) -> tuple[float, float, float, int]:
-    """metric_stats from the distances between distinct points."""
+    """(gamma, Diam, Delta, l) from the distances between distinct points:
+    minimum pairwise distance, diameter, aspect ratio Diam/gamma, and
+    l = ceil(log2 Delta)."""
     if len(pair) == 0:
         raise ValueError("metric stats require at least two points")
     gamma = float(pair.min())

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PointSet, UflSolution, greedy_net, pair_stats
+from .geometry import PointSet, greedy_net, pair_stats
 from .util import rng_from_seed
 
 
@@ -194,7 +194,8 @@ def is_badly_cut(H: HierarchicalDecomposition, x: int, y: int,
 
 def is_good_pair(H: HierarchicalDecomposition, f0, x: int, y: int,
                  eps: float, ddim: float) -> bool:
-    """True iff none of (x, y), (x, F0(x)), (y, F0(y)) is badly cut."""
+    """True iff none of (x, y), (x, F0(x)), (y, F0(y)) is badly cut, f0 the
+    guiding facility id of every point."""
     ids = f0_point_ids(f0, H.n)
     return not (is_badly_cut(H, x, y, eps, ddim)
                 or is_badly_cut(H, x, int(ids[x]), eps, ddim)
@@ -202,14 +203,10 @@ def is_good_pair(H: HierarchicalDecomposition, f0, x: int, y: int,
 
 
 def f0_point_ids(f0, n: int) -> np.ndarray:
-    """Normalize a guiding solution to the (n,) array mapping each point to
-    the id of its assigned facility (which must be a dataset point)."""
-    if isinstance(f0, UflSolution):
-        if f0.facility_ids is None:
-            raise ValueError("guiding solution must have facilities in the dataset")
-        ids = np.asarray(f0.facility_ids, dtype=int)[np.asarray(f0.assignment, dtype=int)]
-    else:
-        ids = np.asarray(f0, dtype=int)
+    """The guiding assignment f0 as an (n,) int array mapping each point to
+    the id of its facility, checked to map every point and to fix every
+    facility."""
+    ids = np.asarray(f0, dtype=int)
     if ids.shape != (n,):
         raise ValueError("guiding assignment must map every point id")
     if not np.array_equal(ids[ids], ids):

@@ -1,7 +1,9 @@
 """Bottom-up partition of the dataset into parts whose local UFL value is
 certified to sit above the threshold kappa, plus the verification predicates
 for its structural guarantees (holes accounting, separation, consistency,
-local value bounds)."""
+local value bounds). The predicates take the partition alone: the guiding
+assignment, eps and ddim they check against are the ones its refined
+decomposition was built with."""
 
 from __future__ import annotations
 
@@ -188,14 +190,14 @@ def tau_bound(ddim: float, alpha: float, kappa: float) -> float:
     return (2.0 ** (10.0 * ddim)) * alpha * kappa
 
 
-def local_value_bounds_check(P: LowValuePartition, oracle, ddim: float) -> BoundsReport:
+def local_value_bounds_check(P: LowValuePartition, oracle) -> BoundsReport:
     """Check kappa <= opt(part) <= tau_bound(ddim, alpha, kappa), alpha and
-    kappa the partition's, with an exact (or near-exact) oracle that maps a
-    part's member ids to its value, so any metric can be checked; the lower
-    bound is skipped for the last part, and parts the oracle rejects with
-    OracleScaleError are reported unchecked."""
+    kappa the partition's and ddim its refinement's, with an exact (or
+    near-exact) oracle that maps a part's member ids to its value, so any
+    metric can be checked; the lower bound is skipped for the last part, and
+    parts the oracle rejects with OracleScaleError are reported unchecked."""
     kappa = P.kappa
-    tau = tau_bound(ddim, P.alpha, kappa)
+    tau = tau_bound(P.refined.ddim, P.alpha, kappa)
     entries = []
     for p in P.parts:
         try:
@@ -245,10 +247,10 @@ def check_partition_invariants(P: LowValuePartition) -> tuple[bool, bool, bool, 
     return partition_ok, holes_total_ok, holes_disjoint_ok, approx_lower_ok
 
 
-def partition_properties_check(P: LowValuePartition, f0, pairs) -> PartitionCheckReport:
+def partition_properties_check(P: LowValuePartition, pairs) -> PartitionCheckReport:
     """Verify the separation bounds on the supplied good pairs that fall in
-    distinct parts, and the consistency radius for every part, at the eps
-    and ddim of the badly-cut elimination.
+    distinct parts, and the consistency radius for every part, at the
+    guiding assignment, eps and ddim of the badly-cut elimination.
 
     Pairs in one part (or pairs that are not good) are skipped.
     """
@@ -264,7 +266,7 @@ def partition_properties_check(P: LowValuePartition, f0, pairs) -> PartitionChec
     for x, y in pairs:
         if part_of[x] == part_of[y]:
             continue
-        if not is_good_pair(H, f0, int(x), int(y), eps, ddim):
+        if not is_good_pair(H, T.f0_ids, int(x), int(y), eps, ddim):
             continue
         checked += 1
         pa, pb = P.parts[part_of[x]], P.parts[part_of[y]]

@@ -86,12 +86,9 @@ class PartTrace(NamedTuple):
     approx_cost: float
     designated_cost: float       # original-space cost of the adopted clustering
 
-    def to_json(self) -> str:
-        return json.dumps(self._asdict())
-
 
 def trace_to_jsonl(traces: list[PartTrace]) -> str:
-    return "".join(t.to_json() + "\n" for t in traces)
+    return "".join(json.dumps(t._asdict()) + "\n" for t in traces)
 
 
 class DistanceOracle(MetricData):
@@ -129,10 +126,17 @@ class Stages(NamedTuple):
     approx: object                 # the qualification handle the partition scan used
 
 
+def guiding_assignment(D: np.ndarray) -> np.ndarray:
+    """F0, the one guiding solution: each point's nearest (first among ties)
+    ball-growing facility over the whole distance matrix D, as an id array."""
+    _, f0_ids = mp_ufl_value(D, np.arange(len(D)))
+    return f0_ids[np.argmin(D[:, f0_ids], axis=1)]
+
+
 def build_stages(md, cfg: PtasConfig, approx=None) -> Stages:
-    """The single stage builder: random hierarchy, ball-growing guiding
-    solution f0, badly-cut elimination against f0, and the bottom-up
-    low-value partition at threshold cfg.kappa.
+    """The single stage builder: random hierarchy, the guiding assignment
+    f0, badly-cut elimination against f0, and the bottom-up low-value
+    partition at threshold cfg.kappa.
 
     md is a MetricData or a PointSet. approx, when given, maps the hierarchy
     to the partition's qualification handle; by default the scan uses ball
@@ -141,9 +145,7 @@ def build_stages(md, cfg: PtasConfig, approx=None) -> Stages:
     """
     md = MetricData.coerce(md)
     H = build_hierarchy(md, cfg.seeds[0])
-    _, f0_ids = mp_ufl_value(md.matrix, np.arange(md.n))
-    nearest = f0_ids[np.argmin(md.matrix[:, f0_ids], axis=1)]
-    T = eliminate_badly_cut(H, nearest, cfg.eps, cfg.ddim)
+    T = eliminate_badly_cut(H, guiding_assignment(md.matrix), cfg.eps, cfg.ddim)
     handle = MatrixApproxHandle(md.matrix) if approx is None else approx(H)
     return Stages(bottom_up_partition(T, cfg.kappa, handle), handle)
 
@@ -328,6 +330,8 @@ def ptas_discrete(oracle: DistanceOracle, cfg: PtasConfig
     """Discrete-metric pipeline: same decomposition stages over the oracle
     metric, then per part a k-median sweep restricted to the candidate
     facility set of its provenance cluster."""
+    if oracle.n == 0:
+        raise ValueError("empty input")
     oracle.spot_check()
     D = oracle.matrix
     if oracle.n == 1:

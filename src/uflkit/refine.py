@@ -1,9 +1,11 @@
 """Badly-cut elimination: at every level of a hierarchical decomposition,
 move each point into its guiding facility's cluster when the level is high
-enough to make the pair badly cut, and list the moves. Each level remains a
-partition; nesting across levels is deliberately not maintained. Also the
-checks that the moves keep every cluster near its original and leave no
-guided pair cut."""
+enough to make the pair badly cut, and list the moves. The guiding solution
+is the facility id of every point (`ptas.guiding_assignment`); the result
+records it with eps and ddim, and every check reads them there. Each level
+remains a partition; nesting across levels is deliberately not maintained.
+Also the checks that the moves keep every cluster near its original and
+leave no guided pair cut."""
 
 from __future__ import annotations
 
@@ -46,7 +48,8 @@ def eliminate_badly_cut(H: HierarchicalDecomposition, f0, eps: float,
                         ddim: float) -> RefinedDecomposition:
     """Independently at every level, move each point x whose cluster differs
     from its guiding facility's cluster, provided the level is at or above
-    log2(ddim * dist(x, F0(x)) / (eps^2 * gamma)).
+    log2(ddim * dist(x, F0(x)) / (eps^2 * gamma)); f0 holds F0(x) for
+    every point id x.
 
     Guiding facilities never move, so every move reads the base membership
     and all levels are moved at once.

@@ -18,9 +18,10 @@ from uflkit.experiments import (ExperimentSpec, badly_cut_rate_check,
                                 run_dimred_experiment, run_ptas_experiment)
 from uflkit.hierarchy import build_hierarchy
 from uflkit.partition import check_partition_invariants, partition_properties_check
-from uflkit.ptas import DistanceOracle, PtasConfig, build_stages, ptas_discrete
+from uflkit.ptas import (DistanceOracle, PtasConfig, build_stages, guiding_assignment,
+                         ptas_discrete)
 from uflkit.refine import consistency_check, eliminate_badly_cut
-from uflkit.solvers import (approx_ufl, brute_force_ufl_continuous,
+from uflkit.solvers import (brute_force_ufl_continuous,
                             brute_force_ufl_discrete, kmedian,
                             weiszfeld_1median)
 from uflkit.util import spawn_seeds
@@ -50,18 +51,16 @@ def pipeline_instances(count, seed, max_n, max_d=16, big_every=None):
 
 
 def build_partition(X, seed):
-    """The partition the Euclidean pipeline solves at eps=0.3, kappa_cap=4,
-    with the guiding facility of every point."""
+    """The partition the Euclidean pipeline solves at eps=0.3, kappa_cap=4."""
     cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, seed=seed)
-    part = build_stages(X, cfg).partition
-    return part, part.refined.f0_ids
+    return build_stages(X, cfg).partition
 
 
 def test_c01_partition_invariants():
     failures = 0
     parts_seen = 0
     for X, s in pipeline_instances(100, seed=1001, max_n=500, big_every=20):
-        part, _ = build_partition(X, s)
+        part = build_partition(X, s)
         parts_seen += len(part.parts)
         if not all(check_partition_invariants(part)):
             failures += 1
@@ -71,7 +70,7 @@ def test_c01_partition_invariants():
 
 
 def test_c02_cutting_probability():
-    rep = cutting_probability_check(trials=2000, seed=1002, K=64.0, ddim=1.0)
+    rep = cutting_probability_check(trials=2000, seed=1002)
     worst = max((c["rate"] / c["bound"] for c in rep["checks"]), default=0.0)
     report(2, "cutting probability", rep["passed"],
            f"{len(rep['checks'])} (pair, level) bounds at 2000 seeds, "
@@ -92,7 +91,7 @@ def test_c04_refined_consistency():
     violations = 0
     for X, s in pipeline_instances(100, seed=1004, max_n=160):
         H = build_hierarchy(X, s)
-        T = eliminate_badly_cut(H, approx_ufl(X), 0.3, 2.0)
+        T = eliminate_badly_cut(H, guiding_assignment(H.metric.matrix), 0.3, 2.0)
         violations += len(consistency_check(T).violations)
     report(4, "refined-decomposition consistency", violations == 0,
            f"100 instances, {violations} violations")
@@ -102,10 +101,10 @@ def test_c05_separation():
     sep_violations = 0
     pairs_checked = 0
     for X, s in pipeline_instances(100, seed=1005, max_n=160):
-        part, f0 = build_partition(X, s)
+        part = build_partition(X, s)
         rng = np.random.default_rng(s)
         pairs = [tuple(rng.choice(X.n, size=2, replace=False)) for _ in range(80)]
-        rep = partition_properties_check(part, f0, pairs)
+        rep = partition_properties_check(part, pairs)
         sep_violations += len(rep.separation_violations)
         sep_violations += len(rep.consistency_violations)
         pairs_checked += rep.pairs_checked

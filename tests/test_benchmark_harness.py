@@ -56,6 +56,19 @@ def test_traced_solves_see_the_pipeline_layers(harness):
     assert rec.counts["partition.evals"] > 0
 
 
+def test_traced_discrete_solve_sees_the_guiding_assignment(harness):
+    # the discrete pipeline scans with RestrictedApproxHandle, so its one
+    # ball-growing call is ptas.guiding_assignment's: the span is there only
+    # while that goes through the wrapped ptas.mp_ufl_value
+    layers, spans, workloads = harness
+    rec = spans.SpanRecorder()
+    w = workloads.WORKLOADS["discrete_split"]
+    _, warmup = w.instances(2001)
+    with spans.patched(layers.replacements(rec)):
+        rec.call(layers.ROOT, w.solve, warmup)
+    assert rec.totals(root=layers.ROOT).get("solvers.mp", {"count": 0})["count"] == 1
+
+
 @pytest.mark.parametrize("name", ["euclid_split", "discrete_split", "exact_n12"])
 def test_workload_instances_build(harness, name):
     _, _, workloads = harness

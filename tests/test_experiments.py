@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,10 @@ from uflkit.geometry import OracleScaleError
 from uflkit.projection import sample_map
 from uflkit.solvers import brute_force_ufl_continuous
 from uflkit.util import spawn_seeds
+
+# sha256 of json.dumps(run_property_suite(ExperimentSpec(trials=60, seed=21)),
+# sort_keys=True)
+SUITE_DIGEST = "319875e1d6f31e3b80a59e4509b3cb85efc6e7786b75ebda8b597207820325cf"
 
 
 class TestDimred:
@@ -81,9 +88,10 @@ class TestIndividualChecks:
         assert rep["passed"]
         assert len(rep["checks"]) > 0
 
-    def test_cutting_probability_with_no_checked_level_does_not_pass(self):
+    def test_cutting_probability_with_no_checked_level_does_not_pass(self, monkeypatch):
         # K so large that no (pair, level) bound is at most 1/2
-        rep = cutting_probability_check(trials=2, seed=5, K=1e12)
+        monkeypatch.setattr(experiments, "_CUT_K", 1e12)
+        rep = cutting_probability_check(trials=2, seed=5)
         assert rep["checks"] == [] and not rep["passed"]
 
     def test_badly_cut_rate(self):
@@ -101,8 +109,9 @@ class TestIndividualChecks:
     def test_partition_structure(self):
         assert partition_structure_check(6, seed=9)["passed"]
 
-    def test_partition_structure_with_no_checked_pair_does_not_pass(self):
-        rep = partition_structure_check(2, seed=9, pairs_per_instance=0)
+    def test_partition_structure_with_no_checked_pair_does_not_pass(self, monkeypatch):
+        monkeypatch.setattr(experiments, "_PAIRS_PER_INSTANCE", 0)
+        rep = partition_structure_check(2, seed=9)
         assert rep["good_cross_pairs_checked"] == 0 and not rep["passed"]
 
     def test_local_bounds(self):
@@ -138,10 +147,11 @@ class TestIndividualChecks:
 
 class TestSuite:
     def test_full_suite_passes_and_serializes(self):
-        import json
-
         report = run_property_suite(ExperimentSpec(trials=60, seed=21))
         assert report["all_passed"]
         names = [r["name"] for r in report["properties"]]
         assert any("badly_cut" in n for n in names)
-        json.dumps(report)                   # must be machine-readable
+        # machine-readable, and pinned byte for byte: any change to a check's
+        # settings or arithmetic moves what `verify` writes
+        text = json.dumps(report, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == SUITE_DIGEST

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from uflkit.geometry import (PointSet, check_net, dist, estimate_ddim, greedy_net,
                              load_points, load_points_binary, load_points_text,
-                             metric_stats, save_points_binary, save_points_text,
-                             ufl_cost)
+                             save_points_binary, save_points_text, ufl_cost)
 from uflkit.datasets import generate_dataset
+from uflkit.hierarchy import MetricData
 
 from conftest import line, random_points
 
@@ -96,7 +96,7 @@ class TestGreedyNet:
 
     def test_small_radius_keeps_all(self, rng):
         X = random_points(rng, 10, 2)
-        gamma, _, _, _ = metric_stats(X)
+        gamma, _, _, _ = MetricData.from_points(X).stats()
         D = X.distance_matrix()
         net = greedy_net(D, range(10), gamma * 0.999)
         assert list(net) == list(range(10))
@@ -121,7 +121,7 @@ class TestGreedyNet:
         D = X.distance_matrix()
         supplied = estimate_ddim(X)
         for radius_frac in (0.1, 0.3, 0.6):
-            _, diam, _, _ = metric_stats(X)
+            _, diam, _, _ = MetricData.from_points(X).stats()
             radius = radius_frac * diam
             check_net(D, range(64), greedy_net(D, range(64), radius), radius, ddim=supplied)
 
@@ -135,25 +135,25 @@ class TestGreedyNet:
 
 class TestMetricStats:
     def test_line_0_1_4(self):
-        assert metric_stats(line(0.0, 1.0, 4.0)) == (1.0, 4.0, 4.0, 2)
+        assert MetricData.from_points(line(0.0, 1.0, 4.0)).stats() == (1.0, 4.0, 4.0, 2)
 
     def test_two_points(self):
-        gamma, diam, delta, ell = metric_stats(line(0.0, 1.0))
+        gamma, diam, delta, ell = MetricData.from_points(line(0.0, 1.0)).stats()
         assert (gamma, delta, ell) == (1.0, 1.0, 0)
 
     def test_tiny_gap(self):
         k = 10
-        gamma, diam, delta, ell = metric_stats(line(0.0, 1.0, 1.0 + 2.0 ** -k))
+        gamma, diam, delta, ell = MetricData.from_points(line(0.0, 1.0, 1.0 + 2.0 ** -k)).stats()
         assert gamma == pytest.approx(2.0 ** -k)
         assert delta == pytest.approx((1.0 + 2.0 ** -k) * 2 ** k)
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError, match="zero minimum distance"):
-            metric_stats(line(1.0, 1.0, 3.0))
+            MetricData.from_points(line(1.0, 1.0, 3.0)).stats()
 
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
-            metric_stats(line(1.0))
+            MetricData.from_points(line(1.0)).stats()
 
 
 class TestEstimateDdim:

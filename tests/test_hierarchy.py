@@ -10,6 +10,7 @@ from uflkit.geometry import check_net, greedy_net
 from uflkit.hierarchy import (MetricData, build_hierarchy, check_diameters,
                               check_nesting, dump_decomposition, f0_point_ids,
                               is_badly_cut, is_cut, is_good_pair)
+from uflkit.ptas import guiding_assignment
 from uflkit.solvers import approx_ufl
 from uflkit.util import spawn_seeds
 
@@ -252,7 +253,7 @@ class TestIsGoodPair:
         # search a seed where some (x, F0(x)) is badly cut; then any pair
         # containing x is not good, whatever the partner
         X = generate_dataset("subspace", 16, 4, 2, 21)
-        f0 = approx_ufl(X)
+        f0 = guiding_assignment(X.distance_matrix())
         ids = f0_point_ids(f0, 16)
         eps, ddim = 0.2, 1.0
         for seed in range(400):
@@ -268,7 +269,7 @@ class TestIsGoodPair:
 
     def test_rate_lower_bound(self):
         X = generate_dataset("subspace", 16, 4, 2, 22)
-        f0 = approx_ufl(X)
+        f0 = guiding_assignment(X.distance_matrix())
         eps, ddim, trials = 0.3, 2.0, 200
         good = sum(is_good_pair(build_hierarchy(X, s), f0, 0, 1, eps, ddim)
                    for s in spawn_seeds(8, trials))
@@ -280,12 +281,14 @@ class TestF0Ids:
         with pytest.raises(ValueError, match="idempotent"):
             f0_point_ids(np.array([1, 2, 0]), 3)
 
-    def test_accepts_solution(self, rng):
+    def test_rejects_solution(self, rng):
+        # a guiding solution is an id array; a UflSolution is not one
         X = random_points(rng, 10, 2)
-        sol = approx_ufl(X)
-        ids = f0_point_ids(sol, 10)
+        with pytest.raises(TypeError):
+            f0_point_ids(approx_ufl(X), 10)
+        ids = f0_point_ids(guiding_assignment(X.distance_matrix()), 10)
         assert ids.shape == (10,)
-        assert set(ids) <= set(sol.facility_ids)
+        assert set(ids) <= set(approx_ufl(X).facility_ids)
 
 
 class TestDump:

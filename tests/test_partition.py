@@ -13,7 +13,7 @@ from uflkit.partition import (MatrixApproxHandle, Part, bottom_up_partition,
                               local_value_bounds_check,
                               partition_properties_check, partition_to_csv, tau_bound)
 from uflkit.ptas import (DistanceOracle, PtasConfig, RestrictedApproxHandle, build_stages,
-                         ptas_discrete)
+                         guiding_assignment, ptas_discrete)
 from uflkit.refine import eliminate_badly_cut
 from uflkit.solvers import (approx_ufl, brute_force_ufl_continuous,
                             brute_force_ufl_discrete, mp_ufl_value)
@@ -24,7 +24,7 @@ from conftest import random_points
 
 def make_partition(X, seed=0, kappa=2.0, eps=0.3, ddim=2.0, **kw):
     H = build_hierarchy(X, seed)
-    T = eliminate_badly_cut(H, approx_ufl(X), eps, ddim)
+    T = eliminate_badly_cut(H, guiding_assignment(H.metric.matrix), eps, ddim)
     handle = MatrixApproxHandle(H.metric.matrix)
     return bottom_up_partition(T, kappa, handle, **kw), H, T
 
@@ -161,27 +161,27 @@ class TestLocalBounds:
     def test_last_part_excluded_from_lower_bound(self, rng):
         X = random_points(rng, 10, 2)
         part, _, _ = make_partition(X, kappa=1e9)
-        rep = local_value_bounds_check(part, continuous_oracle(X), ddim=2.0)
+        rep = local_value_bounds_check(part, continuous_oracle(X))
         assert rep.ok                       # value way below kappa, but it is the last part
 
     def test_bounds_hold_on_small_instances(self):
         for seed in spawn_seeds(13, 10):
             X = generate_dataset("subspace", 11, 4, 2, seed)
             part, _, _ = make_partition(X, seed=seed, kappa=1.5)
-            rep = local_value_bounds_check(part, continuous_oracle(X), ddim=2.0)
+            rep = local_value_bounds_check(part, continuous_oracle(X))
             assert rep.ok, rep
 
     def test_adversarial_low_value_part_flagged(self, rng):
         X = random_points(rng, 10, 2)
         part, _, _ = make_partition(X, kappa=1e9)
         part.parts[0] = Part(**{**part.parts[0].__dict__, "is_last": False})
-        rep = local_value_bounds_check(part, continuous_oracle(X), ddim=2.0)
+        rep = local_value_bounds_check(part, continuous_oracle(X))
         assert not rep.ok
 
     def test_oversized_parts_marked_unchecked(self, rng):
         X = random_points(rng, 40, 2)
         part, _, _ = make_partition(X, kappa=1e9)
-        rep = local_value_bounds_check(part, continuous_oracle(X), ddim=2.0)
+        rep = local_value_bounds_check(part, continuous_oracle(X))
         assert rep.unchecked == 1 and rep.ok
         (e,) = rep.entries
         assert (e.checked, e.value, e.lower_ok, e.upper_ok) == (False, None, None, None)
@@ -191,7 +191,7 @@ class TestLocalBounds:
         # alpha, not ball growing's; the report records the one it used
         X = random_points(rng, 12, 2)
         part = split_stages(X, 1, restricted=True).partition
-        rep = local_value_bounds_check(part, continuous_oracle(X), ddim=2.0)
+        rep = local_value_bounds_check(part, continuous_oracle(X))
         assert rep.alpha == part.alpha != MatrixApproxHandle.alpha
         assert rep.tau == tau_bound(2.0, part.alpha, part.kappa)
         cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0)
@@ -203,8 +203,7 @@ class TestLocalBounds:
         cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=2.0, seed=1)
         part = build_stages(DistanceOracle(D), cfg).partition
         rep = local_value_bounds_check(
-            part, lambda ids: brute_force_ufl_discrete(D[np.ix_(ids, ids)], is_matrix=True),
-            ddim=2.0)
+            part, lambda ids: brute_force_ufl_discrete(D[np.ix_(ids, ids)], is_matrix=True))
         assert rep.unchecked == 0 and len(rep.entries) == len(part.parts)
         assert rep.ok, rep
 
@@ -213,8 +212,7 @@ class TestProperties:
     def test_same_part_pairs_skipped(self, rng):
         X = random_points(rng, 12, 2)
         part, _, _ = make_partition(X, kappa=1e9)
-        f0 = approx_ufl(X)
-        rep = partition_properties_check(part, f0, [(0, 1), (2, 3)])
+        rep = partition_properties_check(part, [(0, 1), (2, 3)])
         assert rep.pairs_checked == 0
         assert rep.ok
 
@@ -223,11 +221,10 @@ class TestProperties:
         for i, seed in enumerate(spawn_seeds(55, 15)):
             X = generate_dataset(("subspace", "clusters")[i % 2], 30, 6, 2, seed)
             H = build_hierarchy(X, seed)
-            f0 = approx_ufl(X)
-            T = eliminate_badly_cut(H, f0, 0.3, 2.0)
+            T = eliminate_badly_cut(H, guiding_assignment(H.metric.matrix), 0.3, 2.0)
             part = bottom_up_partition(T, 2.0, MatrixApproxHandle(H.metric.matrix))
             pairs = [tuple(rng.choice(30, 2, replace=False)) for _ in range(80)]
-            rep = partition_properties_check(part, f0, pairs)
+            rep = partition_properties_check(part, pairs)
             assert rep.ok, rep
 
     def test_consistency_trivial_without_moves(self, rng):
@@ -235,7 +232,7 @@ class TestProperties:
         H = build_hierarchy(X, 4)
         T = eliminate_badly_cut(H, np.arange(14), 0.3, 2.0)   # identity: no moves
         part = bottom_up_partition(T, 2.0, MatrixApproxHandle(H.metric.matrix))
-        rep = partition_properties_check(part, np.arange(14), [])
+        rep = partition_properties_check(part, [])
         assert rep.consistency_violations == []
 
 

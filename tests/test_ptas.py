@@ -434,6 +434,25 @@ class TestDiscrete:
             assert sets[child] <= sets[parent]
 
 
+def _no_points():
+    """A PointSet of no points, built around the constructor's own check
+    (which refuses one) so that the pipeline's guard is what answers."""
+    X = object.__new__(PointSet)
+    object.__setattr__(X, "coords", np.zeros((0, 2)))
+    return X
+
+
+@pytest.mark.parametrize("solve, empty", [
+    (ptas_euclidean, _no_points),
+    (ptas_discrete, lambda: DistanceOracle(np.zeros((0, 0)))),
+], ids=["euclidean", "discrete"])
+def test_empty_input_rejected_by_both_pipelines(solve, empty):
+    # the discrete pipeline used to reach spot_check, whose triple sampling
+    # failed with numpy's "high <= 0"
+    with pytest.raises(ValueError, match="^empty input$"):
+        solve(empty(), PtasConfig())
+
+
 class TestCandidateSet:
     @pytest.mark.parametrize("eps", [0.3, 0.99])
     def test_refined_members_are_candidates(self, eps):

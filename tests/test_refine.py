@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from uflkit.datasets import generate_dataset
-from uflkit.geometry import ufl_cost
 from uflkit.hierarchy import build_hierarchy, is_cut
+from uflkit.ptas import guiding_assignment
 from uflkit.refine import (check_guided_pairs_uncut, consistency_check,
                            eliminate_badly_cut)
-from uflkit.solvers import approx_ufl
 from uflkit.util import spawn_seeds
 
 from conftest import line, random_points
@@ -40,7 +39,7 @@ class TestEliminate:
                                                     (tuple(range(16)), 0)])
     def test_matches_manual_trace(self, positions, facility):
         X = line(*positions)
-        f0 = ufl_cost(X, X.coords[[facility]], facility_ids=[facility])
+        f0 = np.full(X.n, facility)                       # one facility serves all
         eps, ddim = 0.5, 1.0
         for seed in range(40):
             H = build_hierarchy(X, seed)
@@ -52,7 +51,7 @@ class TestEliminate:
 
     def test_some_instance_actually_moves(self):
         X = line(*range(16))
-        f0 = ufl_cost(X, X.coords[[0]], facility_ids=[0])
+        f0 = np.zeros(X.n, dtype=int)
         moved = 0
         for seed in range(40):
             H = build_hierarchy(X, seed)
@@ -63,7 +62,7 @@ class TestEliminate:
         for seed in range(25):
             X = random_points(rng, 20, 2)
             H = build_hierarchy(X, seed)
-            T = eliminate_badly_cut(H, approx_ufl(X), 0.3, 2.0)
+            T = eliminate_badly_cut(H, guiding_assignment(H.metric.matrix), 0.3, 2.0)
             for level in range(H.ell + 2):
                 counts = np.bincount(T.membership[level], minlength=len(H.clusters))
                 assert counts.sum() == 20
@@ -72,17 +71,17 @@ class TestEliminate:
 
     def test_facilities_never_move(self, rng):
         X = random_points(rng, 18, 2)
-        f0 = approx_ufl(X)
         H = build_hierarchy(X, 11)
+        f0 = guiding_assignment(H.metric.matrix)
         T = eliminate_badly_cut(H, f0, 0.3, 2.0)
         moved = {m.point for m in T.moves}
-        assert moved.isdisjoint(set(int(i) for i in f0.facility_ids))
+        assert moved.isdisjoint(set(int(i) for i in f0))
 
     def test_guided_pairs_uncut_at_qualifying_levels(self, rng):
         for seed in range(10):
             X = random_points(rng, 16, 2)
             H = build_hierarchy(X, seed)
-            T = eliminate_badly_cut(H, approx_ufl(X), 0.25, 2.0)
+            T = eliminate_badly_cut(H, guiding_assignment(H.metric.matrix), 0.25, 2.0)
             assert check_guided_pairs_uncut(T) == []
 
     def test_parameter_validation(self, rng):
@@ -105,13 +104,13 @@ class TestConsistency:
         for i, seed in enumerate(spawn_seeds(17, 30)):
             X = generate_dataset(("subspace", "clusters", "grid")[i % 3], 24, 6, 2, seed)
             H = build_hierarchy(X, seed)
-            T = eliminate_badly_cut(H, approx_ufl(X), 0.3, 2.0)
+            T = eliminate_badly_cut(H, guiding_assignment(H.metric.matrix), 0.3, 2.0)
             assert consistency_check(T).ok
 
     def test_teleported_point_is_flagged(self, rng):
         X = random_points(rng, 12, 2)
         H = build_hierarchy(X, 5)
-        T = eliminate_badly_cut(H, approx_ufl(X), 0.3, 2.0)
+        T = eliminate_badly_cut(H, guiding_assignment(H.metric.matrix), 0.3, 2.0)
         # corrupt: drop point 0 into a far-away cluster at a low level
         others = [c for c in np.flatnonzero(H.clusters.level == 0) if 0 not in H.members(c)]
         far = max(others, key=lambda c: H.metric.matrix[0, H.members(c)].min())
