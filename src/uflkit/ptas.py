@@ -163,33 +163,57 @@ def _exact_projected_sweep(proj_members: np.ndarray):
     return k_star, float(total - k_star), blocks
 
 
-def _heuristic_projected_sweep(proj_members: np.ndarray, k_hint: int):
-    """Local-search k-median over k = k_hint - 2..k_hint + 2 (within 1..s),
-    around the constant-factor facility count; uncertified, used only beyond
-    the enumeration scale. One _local_search_blocks sweep over one distance
-    matrix yields every k's blocks, and the window's distinct blocks are
-    recentered in one weiszfeld_1median call, so a block that several k
-    produce is recentered once. The result equals kmedian's at each k."""
-    D = squareform(pdist(proj_members))
-    lo, hi = max(1, k_hint - 2), min(len(proj_members), k_hint + 2)
-    window = list(solvers._local_search_blocks(D, lo, hi))
-    distinct = {b.tobytes(): b for _, blocks in window for b in blocks}
-    meds = dict(zip(distinct, solvers.weiszfeld_1median(proj_members,
-                                                        blocks=list(distinct.values()))))
-    best = None
-    for k, blocks in window:
-        cost = float(sum(meds[b.tobytes()].cost for b in blocks))
-        if best is None or k + cost < best[0] + best[1]:
-            best = (k, cost, blocks)
-    return best
+def _heuristic_projected_sweep(proj: np.ndarray, parts: list):
+    """Local-search k-median on the projected points proj[members] of every
+    (members, k_hint) in parts, over k = k_hint - 2..k_hint + 2 (within
+    1..s), around the part's constant-factor facility count; uncertified,
+    used only beyond the enumeration scale. Returns one (k, cost, blocks)
+    per part, blocks as positions within members.
+
+    One _local_search_blocks sweep over each part's distance matrix yields
+    every k's blocks, and the distinct blocks of all parts, as ids into
+    proj, are recentered in one weiszfeld_1median call, so a block that
+    several k produce is recentered once. A block's median depends only on
+    its own points, so each part's result equals kmedian's at each k. A
+    part takes the smallest k whose k + cost is within 1e-12 (relative) of
+    the least, so medians that move by ulps do not flip k."""
+    windows = []
+    for members, k_hint in parts:
+        D = squareform(pdist(proj[members]))
+        lo, hi = max(1, k_hint - 2), min(len(members), k_hint + 2)
+        windows.append(list(solvers._local_search_blocks(D, lo, hi)))
+    distinct = {}
+    for (members, _), window in zip(parts, windows):
+        for _, blocks in window:
+            for b in blocks:
+                distinct.setdefault(members[b].tobytes(), members[b])
+    meds = dict(zip(distinct, solvers.weiszfeld_1median(proj, blocks=list(distinct.values()))))
+    out = []
+    for (members, _), window in zip(parts, windows):
+        costs = [float(sum(meds[members[b].tobytes()].cost for b in blocks))
+                 for _, blocks in window]
+        totals = np.array([k for k, _ in window]) + np.array(costs)
+        i = int(np.argmax(totals <= totals.min() * (1.0 + 1e-12)))
+        out.append((window[i][0], costs[i], window[i][1]))
+    return out
 
 
 def ptas_euclidean(X: PointSet, cfg: PtasConfig) -> tuple[UflSolution, list[PartTrace]]:
     """Full pipeline: hierarchical decomposition, badly-cut elimination,
     bottom-up partition, random projection, per-part k-median on projected
     points (with contraction/expansion fallbacks), and 1-median recentering
-    of every adopted cluster in the original space, one weiszfeld_1median
-    call per part.
+    of every adopted cluster in the original space.
+
+    The parts go through the stages together, so the pipeline makes two
+    weiszfeld_1median calls in all, each over the blocks of every part as
+    ids into its point set:
+    1. event G, the contraction check, on every part;
+    2. one _heuristic_projected_sweep over the parts above _ENUM_THRESHOLD
+       points that pass it, whose distinct blocks share one call;
+    3. the exact sweep on the other parts that pass it, then event H, and
+       the fallback clustering for every part that fails G or H;
+    4. one call over every adopted block, in part order.
+    A stage with nothing to do makes no call.
 
     The projected points are `pi.embed(X)`: pi(X) written in an orthonormal
     basis of pi's range, min(m, d) coordinates with the same pairwise
@@ -203,43 +227,47 @@ def ptas_euclidean(X: PointSet, cfg: PtasConfig) -> tuple[UflSolution, list[Part
 
     md = MetricData.from_points(X)
     partition, _ = build_stages(md, cfg)
+    parts = partition.parts
 
     pi = sample_map(X.d, cfg.m, cfg.seeds[1])
     proj = pi.embed(X).coords
 
-    centers: list[np.ndarray] = []
-    traces: list[PartTrace] = []
-    for p in partition.parts:
-        members = p.members
+    event_g = []
+    for p in parts:
         fids = p.facility_ids
-
         orig = md.matrix[np.ix_(fids, fids)][np.triu_indices(len(fids), 1)]
-        event_g = not np.any(orig > (1.0 + cfg.eps) * pdist(proj[fids]))
+        event_g.append(not np.any(orig > (1.0 + cfg.eps) * pdist(proj[fids])))
 
-        k_star = None
-        v = None
+    large = [i for i, p in enumerate(parts)
+             if event_g[i] and len(p.members) > solvers._ENUM_THRESHOLD]
+    sweeps = {}                                 # part index -> (k*, v, blocks)
+    if large:
+        sweeps = dict(zip(large, _heuristic_projected_sweep(
+            proj, [(parts[i].members, len(parts[i].facility_ids)) for i in large])))
+
+    adopted, traces = [], []                    # blocks as positions within members
+    for i, p in enumerate(parts):
+        k_star = v = blocks = None
         event_h = True
-        adopted = None                  # positions within members
-        if event_g:
-            if len(members) <= solvers._ENUM_THRESHOLD:
-                k_star, v, blocks = _exact_projected_sweep(proj[members])
-            else:
-                k_star, v, blocks = _heuristic_projected_sweep(proj[members], len(fids))
-            if k_star + v > _C4 * cfg.tau:
-                event_h = False
-            else:
-                adopted = blocks
+        if event_g[i]:
+            k_star, v, blocks = sweeps.get(i) or _exact_projected_sweep(proj[p.members])
+            event_h = k_star + v <= _C4 * cfg.tau
         label = "median"
-        if adopted is None:
-            label, adopted = "fallback", _nearest_blocks(md.matrix[np.ix_(members, fids)])
+        if not (event_g[i] and event_h):
+            label = "fallback"
+            blocks = _nearest_blocks(md.matrix[np.ix_(p.members, p.facility_ids)])
+        adopted.append(blocks)
+        traces.append(PartTrace(p.index, p.level, event_g[i], event_h, k_star, v,
+                                label, p.approx_value, None))
 
-        meds = weiszfeld_1median(X.coords[members], blocks=adopted)
-        centers.extend(med.center for med in meds)
-        designated = float(sum(med.cost for med in meds))
-        traces.append(PartTrace(p.index, p.level, event_g, event_h, k_star, v,
-                                label, p.approx_value, designated))
-
-    return ufl_cost(X, _dedupe(np.asarray(centers))), traces
+    ids = [p.members[b] for p, blocks in zip(parts, adopted) for b in blocks]
+    meds = weiszfeld_1median(X.coords, blocks=ids) if ids else []
+    at = 0
+    for i, blocks in enumerate(adopted):
+        designated = float(sum(med.cost for med in meds[at:at + len(blocks)]))
+        traces[i] = traces[i]._replace(designated_cost=designated)
+        at += len(blocks)
+    return ufl_cost(X, _dedupe(np.array([med.center for med in meds]))), traces
 
 
 def _dedupe(A: np.ndarray) -> np.ndarray:

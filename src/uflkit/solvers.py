@@ -32,7 +32,7 @@ _ENUM_THRESHOLD = 12    # at most 14, the partition DPs' scale; read at call tim
 _LOCAL_SEARCH_SWAPS = 40
 _MAX_DISCRETE = 15      # hard cap on facility-subset enumeration
 _MAX_SUBSET_CELLS = 4_000_000   # cap on (facility subset, client) table cells
-_MAX_DIST_CELLS = 4_000_000     # cap on the distance block a 1-median holds at once
+_PAIR_CELLS = 65536             # (row, coordinate, member, member) cells per _member_sums chunk
 _RADII_CELLS = 8192             # distances per _mp_radii chunk: 64 KB per float temporary
 
 
@@ -93,50 +93,102 @@ def weiszfeld_1median(points, return_history: bool = False, *, blocks=None):
 
     blocks is a list of non-empty index arrays into points, and the result
     a list of WeiszfeldResult, one per block in block order; without it all
-    points form one block and the result is its WeiszfeldResult. Blocks are
-    rows of one 0/1 mask over points and every pass reduces row by row, so
-    a block's result does not depend on the other blocks of its call.
+    points form one block and the result is its WeiszfeldResult.
 
-    A certified block returns P[j] with its distance sum as both cost and
-    lower bound, and no iteration. Otherwise cost is the distance sum at
-    the center and lower a bound below every distance sum; converged means
-    cost - lower <= _WEISZFELD_TOL * cost, which only a run cut at
+    Each block works on its own members only. _width_class gathers them, in
+    block order, into a row of width w, the least power of two at least the
+    block's size, padded with its first member under a 0/1 mask. _certify,
+    with the sums of _member_sums, and _median_lockstep then run once per
+    width present. Every pass reduces row by row over the w members, so a
+    block's bytes depend only on its members' coordinates in order: not on
+    the other blocks of its call, and weiszfeld_1median(P, blocks=[b])[0]
+    is weiszfeld_1median(P[b]). (Padding every block to the widest of its
+    call would change each reduction's length, and with it the rounding.)
+
+    A certified block returns its member p_j with its distance sum as both
+    cost and lower bound, and no iteration. Otherwise cost is the distance
+    sum at the center and lower a bound below every distance sum; converged
+    means cost - lower <= _WEISZFELD_TOL * cost, which only a run cut at
     _WEISZFELD_MAX_ITER steps misses. The history is the first block's
     distance sum at the start and after every step.
     """
     P = _as_points(points)
-    if blocks is None:
-        M = np.ones((1, len(P)))
-    else:
-        sizes = [len(b) for b in blocks]
-        if not all(sizes):
-            raise ValueError("empty block")
-        M = np.zeros((len(blocks), len(P)))
-        M[np.repeat(np.arange(len(blocks)), sizes), np.concatenate(blocks)] = 1.0
-    j, cost, certified = _certify(P, M)
-    lower, centers = cost.copy(), P[j]
-    history = [float(cost[0])] if certified[0] else []
-    rest = np.flatnonzero(~certified)
-    if len(rest):
-        cost[rest], lower[rest], centers[rest] = _median_lockstep(
-            P, M[rest], None if certified[0] else history)
+    one = blocks is None
+    if one:
+        blocks = [np.arange(len(P))]
+    if not all(len(b) for b in blocks):
+        raise ValueError("empty block")
+    widths = np.array([1 << (len(b) - 1).bit_length() for b in blocks])
+    cost, lower = np.empty(len(blocks)), np.empty(len(blocks))
+    centers = np.empty((len(blocks), P.shape[1]))
+    history = []
+    for w in np.unique(widths):
+        rows = np.flatnonzero(widths == w)
+        G, M = _width_class(P, [blocks[i] for i in rows], w)
+        GT = np.ascontiguousarray(G.transpose(0, 2, 1))     # (row, coordinate, member)
+        j, c, certified = _certify(GT, M, _member_sums(GT, M))
+        cost[rows], lower[rows], centers[rows] = c, c, G[np.arange(len(rows)), j]
+        first = rows[0] == 0                    # the first block leads its class
+        if first and certified[0]:
+            history.append(float(c[0]))
+        rest = np.flatnonzero(~certified)
+        if len(rest):
+            cost[rows[rest]], lower[rows[rest]], centers[rows[rest]] = _median_lockstep(
+                G[rest], M[rest], history if first and not certified[0] else None)
     converged = cost - lower <= _WEISZFELD_TOL * cost
     out = [WeiszfeldResult(c, float(u), bool(ok), float(lo))
            for c, u, ok, lo in zip(centers, cost, converged, lower)]
-    res = out[0] if blocks is None else out
+    res = out[0] if one else out
     return (res, history) if return_history else res
 
 
-def _certify(P: np.ndarray, M: np.ndarray):
-    """Kuhn's data-point certificate for the subsets of P that the 0/1 rows
-    of M select. Returns (j, sums, certified): j[i] the first member of
-    least distance sum over subset i, sums[i] that sum, and certified[i]
-    whether the test below proves P[j[i]] a median of subset i.
+def _width_class(P: np.ndarray, blocks: list, w: int):
+    """The blocks' members gathered into rows of width w: (G, M) with G[i]
+    (w x k) the coordinates of blocks[i] in order, padded with its first
+    member, and M[i] the 0/1 mask of its members."""
+    sizes = np.array([len(b) for b in blocks])
+    M = (np.arange(w) < sizes[:, None]).astype(np.float64)
+    idx = np.repeat(np.array([b[0] for b in blocks]), w).reshape(len(blocks), w)
+    idx[M > 0] = np.concatenate(blocks)
+    return P[idx], M
 
-    The test is Kuhn's optimality test at x = P[j]: with eta the members
-    equal to x and g the sum of unit vectors from x toward the others, x is
-    a median iff |g| <= eta. A median minimises the distance sum over all
-    of space, so if any member is a median, P[j] is one. The test is
+
+def _member_sums(PT: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """sums[i, a] = sum over b of M[i, b] |p_a - p_b|, p the points of row
+    i: each member's distance sum to the members of its row, for per-row
+    points PT (r x k x w) stored coordinate by coordinate. Coordinates run
+    outermost, so the distances reduce along whole (a, b) planes, and
+    chunks of rows and of the members a hold at most _PAIR_CELLS (row,
+    coordinate, a, b) cells. Members a at or past the most any row has are
+    padding in every row, whose sums no caller reads: they are skipped."""
+    r, k, w = PT.shape
+    sums = np.zeros((r, w))
+    cols = min(w, max(1, _PAIR_CELLS // (w * k)))
+    rows = max(1, _PAIR_CELLS // (w * w * k))
+    for a in range(0, r, rows):
+        Q, m = PT[a:a + rows], M[a:a + rows]
+        for b in range(0, int(m.sum(axis=1).max()), cols):
+            diff = Q[:, :, b:b + cols, None] - Q[:, :, None, :]
+            d = np.einsum("rkab,rkab->rab", diff, diff)
+            np.sqrt(d, out=d)
+            sums[a:a + rows, b:b + cols] = np.einsum("rab,rb->ra", d, m)
+    return sums
+
+
+def _certify(PT: np.ndarray, M: np.ndarray, sums: np.ndarray):
+    """Kuhn's data-point certificate for the rows of per-row points PT (r x
+    k x w, coordinate by coordinate) whose members the 0/1 rows of M
+    select. The caller passes sums (r x w), each member's distance sum to
+    its row's members, which is overwritten: _member_sums for gathered
+    blocks, or one product with a shared distance matrix. Returns (j, best,
+    certified): j[i] the first member of least distance sum in row i,
+    best[i] that sum, and certified[i] whether the test below proves member
+    j[i] a median of row i.
+
+    The test is Kuhn's optimality test at x, member j of its row: with eta
+    the members equal to x and g the sum of unit vectors from x toward the
+    others, x is a median iff |g| <= eta. A median minimises the distance
+    sum over all of space, so if any member is a median, x is one. The test is
     strict, |g| < eta * (1 - 1e-9): two points, or an even number on a
     line, have |g| = eta exactly, because a whole segment of medians joins
     the middle two, and there the iteration keeps its midpoint answer. Only
@@ -144,23 +196,19 @@ def _certify(P: np.ndarray, M: np.ndarray):
     pulls, or a vertex of a tiny triangle would pass although its centroid
     costs less.
 
-    The sums take _MAX_DIST_CELLS distances at a time and the test
-    _MEDIAN_CELLS (row, point, coordinate) cells at a time, both reduced
-    row by row."""
-    r, n = M.shape
-    sums = np.empty((r, n))
-    step = max(1, _MAX_DIST_CELLS // n)
-    for a in range(0, n, step):
-        sums[:, a:a + step] = np.einsum("rn,cn->rc", M, cdist(P[a:a + step], P))
+    The test takes _MEDIAN_CELLS (row, coordinate, member) cells at a
+    time, reduced row by row along the members; PT may be a broadcast
+    view."""
+    r, k, w = PT.shape
     sums[M == 0.0] = np.inf
     j = sums.argmin(axis=1)
     best = sums[np.arange(r), j]
     certified = np.empty(r, dtype=bool)
-    PT = np.ascontiguousarray(P.T)          # B is (row, coordinate, point): sums run along points
-    rows = max(1, _MEDIAN_CELLS // P.size)
+    rows = max(1, _MEDIAN_CELLS // (w * k))
     for a in range(0, r, rows):
         m = M[a:a + rows]
-        B = PT - P[j[a:a + rows], :, None]
+        at = np.arange(a, a + len(m))
+        B = PT[a:a + rows] - PT[at, :, j[at]][:, :, None]
         d = np.sqrt(np.einsum("rkn,rkn->rn", B, B))
         eta = np.einsum("rn,rn->r", m, d == 0.0)
         g = np.einsum("rkn,rn->rk", B, np.divide(m, d, out=np.zeros(d.shape), where=d > 0.0))
@@ -177,14 +225,17 @@ def _med1_costs(P: np.ndarray) -> np.ndarray:
     together from their centroids, so each value is a distance sum attained
     at a real center and within _WEISZFELD_TOL (relative) of the optimum
     unless its row ran _WEISZFELD_MAX_ITER steps; the least data-point
-    sum still caps it.
+    sum still caps it. Every row reads P through one broadcast view, and
+    the certificate's sums come from P's one distance matrix.
     """
     s = len(P)
     M = ((np.arange(1, 1 << s)[:, None] >> np.arange(s)) & 1).astype(np.float64)
-    _, costs, certified = _certify(P, M)
+    PT = np.ascontiguousarray(P.T)          # (coordinate, point): B below runs along points
+    _, costs, certified = _certify(np.broadcast_to(PT, (len(M),) + PT.shape), M,
+                                   np.einsum("rn,cn->rc", M, cdist(P, P)))
     rest = np.flatnonzero(~certified & (M.sum(axis=1) >= 3))
     M = M[rest]                             # drops the full table before the kernel
-    upper, _, _ = _median_lockstep(P, M)
+    upper, _, _ = _median_lockstep(np.broadcast_to(P, (len(M),) + P.shape), M)
     costs[rest] = np.minimum(upper, costs[rest])
     return np.concatenate(([0.0], costs))
 
@@ -197,10 +248,12 @@ _NEAR = 1e-3            # a member this close, relative to the distance sum, anc
 
 
 def _median_lockstep(P: np.ndarray, M: np.ndarray, history: list | None = None):
-    """Certified geometric medians of the subsets of P (n points) that the
-    0/1 rows of M (r x n) select, iterated in lockstep from their centroids.
-    Returns (upper, lower, centers): upper[i] is the distance sum of subset
-    i at centers[i], and lower[i] is at most its distance sum anywhere.
+    """Certified geometric medians of the rows of per-row points P (r x w x
+    k) whose members the 0/1 rows of M (r x w) select, iterated in lockstep
+    from their centroids. P may be a broadcast view, as _med1_costs passes
+    one point set for every row. Returns (upper, lower, centers): upper[i]
+    is the distance sum of row i's members at centers[i], and lower[i] is
+    at most their distance sum anywhere.
 
     A step tries, per row, the Newton step y - H^-1 g, with g = sum u_i the
     gradient, H = sum w_i (I - u_i u_i^T), w_i = 1/d_i and u_i the unit
@@ -224,24 +277,25 @@ def _median_lockstep(P: np.ndarray, M: np.ndarray, history: list | None = None):
     shift can give. A row keeps the best bound it reaches and stops once
     upper - lower <= _WEISZFELD_TOL * upper, or after
     _WEISZFELD_MAX_ITER steps; a stopped row leaves the arrays. Rows run
-    _MEDIAN_CELLS (row, point, coordinate) cells at a time, which bounds
+    _MEDIAN_CELLS (row, member, coordinate) cells at a time, which bounds
     every temporary.
 
-    Per step, g is one einsum reduction over the points, and sum w_i u_i
-    u_i^T one batched matrix product (U W)^T U with a k x k result per row.
-    Each reduces within its row, so a row's result does not depend on the
-    rows beside it.
+    Per step, g is one einsum reduction over the w members, and sum w_i
+    u_i u_i^T one batched matrix product (U W)^T U with a k x k result per
+    row. Each reduces within its row, so a row's result depends only on its
+    own points and mask, not on the rows beside it.
 
     history, if given, receives the first row's distance sum at the start
     and after every step."""
-    upper = np.empty(len(M))
-    lower = np.empty(len(M))
-    centers = np.empty((len(M), P.shape[1]))
-    rows = max(1, _MEDIAN_CELLS // P.size)
+    r, w, k = P.shape
+    upper = np.empty(r)
+    lower = np.empty(r)
+    centers = np.empty((r, k))
+    rows = max(1, _MEDIAN_CELLS // (w * k))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for a in range(0, len(M), rows):
+        for a in range(0, r, rows):
             part = slice(a, a + rows)
-            _median_rows(P, M[part], centers[part], upper[part], lower[part],
+            _median_rows(P[part], M[part], centers[part], upper[part], lower[part],
                          history if a == 0 else None)
     return upper, lower, centers
 
@@ -271,7 +325,8 @@ def _escape_offsets(B: np.ndarray, M: np.ndarray, near: np.ndarray) -> np.ndarra
 
 def _median_rows(P, M, y, upper, lower, history):
     """_median_lockstep on one chunk of rows, writing into the views y,
-    upper and lower.
+    upper and lower. P holds every row of the chunk; the active rows read
+    theirs through pos, so rows that stop cost no copy of P.
 
     A row holds y as an anchor p_a and the offset delta = y - p_a, with B =
     p_a - P, so that y - p_i = B + delta. Once a member comes within _NEAR
@@ -290,11 +345,12 @@ def _median_rows(P, M, y, upper, lower, history):
     copy = _WEISZFELD_TOL / (4.0 * size)        # copies of y: within copy * f
     # einsum, not M @ P: a matrix product rounds a row differently
     # depending on the rows beside it
-    centroid = np.einsum("rn,nk->rk", M, P) / size[:, None]
-    eye = np.eye(P.shape[1])
+    centroid = np.einsum("rn,rnk->rk", M, P) / size[:, None]
+    eye = np.eye(P.shape[2])
     a = member.argmax(axis=1)
-    B = P[a][:, None, :] - P
-    ac = P[a] - centroid                        # y - centroid = ac + delta
+    Pa = P[pos, a]
+    B = Pa[:, None, :] - P
+    ac = Pa - centroid                          # y - centroid = ac + delta
     delta = -ac
     D = B + delta[:, None, :]
     d, f = _sums_at(D, M)
@@ -309,8 +365,9 @@ def _median_rows(P, M, y, upper, lower, history):
             c = np.flatnonzero(close)
             near = W[c].argmax(axis=1)
             a[c], delta[c] = near, D[c, near]
-            B[c] = P[near][:, None, :] - P
-            ac[c] = P[near] - centroid[c]
+            Pn = P[pos[c], near]
+            B[c] = Pn[:, None, :] - P[pos[c]]
+            ac[c] = Pn - centroid[c]
             hit = member[c] & (d[c] <= (copy[c] * f[c])[:, None])
             at = hit.any(axis=1)
             if at.any():
@@ -328,18 +385,18 @@ def _median_rows(P, M, y, upper, lower, history):
         yc, rest, scale = ac + delta, f, 1.0 + gnorm / size
         if on is not None:
             rest = f.copy()
-            yc[h] += centroid[h] - np.einsum("rn,nk->rk", hit, P) / eta[:, None]
+            yc[h] += centroid[h] - np.einsum("rn,rnk->rk", hit, P[pos[h]]) / eta[:, None]
             rest[h] = np.einsum("rn,rn->r", np.where(hit, 0.0, d[h]), M[h])
             scale[h] = np.maximum(1.0, gnorm[h] / eta)
         np.maximum(lo, (rest - np.einsum("rk,rk->r", g, yc)) / scale, out=lo)
         stop = lo >= f * keep_frac
         if it == last or stop.all():
-            y[pos] = P[a] + delta
+            y[pos] = P[pos, a] + delta
             upper[pos], lower[pos] = f, np.minimum(lo, f)
             return
         if stop.any():
             out = pos[stop]
-            y[out] = P[a[stop]] + delta[stop]
+            y[out] = P[out, a[stop]] + delta[stop]
             upper[out], lower[out] = f[stop], np.minimum(lo[stop], f[stop])
             # take, which gathers rows far faster than a boolean mask; the
             # large arrays one at a time, so that each old copy is freed
@@ -509,8 +566,10 @@ def _kmedian_exact_dp(med1: np.ndarray, s: int, k: int):
     """Minimum sum of 1-median costs over partitions into exactly k blocks.
     Returns (value, blocks).
 
-    value[j, S] is the least cost of S in j blocks, splitting off the block
-    T holding S's lowest bit: the first least T in decreasing order. A mask
+    value[j, S] is the cost of S in j blocks, splitting off the block T
+    holding S's lowest bit: among the splits within 1e-12 of the least, the
+    first T in decreasing order, as _ufl_partition_dp breaks its ties, so
+    that last-bit changes in med1 do not swap blocks of equal cost. A mask
     of p points has no split into more than p blocks and keeps inf there."""
     nm = 1 << s
     value = np.full((k + 1, nm), np.inf)
@@ -524,7 +583,7 @@ def _kmedian_exact_dp(med1: np.ndarray, s: int, k: int):
         for j in range(1, min(k, p) + 1):
             v = value[j - 1][rest]
             v += med
-            i = v.argmin(axis=1)
+            i = (v <= v.min(axis=1, keepdims=True) + 1e-12).argmax(axis=1)
             value[j, S], choice[j, S] = v[r, i], T[r, i]
     parts = []
     S = nm - 1

@@ -180,3 +180,15 @@ class TestVerify:
         report = json.loads(out.read_text())
         assert report["all_passed"] is True
         assert any("cutting" in p["name"] for p in report["properties"])
+
+    def test_unchecked_property_is_skipped_not_failed(self, tmp_path):
+        # at 30 trials partition_structure draws 4 instances, and none of
+        # their random pairs is a good pair in distinct parts
+        out = tmp_path / "report.json"
+        res = run_cli("verify", "--trials", "30", "--seed", "21", "--out", str(out))
+        assert res.returncode == 0
+        report = json.loads(out.read_text())
+        skipped = [p for p in report["properties"] if p.get("skipped")]
+        assert [p["name"] for p in skipped] == ["partition_structure"]
+        assert skipped[0]["good_cross_pairs_checked"] == 0 and not skipped[0]["passed"]
+        assert report["all_passed"] is True

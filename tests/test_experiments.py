@@ -92,7 +92,7 @@ class TestIndividualChecks:
         # K so large that no (pair, level) bound is at most 1/2
         monkeypatch.setattr(experiments, "_CUT_K", 1e12)
         rep = cutting_probability_check(trials=2, seed=5)
-        assert rep["checks"] == [] and not rep["passed"]
+        assert rep["checks"] == [] and not rep["passed"] and rep["skipped"]
 
     def test_badly_cut_rate(self):
         for eps in (0.2, 0.3):
@@ -112,7 +112,7 @@ class TestIndividualChecks:
     def test_partition_structure_with_no_checked_pair_does_not_pass(self, monkeypatch):
         monkeypatch.setattr(experiments, "_PAIRS_PER_INSTANCE", 0)
         rep = partition_structure_check(2, seed=9)
-        assert rep["good_cross_pairs_checked"] == 0 and not rep["passed"]
+        assert rep["good_cross_pairs_checked"] == 0 and not rep["passed"] and rep["skipped"]
 
     def test_local_bounds(self):
         rep = local_bounds_check(6, seed=10)
@@ -126,7 +126,7 @@ class TestIndividualChecks:
         monkeypatch.setattr(experiments, "brute_force_ufl_continuous", out_of_scale)
         rep = local_bounds_check(6, seed=10)
         assert rep["checked_parts"] == 0 and rep["unchecked_parts"] > 0
-        assert rep["failures"] == 0 and not rep["passed"]
+        assert rep["failures"] == 0 and not rep["passed"] and rep["skipped"]
 
     def test_lambda_scaling(self):
         rep = lambda_scaling_check(trials=15, seed=11)

@@ -169,19 +169,30 @@ class TestEuclidean:
 
     @pytest.mark.parametrize("k_hint", [1, 3, 29], ids=["lower_clamp", "inside", "upper_clamp"])
     def test_heuristic_sweep_recenters_each_distinct_block_once(self, rng, monkeypatch, k_hint):
-        # three separated groups of 10 (beyond the enumeration scale) and the
-        # window k_hint -/+ 2 within 1..30: one restricted_kmedians sweep
-        # yields every k < 30 of it, one weiszfeld_1median call recenters the
-        # window's distinct blocks, and the result is the per-k kmedian loop's
-        P = np.vstack([rng.random((10, 2)) + off for off in (0.0, 4.0, 9.0)])
-        s = len(P)
-        lo, hi = max(1, k_hint - 2), min(s, k_hint + 2)
-        expected, produced = None, 0
-        for k in range(lo, hi + 1):
-            res = solvers.kmedian(P, k)
-            produced += len(res.clusters)
-            if expected is None or k + res.cost < expected[0] + expected[1]:
-                expected = (k, res.cost, res.clusters)
+        # two parts beyond the enumeration scale, their ids interleaved in
+        # one point set: three separated groups of 10 with the window
+        # k_hint -/+ 2 within 1..30, and two groups of 10 with k_hint 2. One
+        # restricted_kmedians sweep per part yields every k < s of its
+        # window, one weiszfeld_1median call recenters the distinct blocks
+        # of both parts, and each part's result is the per-k kmedian loop's
+        # with the smallest k among near-ties
+        groups = [rng.random((10, 2)) + off for off in (0.0, 4.0, 9.0, 20.0, 25.0)]
+        order = rng.permutation(50)
+        proj = np.empty((50, 2))
+        proj[order] = np.vstack(groups)
+        parts = [(order[:30], k_hint), (order[30:], 2)]
+
+        expected, produced, drawn_per_part = [], 0, []
+        for members, hint in parts:
+            s = len(members)
+            lo, hi = max(1, hint - 2), min(s, hint + 2)
+            runs = [(k, solvers.kmedian(proj[members], k)) for k in range(lo, hi + 1)]
+            produced += sum(len(res.clusters) for _, res in runs)
+            least = min(k + res.cost for k, res in runs)
+            k, res = next((k, res) for k, res in runs if k + res.cost <= least * (1 + 1e-12))
+            expected.append((k, res.cost, [c.tobytes() for c in res.clusters]))
+            # k = s is the singletons, which draw nothing from the sweep
+            drawn_per_part.append(min(hi, s - 1) - lo + 1)
 
         calls, sweeps = [], []
         weiszfeld = solvers.weiszfeld_1median
@@ -199,13 +210,36 @@ class TestEuclidean:
 
         monkeypatch.setattr(solvers, "weiszfeld_1median", counted)
         monkeypatch.setattr(solvers, "restricted_kmedians", drawn)
-        k_star, cost, clusters = _heuristic_projected_sweep(P, k_hint)
-        assert (k_star, cost) == expected[:2]
-        assert [c.tobytes() for c in clusters] == [c.tobytes() for c in expected[2]]
-        # k = s is the singletons, which draw nothing from the sweep
-        assert sweeps == [min(hi, s - 1) - lo + 1]
+        found = _heuristic_projected_sweep(proj, parts)
+        assert [(k, cost, [c.tobytes() for c in clusters])
+                for k, cost, clusters in found] == expected
+        assert sweeps == drawn_per_part
         assert len(calls) == 1
         assert len(calls[0]) == len(set(calls[0])) < produced
+
+    def test_split_solve_makes_two_weiszfeld_calls(self, monkeypatch):
+        # euclid_split's shape: the sweep's blocks of every heuristic part
+        # share one call, and every adopted block of every part the other
+        calls, sweeps = [], []
+        for owner in (ptas, solvers):
+            weiszfeld = owner.weiszfeld_1median
+
+            def counted(points, *args, weiszfeld=weiszfeld, **kwargs):
+                calls.append(len(kwargs.get("blocks") or [None]))
+                return weiszfeld(points, *args, **kwargs)
+
+            monkeypatch.setattr(owner, "weiszfeld_1median", counted)
+        sweep = ptas._heuristic_projected_sweep
+
+        def recorded(proj, parts):
+            sweeps.append(len(parts))
+            return sweep(proj, parts)
+
+        monkeypatch.setattr(ptas, "_heuristic_projected_sweep", recorded)
+        _, traces = ptas_euclidean(blob_instance(8, 50),
+                                   PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, seed=1))
+        assert len(traces) > 2 and len(sweeps) == 1 and sweeps[0] > 2
+        assert len(calls) == 2 and min(calls) > len(traces)
 
 
 class TestProjectedWidth:

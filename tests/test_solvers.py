@@ -16,7 +16,7 @@ from uflkit.geometry import OPENING_COST, OracleScaleError, PointSet
 from uflkit.partition import MatrixApproxHandle
 from uflkit.ptas import (DistanceOracle, PtasConfig, RestrictedApproxHandle,
                          _exact_projected_sweep, ptas_discrete, ptas_euclidean, trace_to_jsonl)
-from uflkit.solvers import (_MAX_DIST_CELLS, WeiszfeldResult, _affine_reduce, _certify,
+from uflkit.solvers import (WeiszfeldResult, _affine_reduce,
                             _kmedian_exact_dp, _mask_ids, _med1_costs, _mp_radii, _mp_select,
                             _nearest_blocks, _submask_layers, _subset_table, _ufl_partition_dp,
                             approx_ufl, brute_force_ufl_continuous, brute_force_ufl_discrete,
@@ -92,7 +92,7 @@ class TestWeiszfeld:
         monkeypatch.setattr(solvers, "_WEISZFELD_MAX_ITER", 1)
         monkeypatch.setattr(solvers, "_WEISZFELD_TOL", 1e-16)
         P = rng.random((20, 2))
-        assert not _certify(P, np.ones((1, len(P))))[2][0]
+        assert certified_index(P) is None
         res = weiszfeld_1median(P)
         assert res.cost > 0.0   # still a usable iterate
         assert not res.converged
@@ -100,8 +100,8 @@ class TestWeiszfeld:
         assert res.converged == (res.cost - res.lower <= 1e-16 * res.cost)
 
     def test_one_large_block_peak_memory(self, rng):
-        # the certificate's distance sums take _MAX_DIST_CELLS distances at a
-        # time: a 5000 x 5000 block would hold 200 MB
+        # the certificate's distance sums take _PAIR_CELLS cells at a time:
+        # a 5000 x 5000 block would hold 200 MB, and this bound is 35.2 MB
         P = rng.random((5000, 2))
         weiszfeld_1median(P[:10])
         tracemalloc.start()
@@ -110,7 +110,7 @@ class TestWeiszfeld:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * _MAX_DIST_CELLS * 8
+        assert peak <= 1.1 * 4_000_000 * 8
 
     def test_empty_block_rejected(self):
         with pytest.raises(ValueError, match="empty block"):
@@ -325,14 +325,19 @@ class TestEnumThreshold:
             brute_force_ufl_continuous(P[:5])
 
         sizes = {}
-        for name in ("_heuristic_projected_sweep", "_exact_projected_sweep"):
-            sweep = getattr(ptas, name)
+        heuristic, exact = ptas._heuristic_projected_sweep, ptas._exact_projected_sweep
 
-            def recording(proj_members, *args, sweep=sweep, name=name):
-                sizes.setdefault(name, []).append(len(proj_members))
-                return sweep(proj_members, *args)
+        def heuristic_parts(proj, parts):
+            sizes.setdefault("_heuristic_projected_sweep", []).extend(
+                len(members) for members, _ in parts)
+            return heuristic(proj, parts)
 
-            monkeypatch.setattr(ptas, name, recording)
+        def exact_part(proj_members):
+            sizes.setdefault("_exact_projected_sweep", []).append(len(proj_members))
+            return exact(proj_members)
+
+        monkeypatch.setattr(ptas, "_heuristic_projected_sweep", heuristic_parts)
+        monkeypatch.setattr(ptas, "_exact_projected_sweep", exact_part)
         # parts of 1-10 points, all within the default threshold
         monkeypatch.setattr(MatrixApproxHandle, "alpha", 1.0)
         ptas_euclidean(blob_instance(3, 10), PtasConfig(eps=0.3, ddim=2.0, kappa_cap=2.0,
@@ -643,8 +648,9 @@ class TestWeiszfeldCertificate:
                                           [2, 9])],
                    [3, 0, 4, 1, 2]))
     def test_blocks_match_solo_calls(self, case):
-        # rows reduce row by row, so a block's bytes do not depend on the
-        # other blocks of its call or their order
+        # a block works on its own members, gathered in order, and rows
+        # reduce row by row: its bytes do not depend on the other blocks of
+        # its call or their order, and equal those of a call on P[b] alone
         P, blocks, order = case
         batch = weiszfeld_1median(P, blocks=blocks)
         shuffled = weiszfeld_1median(P, blocks=[blocks[i] for i in order])
@@ -653,8 +659,7 @@ class TestWeiszfeldCertificate:
             res = batch[i]
             solo = _result_bytes(weiszfeld_1median(P, blocks=[b])[0])
             assert _result_bytes(res) == solo == _result_bytes(shuffled[order.index(i)])
-            sub = weiszfeld_1median(P[b]).cost
-            assert abs(res.cost - sub) <= solvers._WEISZFELD_TOL * max(res.cost, sub) + 1e-12
+            assert _result_bytes(res) == _result_bytes(weiszfeld_1median(P[b]))
             assert res.lower <= res.cost
 
     @given(P=point_sets())
@@ -805,7 +810,8 @@ def reference_ufl_partition_dp(med1, s):
 
 
 def reference_kmedian_exact_dp(med1, s, k):
-    """_kmedian_exact_dp one (mask, submask) pair at a time."""
+    """_kmedian_exact_dp one mask at a time: its splits in decreasing
+    order of T, then the first within 1e-12 of the least."""
     nm = 1 << s
     inf = float("inf")
     med = med1.tolist()
@@ -817,15 +823,14 @@ def reference_kmedian_exact_dp(med1, s, k):
         ch = [0] * nm
         for S in range(1, nm):
             low = S & (-S)
-            best, bch = inf, 0
+            splits = []
             T = S
             while T:
                 if T & low:
-                    v = prev[S ^ T] + med[T]
-                    if v < best:
-                        best, bch = v, T
+                    splits.append((prev[S ^ T] + med[T], T))
                 T = (T - 1) & S
-            cur[S], ch[S] = best, bch
+            least = min(v for v, _ in splits)
+            cur[S], ch[S] = next((v, T) for v, T in splits if v <= least + 1e-12)
         choices.append(ch)
         prev = cur
     parts = []
@@ -940,6 +945,24 @@ class TestExactKernelsEqualTheLoops:
                 seen += [(int(a), int(b)) for a, row in zip(S, T) for b in row]
                 last_p = p
             assert len(seen) == len(set(seen)) == (3 ** s - 1) // 2
+
+
+class TestExactKMedianTies:
+    def test_ulp_changes_in_med1_keep_the_blocks(self):
+        # the 12-point integer grid of the exact_oracles digest at seed 2:
+        # kmedian(P, 7) has partitions of equal cost, and the first least
+        # split by exact argmin swapped them when med1 moved by an ulp
+        P = np.array([[0, 2, 1], [0, 1, 1], [1, 1, 1], [2, 1, 0], [2, 1, 2], [1, 1, 1],
+                      [1, 2, 0], [2, 2, 0], [2, 0, 2], [1, 1, 1], [0, 2, 2], [2, 0, 2]],
+                     dtype=float)
+        med1 = _med1_costs(_affine_reduce(P))
+        blocks = [b.tolist() for b in _kmedian_exact_dp(med1, 12, 7)[1]]
+        ulp = np.finfo(np.float64).eps
+        rng = np.random.default_rng(0)
+        for sign in (1.0, -1.0):
+            for _ in range(5):
+                scaled = med1 * (1.0 + sign * 4.0 * ulp * rng.integers(0, 2, len(med1)))
+                assert [b.tolist() for b in _kmedian_exact_dp(scaled, 12, 7)[1]] == blocks
 
 
 class TestCertifiedSubsetMedians:
@@ -1149,16 +1172,16 @@ GOLDEN_SOLVER_SOURCES = {
 # facility, its position, a cost's last bit or a trace changes the digest.
 GOLDEN_SOLVER_DIGESTS = {
     "approx_ufl": "bf36ee77b064c76e4c13926cededa2b35072702b9bf1d516ca2d6df80af7b91a",
-    "exact_oracles": "7de47d92bc0ac7838b9ba9194b389eb260f9da2d246818c28fadaa7b2be0a096",
-    "kmedian_local_search": "0e6e2ef16ee0b5711607658501dee458a4b6a97a72e7ecf804ea33fec4f4c25c",
+    "exact_oracles": "47b8aa512f0ebeb276f2ef375a3f9592ea0a3aeed20a68ed1218ce1683979839",
+    "kmedian_local_search": "f789abd9a022d0fade22bcfd69e190728a2afe6fc013d2dbae390099f4e61930",
     "kmedian_restricted": "f1b8088869bf452fee5b838d1d57e16d840a1b325e389436a3fedda4209e011e",
     "ptas": "d9470bc1cdadea9496111be2a989d802bbb5a85192e899d5d8dedc5a784ff2db",
     "ptas_discrete_split": "88b4c12f5e6f6b32125cfe96dcce4856cfa5f86e2c0724476578905a2e69ac01",
-    "ptas_euclid_split": "83f8f8db9c514e62fbb8e1787893c1e11753f4eb75703d4f9a1cf3ad5aa5ed8f",
-    "ptas_fallback": "cd03883bf7d046c41e6c3a816dae0b5cf376df5363077da0444e51be8e113def",
+    "ptas_euclid_split": "501888845322d6b67d2c193f5f82cc1a0064da8ea7a1e3ccc1d910a69994620b",
+    "ptas_fallback": "beeff9645b63c38ac8bcd74ccd0d5060e2b1c6b757a2e9db298a2ac269d9dd7b",
     "ptas_small": "399d84f334c837fc0193b2ba340c673b31d20e5f0f258b345eefb35ffd531a38",
     "restricted_ufl_value": "3843dbd3d090b687da672b90d0c48a14d3f9dd606a218661d2ab50a34bcf0640",
-    "weiszfeld_1median": "4727e4a34068cb4f3c153dcc62144f056d82c1c2a5f4d449f93419523a5d81cb",
+    "weiszfeld_1median": "ecd2d1057637da748c7e5c4da737df91070c60f2508300a4f5882614908219da",
 }
 
 
