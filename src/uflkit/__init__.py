@@ -3,7 +3,7 @@ randomized hierarchical decomposition, badly-cut-pair elimination, low-value
 partitioning, and full approximation pipelines validated against brute force.
 """
 
-from .geometry import (OracleScaleError, PointSet, UflSolution, check_net, dist,
+from .geometry import (OracleScaleError, PointSet, UflSolution, check_net, distances,
                        estimate_ddim, greedy_net, load_points, save_points_binary,
                        save_points_text, ufl_cost)
 from .projection import RandomLinearMap, sample_map, target_dim

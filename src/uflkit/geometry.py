@@ -1,7 +1,7 @@
-"""Point sets, Euclidean distances, the UFL objective, the greedy net
-builder (over a distance matrix, shared with the hierarchy) and its check,
-aspect-ratio statistics, a doubling-dimension diagnostic, and the text and
-binary point-set file formats.
+"""Point sets, Euclidean distances (`distances`), the UFL objective, the
+greedy net builder (over a distance matrix, shared with the hierarchy) and
+its check, aspect-ratio statistics, a doubling-dimension diagnostic, and
+the text and binary point-set file formats.
 
 The opening cost is fixed at 1; instances with a general opening cost f
 should be pre-scaled by 1/f. All logarithms are base 2.
@@ -14,7 +14,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist, squareform
 
 from .util import COST_RTOL, ceil_log2
 
@@ -23,6 +22,7 @@ OPENING_COST = 1.0
 _BINARY_MAGIC = b"UFLP"
 _DDIM_SCALES = 8            # estimate_ddim's log-spaced radii
 _DDIM_MAX_CENTERS = 256     # and its cap on sampled ball centers
+_DIST_CELLS = 16384         # distances per distances() chunk: 128 KB per float temporary
 
 
 class OracleScaleError(RuntimeError):
@@ -53,7 +53,7 @@ class PointSet:
         return self.coords.shape[1]
 
     def distance_matrix(self) -> np.ndarray:
-        return squareform(pdist(self.coords)) if self.n > 1 else np.zeros((1, 1))
+        return distances(self.coords)
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,28 @@ class UflSolution:
         return len(self.facilities)
 
 
-def dist(p, q) -> float:
-    """Euclidean distance between two coordinate vectors."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ValueError(f"dimension mismatch: {p.shape} vs {q.shape}")
-    return float(np.linalg.norm(p - q))
+def distances(A, B=None) -> np.ndarray:
+    """Euclidean distances between the rows of A and of B (A when B is
+    None), a (len(A), len(B)) matrix. Squared differences are summed in
+    coordinate order, as scipy's cdist sums them, so the bytes are cdist's;
+    rows go in chunks of at most _DIST_CELLS distances."""
+    A = np.asarray(A, dtype=np.float64)
+    B = A if B is None else np.asarray(B, dtype=np.float64)
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
+        raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
+    out = np.zeros((len(A), len(B)))
+    BT = np.ascontiguousarray(B.T)              # (coordinate, row of B)
+    rows = max(1, _DIST_CELLS // max(1, len(B)))
+    diff = np.empty((min(rows, len(A)), len(B)))
+    for lo in range(0, len(A), rows):
+        acc = out[lo:lo + rows]
+        d = diff[:len(acc)]
+        for a, b in zip(A[lo:lo + rows].T, BT):
+            np.subtract(a[:, None], b, out=d)
+            np.multiply(d, d, out=d)
+            acc += d
+        np.sqrt(acc, out=acc)
+    return out
 
 
 def ufl_cost(X: PointSet, facilities, facility_ids=None) -> UflSolution:
@@ -98,7 +113,7 @@ def ufl_cost(X: PointSet, facilities, facility_ids=None) -> UflSolution:
         raise ValueError("no facilities")
     if F.shape[1] != X.d:
         raise ValueError("facility dimension does not match point set")
-    D = cdist(X.coords, F)
+    D = distances(X.coords, F)
     assignment = np.argmin(D, axis=1)          # argmin takes the first minimum
     connection = float(D[np.arange(X.n), assignment].sum())
     opening = OPENING_COST * len(F)

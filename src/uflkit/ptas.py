@@ -13,15 +13,14 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from . import solvers
-from .geometry import OPENING_COST, PointSet, UflSolution, ufl_cost
+from .geometry import OPENING_COST, PointSet, UflSolution, distances, ufl_cost
 from .hierarchy import HierarchicalDecomposition, MetricData, build_hierarchy
 from .partition import LowValuePartition, MatrixApproxHandle, bottom_up_partition, tau_bound
 from .projection import sample_map, target_dim
 from .refine import eliminate_badly_cut
-from .solvers import (_affine_reduce, _med1_costs, _nearest_blocks, _subset_enumerable,
+from .solvers import (_med1_costs, _nearest_blocks, _subset_enumerable,
                       _ufl_partition_dp, mp_ufl_value, restricted_ufl_value, weiszfeld_1median)
 from .util import spawn_seeds
 
@@ -157,7 +156,7 @@ def build_stages(md, cfg: PtasConfig, approx=None) -> Stages:
 def _exact_projected_sweep(proj_members: np.ndarray):
     """min_k (k + v_k) over all k at once: the per-k sweep of the exact
     k-median enumeration collapses into one partition DP."""
-    med1 = _med1_costs(_affine_reduce(proj_members))
+    med1 = _med1_costs(proj_members)
     total, blocks = _ufl_partition_dp(med1, len(proj_members))
     k_star = len(blocks)
     return k_star, float(total - k_star), blocks
@@ -179,7 +178,7 @@ def _heuristic_projected_sweep(proj: np.ndarray, parts: list):
     the least, so medians that move by ulps do not flip k."""
     windows = []
     for members, k_hint in parts:
-        D = squareform(pdist(proj[members]))
+        D = distances(proj[members])
         lo, hi = max(1, k_hint - 2), min(len(members), k_hint + 2)
         windows.append(list(solvers._local_search_blocks(D, lo, hi)))
     distinct = {}
@@ -232,11 +231,8 @@ def ptas_euclidean(X: PointSet, cfg: PtasConfig) -> tuple[UflSolution, list[Part
     pi = sample_map(X.d, cfg.m, cfg.seeds[1])
     proj = pi.embed(X).coords
 
-    event_g = []
-    for p in parts:
-        fids = p.facility_ids
-        orig = md.matrix[np.ix_(fids, fids)][np.triu_indices(len(fids), 1)]
-        event_g.append(not np.any(orig > (1.0 + cfg.eps) * pdist(proj[fids])))
+    event_g = [not np.any(md.matrix[np.ix_(f, f)] > (1.0 + cfg.eps) * distances(proj[f]))
+               for f in (p.facility_ids for p in parts)]
 
     large = [i for i, p in enumerate(parts)
              if event_g[i] and len(p.members) > solvers._ENUM_THRESHOLD]

@@ -22,9 +22,8 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial.distance import cdist, squareform, pdist
 
-from .geometry import OPENING_COST, OracleScaleError, PointSet, UflSolution, ufl_cost
+from .geometry import OPENING_COST, OracleScaleError, PointSet, UflSolution, distances, ufl_cost
 
 _WEISZFELD_TOL = 1e-10
 _WEISZFELD_MAX_ITER = 10000
@@ -217,7 +216,7 @@ def _certify(PT: np.ndarray, M: np.ndarray, sums: np.ndarray):
 
 
 def _med1_costs(P: np.ndarray) -> np.ndarray:
-    """1-median cost of every subset of P, indexed by bitmask.
+    """1-median cost of every subset of P, indexed by bitmask, in P's affine span.
 
     Every mask first gets the data-point certificate of _certify. A mask
     that passes costs its least data-point sum, its optimum, and so does
@@ -228,11 +227,12 @@ def _med1_costs(P: np.ndarray) -> np.ndarray:
     sum still caps it. Every row reads P through one broadcast view, and
     the certificate's sums come from P's one distance matrix.
     """
+    P = _affine_reduce(P)
     s = len(P)
     M = ((np.arange(1, 1 << s)[:, None] >> np.arange(s)) & 1).astype(np.float64)
     PT = np.ascontiguousarray(P.T)          # (coordinate, point): B below runs along points
     _, costs, certified = _certify(np.broadcast_to(PT, (len(M),) + PT.shape), M,
-                                   np.einsum("rn,cn->rc", M, cdist(P, P)))
+                                   np.einsum("rn,cn->rc", M, distances(P)))
     rest = np.flatnonzero(~certified & (M.sum(axis=1) >= 3))
     M = M[rest]                             # drops the full table before the kernel
     upper, _, _ = _median_lockstep(np.broadcast_to(P, (len(M),) + P.shape), M)
@@ -602,8 +602,7 @@ def brute_force_ufl_continuous(points) -> float:
     P = _as_points(points)
     if len(P) > _ENUM_THRESHOLD:
         raise OracleScaleError("oracle scale exceeded")
-    R = _affine_reduce(P)
-    value, _ = _ufl_partition_dp(_med1_costs(R), len(P))
+    value, _ = _ufl_partition_dp(_med1_costs(P), len(P))
     return float(value)
 
 
@@ -635,11 +634,7 @@ def brute_force_ufl_discrete(points_or_matrix, is_matrix: bool = False) -> float
     Accepts a point list, or a precomputed distance matrix with is_matrix.
     """
     arr = _as_points(points_or_matrix)
-    if is_matrix:
-        D = arr
-    else:
-        D = squareform(pdist(arr)) if len(arr) > 1 else np.zeros((1, 1))
-    cost, size = _subset_table(D)
+    cost, size = _subset_table(arr if is_matrix else distances(arr))
     return float((OPENING_COST * size[1:] + cost[1:]).min())
 
 
@@ -739,9 +734,9 @@ def kmedian(points, k: int) -> KMedianResult:
     elif k == s:
         blocks = [np.array([i]) for i in range(s)]
     elif exact:
-        _, blocks = _kmedian_exact_dp(_med1_costs(_affine_reduce(P)), s, k)
+        _, blocks = _kmedian_exact_dp(_med1_costs(P), s, k)
     else:
-        _, blocks = next(_local_search_blocks(squareform(pdist(P)), k, k))
+        _, blocks = next(_local_search_blocks(distances(P), k, k))
     meds = weiszfeld_1median(P, blocks=blocks)
     return KMedianResult(blocks, np.array([m.center for m in meds]),
                          float(sum(m.cost for m in meds)), k in (1, s) or exact)

@@ -17,6 +17,15 @@ def run_cli(*args):
                           capture_output=True, text=True)
 
 
+def test_import_loads_no_scipy():
+    # the package runs on numpy alone; importing scipy took most of the CLI's start-up
+    res = subprocess.run([sys.executable, "-c", "import sys, uflkit, uflkit.cli; "
+                          "print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
+
+
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "pts.txt"

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist, pdist, squareform
 
-from uflkit.geometry import (PointSet, check_net, dist, estimate_ddim, greedy_net,
-                             load_points, load_points_binary, load_points_text,
+from uflkit.geometry import (_DIST_CELLS, PointSet, check_net, distances, estimate_ddim,
+                             greedy_net, load_points, load_points_binary, load_points_text,
                              save_points_binary, save_points_text, ufl_cost)
 from uflkit.datasets import generate_dataset
 from uflkit.hierarchy import MetricData
@@ -16,25 +17,42 @@ from conftest import line, random_points
 
 class TestDist:
     def test_three_four_five(self):
-        assert dist([0, 0], [3, 4]) == 5.0
+        assert distances([[0, 0]], [[3, 4]])[0, 0] == 5.0
 
     def test_identity(self):
-        assert dist([1.5, -2.0], [1.5, -2.0]) == 0.0
+        assert distances([[1.5, -2.0]], [[1.5, -2.0]])[0, 0] == 0.0
 
     def test_unit_cube_diagonal(self):
-        assert dist([1, 1, 1], [0, 0, 0]) == pytest.approx(math.sqrt(3))
+        assert distances([[1, 1, 1]], [[0, 0, 0]])[0, 0] == pytest.approx(math.sqrt(3))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            dist([0, 0], [1, 2, 3])
+            distances([[0, 0]], [[1, 2, 3]])
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=6))
     @settings(max_examples=50, deadline=None)
     def test_symmetry_and_nonnegativity(self, coords):
         p = np.asarray(coords)
         q = p[::-1].copy()
-        assert dist(p, q) == pytest.approx(dist(q, p))
-        assert dist(p, q) >= 0.0
+        assert distances([p], [q])[0, 0] == distances([q], [p])[0, 0]
+        assert distances([p], [q])[0, 0] >= 0.0
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), m=st.integers(1, 40),
+           d=st.integers(1, 70), offset=st.floats(-1e6, 1e6), scale=st.floats(1e-7, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_are_scipys(self, seed, n, m, d, offset, scale):
+        rng = np.random.default_rng(seed)
+        A, B = (offset + scale * rng.standard_normal((k, d)) for k in (n, m))
+        assert distances(A, B).tobytes() == cdist(A, B).tobytes()
+        assert distances(A).tobytes() == squareform(pdist(A)).tobytes()
+
+    def test_bytes_are_scipys_over_many_chunks(self, rng):
+        A = rng.random((2000, 2))
+        assert distances(A).tobytes() == squareform(pdist(A)).tobytes()
+
+    def test_bytes_are_scipys_one_row_per_chunk(self, rng):
+        A, B = rng.random((3, 3)), rng.random((_DIST_CELLS + 1, 3))
+        assert distances(A, B).tobytes() == cdist(A, B).tobytes()
 
 
 class TestUflCost:
@@ -82,7 +100,7 @@ class TestUflCost:
         X = random_points(rng, 20, 2)
         sol = ufl_cost(X, X.coords[rng.choice(20, size=4, replace=False)])
         assert sol.assignment.shape == (20,)
-        recomputed = sum(dist(X.coords[i], sol.facilities[sol.assignment[i]])
+        recomputed = sum(np.linalg.norm(X.coords[i] - sol.facilities[sol.assignment[i]])
                          for i in range(20))
         assert sol.connection_cost == pytest.approx(recomputed, rel=1e-9)
 

@@ -898,7 +898,7 @@ class TestExactKernelsEqualTheLoops:
     @given(P=exact_inputs())
     @settings(max_examples=30, deadline=None)
     def test_ufl_partition_dp(self, P):
-        med1 = _med1_costs(_affine_reduce(P))
+        med1 = _med1_costs(P)
         assert (_blocks_bytes(*_ufl_partition_dp(med1, len(P)))
                 == _blocks_bytes(*reference_ufl_partition_dp(med1, len(P))))
 
@@ -908,7 +908,7 @@ class TestExactKernelsEqualTheLoops:
         # the loop takes k * 3^s / 2 steps: above 11 points, k stays small
         s = len(P)
         k = data.draw(st.integers(1, s if s <= 11 else 2))
-        med1 = _med1_costs(_affine_reduce(P))
+        med1 = _med1_costs(P)
         assert (_blocks_bytes(*_kmedian_exact_dp(med1, s, k))
                 == _blocks_bytes(*reference_kmedian_exact_dp(med1, s, k)))
 
@@ -955,7 +955,7 @@ class TestExactKMedianTies:
         P = np.array([[0, 2, 1], [0, 1, 1], [1, 1, 1], [2, 1, 0], [2, 1, 2], [1, 1, 1],
                       [1, 2, 0], [2, 2, 0], [2, 0, 2], [1, 1, 1], [0, 2, 2], [2, 0, 2]],
                      dtype=float)
-        med1 = _med1_costs(_affine_reduce(P))
+        med1 = _med1_costs(P)
         blocks = [b.tolist() for b in _kmedian_exact_dp(med1, 12, 7)[1]]
         ulp = np.finfo(np.float64).eps
         rng = np.random.default_rng(0)
@@ -970,19 +970,19 @@ class TestCertifiedSubsetMedians:
         # mask 2070 (points 1, 2, 4 and 11) of this instance once stopped
         # 6.3e-6 above its optimum, where one step improved by too little;
         # the reference is BFGS on the distance sum, an independent method
-        R = _affine_reduce(generate_dataset("subspace", 12, 64, 2, 12).coords)
-        Q = R[_mask_ids(2070, 12)]
+        P = generate_dataset("subspace", 12, 64, 2, 12).coords
+        Q = _affine_reduce(P)[_mask_ids(2070, 12)]
         ref = minimize(lambda y: np.linalg.norm(Q - y, axis=1).sum(), Q.mean(axis=0),
                        jac=lambda y: ((y - Q) / np.linalg.norm(Q - y, axis=1)[:, None]).sum(axis=0),
                        method="BFGS", options={"gtol": 1e-13}).fun
-        assert abs(_med1_costs(R)[2070] - ref) <= 1e-9 * ref
+        assert abs(_med1_costs(P)[2070] - ref) <= 1e-9 * ref
 
     @given(P=exact_inputs(max_size=7))
     @settings(max_examples=30, deadline=None)
     def test_every_mask_matches_the_one_row_call(self, P):
         # both are distance sums within the tolerance of the same optimum
         R = _affine_reduce(P)
-        med1 = _med1_costs(R)
+        med1 = _med1_costs(P)
         for mask in range(1, 1 << len(P)):
             one = weiszfeld_1median(R[_mask_ids(mask, len(P))]).cost
             assert abs(med1[mask] - one) <= solvers._WEISZFELD_TOL * max(med1[mask], one) + 1e-12
@@ -1076,7 +1076,7 @@ def _golden_exact_oracles(seed):
     inputs.append(_exact_input(rng, EXACT_KINDS[(seed + 1) % 4], 14))
     for P in inputs:
         s = len(P)
-        med1 = _med1_costs(_affine_reduce(P))
+        med1 = _med1_costs(P)
         # the continuous oracle's body without its cap at s = 14
         value = brute_force_ufl_continuous(P) if s <= 12 else _ufl_partition_dp(med1, s)[0]
         yield med1.astype("<f8").tobytes() + _f8(value, brute_force_ufl_discrete(P))
