@@ -9,7 +9,8 @@ from `PtasConfig.seeds`).
 
 Every command is deterministic given --seed; rerunning with identical
 arguments reproduces output files byte for byte. Exit code 0 iff all
-invoked checks pass.
+invoked checks pass; 2, argparse's code for bad input, with one error line
+for input beyond an oracle's cap.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .datasets import KINDS, generate_dataset
 from .experiments import (DIMRED_COLUMNS, PTAS_COLUMNS, ExperimentSpec,
                           rows_to_csv, run_dimred_experiment,
                           run_property_suite, run_ptas_experiment)
-from .geometry import (PointSet, load_points, save_points_binary,
+from .geometry import (OracleScaleError, PointSet, load_points, save_points_binary,
                        save_points_text)
 from .partition import partition_to_csv
 from .projection import sample_map
@@ -203,7 +204,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OracleScaleError as e:       # input beyond an oracle's cap: argparse's exit code
+        print(f"uflkit: error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

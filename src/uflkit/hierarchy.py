@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import PointSet, greedy_net, pair_stats
-from .util import rng_from_seed
+from .util import COST_RTOL, rng_from_seed
 
 
 class MetricData:
@@ -232,7 +232,7 @@ def check_diameters(H: HierarchicalDecomposition) -> list[int]:
     for cid, members in enumerate(group_members(H.membership, len(H.clusters))):
         if len(members) > 1:
             sub = H.metric.matrix[np.ix_(members, members)]
-            if sub.max() > H.rang(H.clusters.level[cid]) * (1 + 1e-9):
+            if sub.max() > H.rang(H.clusters.level[cid]) * (1 + COST_RTOL):
                 bad.append(cid)
     return bad
 

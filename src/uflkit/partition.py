@@ -17,6 +17,7 @@ from .hierarchy import group_members, is_good_pair
 from .refine import RefinedDecomposition
 from .solvers import mp_ufl_value
 from .geometry import OracleScaleError
+from .util import COST_RTOL
 
 
 class MatrixApproxHandle:
@@ -79,10 +80,10 @@ def bottom_up_partition(T: RefinedDecomposition, kappa: float, approx) -> LowVal
     id) whose surviving members have certified cost >= alpha * kappa, deleting
     its points everywhere; the remainder, if any, becomes the last part.
 
-    approx has .alpha and .evaluate(members, cluster id), and may have
-    .cost_bound(c), a bound on its cost for c members (2c - 1 for ball
-    growing over the members, 3c over candidate sets that contain them): a
-    cluster whose bound * (1 + 1e-9) is below the threshold fails unevaluated.
+    approx has .alpha, .evaluate(members, cluster id) and .cost_bound(c), a
+    bound on its cost for c members (2c - 1 for ball growing over the
+    members, 3c over candidate sets that contain them): a cluster whose
+    bound * (1 + COST_RTOL) is below the threshold fails unevaluated.
 
     A cluster that fails keeps that verdict until it loses a point: an
     emission clears it only for the clusters read off the emitted points'
@@ -94,7 +95,6 @@ def bottom_up_partition(T: RefinedDecomposition, kappa: float, approx) -> LowVal
     H = T.base
     alpha = float(approx.alpha)
     threshold = alpha * kappa * (1.0 - 1e-12)
-    bound = getattr(approx, "cost_bound", None)
 
     root = 0
     scan = np.argsort(H.clusters.level, kind="stable")[:-1]   # by level, then id; not the root
@@ -108,7 +108,7 @@ def bottom_up_partition(T: RefinedDecomposition, kappa: float, approx) -> LowVal
 
     def qualifies(cid: int) -> bool:
         size = len(members[cid])
-        if size and bound is not None and bound(size) * (1 + 1e-9) < threshold:
+        if size and approx.cost_bound(size) * (1 + COST_RTOL) < threshold:
             out.bound_skips += 1
         elif size:
             out.evaluations += 1
@@ -205,8 +205,8 @@ def local_value_bounds_check(P: LowValuePartition, oracle) -> BoundsReport:
         except OracleScaleError:
             entries.append(BoundsEntry(p.index, len(p.members), None, False, None, None))
             continue
-        lower_ok = p.is_last or value >= kappa * (1 - 1e-9)
-        upper_ok = value <= tau * (1 + 1e-9)
+        lower_ok = p.is_last or value >= kappa * (1 - COST_RTOL)
+        upper_ok = value <= tau * (1 + COST_RTOL)
         entries.append(BoundsEntry(p.index, len(p.members), value, True, lower_ok, upper_ok))
     return BoundsReport(entries, kappa, P.alpha, tau)
 
@@ -242,7 +242,7 @@ def check_partition_invariants(P: LowValuePartition) -> tuple[bool, bool, bool, 
             if idx in seen:
                 holes_disjoint_ok = False
             seen.add(idx)
-    approx_lower_ok = all(p.is_last or p.approx_value >= P.alpha * P.kappa * (1 - 1e-9)
+    approx_lower_ok = all(p.is_last or p.approx_value >= P.alpha * P.kappa * (1 - COST_RTOL)
                           for p in P.parts)
     return partition_ok, holes_total_ok, holes_disjoint_ok, approx_lower_ok
 
@@ -278,11 +278,11 @@ def partition_properties_check(P: LowValuePartition, pairs) -> PartitionCheckRep
             owner, descendant = pa, pb
         else:
             bound = scale * max(pa.rang, pb.rang)
-            if d < bound * (1 - 1e-9):
+            if d < bound * (1 - COST_RTOL):
                 sep_viol.append((int(x), int(y), d, bound))
             continue
         hole_rangs = [P.parts[h].rang for h in P.holes[owner.index]]
-        if not any(d >= scale * r * (1 - 1e-9) for r in hole_rangs):
+        if not any(d >= scale * r * (1 - COST_RTOL) for r in hole_rangs):
             bound = min((scale * r for r in hole_rangs), default=float("inf"))
             sep_viol.append((int(x), int(y), d, bound))
 
@@ -291,7 +291,7 @@ def partition_properties_check(P: LowValuePartition, pairs) -> PartitionCheckRep
         orig = H.members(p.provenance)
         radius = eps * eps * p.rang
         dmin = D[np.ix_(p.members, orig)].min(axis=1)
-        for pos in np.flatnonzero(dmin > radius * (1 + 1e-9)):
+        for pos in np.flatnonzero(dmin > radius * (1 + COST_RTOL)):
             cons_viol.append((p.index, int(p.members[pos]), float(dmin[pos]), radius))
 
     part_ok, holes_total_ok, holes_disj_ok, approx_ok = check_partition_invariants(P)

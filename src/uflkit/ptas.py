@@ -22,13 +22,15 @@ from .projection import sample_map, target_dim
 from .refine import eliminate_badly_cut
 from .solvers import (_med1_costs, _nearest_blocks, _subset_enumerable,
                       _ufl_partition_dp, mp_ufl_value, restricted_ufl_value, weiszfeld_1median)
-from .util import spawn_seeds
+from .util import COST_RTOL, spawn_seeds
 
 
 # The paper's constants, which need only be large enough; read at call time
 _C1 = 1.0       # kappa = _C2 * (ddim / eps)^(_C1 * ddim)
 _C2 = 1.0
 _C4 = 4.0       # event H: a part's best projected k + v_k is at most _C4 * tau
+_SPOT_TRIPLES = 300     # DistanceOracle.spot_check's sampled triples and their seed
+_SPOT_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -92,15 +94,15 @@ def trace_to_jsonl(traces: list[PartTrace]) -> str:
 
 class DistanceOracle(MetricData):
     """The discrete pipeline's input: a MetricData whose metric axioms can be
-    spot-checked on sampled triples."""
+    spot-checked on _SPOT_TRIPLES triples drawn with _SPOT_SEED, within
+    COST_RTOL."""
 
-    def spot_check(self, triples: int = 300, seed: int = 0, tol: float = 1e-9) -> None:
-        D = self.matrix
-        n = self.n
+    def spot_check(self) -> None:
+        D, tol = self.matrix, COST_RTOL
         if np.any(np.abs(np.diag(D)) > tol) or np.any(D < -tol):
             raise ValueError("distance oracle violates nonnegativity")
-        rng = np.random.default_rng(seed)
-        i, j, k = rng.integers(0, n, size=(triples, 3)).T
+        rng = np.random.default_rng(_SPOT_SEED)
+        i, j, k = rng.integers(0, self.n, size=(_SPOT_TRIPLES, 3)).T
         asym = np.abs(D[i, j] - D[j, i]) > tol * np.maximum(1.0, D[i, j])
         bad = asym | (D[i, k] > D[i, j] + D[j, k] + tol * np.maximum(1.0, D[i, k]))
         if bad.any():      # the first failing triple decides, symmetry tested first
@@ -257,7 +259,7 @@ def ptas_euclidean(X: PointSet, cfg: PtasConfig) -> tuple[UflSolution, list[Part
                                 label, p.approx_value, None))
 
     ids = [p.members[b] for p, blocks in zip(parts, adopted) for b in blocks]
-    meds = weiszfeld_1median(X.coords, blocks=ids) if ids else []
+    meds = weiszfeld_1median(X.coords, blocks=ids)
     at = 0
     for i, blocks in enumerate(adopted):
         designated = float(sum(med.cost for med in meds[at:at + len(blocks)]))

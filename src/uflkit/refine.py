@@ -15,6 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hierarchy import HierarchicalDecomposition, badly_cut_threshold, f0_point_ids
+from .util import COST_RTOL
 
 
 class Move(NamedTuple):
@@ -86,7 +87,7 @@ def consistency_check(T: RefinedDecomposition) -> ConsistencyReport:
     for level, x, _, cid in T.moves:
         radius = T.eps ** 2 * H.rang(level)
         d = float(H.metric.matrix[x, H.members(cid)].min())
-        if d > radius * (1 + 1e-9):
+        if d > radius * (1 + COST_RTOL):
             violations.append((level, cid, x, d, radius))
     return ConsistencyReport(violations)
 

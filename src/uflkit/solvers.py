@@ -85,7 +85,7 @@ def _affine_reduce(P: np.ndarray) -> np.ndarray:
 # 1-median
 # ---------------------------------------------------------------------------
 
-def weiszfeld_1median(points, return_history: bool = False, *, blocks=None):
+def weiszfeld_1median(points, *, blocks=None):
     """Geometric medians of blocks of points: the data-point certificate of
     _certify, else the certified iteration of _median_lockstep from the
     centroid.
@@ -108,8 +108,7 @@ def weiszfeld_1median(points, return_history: bool = False, *, blocks=None):
     cost and lower bound, and no iteration. Otherwise cost is the distance
     sum at the center and lower a bound below every distance sum; converged
     means cost - lower <= _WEISZFELD_TOL * cost, which only a run cut at
-    _WEISZFELD_MAX_ITER steps misses. The history is the first block's
-    distance sum at the start and after every step.
+    _WEISZFELD_MAX_ITER steps misses.
     """
     P = _as_points(points)
     one = blocks is None
@@ -120,25 +119,20 @@ def weiszfeld_1median(points, return_history: bool = False, *, blocks=None):
     widths = np.array([1 << (len(b) - 1).bit_length() for b in blocks])
     cost, lower = np.empty(len(blocks)), np.empty(len(blocks))
     centers = np.empty((len(blocks), P.shape[1]))
-    history = []
     for w in np.unique(widths):
         rows = np.flatnonzero(widths == w)
         G, M = _width_class(P, [blocks[i] for i in rows], w)
         GT = np.ascontiguousarray(G.transpose(0, 2, 1))     # (row, coordinate, member)
         j, c, certified = _certify(GT, M, _member_sums(GT, M))
         cost[rows], lower[rows], centers[rows] = c, c, G[np.arange(len(rows)), j]
-        first = rows[0] == 0                    # the first block leads its class
-        if first and certified[0]:
-            history.append(float(c[0]))
         rest = np.flatnonzero(~certified)
         if len(rest):
             cost[rows[rest]], lower[rows[rest]], centers[rows[rest]] = _median_lockstep(
-                G[rest], M[rest], history if first and not certified[0] else None)
+                G[rest], M[rest])
     converged = cost - lower <= _WEISZFELD_TOL * cost
     out = [WeiszfeldResult(c, float(u), bool(ok), float(lo))
            for c, u, ok, lo in zip(centers, cost, converged, lower)]
-    res = out[0] if one else out
-    return (res, history) if return_history else res
+    return out[0] if one else out
 
 
 def _width_class(P: np.ndarray, blocks: list, w: int):
@@ -247,7 +241,7 @@ _ROUNDING = 16.0 * np.finfo(np.float64).eps     # Newton gains below this share 
 _NEAR = 1e-3            # a member this close, relative to the distance sum, anchors its row
 
 
-def _median_lockstep(P: np.ndarray, M: np.ndarray, history: list | None = None):
+def _median_lockstep(P: np.ndarray, M: np.ndarray):
     """Certified geometric medians of the rows of per-row points P (r x w x
     k) whose members the 0/1 rows of M (r x w) select, iterated in lockstep
     from their centroids. P may be a broadcast view, as _med1_costs passes
@@ -283,10 +277,7 @@ def _median_lockstep(P: np.ndarray, M: np.ndarray, history: list | None = None):
     Per step, g is one einsum reduction over the w members, and sum w_i
     u_i u_i^T one batched matrix product (U W)^T U with a k x k result per
     row. Each reduces within its row, so a row's result depends only on its
-    own points and mask, not on the rows beside it.
-
-    history, if given, receives the first row's distance sum at the start
-    and after every step."""
+    own points and mask, not on the rows beside it."""
     r, w, k = P.shape
     upper = np.empty(r)
     lower = np.empty(r)
@@ -295,8 +286,7 @@ def _median_lockstep(P: np.ndarray, M: np.ndarray, history: list | None = None):
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in range(0, r, rows):
             part = slice(a, a + rows)
-            _median_rows(P[part], M[part], centers[part], upper[part], lower[part],
-                         history if a == 0 else None)
+            _median_rows(P[part], M[part], centers[part], upper[part], lower[part])
     return upper, lower, centers
 
 
@@ -323,7 +313,7 @@ def _escape_offsets(B: np.ndarray, M: np.ndarray, near: np.ndarray) -> np.ndarra
     return g * ((blend - 1.0) / w.sum(axis=1))[:, None]
 
 
-def _median_rows(P, M, y, upper, lower, history):
+def _median_rows(P, M, y, upper, lower):
     """_median_lockstep on one chunk of rows, writing into the views y,
     upper and lower. P holds every row of the chunk; the active rows read
     theirs through pos, so rows that stop cost no copy of P.
@@ -356,8 +346,6 @@ def _median_rows(P, M, y, upper, lower, history):
     d, f = _sums_at(D, M)
     lo = np.zeros(len(M))
     for it in range(last + 1):
-        if history is not None and pos[0] == 0:
-            history.append(float(f[0]))
         W = np.divide(M, d, out=np.zeros(d.shape), where=member)
         close = W.max(axis=1) * f >= 1.0 / _NEAR
         on = None
@@ -598,10 +586,11 @@ def brute_force_ufl_continuous(points) -> float:
     """opt(S) with ambient facilities, by exhaustive partition DP with
     geometric-median block centers, each within _WEISZFELD_TOL of its
     optimum by Kuhn's bound unless cut at _WEISZFELD_MAX_ITER steps. Raises
-    OracleScaleError beyond _ENUM_THRESHOLD points."""
+    OracleScaleError, with the count and the cap, beyond _ENUM_THRESHOLD points."""
     P = _as_points(points)
     if len(P) > _ENUM_THRESHOLD:
-        raise OracleScaleError("oracle scale exceeded")
+        raise OracleScaleError(f"oracle scale exceeded: {len(P)} points, "
+                               f"the continuous oracle takes at most {_ENUM_THRESHOLD}")
     value, _ = _ufl_partition_dp(_med1_costs(P), len(P))
     return float(value)
 
@@ -618,7 +607,9 @@ def _subset_table(sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lowest set bit to a smaller mask."""
     nc, m = sub.shape
     if not _subset_enumerable(m, nc):
-        raise OracleScaleError("oracle scale exceeded")
+        raise OracleScaleError(f"oracle scale exceeded: {m} facilities for {nc} clients, the "
+                               f"discrete oracle takes at most {_MAX_DISCRETE} and "
+                               f"{_MAX_SUBSET_CELLS} table cells")
     nm = 1 << m
     dmin = np.empty((nm, nc))
     dmin[0] = np.inf

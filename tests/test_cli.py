@@ -80,6 +80,18 @@ class TestSolve:
         assert res.returncode == 0
         assert res.stdout.startswith("opt_continuous,")
 
+    @pytest.mark.parametrize("algo, n, cap", [("oracle", 14, "at most 12"),
+                                              ("oracle-discrete", 16, "at most 15")])
+    def test_oracle_beyond_its_cap_is_an_input_error(self, tmp_path, algo, n, cap):
+        # c12's 14-point clusters file for the continuous oracle
+        path = tmp_path / "pts.txt"
+        assert run_cli("gen", "--kind", "clusters", "--n", str(n), "--d", "8",
+                       "--intrinsic-dim", "2", "--seed", "3", "--out", str(path)).returncode == 0
+        res = run_cli("solve", str(path), "--algo", algo)
+        assert res.returncode == 2
+        assert res.stderr.startswith("uflkit: error: oracle scale exceeded")
+        assert cap in res.stderr and "Traceback" not in res.stderr
+
     def test_ptas_with_trace(self, dataset, tmp_path):
         trace = tmp_path / "trace.jsonl"
         res = run_cli("solve", str(dataset), "--algo", "ptas", "--seed", "5",

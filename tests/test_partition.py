@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -262,11 +263,15 @@ class TestStatsAndExport:
 # ---------------------------------------------------------------------------
 
 class RecordingHandle:
-    """Delegates to a handle, records every evaluation, and supplies no
-    cost bound."""
+    """Delegates to a handle, records every evaluation, and has a cost
+    bound that rules nothing out."""
 
     def __init__(self, inner):
         self.inner, self.alpha, self.calls = inner, inner.alpha, []
+
+    @staticmethod
+    def cost_bound(size):
+        return math.inf
 
     def evaluate(self, members, cluster_id):
         self.calls.append((cluster_id, members.tobytes()))

@@ -387,15 +387,17 @@ class TestDiscrete:
             with pytest.raises(ValueError, match=kind):
                 oracle.spot_check()
 
-    def test_spot_check_agrees_with_the_triple_loop(self, rng):
+    def test_spot_check_agrees_with_the_triple_loop(self, rng, monkeypatch):
+        monkeypatch.setattr(ptas, "_SPOT_TRIPLES", 40)
         for noise in (0.0, 1e-12, 1e-6, 0.3, 3.0):
             for seed in range(20):
                 D = random_points(rng, 8, 2).distance_matrix()
                 D += np.triu(rng.random(D.shape) * noise, 1)
                 if seed % 2:
                     D = np.triu(D) + np.triu(D, 1).T       # symmetric, triangles may fail
+                monkeypatch.setattr(ptas, "_SPOT_SEED", seed)
                 try:
-                    DistanceOracle(D).spot_check(triples=40, seed=seed)
+                    DistanceOracle(D).spot_check()
                     got = None
                 except ValueError as err:
                     got = "symmetry" if "symmetry" in str(err) else "triangle"

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -75,9 +76,9 @@ class TestWeiszfeld:
     def test_objective_monotone(self, rng):
         for _ in range(8):
             P = rng.random((9, 3))
-            _, history = weiszfeld_1median(P, return_history=True)
-            drops = np.diff(history)
-            assert (drops <= 1e-12 * max(history)).all()
+            sums = steps(P)
+            assert len(sums) > 1
+            assert (np.diff(sums) <= 1e-12 * max(sums)).all()
 
     def test_against_grid_oracle(self, rng):
         for _ in range(20):
@@ -525,18 +526,16 @@ class TestCandidateScans:
 # Data-point certificate of the 1-median
 # ---------------------------------------------------------------------------
 
-def reference_weiszfeld(points, return_history=False):
+def reference_weiszfeld(points):
     """weiszfeld_1median without the data-point certificate: Weiszfeld
     iteration from the centroid with the Vardi-Zhang escape step."""
     P = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if len(P) == 1:
-        res = WeiszfeldResult(P[0].copy(), 0.0, True, 0.0)
-        return (res, [0.0]) if return_history else res
+        return WeiszfeldResult(P[0].copy(), 0.0, True, 0.0)
 
     y = P.mean(axis=0)
     d = np.linalg.norm(P - y, axis=1)
     obj = float(d.sum())
-    history = [obj]
     converged = False
     for _ in range(solvers._WEISZFELD_MAX_ITER):
         hit = d < 1e-12
@@ -560,14 +559,12 @@ def reference_weiszfeld(points, return_history=False):
             y_new = (P * w[:, None]).sum(axis=0) / w.sum()
         d = np.linalg.norm(P - y_new, axis=1)
         new_obj = float(d.sum())
-        history.append(new_obj)
         improvement = obj - new_obj
         y, obj = y_new, min(obj, new_obj)
         if improvement <= solvers._WEISZFELD_TOL * max(obj, 1e-30):
             converged = True
             break
-    res = WeiszfeldResult(y, obj, converged, 0.0)
-    return (res, history) if return_history else res
+    return WeiszfeldResult(y, obj, converged, 0.0)
 
 
 def certified_index(P):
@@ -584,12 +581,27 @@ def assert_at_most_reference(P):
     """weiszfeld_1median on P costs at most what the reference iteration
     reaches (1e-12 relative), its bound is at most its cost, and a
     converged result is within the tolerance of that bound."""
-    res, history = weiszfeld_1median(P, return_history=True)
+    res = weiszfeld_1median(P)
     ref = reference_weiszfeld(P)
     assert res.cost <= ref.cost * (1 + 1e-12)
     assert res.lower <= res.cost
     assert not res.converged or res.cost - res.lower <= solvers._WEISZFELD_TOL * res.cost
-    return res, history
+    return res
+
+
+def steps(P):
+    """The distance sums of weiszfeld_1median(P) at the start and after
+    every step: its cost with _WEISZFELD_MAX_ITER capped at t = 0, 1, ...,
+    up to the first cap whose result is byte-equal to the uncapped one."""
+    full = _result_bytes(weiszfeld_1median(P))
+    sums = []
+    with pytest.MonkeyPatch.context() as mp:
+        for t in itertools.count():
+            mp.setattr(solvers, "_WEISZFELD_MAX_ITER", t)
+            res = weiszfeld_1median(P)
+            sums.append(res.cost)
+            if _result_bytes(res) == full:
+                return sums
 
 
 # its centroid is the data point (0, 0), which is not the median, so the
@@ -665,11 +677,11 @@ class TestWeiszfeldCertificate:
     @given(P=point_sets())
     @settings(max_examples=300, deadline=None)
     def test_at_most_the_reference_or_certified_data_point(self, P):
-        res, history = assert_at_most_reference(P)
+        res = assert_at_most_reference(P)
         j = certified_index(P)
         if j is not None:
             assert res.center.tobytes() == P[j].tobytes()
-            assert res.converged and history == [res.cost] and res.lower == res.cost
+            assert res.converged and res.lower == res.cost
 
     @given(P=point_sets(max_dim=2))
     @settings(max_examples=60, deadline=None)
@@ -698,8 +710,8 @@ class TestWeiszfeldCertificate:
                   np.array([[0.0], [1.0], [3.0], [7.0]]),
                   np.array([[0, 0], [1, 0], [0, 1], [1, 1]], dtype=float)):
             assert certified_index(P) is None
-            res, history = assert_at_most_reference(P)
-            assert res.converged and len(history) == 1
+            res = assert_at_most_reference(P)
+            assert res.converged and len(steps(P)) == 1
             np.testing.assert_allclose(res.center, P.mean(axis=0), rtol=0, atol=1e-14)
 
     def test_points_near_but_not_on_the_vertex_count_as_others(self):
@@ -707,13 +719,13 @@ class TestWeiszfeldCertificate:
         # less than that vertex: the certificate must not return it
         P = np.array([[0.0, 0.0], [1e-13, 0.0], [0.0, 1e-13]])
         assert certified_index(P) is None
-        res, _ = assert_at_most_reference(P)
+        res = assert_at_most_reference(P)
         assert res.cost < 2e-13
 
     def test_escape_step_still_runs(self):
         assert certified_index(ESCAPE_INPUT) is None
-        res, history = assert_at_most_reference(ESCAPE_INPUT)
-        assert len(history) > 1
+        res = assert_at_most_reference(ESCAPE_INPUT)
+        assert len(steps(ESCAPE_INPUT)) > 1
         # on the axis, the slope 1 - 2t / sqrt(t^2 + 1e-4) at x = 1 - t
         # vanishes at t = 0.01 / sqrt(3)
         np.testing.assert_allclose(res.center, [1.0 - 0.01 / math.sqrt(3.0), 0.0], atol=1e-8)
