@@ -20,10 +20,9 @@ import numpy as np
 
 from .datasets import generate_dataset
 from .geometry import PointSet
-from .hierarchy import (build_hierarchy, check_diameters, check_nesting,
+from .hierarchy import (MetricData, build_hierarchy, check_diameters, check_nesting,
                         is_badly_cut, is_cut, is_good_pair)
-from .partition import (check_partition_invariants, local_value_bounds_check,
-                        partition_properties_check)
+from .partition import local_value_bounds_check, partition_properties_check
 from .projection import sample_map
 from .ptas import PtasConfig, build_stages, guiding_assignment, ptas_euclidean
 from .refine import (check_guided_pairs_uncut, consistency_check,
@@ -202,8 +201,7 @@ def cutting_probability_check(trials: int, seed: int) -> dict:
     against K * ddim * dist / (2^i gamma), wherever that bound is <= 1/2."""
     X = line_instance()
     pairs = [(0, 1), (0, 2), (3, 7), (0, 8)]
-    H0 = build_hierarchy(X, 0)
-    gamma, ell = H0.gamma, H0.ell
+    gamma, _, _, ell = MetricData.from_points(X).stats()
     counts = {(p, i): 0 for p in pairs for i in range(ell + 2)}
     for s in spawn_seeds(seed, trials):
         H = build_hierarchy(X, s)
@@ -289,12 +287,11 @@ def partition_structure_check(instances: int, seed: int) -> dict:
     bad_invariants = sep_violations = cons_violations = pairs_checked = 0
     for X, s in _instance_stream(instances, seed):
         part = build_stages(X, replace(_SPLIT_CFG, seed=s)).partition
-        ok = check_partition_invariants(part)
-        bad_invariants += sum(not flag for flag in ok)
         rng = np.random.default_rng(s)
         pairs = [tuple(rng.choice(X.n, size=2, replace=False))
                  for _ in range(_PAIRS_PER_INSTANCE)]
         rep = partition_properties_check(part, pairs)
+        bad_invariants += sum(not flag for flag in rep[:4])    # the invariants' four flags
         sep_violations += len(rep.separation_violations)
         cons_violations += len(rep.consistency_violations)
         pairs_checked += rep.pairs_checked

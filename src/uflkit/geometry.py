@@ -160,16 +160,15 @@ def check_net(D: np.ndarray, covered, net, radius: float,
             raise AssertionError(f"packing bound exceeded: {len(net)} > {bound}")
 
 
-def pair_stats(pair: np.ndarray) -> tuple[float, float, float, int]:
-    """(gamma, Diam, Delta, l) from the distances between distinct points:
-    minimum pairwise distance, diameter, aspect ratio Diam/gamma, and
-    l = ceil(log2 Delta)."""
-    if len(pair) == 0:
-        raise ValueError("metric stats require at least two points")
-    gamma = float(pair.min())
-    diam = float(pair.max())
-    if gamma <= 0:
-        raise ValueError("zero minimum distance")
+def pair_stats(D: np.ndarray) -> tuple[float, float, float, int]:
+    """(gamma, Diam, Delta, l) from a distance matrix: its least positive
+    entry, so copies of a point leave gamma to distinct pairs; its largest
+    entry; the aspect ratio Diam/gamma; and l = ceil(log2 Delta). Raises
+    when no two points differ."""
+    gamma = float(np.min(D, where=D > 0, initial=np.inf))
+    if gamma == np.inf:
+        raise ValueError("metric stats require two distinct points")
+    diam = float(D.max())
     delta = diam / gamma
     return gamma, diam, delta, max(0, ceil_log2(delta))
 
@@ -182,7 +181,7 @@ def estimate_ddim(X: PointSet) -> float:
     Diagnostic only; always in [0, log2 n].
     """
     D = X.distance_matrix()
-    gamma, diam, _, _ = pair_stats(D[~np.eye(X.n, dtype=bool)])
+    gamma, diam, _, _ = pair_stats(D)
     step = max(1, -(-X.n // _DDIM_MAX_CENTERS))
     best = 0.0
     for r in np.geomspace(gamma, diam, num=_DDIM_SCALES):

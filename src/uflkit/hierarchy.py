@@ -10,7 +10,6 @@ parent, center) per cluster id.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +44,10 @@ class MetricData:
         return self.matrix.shape[0]
 
     def stats(self) -> tuple[float, float, float, int]:
-        """(gamma, Diam, Delta, l) from the matrix."""
-        return pair_stats(self.matrix[~np.eye(self.n, dtype=bool)])
+        """(gamma, Diam, Delta, l) of the matrix as it is (`pair_stats`):
+        gamma is its least positive distance, so copies of a point count
+        once."""
+        return pair_stats(self.matrix)
 
 
 @dataclass
@@ -116,8 +117,11 @@ def build_hierarchy(source, seed: int) -> HierarchicalDecomposition:
     grouping of all points by (parent id, mu-rank of that net point): cluster
     ids follow parents in ascending id, then net points in mu order.
 
-    Levels 1-3 have net radius 2^(i-3) * gamma <= gamma, the minimum
-    distance, so no point blocks another and they reuse N_0.
+    Levels 1-3 have net radius 2^(i-3) * gamma <= gamma, the least positive
+    distance, so no two distinct points block each other and they reuse N_0.
+    Levels 0-3 thus keep every copy of a point in their nets, but copies
+    have identical distance rows and share every cluster, so no cluster
+    changes.
     """
     md = MetricData.coerce(source)
     gamma, _, _, ell = md.stats()
@@ -166,30 +170,29 @@ def is_cut(H: HierarchicalDecomposition, x: int, y: int, level: int) -> bool:
     return bool(H.membership[level, x] != H.membership[level, y])
 
 
-def badly_cut_threshold(distance: float, eps: float, gamma: float, ddim: float) -> float:
-    """The (real-valued) level above which a cut makes the pair badly cut."""
-    return math.log2(ddim * distance / (eps * eps * gamma))
+def badly_cut_threshold(distance, eps: float, gamma: float, ddim: float):
+    """The real-valued level log2(ddim * distance / (eps^2 * gamma)) at and
+    above which a cut makes a pair at that distance badly cut, elementwise
+    over distance; -inf at distance 0, since copies share every cluster."""
+    with np.errstate(divide="ignore"):
+        return np.log2(ddim * np.asarray(distance) / (eps * eps * gamma))
 
 
 def is_badly_cut(H: HierarchicalDecomposition, x: int, y: int,
                  eps: float, ddim: float) -> bool:
     """True iff the pair is cut at some level i >= log2(ddim*d/(eps^2*gamma)).
 
-    The degenerate x == y case returns False by convention. Levels above the
-    root are vacuously uncut.
+    Clusters nest, so that holds iff the pair is cut at the first such level
+    (the root's, l+1, when the threshold lies above it: the root cuts
+    nothing). A pair at distance 0 shares every cluster, so it is never cut.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     if ddim < 1.0:
         raise ValueError("ddim must be at least 1")
-    if x == y:
-        return False
-    d = float(H.metric.matrix[x, y])
-    first = max(0, math.ceil(badly_cut_threshold(d, eps, H.gamma, ddim)))
-    for i in range(first, H.ell + 2):
-        if H.membership[i, x] != H.membership[i, y]:
-            return True
-    return False
+    thr = badly_cut_threshold(H.metric.matrix[x, y], eps, H.gamma, ddim)
+    level = int(np.clip(np.ceil(thr), 0, H.ell + 1))
+    return bool(H.membership[level, x] != H.membership[level, y])
 
 
 def is_good_pair(H: HierarchicalDecomposition, f0, x: int, y: int,

@@ -95,11 +95,14 @@ def trace_to_jsonl(traces: list[PartTrace]) -> str:
 class DistanceOracle(MetricData):
     """The discrete pipeline's input: a MetricData whose metric axioms can be
     spot-checked on _SPOT_TRIPLES triples drawn with _SPOT_SEED, within
-    COST_RTOL."""
+    COST_RTOL. Self-distances must be exactly 0: gamma is the least positive
+    distance, so noise there would set it."""
 
     def spot_check(self) -> None:
         D, tol = self.matrix, COST_RTOL
-        if np.any(np.abs(np.diag(D)) > tol) or np.any(D < -tol):
+        if np.diag(D).any():
+            raise ValueError("distance oracle has a nonzero self-distance")
+        if np.any(D < -tol):
             raise ValueError("distance oracle violates nonnegativity")
         rng = np.random.default_rng(_SPOT_SEED)
         i, j, k = rng.integers(0, self.n, size=(_SPOT_TRIPLES, 3)).T
@@ -222,9 +225,8 @@ def ptas_euclidean(X: PointSet, cfg: PtasConfig) -> tuple[UflSolution, list[Part
     and the sweeps read."""
     if X.n == 0:
         raise ValueError("empty input")
-    if X.n == 1:
-        sol = ufl_cost(X, X.coords.copy(), facility_ids=np.array([0]))
-        return sol, []
+    if not np.any(X.coords != X.coords[0]):          # one location: open it
+        return ufl_cost(X, X.coords[:1].copy(), facility_ids=np.array([0])), []
 
     md = MetricData.from_points(X)
     partition, _ = build_stages(md, cfg)
@@ -245,13 +247,12 @@ def ptas_euclidean(X: PointSet, cfg: PtasConfig) -> tuple[UflSolution, list[Part
 
     adopted, traces = [], []                    # blocks as positions within members
     for i, p in enumerate(parts):
-        k_star = v = blocks = None
-        event_h = True
+        k_star = v = blocks = event_h = None
         if event_g[i]:
             k_star, v, blocks = sweeps.get(i) or _exact_projected_sweep(proj[p.members])
             event_h = k_star + v <= _C4 * cfg.tau
         label = "median"
-        if not (event_g[i] and event_h):
+        if not event_h:
             label = "fallback"
             blocks = _nearest_blocks(md.matrix[np.ix_(p.members, p.facility_ids)])
         adopted.append(blocks)
@@ -360,9 +361,9 @@ def ptas_discrete(oracle: DistanceOracle, cfg: PtasConfig
         raise ValueError("empty input")
     oracle.spot_check()
     D = oracle.matrix
-    if oracle.n == 1:
-        return DiscreteSolution(np.array([0]), np.array([0]), OPENING_COST, 0.0,
-                                OPENING_COST), []
+    if not D.any():                                   # one location: open it
+        return DiscreteSolution(np.array([0]), np.zeros(oracle.n, dtype=int), OPENING_COST,
+                                0.0, OPENING_COST), []
 
     partition, handle = build_stages(oracle, cfg,
                                      lambda H: RestrictedApproxHandle(H, cfg.eps))

@@ -60,11 +60,7 @@ def eliminate_badly_cut(H: HierarchicalDecomposition, f0, eps: float,
     if ddim < 1.0:
         raise ValueError("ddim must be at least 1")
     ids = f0_point_ids(f0, H.n)
-    d_to_f0 = H.metric.matrix[np.arange(H.n), ids]
-    thresholds = np.full(H.n, -np.inf)
-    nz = d_to_f0 > 0
-    thresholds[nz] = np.log2(ddim * d_to_f0[nz] / (eps * eps * H.gamma))
-
+    thresholds = badly_cut_threshold(H.metric.matrix[np.arange(H.n), ids], eps, H.gamma, ddim)
     levels = np.arange(H.ell + 2)[:, None]
     membership = np.where(levels >= thresholds, H.membership[:, ids], H.membership)
     return RefinedDecomposition(base=H, eps=eps, ddim=ddim, f0_ids=ids,
@@ -93,16 +89,11 @@ def consistency_check(T: RefinedDecomposition) -> ConsistencyReport:
 
 
 def check_guided_pairs_uncut(T: RefinedDecomposition) -> list[tuple[int, int]]:
-    """(level, point) pairs where a point and its guiding facility are still
-    in different clusters at a qualifying level; empty by construction."""
-    H = T.base
-    bad = []
-    for x in range(H.n):
-        f = int(T.f0_ids[x])
-        if f == x:
-            continue
-        thr = badly_cut_threshold(float(H.metric.matrix[x, f]), T.eps, H.gamma, T.ddim)
-        for level in range(H.ell + 2):
-            if level >= thr and T.membership[level, x] != T.membership[level, f]:
-                bad.append((level, x))
-    return bad
+    """(level, point) pairs, point-major, where a point and its guiding
+    facility are still in different clusters at a level at or above their
+    `badly_cut_threshold`; empty by construction. A point at distance 0
+    from its facility (itself or a copy) qualifies at every level."""
+    H, ids = T.base, T.f0_ids
+    thr = badly_cut_threshold(H.metric.matrix[np.arange(H.n), ids], T.eps, H.gamma, T.ddim)
+    bad = (np.arange(H.ell + 2) >= thr[:, None]) & (T.membership != T.membership[:, ids]).T
+    return [(int(level), int(x)) for x, level in zip(*np.nonzero(bad))]

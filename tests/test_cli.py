@@ -105,6 +105,13 @@ class TestSolve:
         assert res.returncode == 0
         assert res.stdout.startswith("facility_id")
 
+    @pytest.mark.parametrize("algo", ["ptas", "ptas-discrete"])
+    def test_repeated_row(self, tmp_path, algo):
+        path = tmp_path / "pts.txt"
+        path.write_text("4 2\n0 0\n0 0\n3 4\n5 5\n")
+        res = run_cli("solve", str(path), "--algo", algo)
+        assert res.returncode == 0, res.stderr
+
     def test_solve_deterministic(self, dataset, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):

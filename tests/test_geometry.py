@@ -165,9 +165,11 @@ class TestMetricStats:
         assert gamma == pytest.approx(2.0 ** -k)
         assert delta == pytest.approx((1.0 + 2.0 ** -k) * 2 ** k)
 
-    def test_duplicates_rejected(self):
-        with pytest.raises(ValueError, match="zero minimum distance"):
-            MetricData.from_points(line(1.0, 1.0, 3.0)).stats()
+    def test_copies_leave_gamma_to_distinct_pairs(self):
+        # gamma is the least positive distance; one location has none
+        assert MetricData.from_points(line(1.0, 1.0, 3.0)).stats() == (2.0, 2.0, 1.0, 0)
+        with pytest.raises(ValueError):
+            MetricData.from_points(line(1.0, 1.0)).stats()
 
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):

@@ -116,9 +116,13 @@ class TestBuild:
         H2 = build_hierarchy(MetricData.from_points(X), 5)
         assert dump_decomposition(H1) == dump_decomposition(H2)
 
-    def test_duplicate_points_rejected(self):
-        with pytest.raises(ValueError, match="zero minimum distance"):
-            build_hierarchy(line(1.0, 1.0, 2.0), 0)
+    def test_copies_share_every_cluster(self):
+        X = line(1.0, 1.0, 2.0, 5.0, 5.0, 5.0)
+        for seed in range(5):
+            H = build_hierarchy(X, seed)
+            assert not check_nesting(H) and not check_diameters(H)
+            assert (H.membership[:, 0] == H.membership[:, 1]).all()
+            assert (H.membership[:, 3:] == H.membership[:, 3:4]).all()
 
 
 class TestIsCut:
@@ -233,6 +237,23 @@ class TestIsBadlyCut:
         hits = sum(is_badly_cut(build_hierarchy(X, s), 0, 1, eps, ddim)
                    for s in spawn_seeds(5, trials))
         assert hits / trials <= 64 * eps * eps
+
+    def test_first_qualifying_level_decides(self):
+        # the definition, a cut at any level at or above the threshold, on
+        # every pair of a line with a repeated point
+        X = line(0.0, 0.0, *range(1, 12), 40.0)
+        eps, ddim = 0.5, 1.0
+        hits = 0
+        for seed in range(10):
+            H = build_hierarchy(X, seed)
+            for x in range(H.n):
+                for y in range(H.n):
+                    thr = hierarchy.badly_cut_threshold(H.metric.matrix[x, y], eps, H.gamma, ddim)
+                    cut = any(is_cut(H, x, y, i) for i in range(H.ell + 2) if i >= thr)
+                    assert is_badly_cut(H, x, y, eps, ddim) == cut
+                    hits += cut
+        assert hits > 0
+        assert not is_badly_cut(H, 0, 1, eps, ddim)        # the copies
 
     def test_parameter_validation(self):
         H = build_hierarchy(line(0.0, 1.0), 0)

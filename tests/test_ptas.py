@@ -9,9 +9,10 @@ from uflkit import projection, ptas, solvers
 from uflkit.datasets import generate_dataset
 from uflkit.experiments import blob_instance
 from uflkit.geometry import PointSet
-from uflkit.hierarchy import build_hierarchy
-from uflkit.partition import MatrixApproxHandle
+from uflkit.hierarchy import build_hierarchy, check_diameters, check_nesting
+from uflkit.partition import MatrixApproxHandle, partition_properties_check
 from uflkit.projection import target_dim
+from uflkit.refine import check_guided_pairs_uncut, consistency_check
 from uflkit.ptas import (DistanceOracle, PtasConfig, RestrictedApproxHandle,
                          _heuristic_projected_sweep, _restricted_sweep, build_stages,
                          candidate_set, ptas_discrete, ptas_euclidean, trace_to_jsonl)
@@ -123,6 +124,7 @@ class TestEuclidean:
             sol, traces = ptas_euclidean(X, PtasConfig(eps=0.2, ddim=2.0, seed=seed))
             fallbacks += sum(t.adopted == "fallback" for t in traces)
             assert sol.total <= 6.0 * oracle * (1 + 1e-9)
+            assert all(t.event_H is None for t in traces if t.event_G is False)
         assert fallbacks >= 1
 
     def test_fallback_designated_within_approx_dumbbell(self, rng, monkeypatch):
@@ -346,6 +348,15 @@ class TestDiscrete:
         rec = json.loads(trace_to_jsonl(traces))
         assert rec["event_G"] is None and rec["event_H"] is None
 
+    @pytest.mark.parametrize("self_distance", [1e-10, -1e-12])
+    def test_nonzero_self_distance_rejected(self, self_distance):
+        # within COST_RTOL, but a positive one would be the least positive
+        # distance, gamma, and leave each point outside its own level-0 ball
+        D = blob_instance(2, 25, seed=1).distance_matrix()
+        np.fill_diagonal(D, self_distance)
+        with pytest.raises(ValueError, match="nonzero self-distance"):
+            ptas_discrete(DistanceOracle(D), PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0))
+
     def test_asymmetry_rejected(self):
         D = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError, match="symmetry"):
@@ -468,6 +479,38 @@ class TestDiscrete:
         sets = [set(candidate_set(H, cid, eps).tolist()) for cid in range(len(H.clusters))]
         for child, parent in enumerate(H.clusters.parent[1:].tolist(), start=1):
             assert sets[child] <= sets[parent]
+
+
+class TestRepeatedPoints:
+    """Copies of a point have identical distance rows, so they share every
+    cluster, ball and nearest facility; neither pipeline special-cases them."""
+
+    @pytest.mark.parametrize("coords, opt", [([[0, 0], [0, 0], [3, 4], [5, 5]], 3.0),
+                                             ([[0, 0], [0, 0]], 1.0)])
+    def test_both_pipelines_reach_the_oracles(self, coords, opt):
+        X = PointSet(np.array(coords, dtype=np.float64))
+        assert brute_force_ufl_continuous(X.coords) == pytest.approx(opt, rel=1e-9)
+        assert brute_force_ufl_discrete(X.coords) == pytest.approx(opt, rel=1e-9)
+        sol, _ = ptas_euclidean(X, PtasConfig())
+        dsol, _ = ptas_discrete(DistanceOracle.from_points(X), PtasConfig())
+        assert sol.total == pytest.approx(opt, rel=1e-9)
+        assert dsol.total == pytest.approx(opt, rel=1e-9)
+
+    def test_checks_hold_on_blobs_with_repeats(self):
+        base = blob_instance(4, 25, seed=1)
+        rows = np.random.default_rng(5).choice(base.n, size=40, replace=False)
+        X = PointSet(np.vstack([base.coords, base.coords[rows]]))
+        cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, seed=3)
+        P = build_stages(X, cfg).partition
+        T = P.refined
+        assert not check_nesting(T.base) and not check_diameters(T.base)
+        assert consistency_check(T).ok and not check_guided_pairs_uncut(T)
+        pairs = np.random.default_rng(6).integers(0, X.n, size=(300, 2))
+        rep = partition_properties_check(P, pairs)
+        assert rep.ok and rep.pairs_checked > 0
+        sol, _ = ptas_euclidean(X, cfg)
+        dsol, _ = ptas_discrete(DistanceOracle.from_points(X), cfg)
+        assert sol.assignment.shape == dsol.assignment.shape == (X.n,)
 
 
 def _no_points():

@@ -84,6 +84,19 @@ class TestEliminate:
             T = eliminate_badly_cut(H, guiding_assignment(H.metric.matrix), 0.25, 2.0)
             assert check_guided_pairs_uncut(T) == []
 
+    def test_guided_pairs_flags_the_unrefined_base_point_major(self):
+        X = line(*range(16))
+        f0 = np.zeros(X.n, dtype=int)
+        flagged = 0
+        for seed in range(40):
+            H = build_hierarchy(X, seed)
+            T = eliminate_badly_cut(H, f0, 0.5, 1.0)
+            T.membership = H.membership.copy()            # undo every move
+            expected = sorted((x, level) for level, x, _, _ in manual_moves(H, T.f0_ids, 0.5, 1.0))
+            assert check_guided_pairs_uncut(T) == [(level, x) for x, level in expected]
+            flagged += len(expected)
+        assert flagged > 0
+
     def test_parameter_validation(self, rng):
         X = random_points(rng, 6, 2)
         H = build_hierarchy(X, 0)
