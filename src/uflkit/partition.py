@@ -38,7 +38,7 @@ class MatrixApproxHandle:
         return mp_ufl_value(self.matrix, members)
 
     @staticmethod
-    def cost_bound(size: int) -> float:
+    def cost_bound(size: np.ndarray) -> np.ndarray:
         return 2.0 * size - 1.0
 
 
@@ -82,7 +82,8 @@ def bottom_up_partition(T: RefinedDecomposition, kappa: float, approx) -> LowVal
 
     approx has .alpha, .evaluate(members, cluster id) and .cost_bound(c), a
     bound on its cost for c members (2c - 1 for ball growing over the
-    members, 3c over candidate sets that contain them): a cluster whose
+    members, 3c over candidate sets that contain them), which the scan
+    applies to an array of member counts at once: a cluster whose
     bound * (1 + COST_RTOL) is below the threshold fails unevaluated.
 
     A cluster that fails keeps that verdict until it loses a point: an
@@ -101,25 +102,28 @@ def bottom_up_partition(T: RefinedDecomposition, kappa: float, approx) -> LowVal
     # refined members by cluster id: a cluster that badly-cut moves emptied
     # keeps an empty entry
     members = group_members(T.membership[:H.ell + 1], len(H.clusters))
+    sizes = np.bincount(T.membership[:H.ell + 1].ravel(), minlength=len(H.clusters))
     failed = np.zeros(len(H.clusters), dtype=bool)       # the current member set fails
     results: dict[int, tuple[float, np.ndarray]] = {}
     alive = np.ones(H.n, dtype=bool)
     out = LowValuePartition(refined=T, kappa=float(kappa), alpha=alpha, parts=[])
 
-    def qualifies(cid: int) -> bool:
-        size = len(members[cid])
-        if size and approx.cost_bound(size) * (1 + COST_RTOL) < threshold:
-            out.bound_skips += 1
-        elif size:
-            out.evaluations += 1
-            results[cid] = approx.evaluate(members[cid], cid)
-            if results[cid][0] >= threshold:
-                return True
-        failed[cid] = True
-        return False
-
     while alive.any():
-        cid = next((int(c) for c in scan[~failed[scan]] if qualifies(c)), root)
+        # the open clusters in scan order; the first that qualifies is emitted
+        # and every one before it fails, empty or ruled out by the bound
+        open_ = scan[~failed[scan]]
+        nonempty = sizes[open_] > 0
+        ruled = np.asarray(approx.cost_bound(sizes[open_])) * (1 + COST_RTOL) < threshold
+        cid, stop = root, len(open_)
+        for pos in np.flatnonzero(nonempty & ~ruled):
+            c = int(open_[pos])
+            out.evaluations += 1
+            results[c] = approx.evaluate(members[c], c)
+            if results[c][0] >= threshold:
+                cid, stop = c, pos
+                break
+        out.bound_skips += int(np.count_nonzero((nonempty & ruled)[:stop]))
+        failed[open_[:stop]] = True
         if cid == root:
             members[root] = np.flatnonzero(alive)
             out.evaluations += 1
@@ -131,6 +135,7 @@ def bottom_up_partition(T: RefinedDecomposition, kappa: float, approx) -> LowVal
         alive[members[cid]] = False
         for c in np.unique(T.membership[:H.ell + 1, members[cid]]):
             members[c] = members[c][alive[members[c]]]
+            sizes[c] = len(members[c])
             failed[c] = False
 
     out.holes = _compute_holes(out)

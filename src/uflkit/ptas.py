@@ -177,8 +177,10 @@ def _heuristic_projected_sweep(proj: np.ndarray, parts: list):
     One _local_search_blocks sweep over each part's distance matrix yields
     every k's blocks, and the distinct blocks of all parts, as ids into
     proj, are recentered in one weiszfeld_1median call, so a block that
-    several k produce is recentered once. A block's median depends only on
-    its own points, so each part's result equals kmedian's at each k. A
+    several k produce is recentered once. The sweep's chain of local optima
+    starts at k = 1 whatever the window, so its centers at k are those
+    kmedian(proj[members], k) finds; a block's median depends only on its
+    own points, so each part's result equals kmedian's at each k. A
     part takes the smallest k whose k + cost is within 1e-12 (relative) of
     the least, so medians that move by ulps do not flip k."""
     windows = []
@@ -317,7 +319,7 @@ class RestrictedApproxHandle:
         return cost, fids
 
     @staticmethod
-    def cost_bound(size: int) -> float:
+    def cost_bound(size: np.ndarray) -> np.ndarray:
         """3c for c members, when every member is a candidate and the
         matrix is a metric. Ball growing over the candidates costs at most
         that (enumeration, when taken, at most what ball growing costs):
@@ -340,8 +342,10 @@ class RestrictedApproxHandle:
 def _restricted_sweep(D: np.ndarray, members: np.ndarray, cand: np.ndarray):
     """Best k + v_k over k = 1..min(|members|, |cand|) with facilities from
     cand (the smallest k among ties), v_k drawn in turn from one
-    restricted_kmedians sweep. It stops once k alone reaches the best k + v_k
-    found: v_k >= 0, so no larger k can do strictly better."""
+    restricted_kmedians sweep: beyond the enumeration scale, each k's local
+    optimum starts from k - 1's, and v_k equals kmedian_restricted's at k.
+    It stops once k alone reaches the best k + v_k found: v_k >= 0, so no
+    larger k can do strictly better."""
     sweep, best = solvers.restricted_kmedians(D, members, cand), None
     for k in range(1, min(len(members), len(cand)) + 1):
         if best is not None and k >= best[0] + best[1]:

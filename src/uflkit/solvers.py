@@ -8,7 +8,7 @@ below: a 1-median stops once its distance sum is within _WEISZFELD_TOL
 (relative) of Kuhn's lower bound, which proves it within that of the
 optimum, or after _WEISZFELD_MAX_ITER steps; k-median and the continuous
 oracle enumerate up to _ENUM_THRESHOLD points; and local search makes at
-most _LOCAL_SEARCH_SWAPS swap rounds.
+most _LOCAL_SEARCH_SWAPS swap rounds per k.
 
 Exhaustive paths reduce coordinates to the affine span of the input first;
 this is an exact isometry on the points and on any geometric median (which
@@ -634,9 +634,13 @@ def restricted_kmedians(D: np.ndarray, clients: np.ndarray, candidates: np.ndarr
     """k-median over D restricted to candidate ids for k = k_lo, ...,
     #candidates from one slice of D, yielding (facility ids, cost, certified)
     per k: the first least mask of each size in one subset table when the
-    candidates are enumerable, else a greedy order (least total cost, lowest
-    position among ties) grown a step per k, a copy of each prefix improved
-    by _swap_rounds. Ids are in chosen order."""
+    candidates are enumerable, else one chain of local optima from k = 1,
+    whatever k_lo. Each k adds to k - 1's local optimum the candidate that
+    lowers the cost most (lowest position among ties) and improves that set
+    by _swap_rounds; a single-swap local optimum is 5-approximate whatever
+    its start (Arya et al., SICOMP 2004). k_lo only picks the first k
+    yielded, so a sweep from k_lo is the tail of the sweep from 1. Ids are
+    in chosen order."""
     clients = np.asarray(clients, dtype=int)
     candidates = np.asarray(candidates, dtype=int)
     m = len(candidates)
@@ -651,14 +655,14 @@ def restricted_kmedians(D: np.ndarray, clients: np.ndarray, candidates: np.ndarr
 
     # candidates x clients, C-contiguous: a row sum rounds as one client-cost vector's
     subT = D[np.ix_(clients, candidates)].T.copy()
-    order, dcur = [], np.full(len(clients), np.inf)
+    chosen, dcur = np.empty(0, dtype=int), np.full(len(clients), np.inf)
     for k in range(1, m + 1):
         totals = np.minimum(dcur, subT).sum(axis=1)
-        totals[order] = np.inf
-        order.append(int(np.argmin(totals)))
-        dcur = np.minimum(dcur, subT[order[-1]])
+        totals[chosen] = np.inf
+        j = np.argmin(totals)
+        chosen, cost = _swap_rounds(subT, np.append(chosen, j), float(totals[j]))
+        dcur = subT[chosen].min(axis=0)
         if k >= k_lo:
-            chosen, cost = _swap_rounds(subT, np.array(order), float(dcur.sum()))
             yield candidates[chosen], cost, False
 
 
@@ -699,7 +703,9 @@ def _swap_rounds(subT: np.ndarray, chosen: np.ndarray, cost: float):
 
 
 def kmedian_restricted(D: np.ndarray, clients: np.ndarray, candidates: np.ndarray, k: int):
-    """restricted_kmedians' first yield from k_lo = k."""
+    """restricted_kmedians' first yield from k_lo = k: the k-th yield of its
+    sweep from 1, the heuristic chain having walked k = 1..k - 1 to reach
+    it."""
     return next(restricted_kmedians(D, clients, candidates, k))
 
 
@@ -713,8 +719,9 @@ def kmedian(points, k: int) -> KMedianResult:
     k = 1 is one block and k = s singletons. Otherwise inputs of at most
     _ENUM_THRESHOLD points are solved exactly over all k-partitions with
     geometric median centers, larger ones by _local_search_blocks over their
-    distance matrix (certified=False). The k blocks are recentered in one
-    weiszfeld_1median call."""
+    distance matrix (certified=False), whose centers are the k-th step of
+    the restricted_kmedians chain over all points. The k blocks are
+    recentered in one weiszfeld_1median call."""
     P = _as_points(points)
     s = len(P)
     if not 1 <= k <= s:
@@ -736,8 +743,9 @@ def kmedian(points, k: int) -> KMedianResult:
 def _local_search_blocks(D: np.ndarray, lo: int, hi: int):
     """Local-search k-median blocks over the points of D, their distance
     matrix, yielding (k, blocks) for k = lo..hi: each k < len(D) draws the
-    next centers of one restricted_kmedians sweep over all points and groups
-    the points by _nearest_blocks; k = len(D) is singletons in point order."""
+    next centers of one restricted_kmedians sweep over all points, whose
+    chain starts at k = 1 whatever lo, and groups the points by
+    _nearest_blocks; k = len(D) is singletons in point order."""
     s = len(D)
     every = np.arange(s)
     sweep = restricted_kmedians(D, every, every, lo)

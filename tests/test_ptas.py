@@ -159,7 +159,7 @@ class TestEuclidean:
         assert [(t.event_H, t.adopted) for t in traces] == [
             (False, "fallback"), (True, "median")]
         assert traces[0].k_star + traces[0].v > ptas._C4 * cfg.tau
-        assert sol.total == pytest.approx(71.79282904228702, rel=1e-12)
+        assert sol.total == pytest.approx(71.76206558182301, rel=1e-12)
 
     def test_c4_tau_below_one_falls_back_instead_of_crashing(self, monkeypatch):
         # _C4 * tau = 0.025 once emptied the k window of the heuristic sweep

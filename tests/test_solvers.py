@@ -351,39 +351,42 @@ class TestEnumThreshold:
 # Scalar reference loops for the vectorised candidate scans
 # ---------------------------------------------------------------------------
 
-def reference_local_search(D, clients, candidates, k):
-    """kmedian_restricted's greedy + swap local search, one candidate at a
-    time: the first minimum in the greedy step, the first improving
-    candidate in the swap step."""
+def reference_local_search(D, clients, candidates, K):
+    """restricted_kmedians' heuristic chain for k = 1..K, one candidate at a
+    time: each k adds to k - 1's local optimum the candidate that lowers the
+    cost most (the first minimum), then makes the first improving swap
+    (chosen positions in order, each against the unchosen candidates in
+    position order) until none improves or _LOCAL_SEARCH_SWAPS rounds are
+    made. Returns (ids, cost) per k."""
     sub = D[np.ix_(clients, candidates)]
-    chosen = []
-    dcur = np.full(len(clients), np.inf)
-    for _ in range(k):
+    chosen, chain = [], []
+    for k in range(1, K + 1):
+        dcur = sub[:, chosen].min(axis=1) if chosen else np.full(len(clients), np.inf)
         gains = [(np.minimum(dcur, sub[:, j]).sum(), j) for j in range(len(candidates))
                  if j not in chosen]
         _, jbest = min(gains)
         chosen.append(jbest)
-        dcur = np.minimum(dcur, sub[:, jbest])
-    cost = float(dcur.sum())
-    for _ in range(solvers._LOCAL_SEARCH_SWAPS):
-        improved = False
-        for out_pos in range(k):
-            others = [c for i, c in enumerate(chosen) if i != out_pos]
-            base = sub[:, others].min(axis=1) if others else np.full(len(clients), np.inf)
-            for j in range(len(candidates)):
-                if j in chosen:
-                    continue
-                trial = float(np.minimum(base, sub[:, j]).sum())
-                if trial < cost * (1 - 1e-12):
-                    chosen[out_pos] = j
-                    cost = trial
-                    improved = True
+        cost = float(np.minimum(dcur, sub[:, jbest]).sum())
+        for _ in range(solvers._LOCAL_SEARCH_SWAPS):
+            improved = False
+            for out_pos in range(k):
+                others = [c for i, c in enumerate(chosen) if i != out_pos]
+                base = sub[:, others].min(axis=1) if others else np.full(len(clients), np.inf)
+                for j in range(len(candidates)):
+                    if j in chosen:
+                        continue
+                    trial = float(np.minimum(base, sub[:, j]).sum())
+                    if trial < cost * (1 - 1e-12):
+                        chosen[out_pos] = j
+                        cost = trial
+                        improved = True
+                        break
+                if improved:
                     break
-            if improved:
+            if not improved:
                 break
-        if not improved:
-            break
-    return candidates[np.asarray(chosen)], cost
+        chain.append((candidates[np.asarray(chosen)], cost))
+    return chain
 
 
 def reference_mp_select(D_cand, radii):
@@ -398,7 +401,7 @@ def reference_mp_select(D_cand, radii):
 
 def assert_matches_reference(D, clients, candidates, k):
     ids, cost, certified = kmedian_restricted(D, clients, candidates, k)
-    ref_ids, ref_cost = reference_local_search(D, clients, candidates, k)
+    ref_ids, ref_cost = reference_local_search(D, clients, candidates, k)[-1]
     assert not certified
     assert ids.tobytes() == ref_ids.tobytes()
     assert np.float64(cost).tobytes() == np.float64(ref_cost).tobytes()
@@ -467,7 +470,7 @@ class TestCandidateScans:
     @example(seed=2, nc=30, m=24, far=6, ties=True, dup=True)
     def test_sweep_equals_the_per_k_references(self, seed, nc, m, far, ties, dup):
         # every k from one sweep: the first least mask of its size when the
-        # candidates are enumerable, the scalar local search otherwise; a
+        # candidates are enumerable, the scalar chain's k-th step otherwise; a
         # sweep started at k_lo is the tail of one started at 1
         rng = np.random.default_rng(seed)
         D = _distances(rng, (nc, m), ties)
@@ -478,6 +481,8 @@ class TestCandidateScans:
         enumerable = m + far <= 15
         if enumerable:
             ref_cost, ref_size = reference_subset_table(D)
+        else:
+            chain = reference_local_search(D, clients, candidates, m + far)
         run = [ids.tobytes() + _f8(cost, certified)
                for ids, cost, certified in restricted_kmedians(D, clients, candidates)]
         assert len(run) == m + far
@@ -486,12 +491,36 @@ class TestCandidateScans:
                 mask = min(np.flatnonzero(ref_size == k), key=lambda x: (ref_cost[x], x))
                 ref_ids, ref = _mask_ids(mask, m + far), ref_cost[mask]
             else:
-                ref_ids, ref = reference_local_search(D, clients, candidates, k)
+                ref_ids, ref = chain[k - 1]
             assert got == ref_ids.tobytes() + _f8(ref, enumerable)
         k_lo = 1 + seed % (m + far)
         tail = [ids.tobytes() + _f8(cost, certified)
                 for ids, cost, certified in restricted_kmedians(D, clients, candidates, k_lo)]
         assert tail == run[k_lo - 1:]
+
+    @given(seed=st.integers(0, 2**32 - 1), nc=st.integers(1, 30), m=st.integers(16, 24),
+           ties=st.booleans(), dup=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_sweep_yields_are_swap_stable(self, seed, nc, m, ties, dup):
+        # a yield that one more _swap_rounds call leaves as it is stopped
+        # before the round cap (a capped one may still improve): no swap of
+        # a chosen position with an unchosen candidate lowers its cost
+        rng = np.random.default_rng(seed)
+        D = _distances(rng, (nc, m), ties)
+        if dup:                                   # copy some candidate columns
+            D[:, rng.integers(0, m, 4)] = D[:, rng.integers(0, m, 4)]
+        subT, checked = D.T.copy(), 0
+        for ids, cost, certified in restricted_kmedians(D, np.arange(nc), np.arange(m)):
+            assert not certified
+            if solvers._swap_rounds(subT, ids.copy(), cost)[1] != cost:
+                continue
+            checked += 1
+            for o in range(len(ids)):
+                others = np.delete(ids, o)
+                base = D[:, others].min(axis=1) if len(others) else np.full(nc, np.inf)
+                for j in np.setdiff1d(np.arange(m), ids):
+                    assert np.minimum(base, D[:, j]).sum() >= cost * (1 - 1e-12)
+        assert checked
 
     def test_sweep_rejects_k_lo_outside_the_candidates(self, rng):
         D = rng.random((5, 4))
@@ -1185,12 +1214,12 @@ GOLDEN_SOLVER_SOURCES = {
 GOLDEN_SOLVER_DIGESTS = {
     "approx_ufl": "bf36ee77b064c76e4c13926cededa2b35072702b9bf1d516ca2d6df80af7b91a",
     "exact_oracles": "47b8aa512f0ebeb276f2ef375a3f9592ea0a3aeed20a68ed1218ce1683979839",
-    "kmedian_local_search": "f789abd9a022d0fade22bcfd69e190728a2afe6fc013d2dbae390099f4e61930",
-    "kmedian_restricted": "f1b8088869bf452fee5b838d1d57e16d840a1b325e389436a3fedda4209e011e",
-    "ptas": "d9470bc1cdadea9496111be2a989d802bbb5a85192e899d5d8dedc5a784ff2db",
-    "ptas_discrete_split": "88b4c12f5e6f6b32125cfe96dcce4856cfa5f86e2c0724476578905a2e69ac01",
-    "ptas_euclid_split": "501888845322d6b67d2c193f5f82cc1a0064da8ea7a1e3ccc1d910a69994620b",
-    "ptas_fallback": "beeff9645b63c38ac8bcd74ccd0d5060e2b1c6b757a2e9db298a2ac269d9dd7b",
+    "kmedian_local_search": "21c650f7664af35bf9b51bb2f94f61a9ddae034df2e50b271368e8b042c5f4ff",
+    "kmedian_restricted": "389a49802e772c6bc9122867822246ea2d41c023f635ca2a4693c9a042422511",
+    "ptas": "1d8aecb5733f1c955d2813ce7155f4208d16ea665560f28e854e108e606f9526",
+    "ptas_discrete_split": "14b783d9bb0a4d0af21aa25e9b9c00d5e82c10bb1b6ffd6f1f32b20de8f81699",
+    "ptas_euclid_split": "257267e270d1e0ed2eb1fe20d3df4a3a2265035a44a1209c027b6c7fda491d41",
+    "ptas_fallback": "aafbb4d50c590f15078ca43dd5c7da530e7ee803a69058b9c682f7adafcaff43",
     "ptas_small": "399d84f334c837fc0193b2ba340c673b31d20e5f0f258b345eefb35ffd531a38",
     "restricted_ufl_value": "3843dbd3d090b687da672b90d0c48a14d3f9dd606a218661d2ab50a34bcf0640",
     "weiszfeld_1median": "ecd2d1057637da748c7e5c4da737df91070c60f2508300a4f5882614908219da",
