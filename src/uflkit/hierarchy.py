@@ -19,12 +19,16 @@ from .util import COST_RTOL, rng_from_seed
 
 
 class MetricData:
-    """Dense pairwise distances for points addressed by ids 0..n-1."""
+    """Dense pairwise distances for points addressed by ids 0..n-1. Every
+    self-distance is exactly 0: gamma, the least positive distance, would
+    read noise there and leave each point outside its own level-0 ball."""
 
     def __init__(self, matrix: np.ndarray):
         matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("distance matrix must be square")
+        if np.diag(matrix).any():
+            raise ValueError("distance matrix has a nonzero self-distance")
         self.matrix = matrix
 
     @classmethod
@@ -99,12 +103,12 @@ class HierarchicalDecomposition:
             raise ValueError(f"level must lie in [0, {self.ell + 1}]")
 
 
-def group_members(membership: np.ndarray, count: int) -> list[np.ndarray]:
-    """Point ids of each cluster id 0..count-1 in the rows of a membership
-    array, ascending, from one stable grouping; absent ids get empty arrays."""
-    ids = membership.ravel()
+def group_members(H: HierarchicalDecomposition) -> list[np.ndarray]:
+    """Point ids of every cluster, by cluster id, ascending, from one stable
+    grouping of the membership."""
+    ids = H.membership.ravel()
     order = np.argsort(ids, kind="stable")
-    return np.split(order % membership.shape[1], np.searchsorted(ids[order], np.arange(1, count)))
+    return np.split(order % H.n, np.searchsorted(ids[order], np.arange(1, len(H.clusters))))
 
 
 def build_hierarchy(source, seed: int) -> HierarchicalDecomposition:
@@ -232,7 +236,7 @@ def check_nesting(H: HierarchicalDecomposition) -> list[tuple[int, int]]:
 def check_diameters(H: HierarchicalDecomposition) -> list[int]:
     """Cluster ids whose diameter exceeds rang(C) = 2^level * gamma."""
     bad = []
-    for cid, members in enumerate(group_members(H.membership, len(H.clusters))):
+    for cid, members in enumerate(group_members(H)):
         if len(members) > 1:
             sub = H.metric.matrix[np.ix_(members, members)]
             if sub.max() > H.rang(H.clusters.level[cid]) * (1 + COST_RTOL):
@@ -243,7 +247,7 @@ def check_diameters(H: HierarchicalDecomposition) -> list[int]:
 def dump_decomposition(H: HierarchicalDecomposition) -> str:
     """One line per cluster: 'level cluster_id parent_id center_id n: ids...'."""
     lines = []
-    rows = zip(H.clusters.tolist(), group_members(H.membership, len(H.clusters)))
+    rows = zip(H.clusters.tolist(), group_members(H))
     for cid, ((level, parent, center), members) in enumerate(rows):
         ids = " ".join(map(str, members.tolist()))
         lines.append(f"{level} {cid} {parent} {center} {len(members)}: {ids}")

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hierarchy import group_members, is_good_pair
+from .hierarchy import is_good_pair
 from .refine import RefinedDecomposition
 from .solvers import mp_ufl_value
 from .geometry import OracleScaleError
@@ -86,10 +86,12 @@ def bottom_up_partition(T: RefinedDecomposition, kappa: float, approx) -> LowVal
     applies to an array of member counts at once: a cluster whose
     bound * (1 + COST_RTOL) is below the threshold fails unevaluated.
 
-    A cluster that fails keeps that verdict until it loses a point: an
-    emission clears it only for the clusters read off the emitted points'
-    refined membership, as every other member set is unchanged. Member sets
-    only shrink, so no cluster is evaluated twice on one set.
+    The scan keeps two arrays, alive (points not yet emitted) and failed
+    (per cluster, the current member set fails). It recounts members from
+    the alive points' refined membership once per emission, and reads a
+    cluster's members only to evaluate it. An emission clears failed only
+    for the emitted points' clusters, as every other member set is
+    unchanged; sets only shrink, so none is evaluated twice on one set.
     """
     if kappa < 1.0:
         raise ValueError("kappa must be at least 1")
@@ -98,45 +100,40 @@ def bottom_up_partition(T: RefinedDecomposition, kappa: float, approx) -> LowVal
     threshold = alpha * kappa * (1.0 - 1e-12)
 
     root = 0
-    scan = np.argsort(H.clusters.level, kind="stable")[:-1]   # by level, then id; not the root
-    # refined members by cluster id: a cluster that badly-cut moves emptied
-    # keeps an empty entry
-    members = group_members(T.membership[:H.ell + 1], len(H.clusters))
-    sizes = np.bincount(T.membership[:H.ell + 1].ravel(), minlength=len(H.clusters))
-    failed = np.zeros(len(H.clusters), dtype=bool)       # the current member set fails
-    results: dict[int, tuple[float, np.ndarray]] = {}
+    level = H.clusters.level
+    scan = np.argsort(level, kind="stable")[:-1]   # by level, then id; not the root
+    rows = T.membership[:H.ell + 1]                # refined levels below the root
+    failed = np.zeros(len(H.clusters), dtype=bool)
     alive = np.ones(H.n, dtype=bool)
     out = LowValuePartition(refined=T, kappa=float(kappa), alpha=alpha, parts=[])
 
     while alive.any():
         # the open clusters in scan order; the first that qualifies is emitted
         # and every one before it fails, empty or ruled out by the bound
+        sizes = np.bincount(rows[:, alive].ravel(), minlength=len(H.clusters))
         open_ = scan[~failed[scan]]
         nonempty = sizes[open_] > 0
         ruled = np.asarray(approx.cost_bound(sizes[open_])) * (1 + COST_RTOL) < threshold
         cid, stop = root, len(open_)
         for pos in np.flatnonzero(nonempty & ~ruled):
             c = int(open_[pos])
+            got = np.flatnonzero(alive & (rows[level[c]] == c))
             out.evaluations += 1
-            results[c] = approx.evaluate(members[c], c)
-            if results[c][0] >= threshold:
+            cost, fids = approx.evaluate(got, c)
+            if cost >= threshold:
                 cid, stop = c, pos
                 break
         out.bound_skips += int(np.count_nonzero((nonempty & ruled)[:stop]))
         failed[open_[:stop]] = True
         if cid == root:
-            members[root] = np.flatnonzero(alive)
+            got = np.flatnonzero(alive)
             out.evaluations += 1
-            results[root] = approx.evaluate(members[root], root)
-        level = int(H.clusters.level[cid])
-        cost, fids = results[cid]
-        out.parts.append(Part(len(out.parts), members[cid], cid, level, H.rang(level),
-                              cost, fids, is_last=cid == root))
-        alive[members[cid]] = False
-        for c in np.unique(T.membership[:H.ell + 1, members[cid]]):
-            members[c] = members[c][alive[members[c]]]
-            sizes[c] = len(members[c])
-            failed[c] = False
+            cost, fids = approx.evaluate(got, root)
+        lv = int(level[cid])
+        out.parts.append(Part(len(out.parts), got, cid, lv, H.rang(lv), cost, fids,
+                              is_last=cid == root))
+        alive[got] = False
+        failed[rows[:, got]] = False
 
     out.holes = _compute_holes(out)
     return out

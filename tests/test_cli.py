@@ -47,6 +47,19 @@ def test_config_flags_are_the_config_fields(argv):
             build_parser().parse_args(argv + [flag, "1"])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "{data}", "--algo", "ptas", "--eps", "1.5"], "eps must lie in (0, 1)"),
+    (["reduce", "{data}", "--m", "0", "--out", "{out}"], "both dimensions must be at least 1"),
+    (["gen", "--n", "0", "--out", "{out}"], "need n >= 1"),
+], ids=["solve", "reduce", "gen"])
+def test_bad_argument_is_an_input_error(dataset, tmp_path, argv, message):
+    out = tmp_path / "out.txt"
+    res = run_cli(*(a.format(data=dataset, out=out) for a in argv))
+    assert res.returncode == 2
+    assert res.stderr.startswith("uflkit: error: " + message)
+    assert "Traceback" not in res.stderr and not out.exists()
+
+
 class TestGen:
     def test_writes_loadable_file(self, dataset):
         X = load_points(dataset)

@@ -10,7 +10,7 @@ from uflkit.geometry import check_net, greedy_net
 from uflkit.hierarchy import (MetricData, build_hierarchy, check_diameters,
                               check_nesting, dump_decomposition, f0_point_ids,
                               is_badly_cut, is_cut, is_good_pair)
-from uflkit.ptas import guiding_assignment
+from uflkit.ptas import PtasConfig, build_stages, guiding_assignment
 from uflkit.solvers import approx_ufl
 from uflkit.util import spawn_seeds
 
@@ -115,6 +115,17 @@ class TestBuild:
         H1 = build_hierarchy(X, 5)
         H2 = build_hierarchy(MetricData.from_points(X), 5)
         assert dump_decomposition(H1) == dump_decomposition(H2)
+
+    @pytest.mark.parametrize("build", [lambda md: build_hierarchy(md, 0),
+                                       lambda md: build_stages(md, PtasConfig(eps=0.3, ddim=2.0))],
+                             ids=["build_hierarchy", "build_stages"])
+    def test_nonzero_self_distance_rejected(self, build):
+        # a positive self-distance would be gamma, leaving each point outside
+        # its own level-0 ball: the net check failed with an AssertionError
+        D = blob_instance(2, 25, seed=1).distance_matrix()
+        np.fill_diagonal(D, 1e-10)
+        with pytest.raises(ValueError, match="nonzero self-distance"):
+            build(MetricData(D))
 
     def test_copies_share_every_cluster(self):
         X = line(1.0, 1.0, 2.0, 5.0, 5.0, 5.0)
