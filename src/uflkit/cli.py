@@ -11,7 +11,8 @@ Every command is deterministic given --seed; rerunning with identical
 arguments reproduces output files byte for byte. Exit code 0 iff all
 invoked checks pass, 1 when one fails; 2, argparse's code for bad input,
 with one error line for an argument rejected with ValueError (`--eps 1.5`,
-`gen --n 0`) or input beyond an oracle's cap.
+`gen --n 0`), input beyond an oracle's cap, or a file that cannot be read
+or written (OSError).
 """
 
 from __future__ import annotations
@@ -207,7 +208,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OracleScaleError) as e:     # bad input: argparse's exit code
+    except (ValueError, OracleScaleError, OSError) as e:   # bad input: argparse's exit code
         print(f"uflkit: error: {e}", file=sys.stderr)
         return 2
 

@@ -164,11 +164,14 @@ def pair_stats(D: np.ndarray) -> tuple[float, float, float, int]:
     """(gamma, Diam, Delta, l) from a distance matrix: its least positive
     entry, so copies of a point leave gamma to distinct pairs; its largest
     entry; the aspect ratio Diam/gamma; and l = ceil(log2 Delta). Raises
-    when no two points differ."""
+    when an entry is NaN or infinite (the max propagates both) or no two
+    points differ."""
+    diam = float(D.max(initial=0.0))
+    if not np.isfinite(diam):
+        raise ValueError("distance matrix holds non-finite distances")
     gamma = float(np.min(D, where=D > 0, initial=np.inf))
     if gamma == np.inf:
         raise ValueError("metric stats require two distinct points")
-    diam = float(D.max())
     delta = diam / gamma
     return gamma, diam, delta, max(0, ceil_log2(delta))
 
@@ -231,7 +234,10 @@ def load_points_binary(path) -> PointSet:
         magic = fh.read(4)
         if magic != _BINARY_MAGIC:
             raise ValueError("not a UFLP binary point-set file")
-        n, d = struct.unpack("<II", fh.read(8))
+        header = fh.read(8)
+        if len(header) < 8:
+            raise ValueError("truncated UFLP binary file")
+        n, d = struct.unpack("<II", header)
         data = np.frombuffer(fh.read(8 * n * d), dtype="<f8")
     if data.size != n * d:
         raise ValueError("truncated UFLP binary file")

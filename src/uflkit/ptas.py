@@ -20,8 +20,8 @@ from .hierarchy import HierarchicalDecomposition, MetricData, build_hierarchy
 from .partition import LowValuePartition, MatrixApproxHandle, bottom_up_partition, tau_bound
 from .projection import sample_map, target_dim
 from .refine import eliminate_badly_cut
-from .solvers import (_med1_costs, _nearest_blocks, _subset_enumerable,
-                      _ufl_partition_dp, mp_ufl_value, restricted_ufl_value, weiszfeld_1median)
+from .solvers import (_med1_costs, _nearest_blocks, _ufl_partition_dp, mp_ufl_value,
+                      restricted_ufl_value, weiszfeld_1median)
 from .util import COST_RTOL, spawn_seeds
 
 
@@ -174,10 +174,11 @@ def _heuristic_projected_sweep(proj: np.ndarray, parts: list):
     One _local_search_blocks sweep over each part's distance matrix yields
     every k's blocks, and the distinct blocks of all parts, as ids into
     proj, are recentered in one weiszfeld_1median call, so a block that
-    several k produce is recentered once. The sweep's chain of local optima
-    starts at k = 1 whatever the window, so its centers at k are those
-    kmedian(proj[members], k) finds; a block's median depends only on its
-    own points, so each part's result equals kmedian's at each k. A
+    several k produce is recentered once. The sweep walks one chain of
+    local optima from k = 1 and yields from the window's lowest k on, so its
+    centers at k are those kmedian(proj[members], k) finds; a block's median
+    depends only on its own points, so each part's result equals kmedian's
+    at each k. A
     part takes the smallest k whose k + cost is within 1e-12 (relative) of
     the least, so medians that move by ulps do not flip k."""
     windows = []
@@ -291,19 +292,18 @@ class DiscreteSolution:
 
 
 class RestrictedApproxHandle:
-    """Qualification test against per-cluster candidate facility sets:
-    exact enumeration when n points are few enough for every candidate set
-    to be enumerable (the root's set is every id), ball growing otherwise.
-    A cluster's candidate set is built the first time it is asked for and
-    then kept."""
+    """Qualification test against per-cluster candidate facility sets: ball
+    growing over the cluster's candidates, 3-approximate against the best
+    facilities among them, at every n. A cluster's candidate set is built
+    the first time it is asked for and then kept."""
+
+    alpha = 3.0
 
     def __init__(self, H: HierarchicalDecomposition, eps: float):
         self.H = H
         self.eps = eps
         self.matrix = H.metric.matrix
         self._candidates: dict[int, np.ndarray] = {}
-        self.exact = _subset_enumerable(H.n, H.n)
-        self.alpha = 1.0 if self.exact else 3.0
 
     def candidates(self, cluster_id: int) -> np.ndarray:
         if cluster_id not in self._candidates:
@@ -311,15 +311,14 @@ class RestrictedApproxHandle:
         return self._candidates[cluster_id]
 
     def evaluate(self, members: np.ndarray, cluster_id: int) -> tuple[float, np.ndarray]:
-        cost, _, fids = restricted_ufl_value(self.matrix, members, self.candidates(cluster_id),
-                                             exact=self.exact)
+        cost, _, fids = restricted_ufl_value(self.matrix, members, self.candidates(cluster_id))
         return cost, fids
 
     @staticmethod
     def cost_bound(size: np.ndarray) -> np.ndarray:
         """3c for c members, when every member is a candidate and the
         matrix is a metric. Ball growing over the candidates costs at most
-        that (enumeration, when taken, at most what ball growing costs):
+        that:
 
         (i) each member j has D[j, j] = 0, so its radius is r_j <= 1;
         (ii) each member is either kept (connection 0) or blocked by an
@@ -339,8 +338,7 @@ class RestrictedApproxHandle:
 def _restricted_sweep(D: np.ndarray, members: np.ndarray, cand: np.ndarray):
     """Best k + v_k over k = 1..min(|members|, |cand|) with facilities from
     cand (the smallest k among ties), v_k drawn in turn from one
-    restricted_kmedians sweep: beyond the enumeration scale, each k's local
-    optimum starts from k - 1's, and v_k equals kmedian_restricted's at k.
+    restricted_kmedians sweep, so v_k equals kmedian_restricted's at k.
     It stops once k alone reaches the best k + v_k found: v_k >= 0, so no
     larger k can do strictly better."""
     sweep, best = solvers.restricted_kmedians(D, members, cand), None

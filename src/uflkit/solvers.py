@@ -18,6 +18,7 @@ no longer depends on the ambient dimension.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -629,26 +630,21 @@ def brute_force_ufl_discrete(points_or_matrix, is_matrix: bool = False) -> float
     return float((OPENING_COST * size[1:] + cost[1:]).min())
 
 
-def restricted_kmedians(D: np.ndarray, clients: np.ndarray, candidates: np.ndarray,
-                        k_lo: int = 1):
-    """k-median over D restricted to candidate ids for k = k_lo, ...,
+def restricted_kmedians(D: np.ndarray, clients: np.ndarray, candidates: np.ndarray):
+    """k-median over D restricted to candidate ids for k = 1, ...,
     #candidates from one slice of D, yielding (facility ids, cost, certified)
     per k: the first least mask of each size in one subset table when the
-    candidates are enumerable, else one chain of local optima from k = 1,
-    whatever k_lo. Each k adds to k - 1's local optimum the candidate that
-    lowers the cost most (lowest position among ties) and improves that set
-    by _swap_rounds; a single-swap local optimum is 5-approximate whatever
-    its start (Arya et al., SICOMP 2004). k_lo only picks the first k
-    yielded, so a sweep from k_lo is the tail of the sweep from 1. Ids are
-    in chosen order."""
+    candidates are enumerable, else one chain of local optima. Each k adds
+    to k - 1's local optimum the candidate that lowers the cost most (lowest
+    position among ties) and improves that set by _swap_rounds; a
+    single-swap local optimum is 5-approximate whatever its start (Arya et
+    al., SICOMP 2004). Ids are in chosen order."""
     clients = np.asarray(clients, dtype=int)
     candidates = np.asarray(candidates, dtype=int)
     m = len(candidates)
-    if not 1 <= k_lo <= m:
-        raise ValueError("k must lie in [1, #candidates]")
     if _subset_enumerable(m, len(clients)):
         cost, size = _subset_table(D[np.ix_(clients, candidates)])
-        for k in range(k_lo, m + 1):
+        for k in range(1, m + 1):
             best = int(np.argmin(np.where(size == k, cost, np.inf)))   # first least mask
             yield candidates[_mask_ids(best, m)], float(cost[best]), True
         return
@@ -662,8 +658,7 @@ def restricted_kmedians(D: np.ndarray, clients: np.ndarray, candidates: np.ndarr
         j = np.argmin(totals)
         chosen, cost = _swap_rounds(subT, np.append(chosen, j), float(totals[j]))
         dcur = subT[chosen].min(axis=0)
-        if k >= k_lo:
-            yield candidates[chosen], cost, False
+        yield candidates[chosen], cost, False
 
 
 def _swap_rounds(subT: np.ndarray, chosen: np.ndarray, cost: float):
@@ -703,10 +698,11 @@ def _swap_rounds(subT: np.ndarray, chosen: np.ndarray, cost: float):
 
 
 def kmedian_restricted(D: np.ndarray, clients: np.ndarray, candidates: np.ndarray, k: int):
-    """restricted_kmedians' first yield from k_lo = k: the k-th yield of its
-    sweep from 1, the heuristic chain having walked k = 1..k - 1 to reach
-    it."""
-    return next(restricted_kmedians(D, clients, candidates, k))
+    """The k-th yield of restricted_kmedians, the heuristic chain having
+    walked k = 1..k - 1 to reach it."""
+    if not 1 <= k <= len(candidates):
+        raise ValueError("k must lie in [1, #candidates]")
+    return next(itertools.islice(restricted_kmedians(D, clients, candidates), k - 1, None))
 
 
 # ---------------------------------------------------------------------------
@@ -744,11 +740,11 @@ def _local_search_blocks(D: np.ndarray, lo: int, hi: int):
     """Local-search k-median blocks over the points of D, their distance
     matrix, yielding (k, blocks) for k = lo..hi: each k < len(D) draws the
     next centers of one restricted_kmedians sweep over all points, whose
-    chain starts at k = 1 whatever lo, and groups the points by
-    _nearest_blocks; k = len(D) is singletons in point order."""
+    first lo - 1 yields it skips, and groups the points by _nearest_blocks;
+    k = len(D) is singletons in point order."""
     s = len(D)
     every = np.arange(s)
-    sweep = restricted_kmedians(D, every, every, lo)
+    sweep = itertools.islice(restricted_kmedians(D, every, every), lo - 1, None)
     for k in range(lo, hi + 1):
         yield k, ([np.array([i]) for i in range(s)] if k == s
                   else _nearest_blocks(D[:, next(sweep)[0]]))
@@ -825,25 +821,18 @@ def mp_ufl_value(D: np.ndarray, members: np.ndarray) -> tuple[float, np.ndarray]
     """Ball-growing UFL cost of a subset of a symmetric distance matrix,
     with the members as both clients and candidates.
     Returns (cost, facility ids within members)."""
-    cost, _, ids = restricted_ufl_value(D, members, members, exact=False)
+    cost, _, ids = restricted_ufl_value(D, members, members)
     return cost, ids
 
 
-def restricted_ufl_value(D: np.ndarray, clients: np.ndarray, candidates: np.ndarray,
-                         exact: bool = True) -> tuple[float, float, np.ndarray]:
-    """UFL cost of clients with facilities restricted to candidate ids.
-
-    With exact, enumeration when feasible (certified factor 1), else ball
-    growing over the candidate set (certified factor 3 against the
-    restricted optimum). Returns (cost, certified factor, facility ids)."""
+def restricted_ufl_value(D: np.ndarray, clients: np.ndarray,
+                         candidates: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """UFL cost of clients with facilities restricted to candidate ids, by
+    ball growing over the candidate set, certified within factor 3 of the
+    restricted optimum. Returns (cost, certified factor, facility ids)."""
     clients = np.asarray(clients, dtype=int)
     candidates = np.asarray(candidates, dtype=int)
     sub = D[np.ix_(candidates, clients)]
-    if exact and _subset_enumerable(len(candidates), len(clients)):
-        cost, size = _subset_table(sub.T)
-        totals = OPENING_COST * size[1:] + cost[1:]
-        best = int(np.argmin(totals)) + 1
-        return float(totals[best - 1]), 1.0, candidates[_mask_ids(best, len(candidates))]
     radii = _mp_radii(sub)
     sel = _mp_select(D, candidates, radii)
     conn = sub[sel].min(axis=0).sum()

@@ -60,6 +60,16 @@ def test_bad_argument_is_an_input_error(dataset, tmp_path, argv, message):
     assert "Traceback" not in res.stderr and not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["solve", "{missing}/pts.txt"],
+                                  ["gen", "--out", "{missing}/dir/x.txt"]],
+                         ids=["solve", "gen"])
+def test_unusable_file_is_an_input_error(tmp_path, argv):
+    res = run_cli(*(a.format(missing=tmp_path / "missing") for a in argv))
+    assert res.returncode == 2
+    assert res.stderr.startswith("uflkit: error: ") and res.stderr.count("\n") == 1
+    assert "No such file or directory" in res.stderr and "Traceback" not in res.stderr
+
+
 class TestGen:
     def test_writes_loadable_file(self, dataset):
         X = load_points(dataset)

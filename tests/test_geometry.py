@@ -175,6 +175,13 @@ class TestMetricStats:
         with pytest.raises(ValueError):
             MetricData.from_points(line(1.0)).stats()
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_distance_rejected(self, value):
+        D = MetricData.from_points(line(0.0, 1.0, 4.0)).matrix.copy()
+        D[0, 2] = D[2, 0] = value
+        with pytest.raises(ValueError, match="non-finite distances"):
+            MetricData(D).stats()
+
 
 class TestEstimateDdim:
     def test_equispaced_line(self):
@@ -226,6 +233,12 @@ class TestFileFormats:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE" + b"\0" * 16)
         with pytest.raises(ValueError):
+            load_points_binary(path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "short.bin"
+        path.write_bytes(b"UFLP\x01\x00")
+        with pytest.raises(ValueError, match="^truncated UFLP binary file$"):
             load_points_binary(path)
 
 

@@ -10,14 +10,14 @@ from uflkit.datasets import generate_dataset
 from uflkit.experiments import blob_instance
 from uflkit.geometry import PointSet
 from uflkit.hierarchy import build_hierarchy, check_diameters, check_nesting
-from uflkit.partition import MatrixApproxHandle, partition_properties_check
+from uflkit.partition import (MatrixApproxHandle, check_partition_invariants,
+                              partition_properties_check)
 from uflkit.projection import target_dim
 from uflkit.refine import check_guided_pairs_uncut, consistency_check
 from uflkit.ptas import (DistanceOracle, PtasConfig, RestrictedApproxHandle,
                          _heuristic_projected_sweep, _restricted_sweep, build_stages,
                          candidate_set, ptas_discrete, ptas_euclidean, trace_to_jsonl)
-from uflkit.solvers import (_subset_enumerable, approx_ufl, brute_force_ufl_continuous,
-                            brute_force_ufl_discrete)
+from uflkit.solvers import approx_ufl, brute_force_ufl_continuous, brute_force_ufl_discrete
 from uflkit.util import spawn_seeds
 
 from conftest import line, random_points
@@ -174,8 +174,8 @@ class TestEuclidean:
         # two parts beyond the enumeration scale, their ids interleaved in
         # one point set: three separated groups of 10 with the window
         # k_hint -/+ 2 within 1..30, and two groups of 10 with k_hint 2. One
-        # restricted_kmedians sweep per part yields every k < s of its
-        # window, one weiszfeld_1median call recenters the distinct blocks
+        # restricted_kmedians sweep per part yields k = 1 up to its window's
+        # top below s, one weiszfeld_1median call recenters the distinct blocks
         # of both parts, and each part's result is the per-k kmedian loop's
         # with the smallest k among near-ties
         groups = [rng.random((10, 2)) + off for off in (0.0, 4.0, 9.0, 20.0, 25.0)]
@@ -194,7 +194,7 @@ class TestEuclidean:
             k, res = next((k, res) for k, res in runs if k + res.cost <= least * (1 + 1e-12))
             expected.append((k, res.cost, [c.tobytes() for c in res.clusters]))
             # k = s is the singletons, which draw nothing from the sweep
-            drawn_per_part.append(min(hi, s - 1) - lo + 1)
+            drawn_per_part.append(min(hi, s - 1))
 
         calls, sweeps = [], []
         weiszfeld = solvers.weiszfeld_1median
@@ -320,6 +320,29 @@ class TestDiscrete:
         assert sol.connection_cost == pytest.approx(conn)
         assert sol.total == pytest.approx(len(sol.facility_ids) + conn)
 
+    def test_small_input_still_splits(self):
+        # n = 15 at the split config: every candidate set is enumerable, the
+        # qualification still grows balls with alpha = 3, and the scan
+        # emits two parts; the total stays at or above the discrete optimum
+        X = generate_dataset("grid", 15, 4, 2, 2)
+        oracle = DistanceOracle.from_points(X)
+        cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, seed=2)
+        P, _ = build_stages(oracle, cfg, lambda H: RestrictedApproxHandle(H, cfg.eps))
+        assert len(P.parts) >= 2 and P.alpha == 3.0
+        assert all(check_partition_invariants(P))
+        sol, traces = ptas_discrete(oracle, cfg)
+        assert len(traces) == len(P.parts)
+        assert sol.total >= brute_force_ufl_discrete(X.coords) * (1 - 1e-9)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_distance_rejected(self, value):
+        # one point at a non-finite distance from the others passes the
+        # spot check, whose comparisons with inf hold and with NaN fail
+        D = blob_instance(2, 5, seed=1).distance_matrix()
+        D[-1, :-1] = D[:-1, -1] = value
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            ptas_discrete(DistanceOracle(D), PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0))
+
     def test_metric_violation_rejected(self):
         D = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
         with pytest.raises(ValueError, match="triangle"):
@@ -422,9 +445,8 @@ class TestDiscrete:
         drawn = []
         restricted_kmedians = solvers.restricted_kmedians
 
-        def counted(D, clients, candidates, k_lo=1):
-            for k, out in enumerate(restricted_kmedians(D, clients, candidates, k_lo),
-                                    start=k_lo):
+        def counted(D, clients, candidates):
+            for k, out in enumerate(restricted_kmedians(D, clients, candidates), start=1):
                 drawn.append(k)
                 yield out
 
@@ -551,11 +573,12 @@ class TestCandidateSet:
 
     @pytest.mark.parametrize("n", [10, 15, 16])
     def test_exact_is_the_largest_candidate_sets_test(self, rng, n):
+        # inputs whose candidate sets are all enumerable (n <= 15) qualify
+        # by ball growing with alpha = 3, as larger ones do
         H = build_hierarchy(random_points(rng, n, 2), 1)
-        largest = max(len(candidate_set(H, cid, 0.5)) for cid in range(len(H.clusters)))
         handle = RestrictedApproxHandle(H, 0.5)
-        assert handle.exact == _subset_enumerable(largest, n) == (n <= 15)
-        assert handle.alpha == (1.0 if n <= 15 else 3.0)
+        assert handle.alpha == RestrictedApproxHandle.alpha == 3.0
+        assert len(handle.candidates(0)) == n                      # the root's set is every id
 
     def test_root_covers_everything(self, rng):
         X = random_points(rng, 12, 2)

@@ -285,22 +285,13 @@ class TestRestricted:
                        for i in range(m) for j in range(i + 1, m))
             assert v == pytest.approx(best)
 
-    def test_restricted_value_full_candidates_matches_discrete_oracle(self, rng):
-        for n in (8, 15):
-            X = random_points(rng, n, 2)
-            D = X.distance_matrix()
-            cost, factor, _ = restricted_ufl_value(D, np.arange(n), np.arange(n))
-            assert factor == 1.0
-            assert cost == pytest.approx(brute_force_ufl_discrete(X.coords))
-
     def test_ball_growing_mode_within_factor(self, rng):
-        cases = [(10, 10, {"exact": False}, 15), (16, 16, {}, 15), (977, 12, {}, 2)]
-        for n, m, cap, trials in cases:
+        # ball growing at every size, enumerable candidate sets included
+        for n, m, trials in [(10, 10, 15), (16, 16, 15), (977, 12, 2)]:
             for _ in range(trials):
                 X = random_points(rng, n, 2)
                 D = X.distance_matrix()
-                cost, factor, _ = restricted_ufl_value(D, np.arange(n), np.arange(m),
-                                                       **cap)
+                cost, factor, _ = restricted_ufl_value(D, np.arange(n), np.arange(m))
                 assert factor == 3.0
                 exact = exhaustive_restricted_ufl(D, np.arange(m))
                 assert exact * (1 - 1e-9) <= cost <= 3.0 * exact * (1 + 1e-9)
@@ -470,8 +461,8 @@ class TestCandidateScans:
     @example(seed=2, nc=30, m=24, far=6, ties=True, dup=True)
     def test_sweep_equals_the_per_k_references(self, seed, nc, m, far, ties, dup):
         # every k from one sweep: the first least mask of its size when the
-        # candidates are enumerable, the scalar chain's k-th step otherwise; a
-        # sweep started at k_lo is the tail of one started at 1
+        # candidates are enumerable, the scalar chain's k-th step otherwise;
+        # kmedian_restricted at k is the sweep's k-th yield
         rng = np.random.default_rng(seed)
         D = _distances(rng, (nc, m), ties)
         if dup:                                   # copy some candidate columns
@@ -493,10 +484,9 @@ class TestCandidateScans:
             else:
                 ref_ids, ref = chain[k - 1]
             assert got == ref_ids.tobytes() + _f8(ref, enumerable)
-        k_lo = 1 + seed % (m + far)
-        tail = [ids.tobytes() + _f8(cost, certified)
-                for ids, cost, certified in restricted_kmedians(D, clients, candidates, k_lo)]
-        assert tail == run[k_lo - 1:]
+        k = 1 + seed % (m + far)
+        ids, cost, certified = kmedian_restricted(D, clients, candidates, k)
+        assert ids.tobytes() + _f8(cost, certified) == run[k - 1]
 
     @given(seed=st.integers(0, 2**32 - 1), nc=st.integers(1, 30), m=st.integers(16, 24),
            ties=st.booleans(), dup=st.booleans())
@@ -522,11 +512,11 @@ class TestCandidateScans:
                     assert np.minimum(base, D[:, j]).sum() >= cost * (1 - 1e-12)
         assert checked
 
-    def test_sweep_rejects_k_lo_outside_the_candidates(self, rng):
+    def test_kmedian_restricted_rejects_k_outside_the_candidates(self, rng):
         D = rng.random((5, 4))
-        for k_lo in (0, 5):
-            with pytest.raises(ValueError, match="k must lie"):
-                next(restricted_kmedians(D, np.arange(5), np.arange(4), k_lo))
+        for k in (0, 5):
+            with pytest.raises(ValueError, match=r"k must lie in \[1, #candidates\]"):
+                kmedian_restricted(D, np.arange(5), np.arange(4), k)
 
     def test_local_search_peak_memory(self, rng):
         # 96 131 008 bytes is the peak of the per-position swap scan that
@@ -798,8 +788,8 @@ class TestBallGrowingCostBound:
         D = PointSet(pts).distance_matrix()
         bound = RestrictedApproxHandle.cost_bound(len(members))
         assert bound == 3 * len(members)
-        assert restricted_ufl_value(D, members, cand, exact=False)[0] <= bound * (1 + 1e-9)
-        assert restricted_ufl_value(D, members[:1], cand, exact=False)[0] == 1.0
+        assert restricted_ufl_value(D, members, cand)[0] <= bound * (1 + 1e-9)
+        assert restricted_ufl_value(D, members[:1], cand)[0] == 1.0
 
     def test_whole_instance_peak_memory(self):
         # the guiding solution's call: the members' block, then chunks of
@@ -1091,7 +1081,7 @@ def _golden_restricted_value(rng):
     D = random_points(rng, 60, 2, scale=4.0).distance_matrix()
     for clients, candidates in [(np.arange(60), np.arange(60)),
                                 (np.arange(10, 60), np.arange(0, 25))]:
-        cost, factor, ids = restricted_ufl_value(D, clients, candidates, exact=False)
+        cost, factor, ids = restricted_ufl_value(D, clients, candidates)
         yield _i8(ids) + _f8(cost, factor)
 
 
@@ -1136,9 +1126,10 @@ def _golden_ptas(seed):
 
 
 def _golden_ptas_small(seed):
-    # n = 15: every candidate set is enumerable, so the discrete handle is
-    # exact and every discrete sweep enumerates; the Euclidean parts take
-    # the exact sweep, with ball growing's alpha set to 1
+    # n = 15: the discrete qualification grows balls (alpha = 3) as at any
+    # n, so no cluster below the root qualifies and the one part's sweep
+    # enumerates its candidates; the Euclidean parts take the exact sweep,
+    # with ball growing's alpha set to 1
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(MatrixApproxHandle, "alpha", 1.0)
         yield from _ptas_chunks(blob_instance(3, 5),
@@ -1220,7 +1211,7 @@ GOLDEN_SOLVER_DIGESTS = {
     "ptas_discrete_split": "14b783d9bb0a4d0af21aa25e9b9c00d5e82c10bb1b6ffd6f1f32b20de8f81699",
     "ptas_euclid_split": "257267e270d1e0ed2eb1fe20d3df4a3a2265035a44a1209c027b6c7fda491d41",
     "ptas_fallback": "aafbb4d50c590f15078ca43dd5c7da530e7ee803a69058b9c682f7adafcaff43",
-    "ptas_small": "399d84f334c837fc0193b2ba340c673b31d20e5f0f258b345eefb35ffd531a38",
+    "ptas_small": "8ab4ea5ff31ccc373af2f4cdd74c61812980f6416c159673d1337238a64663ca",
     "restricted_ufl_value": "3843dbd3d090b687da672b90d0c48a14d3f9dd606a218661d2ab50a34bcf0640",
     "weiszfeld_1median": "ecd2d1057637da748c7e5c4da737df91070c60f2508300a4f5882614908219da",
 }
