@@ -94,11 +94,14 @@ def trace_to_jsonl(traces: list[PartTrace]) -> str:
 
 class DistanceOracle(MetricData):
     """The discrete pipeline's input: a MetricData (so its self-distances
-    are 0) whose other metric axioms can be spot-checked on _SPOT_TRIPLES
-    triples drawn with _SPOT_SEED, within COST_RTOL."""
+    are 0) whose entries can be checked finite and nonnegative, and whose
+    other metric axioms can be spot-checked on _SPOT_TRIPLES triples drawn
+    with _SPOT_SEED, within COST_RTOL."""
 
     def spot_check(self) -> None:
         D, tol = self.matrix, COST_RTOL
+        if not np.all(np.isfinite(D)):
+            raise ValueError("distance oracle holds non-finite distances")
         if np.any(D < -tol):
             raise ValueError("distance oracle violates nonnegativity")
         rng = np.random.default_rng(_SPOT_SEED)
@@ -166,40 +169,27 @@ def _exact_projected_sweep(proj_members: np.ndarray):
 
 def _heuristic_projected_sweep(proj: np.ndarray, parts: list):
     """Local-search k-median on the projected points proj[members] of every
-    (members, k_hint) in parts, over k = k_hint - 2..k_hint + 2 (within
-    1..s), around the part's constant-factor facility count; uncertified,
-    used only beyond the enumeration scale. Returns one (k, cost, blocks)
-    per part, blocks as positions within members.
+    (members, k_hint) in parts, k capped at k_hint + 2, where k_hint is the
+    part's constant-factor facility count; uncertified, used only beyond the
+    enumeration scale. Returns one (k, cost, blocks) per part, blocks as
+    positions within members.
 
-    One _local_search_blocks sweep over each part's distance matrix yields
-    every k's blocks, and the distinct blocks of all parts, as ids into
-    proj, are recentered in one weiszfeld_1median call, so a block that
-    several k produce is recentered once. The sweep walks one chain of
-    local optima from k = 1 and yields from the window's lowest k on, so its
-    centers at k are those kmedian(proj[members], k) finds; a block's median
-    depends only on its own points, so each part's result equals kmedian's
-    at each k. A
-    part takes the smallest k whose k + cost is within 1e-12 (relative) of
-    the least, so medians that move by ulps do not flip k."""
-    windows = []
+    Each part's k is _restricted_sweep's over its distance matrix with every
+    point a candidate, chosen by the data-point cost. The chosen centers
+    group the points by _nearest_blocks, and the blocks of all parts, as ids
+    into proj, are recentered in one weiszfeld_1median call; cost is their
+    recentered sum. The sweep's k-th centers are kmedian_restricted's at k
+    and a block's median depends only on its own points, so each part's
+    result equals kmedian(proj[members], k) for k < s."""
+    chosen = []
     for members, k_hint in parts:
         D = distances(proj[members])
-        lo, hi = max(1, k_hint - 2), min(len(members), k_hint + 2)
-        windows.append(list(solvers._local_search_blocks(D, lo, hi)))
-    distinct = {}
-    for (members, _), window in zip(parts, windows):
-        for _, blocks in window:
-            for b in blocks:
-                distinct.setdefault(members[b].tobytes(), members[b])
-    meds = dict(zip(distinct, solvers.weiszfeld_1median(proj, blocks=list(distinct.values()))))
-    out = []
-    for (members, _), window in zip(parts, windows):
-        costs = [float(sum(meds[members[b].tobytes()].cost for b in blocks))
-                 for _, blocks in window]
-        totals = np.array([k for k, _ in window]) + np.array(costs)
-        i = int(np.argmax(totals <= totals.min() * (1.0 + 1e-12)))
-        out.append((window[i][0], costs[i], window[i][1]))
-    return out
+        every = np.arange(len(members))
+        k, _, ids = _restricted_sweep(D, every, every, k_max=k_hint + 2)
+        chosen.append((k, _nearest_blocks(D[:, ids])))
+    meds = iter(solvers.weiszfeld_1median(proj, blocks=[
+        members[b] for (members, _), (_, blocks) in zip(parts, chosen) for b in blocks]))
+    return [(k, float(sum(next(meds).cost for _ in blocks)), blocks) for k, blocks in chosen]
 
 
 def ptas_euclidean(X: PointSet, cfg: PtasConfig) -> tuple[UflSolution, list[PartTrace]]:
@@ -213,7 +203,7 @@ def ptas_euclidean(X: PointSet, cfg: PtasConfig) -> tuple[UflSolution, list[Part
     ids into its point set:
     1. event G, the contraction check, on every part;
     2. one _heuristic_projected_sweep over the parts above _ENUM_THRESHOLD
-       points that pass it, whose distinct blocks share one call;
+       points that pass it, whose chosen blocks share one call;
     3. the exact sweep on the other parts that pass it, then event H, and
        the fallback clustering for every part that fails G or H;
     4. one call over every adopted block, in part order.
@@ -335,14 +325,16 @@ class RestrictedApproxHandle:
         return 3.0 * size
 
 
-def _restricted_sweep(D: np.ndarray, members: np.ndarray, cand: np.ndarray):
-    """Best k + v_k over k = 1..min(|members|, |cand|) with facilities from
-    cand (the smallest k among ties), v_k drawn in turn from one
-    restricted_kmedians sweep, so v_k equals kmedian_restricted's at k.
-    It stops once k alone reaches the best k + v_k found: v_k >= 0, so no
-    larger k can do strictly better."""
+def _restricted_sweep(D: np.ndarray, members: np.ndarray, cand: np.ndarray,
+                      k_max: int | None = None):
+    """Best k + v_k over k = 1..min(|members|, |cand|, k_max) with
+    facilities from cand (the smallest k among ties; k_max None is no cap),
+    v_k drawn in turn from one restricted_kmedians sweep, so v_k equals
+    kmedian_restricted's at k. It stops once k alone reaches the best k + v_k
+    found: v_k >= 0, so no larger k can do strictly better."""
+    top = min(len(members), len(cand), len(cand) if k_max is None else k_max)
     sweep, best = solvers.restricted_kmedians(D, members, cand), None
-    for k in range(1, min(len(members), len(cand)) + 1):
+    for k in range(1, top + 1):
         if best is not None and k >= best[0] + best[1]:
             break
         ids, v, _ = next(sweep)

@@ -59,7 +59,7 @@ class KMedianResult(NamedTuple):
     clusters: list[np.ndarray]   # index lists into the input point list
     centers: np.ndarray          # (k, dim)
     cost: float                  # total connection cost
-    certified: bool              # True only on the exact enumeration path
+    certified: bool              # exact: k = 1, k = s, or at most _ENUM_THRESHOLD points
 
 
 def _as_points(points) -> np.ndarray:
@@ -714,10 +714,10 @@ def kmedian(points, k: int) -> KMedianResult:
 
     k = 1 is one block and k = s singletons. Otherwise inputs of at most
     _ENUM_THRESHOLD points are solved exactly over all k-partitions with
-    geometric median centers, larger ones by _local_search_blocks over their
-    distance matrix (certified=False), whose centers are the k-th step of
-    the restricted_kmedians chain over all points. The k blocks are
-    recentered in one weiszfeld_1median call."""
+    geometric median centers; larger ones (certified=False) group the points
+    by _nearest_blocks around kmedian_restricted's k centers over their
+    distance matrix, every point a candidate. The blocks are recentered in
+    one weiszfeld_1median call."""
     P = _as_points(points)
     s = len(P)
     if not 1 <= k <= s:
@@ -730,24 +730,11 @@ def kmedian(points, k: int) -> KMedianResult:
     elif exact:
         _, blocks = _kmedian_exact_dp(_med1_costs(P), s, k)
     else:
-        _, blocks = next(_local_search_blocks(distances(P), k, k))
+        D, every = distances(P), np.arange(s)
+        blocks = _nearest_blocks(D[:, kmedian_restricted(D, every, every, k)[0]])
     meds = weiszfeld_1median(P, blocks=blocks)
     return KMedianResult(blocks, np.array([m.center for m in meds]),
                          float(sum(m.cost for m in meds)), k in (1, s) or exact)
-
-
-def _local_search_blocks(D: np.ndarray, lo: int, hi: int):
-    """Local-search k-median blocks over the points of D, their distance
-    matrix, yielding (k, blocks) for k = lo..hi: each k < len(D) draws the
-    next centers of one restricted_kmedians sweep over all points, whose
-    first lo - 1 yields it skips, and groups the points by _nearest_blocks;
-    k = len(D) is singletons in point order."""
-    s = len(D)
-    every = np.arange(s)
-    sweep = itertools.islice(restricted_kmedians(D, every, every), lo - 1, None)
-    for k in range(lo, hi + 1):
-        yield k, ([np.array([i]) for i in range(s)] if k == s
-                  else _nearest_blocks(D[:, next(sweep)[0]]))
 
 
 def _nearest_blocks(dist: np.ndarray) -> list[np.ndarray]:

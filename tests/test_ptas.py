@@ -8,7 +8,7 @@ import pytest
 from uflkit import projection, ptas, solvers
 from uflkit.datasets import generate_dataset
 from uflkit.experiments import blob_instance
-from uflkit.geometry import PointSet
+from uflkit.geometry import PointSet, distances
 from uflkit.hierarchy import build_hierarchy, check_diameters, check_nesting
 from uflkit.partition import (MatrixApproxHandle, check_partition_invariants,
                               partition_properties_check)
@@ -169,32 +169,34 @@ class TestEuclidean:
         assert [t.adopted for t in traces] == ["fallback", "fallback"]
         assert sol.total == pytest.approx(74.7426, abs=1e-4)
 
-    @pytest.mark.parametrize("k_hint", [1, 3, 29], ids=["lower_clamp", "inside", "upper_clamp"])
-    def test_heuristic_sweep_recenters_each_distinct_block_once(self, rng, monkeypatch, k_hint):
+    @pytest.mark.parametrize("k_hint", [1, 3, 29], ids=["low_cap", "inside", "cap_above_s"])
+    def test_heuristic_sweep_takes_the_capped_sweeps_k(self, rng, monkeypatch, k_hint):
         # two parts beyond the enumeration scale, their ids interleaved in
-        # one point set: three separated groups of 10 with the window
-        # k_hint -/+ 2 within 1..30, and two groups of 10 with k_hint 2. One
-        # restricted_kmedians sweep per part yields k = 1 up to its window's
-        # top below s, one weiszfeld_1median call recenters the distinct blocks
-        # of both parts, and each part's result is the per-k kmedian loop's
-        # with the smallest k among near-ties
+        # one point set: three separated groups of 10 with k capped at
+        # k_hint + 2, and two groups of 10 with k_hint 2. Each part takes the
+        # least k minimising k + the data-point cost over 1..min(s, cap),
+        # draws k = 1..min(cap, stop) from one restricted_kmedians sweep, and
+        # returns kmedian's result at that k; one weiszfeld_1median call
+        # recenters exactly the chosen blocks of both parts
         groups = [rng.random((10, 2)) + off for off in (0.0, 4.0, 9.0, 20.0, 25.0)]
         order = rng.permutation(50)
         proj = np.empty((50, 2))
         proj[order] = np.vstack(groups)
         parts = [(order[:30], k_hint), (order[30:], 2)]
 
-        expected, produced, drawn_per_part = [], 0, []
+        expected, chosen, drawn_per_part = [], [], []
         for members, hint in parts:
-            s = len(members)
-            lo, hi = max(1, hint - 2), min(s, hint + 2)
-            runs = [(k, solvers.kmedian(proj[members], k)) for k in range(lo, hi + 1)]
-            produced += sum(len(res.clusters) for _, res in runs)
-            least = min(k + res.cost for k, res in runs)
-            k, res = next((k, res) for k, res in runs if k + res.cost <= least * (1 + 1e-12))
+            D, every = distances(proj[members]), np.arange(len(members))
+            cap = min(len(members), hint + 2)
+            totals = [k + solvers.kmedian_restricted(D, every, every, k)[1]
+                      for k in range(1, cap + 1)]
+            k = int(np.argmin(totals)) + 1
+            res = solvers.kmedian(proj[members], k)
             expected.append((k, res.cost, [c.tobytes() for c in res.clusters]))
-            # k = s is the singletons, which draw nothing from the sweep
-            drawn_per_part.append(min(hi, s - 1))
+            chosen.extend(members[c].tobytes() for c in res.clusters)
+            # the sweep stops before the first k at or above the best total so far
+            drawn_per_part.append(next((k - 1 for k in range(2, cap + 1)
+                                        if k >= min(totals[:k - 1])), cap))
 
         calls, sweeps = [], []
         weiszfeld = solvers.weiszfeld_1median
@@ -216,8 +218,7 @@ class TestEuclidean:
         assert [(k, cost, [c.tobytes() for c in clusters])
                 for k, cost, clusters in found] == expected
         assert sweeps == drawn_per_part
-        assert len(calls) == 1
-        assert len(calls[0]) == len(set(calls[0])) < produced
+        assert calls == [chosen]
 
     def test_split_solve_makes_two_weiszfeld_calls(self, monkeypatch):
         # euclid_split's shape: the sweep's blocks of every heuristic part
@@ -334,13 +335,15 @@ class TestDiscrete:
         assert len(traces) == len(P.parts)
         assert sol.total >= brute_force_ufl_discrete(X.coords) * (1 - 1e-9)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
     def test_non_finite_distance_rejected(self, value):
-        # one point at a non-finite distance from the others passes the
-        # spot check, whose comparisons with inf hold and with NaN fail
+        # one point at a non-finite distance from the others: the spot check
+        # rejects the matrix before it samples, with no numpy warning on the
+        # way (inf - inf in its symmetry test would warn)
         D = blob_instance(2, 5, seed=1).distance_matrix()
         D[-1, :-1] = D[:-1, -1] = value
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="non-finite"):
             ptas_discrete(DistanceOracle(D), PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0))
 
     def test_metric_violation_rejected(self):
@@ -441,7 +444,8 @@ class TestDiscrete:
                                                                        monkeypatch):
         # 20 candidates exceed the enumeration cap, so local search runs; 15
         # are enumerated; either way the sweep draws k = 1..stop from one
-        # restricted_kmedians sweep and no more
+        # restricted_kmedians sweep and no more, and a cap k_max below the
+        # stop draws k = 1..k_max and returns the best among them
         drawn = []
         restricted_kmedians = solvers.restricted_kmedians
 
@@ -454,19 +458,23 @@ class TestDiscrete:
         for n, m, scale in [(40, 20, 1.0), (30, 15, 2.0)]:
             D = random_points(rng, n, 2, scale).distance_matrix()
             members, cand = np.arange(n), np.arange(m)
-            full, stop = None, None
+            runs, stop = [], None
             for k in range(1, m + 1):
-                if stop is None and full is not None and k >= full[0] + full[1]:
+                if stop is None and runs and k >= min(j + v for j, v, _ in runs):
                     stop = k - 1                # draws made before k alone reaches the best
                 ids, v, certified = solvers.kmedian_restricted(D, members, cand, k)
                 assert certified == (m <= 15)
-                if full is None or k + v < full[0] + full[1]:
-                    full = (k, v, ids)
+                runs.append((k, v, ids))
+            assert stop is not None and stop >= 2
 
-            drawn.clear()
-            k_star, v, ids = _restricted_sweep(D, members, cand)
-            assert (k_star, v) == full[:2] and ids.tobytes() == full[2].tobytes()
-            assert stop is not None and drawn == list(range(1, stop + 1))
+            for k_max in (None, stop - 1, stop, stop + 1):
+                top = stop if k_max is None else min(stop, k_max)
+                # the first least k + v_k among k = 1..top
+                best = min(runs[:top], key=lambda run: run[0] + run[1])
+                drawn.clear()
+                k_star, v, ids = _restricted_sweep(D, members, cand, k_max=k_max)
+                assert (k_star, v) == best[:2] and ids.tobytes() == best[2].tobytes()
+                assert drawn == list(range(1, top + 1))
 
     def test_enumerable_sweep_builds_one_subset_table(self, rng, monkeypatch):
         # 15 candidates are enumerable: every k's first least mask comes from
