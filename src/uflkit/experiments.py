@@ -43,6 +43,7 @@ _PAIRS_PER_INSTANCE = 60             # random pairs partition_structure_check dr
 _LAMBDA_SLACK, _PART_SUM_SLACK, _UPPER_TAIL_T = 8.0, 0.5, 0.5
 _TREND_EPS, _TREND_MS, _TREND_TOL = 0.2, (8, 32, 128), 0.02
 _BLOB_SPREAD, _BLOB_SEPARATION = 1.0, 50.0
+_GROUP_SIZE, _GROUP_HALF = 8, 1.5     # groups_instance: points per group, box half-width
 
 
 @dataclass(frozen=True)
@@ -326,6 +327,24 @@ def blob_instance(blobs: int = 6, per_blob: int = 25, seed: int = 2024) -> Point
     pts = np.concatenate([c + rng.normal(0.0, _BLOB_SPREAD, size=(per_blob, 2))
                           for c in centers])
     return PointSet(pts)
+
+
+def groups_instance(t: int, d: int, seed: int) -> tuple[PointSet, float]:
+    """t groups of _GROUP_SIZE points, uniform in [-_GROUP_HALF, _GROUP_HALF]^2
+    around centres on a ceil(sqrt(t))-wide grid of spacing _BLOB_SEPARATION,
+    rows shuffled; for d > 2, zero-padded and rotated by the Q of a Gaussian
+    d x d matrix. Returns (points, opt): no facility serves two groups at
+    opening cost 1, so opt is the sum of the groups' exact optima."""
+    rng = np.random.default_rng(seed)
+    width = math.isqrt(t - 1) + 1
+    grid = _BLOB_SEPARATION * np.stack(np.divmod(np.arange(t), width), axis=1)
+    groups = grid[:, None] + rng.uniform(-_GROUP_HALF, _GROUP_HALF, (t, _GROUP_SIZE, 2))
+    opt = float(sum(brute_force_ufl_continuous(g) for g in groups))
+    pts = rng.permutation(groups.reshape(-1, 2))
+    if d > 2:
+        Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        pts = np.pad(pts, ((0, 0), (0, d - 2))) @ Q.T
+    return PointSet(pts), opt
 
 
 def lambda_scaling_check(trials: int, seed: int) -> dict:

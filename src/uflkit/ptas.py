@@ -1,10 +1,14 @@
 """End-to-end (1+eps)-style approximation pipelines for UFL on doubling
 inputs. Both decompose the input with `build_stages`, the single stage
 builder (hierarchy, guiding solution, badly-cut elimination, low-value
-partition). The Euclidean pipeline then solves small k-median instances on
-randomly projected parts (falling back to the constant-factor clustering
-when the projection misbehaves), and the discrete pipeline solves them
-against per-cluster candidate facility sets over a distance oracle."""
+partition). Each part then needs min_k (k + v_k), v_k its k-median cost,
+which is the part's UFL optimum: one problem per part, not one per k. The
+Euclidean pipeline solves it on the randomly projected part, exactly by a
+partition DP up to the enumeration scale and by ufl_local_search over the
+part's points beyond it (falling back to the constant-factor clustering
+when the projection misbehaves); the discrete pipeline solves it by
+ufl_local_search against the per-cluster candidate facility set over a
+distance oracle."""
 
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from .partition import LowValuePartition, MatrixApproxHandle, bottom_up_partitio
 from .projection import sample_map, target_dim
 from .refine import eliminate_badly_cut
 from .solvers import (_med1_costs, _nearest_blocks, _ufl_partition_dp, mp_ufl_value,
-                      restricted_ufl_value, weiszfeld_1median)
+                      restricted_ufl_value, ufl_local_search, weiszfeld_1median)
 from .util import COST_RTOL, spawn_seeds
 
 
@@ -79,9 +83,9 @@ class PartTrace(NamedTuple):
     part: int
     level: int
     event_G: bool | None         # projection contracted no facility pair too much
-    event_H: bool | None         # best projected k + v_k stayed at most _C4 * tau
+    event_H: bool | None         # the sweep's projected k* + v stayed at most _C4 * tau
                                  # (None: not tested, as in the discrete pipeline)
-    k_star: int | None
+    k_star: int | None           # the sweep's number of open facilities (blocks)
     v: float | None
     adopted: str                 # "median" or "fallback"
     approx_cost: float
@@ -168,33 +172,32 @@ def _exact_projected_sweep(proj_members: np.ndarray):
 
 
 def _heuristic_projected_sweep(proj: np.ndarray, parts: list):
-    """Local-search k-median on the projected points proj[members] of every
-    (members, k_hint) in parts, k capped at k_hint + 2, where k_hint is the
-    part's constant-factor facility count; uncertified, used only beyond the
-    enumeration scale. Returns one (k, cost, blocks) per part, blocks as
-    positions within members.
+    """UFL local search on the projected points proj[members] of every
+    members array in parts; uncertified, used only beyond the enumeration
+    scale. Returns one (k, cost, blocks) per part, blocks as positions
+    within members.
 
-    Each part's k is _restricted_sweep's over its distance matrix with every
-    point a candidate, chosen by the data-point cost. The chosen centers
-    group the points by _nearest_blocks, and the blocks of all parts, as ids
-    into proj, are recentered in one weiszfeld_1median call; cost is their
-    recentered sum. The sweep's k-th centers are kmedian_restricted's at k
-    and a block's median depends only on its own points, so each part's
-    result equals kmedian(proj[members], k) for k < s."""
+    Each part runs ufl_local_search over its distance matrix with every
+    point a candidate (exact over data-point facilities when they are
+    enumerable). The open centers group the points by
+    _nearest_blocks, k is the number of blocks, and the blocks of all
+    parts, as ids into proj, are recentered in one weiszfeld_1median call;
+    cost is their recentered sum."""
     chosen = []
-    for members, k_hint in parts:
+    for members in parts:
         D = distances(proj[members])
         every = np.arange(len(members))
-        k, _, ids = _restricted_sweep(D, every, every, k_max=k_hint + 2)
-        chosen.append((k, _nearest_blocks(D[:, ids])))
+        _, _, ids = ufl_local_search(D, every, every)
+        chosen.append(_nearest_blocks(D[:, ids]))
     meds = iter(solvers.weiszfeld_1median(proj, blocks=[
-        members[b] for (members, _), (_, blocks) in zip(parts, chosen) for b in blocks]))
-    return [(k, float(sum(next(meds).cost for _ in blocks)), blocks) for k, blocks in chosen]
+        members[b] for members, blocks in zip(parts, chosen) for b in blocks]))
+    return [(len(blocks), float(sum(next(meds).cost for _ in blocks)), blocks)
+            for blocks in chosen]
 
 
 def ptas_euclidean(X: PointSet, cfg: PtasConfig) -> tuple[UflSolution, list[PartTrace]]:
     """Full pipeline: hierarchical decomposition, badly-cut elimination,
-    bottom-up partition, random projection, per-part k-median on projected
+    bottom-up partition, random projection, per-part UFL on projected
     points (with contraction/expansion fallbacks), and 1-median recentering
     of every adopted cluster in the original space.
 
@@ -203,9 +206,11 @@ def ptas_euclidean(X: PointSet, cfg: PtasConfig) -> tuple[UflSolution, list[Part
     ids into its point set:
     1. event G, the contraction check, on every part;
     2. one _heuristic_projected_sweep over the parts above _ENUM_THRESHOLD
-       points that pass it, whose chosen blocks share one call;
-    3. the exact sweep on the other parts that pass it, then event H, and
-       the fallback clustering for every part that fails G or H;
+       points that pass it: a UFL local search per part, whose blocks
+       share one call;
+    3. the exact sweep on the other parts that pass it, then event H on
+       each sweep's k* + v, and the fallback clustering for every part
+       that fails G or H;
     4. one call over every adopted block, in part order.
     A stage with nothing to do makes no call.
 
@@ -233,7 +238,7 @@ def ptas_euclidean(X: PointSet, cfg: PtasConfig) -> tuple[UflSolution, list[Part
     sweeps = {}                                 # part index -> (k*, v, blocks)
     if large:
         sweeps = dict(zip(large, _heuristic_projected_sweep(
-            proj, [(parts[i].members, len(parts[i].facility_ids)) for i in large])))
+            proj, [parts[i].members for i in large])))
 
     adopted, traces = [], []                    # blocks as positions within members
     for i, p in enumerate(parts):
@@ -325,29 +330,13 @@ class RestrictedApproxHandle:
         return 3.0 * size
 
 
-def _restricted_sweep(D: np.ndarray, members: np.ndarray, cand: np.ndarray,
-                      k_max: int | None = None):
-    """Best k + v_k over k = 1..min(|members|, |cand|, k_max) with
-    facilities from cand (the smallest k among ties; k_max None is no cap),
-    v_k drawn in turn from one restricted_kmedians sweep, so v_k equals
-    kmedian_restricted's at k. It stops once k alone reaches the best k + v_k
-    found: v_k >= 0, so no larger k can do strictly better."""
-    top = min(len(members), len(cand), len(cand) if k_max is None else k_max)
-    sweep, best = solvers.restricted_kmedians(D, members, cand), None
-    for k in range(1, top + 1):
-        if best is not None and k >= best[0] + best[1]:
-            break
-        ids, v, _ = next(sweep)
-        if best is None or k + v < best[0] + best[1]:
-            best = (k, v, ids)
-    return best
-
-
 def ptas_discrete(oracle: DistanceOracle, cfg: PtasConfig
                   ) -> tuple[DiscreteSolution, list[PartTrace]]:
     """Discrete-metric pipeline: same decomposition stages over the oracle
-    metric, then per part a k-median sweep restricted to the candidate
-    facility set of its provenance cluster."""
+    metric, then per part one ufl_local_search with facilities restricted
+    to the candidate set of its provenance cluster (exact when that set is
+    enumerable); k* is the number of facilities it opens and v their
+    connection cost."""
     if oracle.n == 0:
         raise ValueError("empty input")
     oracle.spot_check()
@@ -362,7 +351,7 @@ def ptas_discrete(oracle: DistanceOracle, cfg: PtasConfig
     facility_ids: list[int] = []
     traces: list[PartTrace] = []
     for p in partition.parts:
-        k_star, v, fids = _restricted_sweep(D, p.members, handle.candidates(p.provenance))
+        k_star, v, fids = ufl_local_search(D, p.members, handle.candidates(p.provenance))
         facility_ids.extend(int(f) for f in fids)
         designated = float(D[np.ix_(p.members, fids)].min(axis=1).sum())
         traces.append(PartTrace(p.index, p.level, None, None, k_star, v,

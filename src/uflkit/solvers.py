@@ -1,14 +1,17 @@
 """UFL and k-median subroutines: a deterministic O(n^2) ball-growing
 constant-factor UFL approximation, a certified 1-median iteration, exact
-k-median by dynamic programming over subsets, a local-search fallback for
-larger inputs, and exhaustive oracles used for validation.
+k-median by dynamic programming over subsets, add/drop/swap local search
+for UFL over candidate facilities (the pipelines' per-part solver), swap
+local search for k-median on larger inputs, and exhaustive oracles used for
+validation.
 
 Both pipelines run these solvers with fixed settings, the module constants
 below: a 1-median stops once its distance sum is within _WEISZFELD_TOL
 (relative) of Kuhn's lower bound, which proves it within that of the
 optimum, or after _WEISZFELD_MAX_ITER steps; k-median and the continuous
-oracle enumerate up to _ENUM_THRESHOLD points; and local search makes at
-most _LOCAL_SEARCH_SWAPS swap rounds per k.
+oracle enumerate up to _ENUM_THRESHOLD points; and k-median local search
+makes at most _LOCAL_SEARCH_SWAPS swap rounds per k, where the UFL local
+search runs to a local optimum.
 
 Exhaustive paths reduce coordinates to the affine span of the input first;
 this is an exact isometry on the points and on any geometric median (which
@@ -695,6 +698,75 @@ def _swap_rounds(subT: np.ndarray, chosen: np.ndarray, cost: float):
         else:
             break
     return chosen, cost
+
+
+def ufl_local_search(D: np.ndarray, clients: np.ndarray, candidates: np.ndarray):
+    """UFL over D with facilities restricted to candidate ids and opening
+    cost 1, read from one candidates x clients slice D[candidates, clients].
+    Returns (k, v, ids): ids the open candidates, k = len(ids) and v their
+    connection cost.
+
+    Enumerable candidates take the first least mask of size + cost in one
+    _subset_table, as brute_force_ufl_discrete does, which is exact. Others
+    start from ball growing over the candidates, as restricted_ufl_value
+    does, and make the best add, drop or swap while it lowers k + sum(d1)
+    by a relative 1e-12, d1 and d2 being each client's nearest and
+    second-nearest open distances; a local optimum of these moves is
+    3-approximate (Arya et al., SICOMP 2004). With base_o as in
+    _swap_rounds and R the candidates nearer than the open set to some
+    client, an add of j in R scores sum(min(d1, row_j)) + k + 1, a drop of
+    o sum(base_o) + k - 1, and a swap of o for j in R
+    sum(min(base_o, row_j)) + k; a j outside R scores at least the current
+    cost either way. base_o differs from d1 only on the clients N(o) whose
+    nearest is o, so a swap scores as j's add, less 1, plus the sum over
+    N(o) of min(d2, row_j) - min(d1, row_j). With the clients grouped by
+    their nearest, one pass over the R x clients rows scores every swap,
+    not one pass per open position. Among equal scores the first move
+    wins: the adds, then per open position its swaps in R's order and its
+    drop."""
+    clients = np.asarray(clients, dtype=int)
+    candidates = np.asarray(candidates, dtype=int)
+    m = len(candidates)
+    subT = D[np.ix_(candidates, clients)]
+    if _subset_enumerable(m, len(clients)):
+        cost, size = _subset_table(subT.T)
+        best = 1 + int(np.argmin(OPENING_COST * size[1:] + cost[1:]))
+        return int(size[best]), float(cost[best]), candidates[_mask_ids(best, m)]
+
+    chosen = np.array(_mp_select(D, candidates, _mp_radii(subT)))
+    cols = np.arange(subT.shape[1])
+    while True:
+        k = len(chosen)
+        block = subT[chosen]
+        near = block.argmin(axis=0)
+        d1 = block[near, cols]
+        block[near, cols] = np.inf
+        d2 = block.min(axis=0)
+        v = float(d1.sum())
+        cost = k + v
+        order = np.argsort(near, kind="stable")     # clients grouped by their nearest
+        served, starts = np.unique(near[order], return_index=True)
+        R = (subT < d1).any(axis=1).nonzero()[0]
+        rows = subT[np.ix_(R, order)]
+        near1 = np.minimum(rows, d1[order])
+        add = near1.sum(axis=1)                 # sum(min(d1, row_j)) per j in R
+        gain = np.minimum(rows, d2[order], out=rows)
+        gain -= near1
+        scores = np.empty((k + 1, len(R) + 1))  # last column: the drops, none in row 0
+        scores[0, :-1] = add + (k + 1)
+        scores[0, -1] = np.inf
+        scores[1:, :-1] = add + k
+        scores[1 + served, :-1] += np.add.reduceat(gain, starts, axis=1).T
+        scores[1:, -1] = np.bincount(near, d2 - d1, minlength=k) + (cost - 1)
+        o, r = divmod(int(scores.argmin()), len(R) + 1)
+        if not scores[o, r] < cost * (1 - 1e-12):
+            return k, v, candidates[chosen]
+        if o == 0:
+            chosen = np.append(chosen, R[r])
+        elif r == len(R):
+            chosen = np.delete(chosen, o - 1)
+        else:
+            chosen[o - 1] = R[r]
 
 
 def kmedian_restricted(D: np.ndarray, clients: np.ndarray, candidates: np.ndarray, k: int):

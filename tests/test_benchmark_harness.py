@@ -50,8 +50,8 @@ def test_traced_solves_see_the_pipeline_layers(harness):
     assert {"hierarchy.build", "refine.eliminate", "partition.scan", "solvers.mp",
             "projection.map", "solvers.weiszfeld", "solvers.restricted_value",
             "ptas.candidate_set", "solvers.sweep_exact", "solvers.sweep_heuristic"} <= seen
-    # both sweeps draw from restricted_kmedians: no pipeline calls
-    # kmedian_restricted, whose time the sweep spans now hold
+    # no pipeline calls kmedian_restricted: the heuristic sweep runs one
+    # ufl_local_search per part and the exact sweep one partition DP
     assert "solvers.kmedian_restricted" not in seen
     assert rec.counts["partition.evals"] > 0
 

@@ -8,7 +8,7 @@ from uflkit import experiments
 from uflkit.datasets import generate_dataset
 from uflkit.experiments import (DIMRED_COLUMNS, ExperimentSpec,
                                 badly_cut_rate_check, cutting_probability_check,
-                                good_pair_rate_check, lambda_scaling_check,
+                                good_pair_rate_check, groups_instance, lambda_scaling_check,
                                 local_bounds_check, opt_contraction_trend_check,
                                 opt_upper_tail_check, part_sum_check,
                                 partition_structure_check, refine_structure_check,
@@ -143,6 +143,32 @@ class TestIndividualChecks:
     def test_opt_contraction_trend(self):
         rep = opt_contraction_trend_check(trials=120, seed=14)
         assert rep["passed"], rep
+
+
+class TestGroupsInstance:
+    def test_groups_and_their_optimum(self):
+        # 10 groups of 8 on a 4-wide grid of spacing 50, rows shuffled: each
+        # point lies within the box of one grid centre, eight to a centre,
+        # and opt is the sum of the groups' exact optima
+        X, opt = groups_instance(10, 2, seed=3)
+        assert X.coords.shape == (80, 2)
+        centres = np.round(X.coords / 50.0)
+        assert np.abs(X.coords - 50.0 * centres).max() <= 1.5
+        cells, counts = np.unique(centres, axis=0, return_counts=True)
+        assert len(cells) == 10 and set(counts.tolist()) == {8}
+        changes = (np.diff(centres, axis=0) != 0).any(axis=1).sum()
+        assert changes > 9                      # rows grouped by centre would change 9 times
+        groups = [X.coords[(centres == c).all(axis=1)] for c in cells]
+        assert opt == pytest.approx(sum(brute_force_ufl_continuous(g) for g in groups),
+                                    rel=1e-12)
+
+    def test_rotation_keeps_distances_and_opt(self):
+        # d > 2 pads the same planar rows with zeros and rotates them
+        X2, opt2 = groups_instance(9, 2, seed=4)
+        X64, opt64 = groups_instance(9, 64, seed=4)
+        assert X64.coords.shape == (72, 64) and opt64 == opt2
+        assert np.allclose(X64.distance_matrix(), X2.distance_matrix(), rtol=0, atol=1e-10)
+        assert np.abs(X64.coords[:, 2:]).max() > 1.0          # not left in the plane
 
 
 class TestSuite:

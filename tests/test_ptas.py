@@ -7,7 +7,7 @@ import pytest
 
 from uflkit import projection, ptas, solvers
 from uflkit.datasets import generate_dataset
-from uflkit.experiments import blob_instance
+from uflkit.experiments import blob_instance, groups_instance
 from uflkit.geometry import PointSet, distances
 from uflkit.hierarchy import build_hierarchy, check_diameters, check_nesting
 from uflkit.partition import (MatrixApproxHandle, check_partition_invariants,
@@ -15,9 +15,10 @@ from uflkit.partition import (MatrixApproxHandle, check_partition_invariants,
 from uflkit.projection import target_dim
 from uflkit.refine import check_guided_pairs_uncut, consistency_check
 from uflkit.ptas import (DistanceOracle, PtasConfig, RestrictedApproxHandle,
-                         _heuristic_projected_sweep, _restricted_sweep, build_stages,
+                         _heuristic_projected_sweep, build_stages,
                          candidate_set, ptas_discrete, ptas_euclidean, trace_to_jsonl)
-from uflkit.solvers import approx_ufl, brute_force_ufl_continuous, brute_force_ufl_discrete
+from uflkit.solvers import (_nearest_blocks, approx_ufl, brute_force_ufl_continuous,
+                            brute_force_ufl_discrete)
 from uflkit.util import spawn_seeds
 
 from conftest import line, random_points
@@ -151,15 +152,15 @@ class TestEuclidean:
             ptas_euclidean(PointSet(np.zeros((1, 0))), PtasConfig())
 
     def test_event_h_rejects_a_sweep_above_c4_tau(self, monkeypatch):
-        # _C4 * tau = 25.2: part 0's k* + v = 14 + 35.7 exceeds it and falls
-        # back, part 1's 6 + 12.4 does not
+        # _C4 * tau = 25.2: part 0's k* + v = 24 + 20.4 exceeds it and falls
+        # back, part 1's 10 + 7.2 does not
         monkeypatch.setattr(ptas, "_C4", 1e-6)
         cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, seed=1)
         sol, traces = ptas_euclidean(blob_instance(4, 25, seed=1), cfg)
         assert [(t.event_H, t.adopted) for t in traces] == [
             (False, "fallback"), (True, "median")]
         assert traces[0].k_star + traces[0].v > ptas._C4 * cfg.tau
-        assert sol.total == pytest.approx(71.76206558182301, rel=1e-12)
+        assert sol.total == pytest.approx(70.56188652044463, rel=1e-12)
 
     def test_c4_tau_below_one_falls_back_instead_of_crashing(self, monkeypatch):
         # _C4 * tau = 0.025 once emptied the k window of the heuristic sweep
@@ -169,55 +170,40 @@ class TestEuclidean:
         assert [t.adopted for t in traces] == ["fallback", "fallback"]
         assert sol.total == pytest.approx(74.7426, abs=1e-4)
 
-    @pytest.mark.parametrize("k_hint", [1, 3, 29], ids=["low_cap", "inside", "cap_above_s"])
-    def test_heuristic_sweep_takes_the_capped_sweeps_k(self, rng, monkeypatch, k_hint):
+    def test_heuristic_sweep_recenters_the_searchs_blocks(self, rng, monkeypatch):
         # two parts beyond the enumeration scale, their ids interleaved in
-        # one point set: three separated groups of 10 with k capped at
-        # k_hint + 2, and two groups of 10 with k_hint 2. Each part takes the
-        # least k minimising k + the data-point cost over 1..min(s, cap),
-        # draws k = 1..min(cap, stop) from one restricted_kmedians sweep, and
-        # returns kmedian's result at that k; one weiszfeld_1median call
-        # recenters exactly the chosen blocks of both parts
+        # one point set: three separated groups of 10, and two groups of 10.
+        # Each part groups its points by _nearest_blocks around
+        # ufl_local_search's open points over its distance matrix, takes k
+        # as the number of blocks and their recentered sum as its cost, and
+        # one weiszfeld_1median call recenters exactly the blocks of both
         groups = [rng.random((10, 2)) + off for off in (0.0, 4.0, 9.0, 20.0, 25.0)]
         order = rng.permutation(50)
         proj = np.empty((50, 2))
         proj[order] = np.vstack(groups)
-        parts = [(order[:30], k_hint), (order[30:], 2)]
+        parts = [order[:30], order[30:]]
 
-        expected, chosen, drawn_per_part = [], [], []
-        for members, hint in parts:
+        expected, chosen = [], []
+        for members in parts:
             D, every = distances(proj[members]), np.arange(len(members))
-            cap = min(len(members), hint + 2)
-            totals = [k + solvers.kmedian_restricted(D, every, every, k)[1]
-                      for k in range(1, cap + 1)]
-            k = int(np.argmin(totals)) + 1
-            res = solvers.kmedian(proj[members], k)
-            expected.append((k, res.cost, [c.tobytes() for c in res.clusters]))
-            chosen.extend(members[c].tobytes() for c in res.clusters)
-            # the sweep stops before the first k at or above the best total so far
-            drawn_per_part.append(next((k - 1 for k in range(2, cap + 1)
-                                        if k >= min(totals[:k - 1])), cap))
+            k, _, ids = solvers.ufl_local_search(D, every, every)
+            blocks = _nearest_blocks(D[:, ids])
+            assert len(blocks) == k
+            cost = float(sum(solvers.weiszfeld_1median(proj[members[b]]).cost for b in blocks))
+            expected.append((k, cost, [b.tobytes() for b in blocks]))
+            chosen.extend(members[b].tobytes() for b in blocks)
 
-        calls, sweeps = [], []
+        calls = []
         weiszfeld = solvers.weiszfeld_1median
-        restricted_kmedians = solvers.restricted_kmedians
 
         def counted(points, *, blocks):
             calls.append([b.tobytes() for b in blocks])
             return weiszfeld(points, blocks=blocks)
 
-        def drawn(*args):
-            sweeps.append(0)
-            for out in restricted_kmedians(*args):
-                sweeps[-1] += 1
-                yield out
-
         monkeypatch.setattr(solvers, "weiszfeld_1median", counted)
-        monkeypatch.setattr(solvers, "restricted_kmedians", drawn)
         found = _heuristic_projected_sweep(proj, parts)
         assert [(k, cost, [c.tobytes() for c in clusters])
                 for k, cost, clusters in found] == expected
-        assert sweeps == drawn_per_part
         assert calls == [chosen]
 
     def test_split_solve_makes_two_weiszfeld_calls(self, monkeypatch):
@@ -264,6 +250,20 @@ class TestProjectedWidth:
             monkeypatch.setattr(ptas, name, recording)
         ptas_euclidean(X, cfg)
         assert widths and set(widths) == {width}
+
+
+class TestKnownOptimum:
+    """Separated groups whose optimum is the sum of the groups' exact
+    optima: the Euclidean pipeline stays within 2% of it."""
+
+    @pytest.mark.parametrize("cfg", [PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, seed=1),
+                                     PtasConfig(seed=1)], ids=["split", "default"])
+    @pytest.mark.parametrize("d", [2, 64])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_groups_within_two_percent(self, cfg, d, seed):
+        X, opt = groups_instance(25, d, seed)
+        sol, _ = ptas_euclidean(X, cfg)
+        assert opt * (1 - 1e-9) <= sol.total <= 1.02 * opt
 
 
 class TestTrace:
@@ -440,66 +440,22 @@ class TestDiscrete:
                     got = "symmetry" if "symmetry" in str(err) else "triangle"
                 assert got == reference_spot_check(D, triples=40, seed=seed)
 
-    def test_heuristic_sweep_stops_early_with_the_full_sweeps_answer(self, rng,
-                                                                       monkeypatch):
-        # 20 candidates exceed the enumeration cap, so local search runs; 15
-        # are enumerated; either way the sweep draws k = 1..stop from one
-        # restricted_kmedians sweep and no more, and a cap k_max below the
-        # stop draws k = 1..k_max and returns the best among them
-        drawn = []
-        restricted_kmedians = solvers.restricted_kmedians
-
-        def counted(D, clients, candidates):
-            for k, out in enumerate(restricted_kmedians(D, clients, candidates), start=1):
-                drawn.append(k)
-                yield out
-
-        monkeypatch.setattr(solvers, "restricted_kmedians", counted)
-        for n, m, scale in [(40, 20, 1.0), (30, 15, 2.0)]:
-            D = random_points(rng, n, 2, scale).distance_matrix()
-            members, cand = np.arange(n), np.arange(m)
-            runs, stop = [], None
-            for k in range(1, m + 1):
-                if stop is None and runs and k >= min(j + v for j, v, _ in runs):
-                    stop = k - 1                # draws made before k alone reaches the best
-                ids, v, certified = solvers.kmedian_restricted(D, members, cand, k)
-                assert certified == (m <= 15)
-                runs.append((k, v, ids))
-            assert stop is not None and stop >= 2
-
-            for k_max in (None, stop - 1, stop, stop + 1):
-                top = stop if k_max is None else min(stop, k_max)
-                # the first least k + v_k among k = 1..top
-                best = min(runs[:top], key=lambda run: run[0] + run[1])
-                drawn.clear()
-                k_star, v, ids = _restricted_sweep(D, members, cand, k_max=k_max)
-                assert (k_star, v) == best[:2] and ids.tobytes() == best[2].tobytes()
-                assert drawn == list(range(1, top + 1))
-
-    def test_enumerable_sweep_builds_one_subset_table(self, rng, monkeypatch):
-        # 15 candidates are enumerable: every k's first least mask comes from
-        # one _subset_table, where the per-k loop built one per k
-        D = random_points(rng, 30, 2).distance_matrix()
-        members, cand = np.arange(30), np.arange(15)
-        per_k, calls = None, 0
-        for k in range(1, 16):
-            if per_k is not None and k >= per_k[0] + per_k[1]:
-                break
-            ids, v, certified = solvers.kmedian_restricted(D, members, cand, k)
-            assert certified
-            calls += 1
-            if per_k is None or k + v < per_k[0] + per_k[1]:
-                per_k = (k, v, ids)
-        assert calls > 1
-
-        tables = []
-        subset_table = solvers._subset_table
-        monkeypatch.setattr(solvers, "_subset_table",
-                            lambda sub: tables.append(sub.shape) or subset_table(sub))
-        k_star, v, ids = _restricted_sweep(D, members, cand)
-        assert tables == [(30, 15)]
-        assert k_star == per_k[0] and np.float64(v).tobytes() == np.float64(per_k[1]).tobytes()
-        assert ids.tobytes() == per_k[2].tobytes()
+    def test_parts_take_the_local_searchs_facilities(self):
+        # discrete_split's shape: each part opens ufl_local_search's
+        # facilities among its provenance cluster's candidates, k* counts
+        # them and v is their connection cost
+        oracle = DistanceOracle.from_points(blob_instance(6, 25))
+        cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, seed=1)
+        P, handle = build_stages(oracle, cfg, lambda H: RestrictedApproxHandle(H, cfg.eps))
+        sol, traces = ptas_discrete(oracle, cfg)
+        assert len(traces) == len(P.parts) > 2
+        opened = []
+        for p, t in zip(P.parts, traces):
+            k, v, ids = solvers.ufl_local_search(oracle.matrix, p.members,
+                                                 handle.candidates(p.provenance))
+            assert (t.k_star, t.v) == (k, v) and k == len(ids)
+            opened.extend(ids.tolist())
+        assert sol.facility_ids.tolist() == list(dict.fromkeys(opened))
 
     def test_candidate_containment_along_tree(self, rng):
         # the candidate set of a child cluster is contained in its parent's

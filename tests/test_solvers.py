@@ -320,8 +320,7 @@ class TestEnumThreshold:
         heuristic, exact = ptas._heuristic_projected_sweep, ptas._exact_projected_sweep
 
         def heuristic_parts(proj, parts):
-            sizes.setdefault("_heuristic_projected_sweep", []).extend(
-                len(members) for members, _ in parts)
+            sizes.setdefault("_heuristic_projected_sweep", []).extend(map(len, parts))
             return heuristic(proj, parts)
 
         def exact_part(proj_members):
@@ -539,6 +538,74 @@ class TestCandidateScans:
         assert _mp_select(D, np.arange(3), np.ones(3)) == [0, 2]
         assert _mp_select(D, np.arange(3), np.full(3, 3.0)) == [0]
         assert _mp_select(D, np.arange(3), np.array([2.0, 1.0, 1.0])) == [1, 2]
+
+
+def _search_input(rng, nc, m, ties, dup):
+    """A square matrix over m candidates (ids 0..m-1) and nc clients (ids
+    m..m+nc-1), not symmetric, ball growing reading the candidate block:
+    random distances, small integers when ties are wanted, with some
+    candidate rows copied when dup. ufl_local_search reads the slice
+    D[candidates, clients]."""
+    D = _distances(rng, (m + nc, m + nc), ties)
+    if dup:
+        D[rng.integers(0, m, 4)] = D[rng.integers(0, m, 4)]
+    return D, m + np.arange(nc), np.arange(m)
+
+
+class TestUflLocalSearch:
+    @given(seed=st.integers(0, 2**32 - 1), nc=st.integers(1, 40), m=st.integers(16, 24),
+           ties=st.booleans(), dup=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    @example(seed=3, nc=1, m=16, ties=True, dup=True)       # one client
+    def test_returns_a_local_optimum(self, seed, nc, m, ties, dup):
+        # above the enumeration cap: no add, drop or swap lowers k + v by a
+        # relative 1e-12, and v is the open set's connection cost
+        rng = np.random.default_rng(seed)
+        D, clients, candidates = _search_input(rng, nc, m, ties, dup)
+        k, v, ids = solvers.ufl_local_search(D, clients, candidates)
+        sub = D[np.ix_(candidates, clients)].T
+        assert k == len(ids) == len(set(ids.tolist())) >= 1
+        assert v == sub[:, ids].min(axis=1).sum()
+
+        def total(S):
+            return len(S) + sub[:, S].min(axis=1).sum() if len(S) else np.inf
+
+        floor = (k + v) * (1 - 1e-12)
+        closed = np.setdiff1d(candidates, ids)
+        moves = [np.append(ids, j) for j in closed]
+        moves += [np.delete(ids, o) for o in range(k)]
+        moves += [np.append(np.delete(ids, o), j) for o in range(k) for j in closed]
+        assert all(total(S) >= floor for S in moves)
+
+    @given(seed=st.integers(0, 2**32 - 1), nc=st.integers(1, 30), m=st.integers(1, 15),
+           ties=st.booleans(), dup=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_enumerable_candidates_are_exact(self, seed, nc, m, ties, dup):
+        # one _subset_table: k + v is the discrete oracle's optimum on the
+        # slice, and ties go to the first least mask of size + cost
+        rng = np.random.default_rng(seed)
+        D, clients, candidates = _search_input(rng, nc, m, ties, dup)
+        sub = D[np.ix_(candidates, clients)].T
+        tables = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "_subset_table",
+                       lambda s: tables.append(s.shape) or _subset_table(s))
+            k, v, ids = solvers.ufl_local_search(D, clients, candidates)
+        assert tables == [(nc, m)]
+        assert k + v == brute_force_ufl_discrete(sub, is_matrix=True)
+        cost, size = reference_subset_table(sub)
+        mask = min(range(1, 1 << m), key=lambda x: (OPENING_COST * size[x] + cost[x], x))
+        assert ids.tobytes() == _mask_ids(mask, m).tobytes() and k == size[mask]
+
+    def test_first_least_mask_among_tied_sets(self):
+        # clients at 0 and 10, candidates 0, 10, 10 and 5: {0, 10} at
+        # positions 0 and 1 (mask 3) and {0, 10'} (mask 5) both cost 2,
+        # and {5} costs 11
+        xs, cs = np.array([0.0, 10.0]), np.array([0.0, 10.0, 10.0, 5.0])
+        pts = np.concatenate([cs, xs])
+        D = np.abs(pts[:, None] - pts[None, :])
+        k, v, ids = solvers.ufl_local_search(D, [4, 5], np.arange(4))
+        assert (k, v, ids.tolist()) == (2, 0.0, [0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -1143,7 +1210,7 @@ def _golden_ptas_discrete_split(seed):
 
 
 def _golden_ptas_euclid_split(seed):
-    # euclid_split's shape: n = 400, where the heuristic k window runs
+    # euclid_split's shape: n = 400, where the heuristic local search runs
     yield _euclidean_chunk(*ptas_euclidean(blob_instance(8, 50),
                                            PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0,
                                                       seed=seed)))
@@ -1207,10 +1274,10 @@ GOLDEN_SOLVER_DIGESTS = {
     "exact_oracles": "47b8aa512f0ebeb276f2ef375a3f9592ea0a3aeed20a68ed1218ce1683979839",
     "kmedian_local_search": "21c650f7664af35bf9b51bb2f94f61a9ddae034df2e50b271368e8b042c5f4ff",
     "kmedian_restricted": "389a49802e772c6bc9122867822246ea2d41c023f635ca2a4693c9a042422511",
-    "ptas": "1d8aecb5733f1c955d2813ce7155f4208d16ea665560f28e854e108e606f9526",
-    "ptas_discrete_split": "14b783d9bb0a4d0af21aa25e9b9c00d5e82c10bb1b6ffd6f1f32b20de8f81699",
-    "ptas_euclid_split": "257267e270d1e0ed2eb1fe20d3df4a3a2265035a44a1209c027b6c7fda491d41",
-    "ptas_fallback": "aafbb4d50c590f15078ca43dd5c7da530e7ee803a69058b9c682f7adafcaff43",
+    "ptas": "abd4c6ee8d61329fea2c07558c24acf06fbd1fb891bda0527f8a35dae3dac67a",
+    "ptas_discrete_split": "c3edc187c7dc6a1477ad8ecc25db2af4116d5328af1e4030a41c1e72577121ce",
+    "ptas_euclid_split": "b61d1b9e0765aa40d497e0ebb4b3b3fdce62e79e3626edeab08bc1e94628cbee",
+    "ptas_fallback": "89102e42d8534be511756036dc226dd9299736eba1dc152cceb6cc2fe9eabb9a",
     "ptas_small": "8ab4ea5ff31ccc373af2f4cdd74c61812980f6416c159673d1337238a64663ca",
     "restricted_ufl_value": "3843dbd3d090b687da672b90d0c48a14d3f9dd606a218661d2ab50a34bcf0640",
     "weiszfeld_1median": "ecd2d1057637da748c7e5c4da737df91070c60f2508300a4f5882614908219da",
