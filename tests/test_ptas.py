@@ -170,14 +170,19 @@ class TestEuclidean:
         assert [t.adopted for t in traces] == ["fallback", "fallback"]
         assert sol.total == pytest.approx(74.7426, abs=1e-4)
 
-    def test_heuristic_sweep_recenters_the_searchs_blocks(self, rng, monkeypatch):
+    @pytest.mark.parametrize("n_groups", [1, 3, 6],
+                             ids=["one_group", "three_groups", "six_groups"])
+    def test_heuristic_sweep_recenters_the_searchs_blocks(self, rng, monkeypatch,
+                                                           n_groups):
         # two parts beyond the enumeration scale, their ids interleaved in
-        # one point set: three separated groups of 10, and two groups of 10.
-        # Each part groups its points by _nearest_blocks around
-        # ufl_local_search's open points over its distance matrix, takes k
-        # as the number of blocks and their recentered sum as its cost, and
-        # one weiszfeld_1median call recenters exactly the blocks of both
-        groups = [rng.random((10, 2)) + off for off in (0.0, 4.0, 9.0, 20.0, 25.0)]
+        # one point set: 30 points in n_groups separated groups, and two
+        # groups of 10. Each part groups its points by _nearest_blocks
+        # around ufl_local_search's open points over its distance matrix,
+        # takes k as the number of blocks and their recentered sum as its
+        # cost, and one weiszfeld_1median call recenters exactly the blocks
+        # of both
+        groups = [rng.random((30 // n_groups, 2)) + 4.5 * i for i in range(n_groups)]
+        groups += [rng.random((10, 2)) + off for off in (40.0, 45.0)]
         order = rng.permutation(50)
         proj = np.empty((50, 2))
         proj[order] = np.vstack(groups)
