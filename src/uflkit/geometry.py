@@ -23,6 +23,7 @@ _BINARY_MAGIC = b"UFLP"
 _DDIM_SCALES = 8            # estimate_ddim's log-spaced radii
 _DDIM_MAX_CENTERS = 256     # and its cap on sampled ball centers
 _DIST_CELLS = 16384         # distances per distances() chunk: 128 KB per float temporary
+_NET_CELLS = 65536          # distances per greedy_net block or gather: 512 KB of flat indices
 
 
 class OracleScaleError(RuntimeError):
@@ -125,19 +126,40 @@ def ufl_cost(X: PointSet, facilities, facility_ids=None) -> UflSolution:
 
 def greedy_net(D: np.ndarray, ids, radius: float) -> np.ndarray:
     """Sequential greedy net over ids in ascending order, on the distance
-    matrix D: a point joins the net iff it is at distance >= radius from
-    every current member. Each kept point blocks its ball with one column
-    read. Returns the member ids, ascending."""
+    matrix D: a point x joins the net iff D[x, y] >= radius for every
+    earlier member y. The ids are decided in chunks of
+    b = max(1, _NET_CELLS // len(ids)) consecutive ids. A chunk's undecided
+    ids decide from their own D[chunk, chunk] block: those with no earlier
+    id of the chunk within radius join, those within radius of one of them
+    are blocked, and the rest decide in order. Then one D[later, kept]
+    gather blocks the later undecided ids within radius of the chunk's new
+    members. A blocked id is never read again, and every comparison is the
+    sequential net's. Returns the member ids, ascending."""
     if radius <= 0:
         raise ValueError("net radius must be positive")
     ids = np.sort(np.asarray(ids, dtype=int))
-    blocked = np.zeros(len(ids), dtype=bool)
-    kept: list[int] = []
-    for j in range(len(ids)):
-        if not blocked[j]:
-            kept.append(j)
-            blocked |= D[ids, ids[j]] < radius
-    return ids[kept]
+    width = D.shape[1]
+    step = max(1, _NET_CELLS // max(1, len(ids)))
+    free = np.ones(len(ids), dtype=bool)        # not blocked by a member
+    net = [ids[:0]]
+    for lo in range(0, len(ids), step):
+        chunk = ids[lo:lo + step][free[lo:lo + step]]
+        # near[a, c]: chunk[c] comes first and blocks chunk[a]; a take of
+        # flat indices gathers faster than np.ix_
+        near = np.take(D, chunk[:, None] * width + chunk) < radius
+        near &= np.tri(len(chunk), k=-1, dtype=bool)
+        keep = ~near.any(axis=1)
+        blocked = (near & keep).any(axis=1)
+        for a in np.flatnonzero(~(keep | blocked)):
+            if not blocked[a]:
+                keep[a] = True
+                blocked |= near[:, a]
+        net.append(chunk[keep])
+        rest = free[lo + step:]                 # a view: writes reach free
+        if len(net[-1]) and rest.any():
+            later = ids[lo + step:][rest]
+            rest[rest] = ~(np.take(D, later[:, None] * width + net[-1]) < radius).any(axis=1)
+    return np.concatenate(net)
 
 
 def check_net(D: np.ndarray, covered, net, radius: float,

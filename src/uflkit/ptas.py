@@ -6,8 +6,9 @@ which is the part's UFL optimum: one problem per part, not one per k. The
 Euclidean pipeline solves it on the randomly projected part, exactly by a
 partition DP up to the enumeration scale and by ufl_local_search over the
 part's points beyond it (falling back to the constant-factor clustering
-when the projection misbehaves); the discrete pipeline solves it by
-ufl_local_search against the per-cluster candidate facility set over a
+when the projection misbehaves), then recenters every adopted cluster in
+the original space in one 1-median pass; the discrete pipeline solves it
+by ufl_local_search against the per-cluster candidate facility set over a
 distance oracle."""
 
 from __future__ import annotations
@@ -86,7 +87,9 @@ class PartTrace(NamedTuple):
     event_H: bool | None         # the sweep's projected k* + v stayed at most _C4 * tau
                                  # (None: not tested, as in the discrete pipeline)
     k_star: int | None           # the sweep's number of open facilities (blocks)
-    v: float | None
+    v: float | None              # connection cost of the sweep's own solution: its
+                                 # blocks' medians (exact sweep) or open points
+                                 # (local search, projected or in the oracle)
     adopted: str                 # "median" or "fallback"
     approx_cost: float
     designated_cost: float       # original-space cost of the adopted clustering
@@ -171,28 +174,19 @@ def _exact_projected_sweep(proj_members: np.ndarray):
     return k_star, float(total - k_star), blocks
 
 
-def _heuristic_projected_sweep(proj: np.ndarray, parts: list):
-    """UFL local search on the projected points proj[members] of every
-    members array in parts; uncertified, used only beyond the enumeration
-    scale. Returns one (k, cost, blocks) per part, blocks as positions
-    within members.
-
-    Each part runs ufl_local_search over its distance matrix with every
-    point a candidate (exact over data-point facilities when they are
-    enumerable). The open centers group the points by
-    _nearest_blocks, k is the number of blocks, and the blocks of all
-    parts, as ids into proj, are recentered in one weiszfeld_1median call;
-    cost is their recentered sum."""
-    chosen = []
-    for members in parts:
-        D = distances(proj[members])
-        every = np.arange(len(members))
-        _, _, ids = ufl_local_search(D, every, every)
-        chosen.append(_nearest_blocks(D[:, ids]))
-    meds = iter(solvers.weiszfeld_1median(proj, blocks=[
-        members[b] for members, blocks in zip(parts, chosen) for b in blocks]))
-    return [(len(blocks), float(sum(next(meds).cost for _ in blocks)), blocks)
-            for blocks in chosen]
+def _heuristic_projected_sweep(proj_members: np.ndarray):
+    """UFL local search on one part's projected points, every point a
+    candidate (exact over data-point facilities when they are enumerable);
+    uncertified, used only beyond the enumeration scale. The open points
+    group the points by _nearest_blocks; returns (k, v, blocks) with k the
+    number of blocks, v the search's connection cost and blocks as
+    positions within the part. v is the cost of a projected solution, so it
+    is at least the blocks' recentered sum."""
+    D = distances(proj_members)
+    every = np.arange(len(proj_members))
+    _, v, ids = ufl_local_search(D, every, every)
+    blocks = _nearest_blocks(D[:, ids])
+    return len(blocks), v, blocks
 
 
 def ptas_euclidean(X: PointSet, cfg: PtasConfig) -> tuple[UflSolution, list[PartTrace]]:
@@ -201,18 +195,15 @@ def ptas_euclidean(X: PointSet, cfg: PtasConfig) -> tuple[UflSolution, list[Part
     points (with contraction/expansion fallbacks), and 1-median recentering
     of every adopted cluster in the original space.
 
-    The parts go through the stages together, so the pipeline makes two
-    weiszfeld_1median calls in all, each over the blocks of every part as
-    ids into its point set:
+    The parts go through the stages together, so the pipeline makes one
+    weiszfeld_1median call in all:
     1. event G, the contraction check, on every part;
-    2. one _heuristic_projected_sweep over the parts above _ENUM_THRESHOLD
-       points that pass it: a UFL local search per part, whose blocks
-       share one call;
-    3. the exact sweep on the other parts that pass it, then event H on
-       each sweep's k* + v, and the fallback clustering for every part
-       that fails G or H;
-    4. one call over every adopted block, in part order.
-    A stage with nothing to do makes no call.
+    2. per part that passes it, _heuristic_projected_sweep above
+       _ENUM_THRESHOLD points and _exact_projected_sweep otherwise, then
+       event H on the sweep's k* + v;
+    3. the fallback clustering for every part that fails G or H;
+    4. one weiszfeld_1median call over every adopted block, in part order,
+       as ids into X.
 
     The projected points are `pi.embed(X)`: pi(X) written in an orthonormal
     basis of pi's range, min(m, d) coordinates with the same pairwise
@@ -233,18 +224,13 @@ def ptas_euclidean(X: PointSet, cfg: PtasConfig) -> tuple[UflSolution, list[Part
     event_g = [not np.any(md.matrix[np.ix_(f, f)] > (1.0 + cfg.eps) * distances(proj[f]))
                for f in (p.facility_ids for p in parts)]
 
-    large = [i for i, p in enumerate(parts)
-             if event_g[i] and len(p.members) > solvers._ENUM_THRESHOLD]
-    sweeps = {}                                 # part index -> (k*, v, blocks)
-    if large:
-        sweeps = dict(zip(large, _heuristic_projected_sweep(
-            proj, [parts[i].members for i in large])))
-
     adopted, traces = [], []                    # blocks as positions within members
     for i, p in enumerate(parts):
         k_star = v = blocks = event_h = None
         if event_g[i]:
-            k_star, v, blocks = sweeps.get(i) or _exact_projected_sweep(proj[p.members])
+            sweep = (_heuristic_projected_sweep if len(p.members) > solvers._ENUM_THRESHOLD
+                     else _exact_projected_sweep)
+            k_star, v, blocks = sweep(proj[p.members])
             event_h = k_star + v <= _C4 * cfg.tau
         label = "median"
         if not event_h:
@@ -335,8 +321,8 @@ def ptas_discrete(oracle: DistanceOracle, cfg: PtasConfig
     """Discrete-metric pipeline: same decomposition stages over the oracle
     metric, then per part one ufl_local_search with facilities restricted
     to the candidate set of its provenance cluster (exact when that set is
-    enumerable); k* is the number of facilities it opens and v their
-    connection cost."""
+    enumerable); k* is the number of facilities it opens and v, also the
+    designated cost, their connection cost."""
     if oracle.n == 0:
         raise ValueError("empty input")
     oracle.spot_check()
@@ -353,9 +339,8 @@ def ptas_discrete(oracle: DistanceOracle, cfg: PtasConfig
     for p in partition.parts:
         k_star, v, fids = ufl_local_search(D, p.members, handle.candidates(p.provenance))
         facility_ids.extend(int(f) for f in fids)
-        designated = float(D[np.ix_(p.members, fids)].min(axis=1).sum())
         traces.append(PartTrace(p.index, p.level, None, None, k_star, v,
-                                "median", p.approx_value, designated))
+                                "median", p.approx_value, v))
 
     fid_arr = _dedupe(np.asarray(facility_ids, dtype=int))
     cols = D[:, fid_arr]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist, squareform
 
+from uflkit import geometry
 from uflkit.geometry import (_DIST_CELLS, PointSet, check_net, distances, estimate_ddim,
                              greedy_net, load_points, load_points_binary, load_points_text,
                              save_points_binary, save_points_text, ufl_cost)
@@ -105,6 +106,37 @@ class TestUflCost:
         assert sol.connection_cost == pytest.approx(recomputed, rel=1e-9)
 
 
+def sequential_net(D, ids, radius):
+    """The greedy net one id at a time: each kept id blocks, with one column
+    read, every id within radius of it."""
+    ids = np.sort(np.asarray(ids, dtype=int))
+    blocked = np.zeros(len(ids), dtype=bool)
+    kept = []
+    for j in range(len(ids)):
+        if not blocked[j]:
+            kept.append(j)
+            blocked |= D[ids, ids[j]] < radius
+    return ids[kept]
+
+
+@st.composite
+def net_inputs(draw):
+    # integer distances times one scale, so many sit exactly at the radius;
+    # asymmetric unless symmetrised, copied rows and columns as repeated
+    # points, and ids unsorted with repeats
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    D = rng.integers(0, 5, (n, n)).astype(float)
+    if draw(st.booleans()):
+        D = np.minimum(D, D.T)
+    for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=6)):
+        D[a], D[:, a] = D[b], D[:, b]
+    scale = draw(st.sampled_from([1.0, 0.1, 3.7]))
+    ids = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    return D * scale, ids, draw(st.integers(1, 4)) * scale
+
+
 class TestGreedyNet:
     def test_line_example(self):
         D = line(0.0, 1.0, 2.0, 3.0).distance_matrix()
@@ -149,6 +181,17 @@ class TestGreedyNet:
             check_net(D, [0, 1, 2, 3], [0, 1, 2], 1.5)
         with pytest.raises(AssertionError, match="covering"):
             check_net(D, [0, 1, 2, 3], [0], 1.5)
+
+    # a few cells make chunks of one id up to the whole input
+    @pytest.mark.parametrize("cells", [1, 7, 64, geometry._NET_CELLS])
+    @given(case=net_inputs())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_sequential_net(self, cells, case):
+        D, ids, radius = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geometry, "_NET_CELLS", cells)
+            net = greedy_net(D, ids, radius)
+        assert net.tolist() == sequential_net(D, ids, radius).tolist()
 
 
 class TestMetricStats:

@@ -19,7 +19,7 @@ from uflkit.ptas import (DistanceOracle, PtasConfig, RestrictedApproxHandle,
                          candidate_set, ptas_discrete, ptas_euclidean, trace_to_jsonl)
 from uflkit.solvers import (_nearest_blocks, approx_ufl, brute_force_ufl_continuous,
                             brute_force_ufl_discrete)
-from uflkit.util import spawn_seeds
+from uflkit.util import COST_RTOL, spawn_seeds
 
 from conftest import line, random_points
 
@@ -152,7 +152,7 @@ class TestEuclidean:
             ptas_euclidean(PointSet(np.zeros((1, 0))), PtasConfig())
 
     def test_event_h_rejects_a_sweep_above_c4_tau(self, monkeypatch):
-        # _C4 * tau = 25.2: part 0's k* + v = 24 + 20.4 exceeds it and falls
+        # _C4 * tau = 25.2: part 0's k* + v = 24 + 20.5 exceeds it and falls
         # back, part 1's 10 + 7.2 does not
         monkeypatch.setattr(ptas, "_C4", 1e-6)
         cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, seed=1)
@@ -172,68 +172,67 @@ class TestEuclidean:
 
     @pytest.mark.parametrize("n_groups", [1, 3, 6],
                              ids=["one_group", "three_groups", "six_groups"])
-    def test_heuristic_sweep_recenters_the_searchs_blocks(self, rng, monkeypatch,
-                                                           n_groups):
+    def test_heuristic_sweep_recenters_the_searchs_blocks(self, rng, n_groups):
         # two parts beyond the enumeration scale, their ids interleaved in
         # one point set: 30 points in n_groups separated groups, and two
         # groups of 10. Each part groups its points by _nearest_blocks
         # around ufl_local_search's open points over its distance matrix,
-        # takes k as the number of blocks and their recentered sum as its
-        # cost, and one weiszfeld_1median call recenters exactly the blocks
-        # of both
+        # takes k as the number of blocks and the search's connection cost
+        # as v, and recenters nothing: the pipeline's one weiszfeld_1median
+        # call recenters the adopted blocks in the original space
         groups = [rng.random((30 // n_groups, 2)) + 4.5 * i for i in range(n_groups)]
         groups += [rng.random((10, 2)) + off for off in (40.0, 45.0)]
         order = rng.permutation(50)
         proj = np.empty((50, 2))
         proj[order] = np.vstack(groups)
-        parts = [order[:30], order[30:]]
 
-        expected, chosen = [], []
-        for members in parts:
+        for members in (order[:30], order[30:]):
             D, every = distances(proj[members]), np.arange(len(members))
-            k, _, ids = solvers.ufl_local_search(D, every, every)
+            k, v, ids = solvers.ufl_local_search(D, every, every)
             blocks = _nearest_blocks(D[:, ids])
             assert len(blocks) == k
-            cost = float(sum(solvers.weiszfeld_1median(proj[members[b]]).cost for b in blocks))
-            expected.append((k, cost, [b.tobytes() for b in blocks]))
-            chosen.extend(members[b].tobytes() for b in blocks)
+            with pytest.MonkeyPatch.context() as mp:
+                for owner in (ptas, solvers):
+                    mp.setattr(owner, "weiszfeld_1median", None)    # a call raises
+                found = _heuristic_projected_sweep(proj[members])
+            assert (found[0], found[1]) == (k, v)
+            assert [b.tobytes() for b in found[2]] == [b.tobytes() for b in blocks]
+            # v prices a projected solution, so it is at least the blocks'
+            # recentered sum and event H passes no part that the recentered
+            # sum would fail; equal up to rounding when every block's median
+            # is its open point
+            medians = sum(solvers.weiszfeld_1median(proj[members[b]]).cost for b in blocks)
+            assert v >= medians * (1 - COST_RTOL)
 
-        calls = []
-        weiszfeld = solvers.weiszfeld_1median
-
-        def counted(points, *, blocks):
-            calls.append([b.tobytes() for b in blocks])
-            return weiszfeld(points, blocks=blocks)
-
-        monkeypatch.setattr(solvers, "weiszfeld_1median", counted)
-        found = _heuristic_projected_sweep(proj, parts)
-        assert [(k, cost, [c.tobytes() for c in clusters])
-                for k, cost, clusters in found] == expected
-        assert calls == [chosen]
-
-    def test_split_solve_makes_two_weiszfeld_calls(self, monkeypatch):
-        # euclid_split's shape: the sweep's blocks of every heuristic part
-        # share one call, and every adopted block of every part the other
-        calls, sweeps = [], []
+    def test_split_solve_makes_one_weiszfeld_call(self, monkeypatch):
+        # euclid_split's shape: one call recenters every adopted block of
+        # every part, in part order, as ids into the point set
+        calls, adopted = [], []
         for owner in (ptas, solvers):
             weiszfeld = owner.weiszfeld_1median
 
             def counted(points, *args, weiszfeld=weiszfeld, **kwargs):
-                calls.append(len(kwargs.get("blocks") or [None]))
+                calls.append([b.tobytes() for b in kwargs["blocks"]])
                 return weiszfeld(points, *args, **kwargs)
 
             monkeypatch.setattr(owner, "weiszfeld_1median", counted)
-        sweep = ptas._heuristic_projected_sweep
+        for name in ("_heuristic_projected_sweep", "_exact_projected_sweep"):
+            sweep = getattr(ptas, name)
 
-        def recorded(proj, parts):
-            sweeps.append(len(parts))
-            return sweep(proj, parts)
+            def recorded(proj_members, sweep=sweep):
+                k, v, blocks = sweep(proj_members)
+                adopted.append(blocks)
+                return k, v, blocks
 
-        monkeypatch.setattr(ptas, "_heuristic_projected_sweep", recorded)
-        _, traces = ptas_euclidean(blob_instance(8, 50),
-                                   PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, seed=1))
-        assert len(traces) > 2 and len(sweeps) == 1 and sweeps[0] > 2
-        assert len(calls) == 2 and min(calls) > len(traces)
+            monkeypatch.setattr(ptas, name, recorded)
+        X = blob_instance(8, 50)
+        cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, seed=1)
+        _, traces = ptas_euclidean(X, cfg)
+        parts = build_stages(X, cfg).partition.parts
+        assert len(traces) == len(parts) > 2 and len(adopted) == len(parts)
+        assert all(t.adopted == "median" for t in traces)
+        assert calls == [[p.members[b].tobytes() for p, blocks in zip(parts, adopted)
+                          for b in blocks]]
 
 
 class TestProjectedWidth:
@@ -248,9 +247,9 @@ class TestProjectedWidth:
         for name in ("_heuristic_projected_sweep", "_exact_projected_sweep"):
             sweep = getattr(ptas, name)
 
-            def recording(proj_members, *args, sweep=sweep):
+            def recording(proj_members, sweep=sweep):
                 widths.append(proj_members.shape[1])
-                return sweep(proj_members, *args)
+                return sweep(proj_members)
 
             monkeypatch.setattr(ptas, name, recording)
         ptas_euclidean(X, cfg)
@@ -448,7 +447,7 @@ class TestDiscrete:
     def test_parts_take_the_local_searchs_facilities(self):
         # discrete_split's shape: each part opens ufl_local_search's
         # facilities among its provenance cluster's candidates, k* counts
-        # them and v is their connection cost
+        # them and v, also the designated cost, is their connection cost
         oracle = DistanceOracle.from_points(blob_instance(6, 25))
         cfg = PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, seed=1)
         P, handle = build_stages(oracle, cfg, lambda H: RestrictedApproxHandle(H, cfg.eps))
@@ -459,6 +458,7 @@ class TestDiscrete:
             k, v, ids = solvers.ufl_local_search(oracle.matrix, p.members,
                                                  handle.candidates(p.provenance))
             assert (t.k_star, t.v) == (k, v) and k == len(ids)
+            assert t.designated_cost == v
             opened.extend(ids.tolist())
         assert sol.facility_ids.tolist() == list(dict.fromkeys(opened))
 

@@ -319,15 +319,15 @@ class TestEnumThreshold:
         sizes = {}
         heuristic, exact = ptas._heuristic_projected_sweep, ptas._exact_projected_sweep
 
-        def heuristic_parts(proj, parts):
-            sizes.setdefault("_heuristic_projected_sweep", []).extend(map(len, parts))
-            return heuristic(proj, parts)
+        def heuristic_part(proj_members):
+            sizes.setdefault("_heuristic_projected_sweep", []).append(len(proj_members))
+            return heuristic(proj_members)
 
         def exact_part(proj_members):
             sizes.setdefault("_exact_projected_sweep", []).append(len(proj_members))
             return exact(proj_members)
 
-        monkeypatch.setattr(ptas, "_heuristic_projected_sweep", heuristic_parts)
+        monkeypatch.setattr(ptas, "_heuristic_projected_sweep", heuristic_part)
         monkeypatch.setattr(ptas, "_exact_projected_sweep", exact_part)
         # parts of 1-10 points, all within the default threshold
         monkeypatch.setattr(MatrixApproxHandle, "alpha", 1.0)
@@ -1274,10 +1274,10 @@ GOLDEN_SOLVER_DIGESTS = {
     "exact_oracles": "47b8aa512f0ebeb276f2ef375a3f9592ea0a3aeed20a68ed1218ce1683979839",
     "kmedian_local_search": "21c650f7664af35bf9b51bb2f94f61a9ddae034df2e50b271368e8b042c5f4ff",
     "kmedian_restricted": "389a49802e772c6bc9122867822246ea2d41c023f635ca2a4693c9a042422511",
-    "ptas": "abd4c6ee8d61329fea2c07558c24acf06fbd1fb891bda0527f8a35dae3dac67a",
+    "ptas": "4c9a5c9f2c13572da5e80cea551c2bf8d60289d6238d7298a14eb0d3e81498a5",
     "ptas_discrete_split": "c3edc187c7dc6a1477ad8ecc25db2af4116d5328af1e4030a41c1e72577121ce",
-    "ptas_euclid_split": "b61d1b9e0765aa40d497e0ebb4b3b3fdce62e79e3626edeab08bc1e94628cbee",
-    "ptas_fallback": "89102e42d8534be511756036dc226dd9299736eba1dc152cceb6cc2fe9eabb9a",
+    "ptas_euclid_split": "1684f63f60fd29e701b5fe36ae51b442c5ab7a82a86bbf2d30b584fb1e0bfa28",
+    "ptas_fallback": "4da0a7fd0913173796c4137757dfb57df2337eac74186dccb0dd6a5ee6ad15b1",
     "ptas_small": "8ab4ea5ff31ccc373af2f4cdd74c61812980f6416c159673d1337238a64663ca",
     "restricted_ufl_value": "3843dbd3d090b687da672b90d0c48a14d3f9dd606a218661d2ab50a34bcf0640",
     "weiszfeld_1median": "ecd2d1057637da748c7e5c4da737df91070c60f2508300a4f5882614908219da",
