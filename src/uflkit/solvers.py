@@ -13,10 +13,13 @@ oracle enumerate up to _ENUM_THRESHOLD points; and k-median local search
 makes at most _LOCAL_SEARCH_SWAPS swap rounds per k, where the UFL local
 search runs to a local optimum.
 
-Exhaustive paths reduce coordinates to the affine span of the input first;
-this is an exact isometry on the points and on any geometric median (which
-lies in their convex hull), so oracle values are unaffected while the cost
-no longer depends on the ambient dimension.
+Every 1-median runs in coordinates of its block's affine span, of
+dimension at most one less than the block's size: an isometry on the points
+and on their geometric medians (which lie in their convex hull), which
+leaves Kuhn's certificate and the Vardi-Zhang step unchanged, so that a
+step's cost no longer grows with the ambient dimension. The exhaustive
+paths reduce the whole input once, and weiszfeld_1median each block it
+iterates.
 """
 
 from __future__ import annotations
@@ -73,16 +76,23 @@ def _as_points(points) -> np.ndarray:
     return np.atleast_2d(P)
 
 
+def _span(C: np.ndarray, k: int):
+    """Coordinates of centred rows C (r x w x d) in orthonormal bases of
+    their spans, from one batched SVD: (Y, V) with Y (r x w x k) and V (r x
+    k x d), so that C[i] is Y[i] @ V[i] up to rounding when row i has rank
+    at most k. Singular values at most 1e-12 of their row's largest count
+    as zero, and their columns of Y are exact zeros."""
+    U, s, V = np.linalg.svd(C, full_matrices=False)
+    s = s[:, :k]
+    s = np.where(s > s[:, :1] * 1e-12, s, 0.0)
+    return U[:, :, :k] * s[:, None, :], V[:, :k]
+
+
 def _affine_reduce(P: np.ndarray) -> np.ndarray:
-    """Coordinates of P in an orthonormal basis of its affine span."""
-    if len(P) == 1:
-        return np.zeros((1, 1))
-    centered = P - P.mean(axis=0)
-    U, s, _ = np.linalg.svd(centered, full_matrices=False)
-    rank = int((s > s.max(initial=0.0) * 1e-12).sum())
-    if rank == 0:
-        return np.zeros((len(P), 1))
-    return U[:, :rank] * s[:rank]
+    """Coordinates of P in an orthonormal basis of its affine span: _span's
+    one-set case, cut to its rank (one zero column at rank 0)."""
+    Y = _span((P - P.mean(axis=0))[None], min(P.shape))[0][0]
+    return Y[:, :max(1, int(Y.any(axis=0).sum()))]
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +102,7 @@ def _affine_reduce(P: np.ndarray) -> np.ndarray:
 def weiszfeld_1median(points, *, blocks=None):
     """Geometric medians of blocks of points: the data-point certificate of
     _certify, else the certified iteration of _median_lockstep from the
-    centroid.
+    centroid, floored at the block's least data-point sum.
 
     blocks is a list of non-empty index arrays into points, and the result
     a list of WeiszfeldResult, one per block in block order; without it all
@@ -101,18 +111,28 @@ def weiszfeld_1median(points, *, blocks=None):
     Each block works on its own members only. _width_class gathers them, in
     block order, into a row of width w, the least power of two at least the
     block's size, padded with its first member under a 0/1 mask. _certify,
-    with the sums of _member_sums, and _median_lockstep then run once per
-    width present. Every pass reduces row by row over the w members, so a
-    block's bytes depend only on its members' coordinates in order: not on
-    the other blocks of its call, and weiszfeld_1median(P, blocks=[b])[0]
-    is weiszfeld_1median(P[b]). (Padding every block to the widest of its
-    call would change each reduction's length, and with it the rounding.)
+    with the sums of _member_sums, then runs once per width present, in the
+    ambient coordinates, so a certified block returns its exact member.
+    The class's other rows are centred on their members' mean and go to
+    _median_lockstep in k = min(w - 1, d) coordinates, d the ambient
+    dimension: the centred coordinates themselves when d <= w - 1, else
+    their coordinates in the row's own span from one batched SVD (_span),
+    which a block of at most w members centred on its mean never exceeds.
+    Each center maps back as mean + y V, so a step costs O(w k^2 + k^3) per
+    row whatever d is. Every pass reduces row by row over the w members, and
+    k depends on w and d only, so a block's bytes depend only on its
+    members' coordinates in order: not on the other blocks of its call, and
+    weiszfeld_1median(P, blocks=[b])[0] is weiszfeld_1median(P[b]).
+    (Padding every block to the widest of its call would change each
+    reduction's length, and with it the rounding.)
 
     A certified block returns its member p_j with its distance sum as both
-    cost and lower bound, and no iteration. Otherwise cost is the distance
-    sum at the center and lower a bound below every distance sum; converged
-    means cost - lower <= _WEISZFELD_TOL * cost, which only a run cut at
-    _WEISZFELD_MAX_ITER steps misses.
+    cost and lower bound, and no iteration. Otherwise lower is the
+    iteration's bound below every distance sum, and cost the distance sum at
+    the center: the iteration's, or member p_j's when its sum is lower by
+    more than rounding (the iteration may stop up to _WEISZFELD_TOL above a
+    data point's sum). converged means cost - lower <= _WEISZFELD_TOL *
+    cost, which only a run cut at _WEISZFELD_MAX_ITER steps misses.
     """
     P = _as_points(points)
     one = blocks is None
@@ -126,13 +146,28 @@ def weiszfeld_1median(points, *, blocks=None):
     for w in np.unique(widths):
         rows = np.flatnonzero(widths == w)
         G, M = _width_class(P, [blocks[i] for i in rows], w)
-        GT = np.ascontiguousarray(G.transpose(0, 2, 1))     # (row, coordinate, member)
+        GT = np.ascontiguousarray(G.transpose(2, 0, 1))     # (coordinate, row, member)
         j, c, certified = _certify(GT, M, _member_sums(GT, M))
         cost[rows], lower[rows], centers[rows] = c, c, G[np.arange(len(rows)), j]
         rest = np.flatnonzero(~certified)
         if len(rest):
-            cost[rows[rest]], lower[rows[rest]], centers[rows[rest]] = _median_lockstep(
-                G[rest], M[rest])
+            G, M, c, rows = G[rest], M[rest], c[rest], rows[rest]
+            mean = np.einsum("rn,rnd->rd", M, G) / M.sum(axis=1)[:, None]
+            Y = G - mean[:, None, :]
+            reduce = P.shape[1] > w - 1
+            if reduce:
+                Y, V = _span(Y, w - 1)
+            upper, lo, y = _median_lockstep(np.ascontiguousarray(Y.transpose(2, 0, 1)), M)
+            if reduce:
+                y = np.einsum("rk,rkd->rd", y, V)
+            # a data point lower by less than rounding is a tie, which keeps
+            # the iteration's center (a segment's midpoint, say)
+            iterated = c >= upper * (1.0 - _ROUNDING)
+            cost[rows] = np.where(iterated, upper, c)
+            # at an optimal data point its sum, rounded its own way, can sit
+            # an ulp below the iteration's bound
+            lower[rows] = np.minimum(lo, cost[rows])
+            centers[rows[iterated]] = (mean + y)[iterated]
     converged = cost - lower <= _WEISZFELD_TOL * cost
     out = [WeiszfeldResult(c, float(u), bool(ok), float(lo))
            for c, u, ok, lo in zip(centers, cost, converged, lower)]
@@ -141,7 +176,7 @@ def weiszfeld_1median(points, *, blocks=None):
 
 def _width_class(P: np.ndarray, blocks: list, w: int):
     """The blocks' members gathered into rows of width w: (G, M) with G[i]
-    (w x k) the coordinates of blocks[i] in order, padded with its first
+    (w x d) the coordinates of blocks[i] in order, padded with its first
     member, and M[i] the 0/1 mask of its members."""
     sizes = np.array([len(b) for b in blocks])
     M = (np.arange(w) < sizes[:, None]).astype(np.float64)
@@ -152,35 +187,35 @@ def _width_class(P: np.ndarray, blocks: list, w: int):
 
 def _member_sums(PT: np.ndarray, M: np.ndarray) -> np.ndarray:
     """sums[i, a] = sum over b of M[i, b] |p_a - p_b|, p the points of row
-    i: each member's distance sum to the members of its row, for per-row
-    points PT (r x k x w) stored coordinate by coordinate. Coordinates run
-    outermost, so the distances reduce along whole (a, b) planes, and
-    chunks of rows and of the members a hold at most _PAIR_CELLS (row,
-    coordinate, a, b) cells. Members a at or past the most any row has are
-    padding in every row, whose sums no caller reads: they are skipped."""
-    r, k, w = PT.shape
+    i: each member's distance sum to the members of its row, for points PT
+    (k x r x w) stored coordinate-major. Coordinates run outermost, so the
+    distances reduce along whole (row, a, b) planes, and chunks of rows and
+    of the members a hold at most _PAIR_CELLS (coordinate, row, a, b)
+    cells. Members a at or past the most any row has are padding in every
+    row, whose sums no caller reads: they are skipped."""
+    k, r, w = PT.shape
     sums = np.zeros((r, w))
     cols = min(w, max(1, _PAIR_CELLS // (w * k)))
     rows = max(1, _PAIR_CELLS // (w * w * k))
     for a in range(0, r, rows):
-        Q, m = PT[a:a + rows], M[a:a + rows]
+        Q, m = PT[:, a:a + rows], M[a:a + rows]
         for b in range(0, int(m.sum(axis=1).max()), cols):
             diff = Q[:, :, b:b + cols, None] - Q[:, :, None, :]
-            d = np.einsum("rkab,rkab->rab", diff, diff)
+            d = np.einsum("krab,krab->rab", diff, diff)
             np.sqrt(d, out=d)
             sums[a:a + rows, b:b + cols] = np.einsum("rab,rb->ra", d, m)
     return sums
 
 
 def _certify(PT: np.ndarray, M: np.ndarray, sums: np.ndarray):
-    """Kuhn's data-point certificate for the rows of per-row points PT (r x
-    k x w, coordinate by coordinate) whose members the 0/1 rows of M
-    select. The caller passes sums (r x w), each member's distance sum to
-    its row's members, which is overwritten: _member_sums for gathered
-    blocks, or one product with a shared distance matrix. Returns (j, best,
-    certified): j[i] the first member of least distance sum in row i,
-    best[i] that sum, and certified[i] whether the test below proves member
-    j[i] a median of row i.
+    """Kuhn's data-point certificate for the rows of points PT (k x r x w,
+    coordinate-major) whose members the 0/1 rows of M select. The caller
+    passes sums (r x w), each member's distance sum to its row's members,
+    which is overwritten: _member_sums for gathered blocks, or one product
+    with a shared distance matrix. Returns (j, best, certified): j[i] the
+    first member of least distance sum in row i, best[i] that sum, and
+    certified[i] whether the test below proves member j[i] a median of
+    row i.
 
     The test is Kuhn's optimality test at x, member j of its row: with eta
     the members equal to x and g the sum of unit vectors from x toward the
@@ -193,10 +228,10 @@ def _certify(PT: np.ndarray, M: np.ndarray, sums: np.ndarray):
     pulls, or a vertex of a tiny triangle would pass although its centroid
     costs less.
 
-    The test takes _MEDIAN_CELLS (row, coordinate, member) cells at a
+    The test takes _MEDIAN_CELLS (coordinate, row, member) cells at a
     time, reduced row by row along the members; PT may be a broadcast
     view."""
-    r, k, w = PT.shape
+    k, r, w = PT.shape
     sums[M == 0.0] = np.inf
     j = sums.argmin(axis=1)
     best = sums[np.arange(r), j]
@@ -205,11 +240,11 @@ def _certify(PT: np.ndarray, M: np.ndarray, sums: np.ndarray):
     for a in range(0, r, rows):
         m = M[a:a + rows]
         at = np.arange(a, a + len(m))
-        B = PT[a:a + rows] - PT[at, :, j[at]][:, :, None]
-        d = np.sqrt(np.einsum("rkn,rkn->rn", B, B))
+        B = PT[:, a:a + rows] - PT[:, at, j[at]][:, :, None]
+        d = np.sqrt(np.einsum("krn,krn->rn", B, B))
         eta = np.einsum("rn,rn->r", m, d == 0.0)
-        g = np.einsum("rkn,rn->rk", B, np.divide(m, d, out=np.zeros(d.shape), where=d > 0.0))
-        certified[a:a + rows] = np.sqrt(np.einsum("rk,rk->r", g, g)) < eta * (1.0 - 1e-9)
+        g = np.einsum("krn,rn->kr", B, np.divide(m, d, out=np.zeros(d.shape), where=d > 0.0))
+        certified[a:a + rows] = np.sqrt(np.einsum("kr,kr->r", g, g)) < eta * (1.0 - 1e-9)
     return j, best, certified
 
 
@@ -222,23 +257,24 @@ def _med1_costs(P: np.ndarray) -> np.ndarray:
     together from their centroids, so each value is a distance sum attained
     at a real center and within _WEISZFELD_TOL (relative) of the optimum
     unless its row ran _WEISZFELD_MAX_ITER steps; the least data-point
-    sum still caps it. Every row reads P through one broadcast view, and
-    the certificate's sums come from P's one distance matrix.
+    sum still caps it. Every row reads P through one broadcast (coordinate,
+    row, point) view, and the certificate's sums come from P's one distance
+    matrix.
     """
     P = _affine_reduce(P)
     s = len(P)
     M = ((np.arange(1, 1 << s)[:, None] >> np.arange(s)) & 1).astype(np.float64)
-    PT = np.ascontiguousarray(P.T)          # (coordinate, point): B below runs along points
-    _, costs, certified = _certify(np.broadcast_to(PT, (len(M),) + PT.shape), M,
+    PT = np.ascontiguousarray(P.T)[:, None, :]      # (coordinate, 1, point)
+    _, costs, certified = _certify(np.broadcast_to(PT, (len(PT), len(M), s)), M,
                                    np.einsum("rn,cn->rc", M, distances(P)))
     rest = np.flatnonzero(~certified & (M.sum(axis=1) >= 3))
     M = M[rest]                             # drops the full table before the kernel
-    upper, _, _ = _median_lockstep(np.broadcast_to(P, (len(M),) + P.shape), M)
+    upper, _, _ = _median_lockstep(np.broadcast_to(PT, (len(PT), len(M), s)), M)
     costs[rest] = np.minimum(upper, costs[rest])
     return np.concatenate(([0.0], costs))
 
 
-_MEDIAN_CELLS = 16384   # (row, point, coordinate) cells per lockstep chunk: 128 KB per temporary
+_MEDIAN_CELLS = 16384   # (coordinate, row, member) cells per lockstep chunk: 128 KB per temporary
 _BACKTRACK = 12         # halvings of a Newton step before a Weiszfeld step replaces it
 _SLACK = 1.0 + 4.0 * np.finfo(np.float64).eps   # a step may raise the sum by 4 ulp
 _ROUNDING = 16.0 * np.finfo(np.float64).eps     # Newton gains below this share are unmeasurable
@@ -246,12 +282,20 @@ _NEAR = 1e-3            # a member this close, relative to the distance sum, anc
 
 
 def _median_lockstep(P: np.ndarray, M: np.ndarray):
-    """Certified geometric medians of the rows of per-row points P (r x w x
-    k) whose members the 0/1 rows of M (r x w) select, iterated in lockstep
-    from their centroids. P may be a broadcast view, as _med1_costs passes
-    one point set for every row. Returns (upper, lower, centers): upper[i]
-    is the distance sum of row i's members at centers[i], and lower[i] is
-    at most their distance sum anywhere.
+    """Certified geometric medians of the rows of points P (k x r x w,
+    coordinate-major) whose members the 0/1 rows of M (r x w) select,
+    iterated in lockstep from their centroids. P may be a broadcast view,
+    as _med1_costs passes one point set for every row. Returns (upper,
+    lower, centers): upper[i] is the distance sum of row i's members at
+    centers[i] (a k-vector), and lower[i] is at most their distance sum
+    anywhere.
+
+    The coordinates run outermost and the members innermost: a per-member
+    weight (r x w) broadcasts over whole (row, member) planes, a per-row
+    vector (k x r) along the members, and every reduction over the members
+    runs along its row's contiguous member axis. The callers keep k small:
+    weiszfeld_1median passes each row in at most w - 1 coordinates of its
+    own span, and _med1_costs its input's span.
 
     A step tries, per row, the Newton step y - H^-1 g, with g = sum u_i the
     gradient, H = sum w_i (I - u_i u_i^T), w_i = 1/d_i and u_i the unit
@@ -275,52 +319,52 @@ def _median_lockstep(P: np.ndarray, M: np.ndarray):
     shift can give. A row keeps the best bound it reaches and stops once
     upper - lower <= _WEISZFELD_TOL * upper, or after
     _WEISZFELD_MAX_ITER steps; a stopped row leaves the arrays. Rows run
-    _MEDIAN_CELLS (row, member, coordinate) cells at a time, which bounds
+    _MEDIAN_CELLS (coordinate, row, member) cells at a time, which bounds
     every temporary.
 
     Per step, g is one einsum reduction over the w members, and sum w_i
-    u_i u_i^T one batched matrix product (U W)^T U with a k x k result per
-    row. Each reduces within its row, so a row's result depends only on its
-    own points and mask, not on the rows beside it."""
-    r, w, k = P.shape
+    u_i u_i^T one batched matrix product with a k x k result per row. Each
+    reduces within its row, so a row's result depends only on its own
+    points and mask, not on the rows beside it."""
+    k, r, w = P.shape
     upper = np.empty(r)
     lower = np.empty(r)
-    centers = np.empty((r, k))
+    centers = np.empty((k, r))
     rows = max(1, _MEDIAN_CELLS // (w * k))
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in range(0, r, rows):
             part = slice(a, a + rows)
-            _median_rows(P[part], M[part], centers[part], upper[part], lower[part])
-    return upper, lower, centers
+            _median_rows(P[:, part], M[part], centers[:, part], upper[part], lower[part])
+    return upper, lower, centers.T
 
 
 def _sums_at(D: np.ndarray, M: np.ndarray):
-    """Lengths (r x n) of the differences D (r x n x k) and the rows'
+    """Lengths (r x w) of the differences D (k x r x w) and the rows'
     distance sums over their members M."""
-    d = np.einsum("rnk,rnk->rn", D, D)
+    d = np.einsum("krn,krn->rn", D, D)
     np.sqrt(d, out=d)
     return d, np.einsum("rn,rn->r", d, M)
 
 
 def _escape_offsets(B: np.ndarray, M: np.ndarray, near: np.ndarray) -> np.ndarray:
-    """Vardi-Zhang's step from each row's anchor p_a, as an offset from p_a:
-    with eta members within near * (their distance sum from p_a) of p_a
-    and g the sum of the unit vectors from the other members to p_a, the
-    others' Weiszfeld point blended with p_a by min(1, eta / |g|); zero if
-    p_a is the median (|g| <= eta)."""
-    nb = np.sqrt(np.einsum("rnk,rnk->rn", B, B))
+    """Vardi-Zhang's step from each row's anchor p_a, as an offset (k x r)
+    from p_a, for B = p_a - P (k x r x w): with eta members within near *
+    (their distance sum from p_a) of p_a and g the sum of the unit vectors
+    from the other members to p_a, the others' Weiszfeld point blended with
+    p_a by min(1, eta / |g|); zero if p_a is the median (|g| <= eta)."""
+    nb = np.sqrt(np.einsum("krn,krn->rn", B, B))
     copies = nb <= (near * np.einsum("rn,rn->r", nb, M))[:, None]
     w = np.divide(M, nb, out=np.zeros(nb.shape), where=~copies)
-    g = np.einsum("rnk,rn->rk", B, w)
+    g = np.einsum("krn,rn->kr", B, w)
     eta = np.einsum("rn,rn->r", M, copies)
-    blend = np.minimum(1.0, eta / np.sqrt(np.einsum("rk,rk->r", g, g)))
-    return g * ((blend - 1.0) / w.sum(axis=1))[:, None]
+    blend = np.minimum(1.0, eta / np.sqrt(np.einsum("kr,kr->r", g, g)))
+    return g * ((blend - 1.0) / w.sum(axis=1))
 
 
 def _median_rows(P, M, y, upper, lower):
-    """_median_lockstep on one chunk of rows, writing into the views y,
-    upper and lower. P holds every row of the chunk; the active rows read
-    theirs through pos, so rows that stop cost no copy of P.
+    """_median_lockstep on one chunk of rows, writing into the views y (k x
+    r), upper and lower. P holds every row of the chunk; the active rows
+    read theirs through pos, so rows that stop cost no copy of P.
 
     A row holds y as an anchor p_a and the offset delta = y - p_a, with B =
     p_a - P, so that y - p_i = B + delta. Once a member comes within _NEAR
@@ -328,7 +372,7 @@ def _median_rows(P, M, y, upper, lower):
     their full relative precision however close y comes to it, and a
     median can lie 1e-7 of its set's diameter away from a data point.
 
-    U = (y - p_i) w_i holds the unit vectors, so g = einsum("rnk->rk", U)
+    U = (y - p_i) w_i holds the unit vectors, so g = einsum("krn->kr", U)
     and the Hessian's sum is (U W)^T @ U, batched over rows. Stopped rows
     leave by one integer take per array; the rows a Newton step fails on
     are gathered once for the halvings and shrunk only when one passes."""
@@ -337,16 +381,16 @@ def _median_rows(P, M, y, upper, lower):
     member = M > 0
     size = M.sum(axis=1)
     copy = _WEISZFELD_TOL / (4.0 * size)        # copies of y: within copy * f
-    # einsum, not M @ P: a matrix product rounds a row differently
+    # einsum, not a matrix product, which rounds a row differently
     # depending on the rows beside it
-    centroid = np.einsum("rn,rnk->rk", M, P) / size[:, None]
-    eye = np.eye(P.shape[2])
+    centroid = np.einsum("rn,krn->kr", M, P) / size
+    eye = np.eye(len(P))
     a = member.argmax(axis=1)
-    Pa = P[pos, a]
-    B = Pa[:, None, :] - P
+    Pa = P[:, pos, a]
+    B = Pa[:, :, None] - P
     ac = Pa - centroid                          # y - centroid = ac + delta
     delta = -ac
-    D = B + delta[:, None, :]
+    D = B + delta[:, :, None]
     d, f = _sums_at(D, M)
     lo = np.zeros(len(M))
     for it in range(last + 1):
@@ -356,10 +400,10 @@ def _median_rows(P, M, y, upper, lower):
         if close.any():
             c = np.flatnonzero(close)
             near = W[c].argmax(axis=1)
-            a[c], delta[c] = near, D[c, near]
-            Pn = P[pos[c], near]
-            B[c] = Pn[:, None, :] - P[pos[c]]
-            ac[c] = Pn - centroid[c]
+            a[c], delta[:, c] = near, D[:, c, near]
+            Pn = P[:, pos[c], near]
+            B[:, c] = Pn[:, :, None] - P[:, pos[c]]
+            ac[:, c] = Pn - centroid[:, c]
             hit = member[c] & (d[c] <= (copy[c] * f[c])[:, None])
             at = hit.any(axis=1)
             if at.any():
@@ -369,103 +413,107 @@ def _median_rows(P, M, y, upper, lower):
                 eta = share[h] = hit.sum(axis=1)
                 W[h] = np.where(hit, 0.0, W[h])
         U = D                                   # D is rebuilt by the step
-        U *= W[:, :, None]
-        g = np.einsum("rnk->rk", U)
-        gnorm = np.sqrt(np.einsum("rk,rk->r", g, g))
+        U *= W
+        g = np.einsum("krn->kr", U)
+        gnorm = np.sqrt(np.einsum("kr,kr->r", g, g))
         # sum v_i . (y - p_i) is the others' distance sum minus g . (y - c),
         # c the mean of the shifted points
         yc, rest, scale = ac + delta, f, 1.0 + gnorm / size
         if on is not None:
             rest = f.copy()
-            yc[h] += centroid[h] - np.einsum("rn,rnk->rk", hit, P[pos[h]]) / eta[:, None]
+            yc[:, h] += centroid[:, h] - np.einsum("rn,krn->kr", hit, P[:, pos[h]]) / eta
             rest[h] = np.einsum("rn,rn->r", np.where(hit, 0.0, d[h]), M[h])
             scale[h] = np.maximum(1.0, gnorm[h] / eta)
-        np.maximum(lo, (rest - np.einsum("rk,rk->r", g, yc)) / scale, out=lo)
+        np.maximum(lo, (rest - np.einsum("kr,kr->r", g, yc)) / scale, out=lo)
         stop = lo >= f * keep_frac
         if it == last or stop.all():
-            y[pos] = P[pos, a] + delta
+            y[:, pos] = P[:, pos, a] + delta
             upper[pos], lower[pos] = f, np.minimum(lo, f)
             return
         if stop.any():
             out = pos[stop]
-            y[out] = P[out, a[stop]] + delta[stop]
+            y[:, out] = P[:, out, a[stop]] + delta[:, stop]
             upper[out], lower[out] = f[stop], np.minimum(lo[stop], f[stop])
             # take, which gathers rows far faster than a boolean mask; the
             # large arrays one at a time, so that each old copy is freed
             # before the next is made (d is rebuilt by the step)
             keep = np.flatnonzero(~stop)
-            B = B.take(keep, axis=0)
-            U = U.take(keep, axis=0)
+            B = B.take(keep, axis=1)
+            U = U.take(keep, axis=1)
             W = W.take(keep, axis=0)
             M = M.take(keep, axis=0)
             member = member.take(keep, axis=0)
-            pos, size, copy, centroid, a, ac, delta, f, lo, g, gnorm, close = (
-                v.take(keep, axis=0) for v in
-                (pos, size, copy, centroid, a, ac, delta, f, lo, g, gnorm, close))
+            pos, size, copy, a, f, lo, gnorm, close = (
+                v.take(keep) for v in (pos, size, copy, a, f, lo, gnorm, close))
+            centroid, ac, delta, g = (v.take(keep, axis=1) for v in (centroid, ac, delta, g))
             if on is not None:
                 on, share = on.take(keep), share.take(keep)
 
         sw = W.sum(axis=1)
         H = sw[:, None, None] * eye
-        H -= (U * W[:, :, None]).transpose(0, 2, 1) @ U
+        H -= (U * W).transpose(1, 0, 2) @ U.transpose(1, 2, 0)
+        gr = g.T[:, :, None]
         try:
-            s = np.linalg.solve(H, g[:, :, None])[:, :, 0]
+            s = np.linalg.solve(H, gr)[:, :, 0]
         except np.linalg.LinAlgError:
             singular = np.linalg.det(H) == 0.0
             H[singular] = eye
-            s = np.linalg.solve(H, g[:, :, None])[:, :, 0]
+            s = np.linalg.solve(H, gr)[:, :, 0]
             s[singular] = np.nan
+        s = s.T
         if on is not None:
-            s[on] = np.nan
+            s[:, on] = np.nan
         step = delta - s
-        Dt = B + step[:, None, :]
+        Dt = B + step[:, :, None]
         dt, ft = _sums_at(Dt, M)
         ok = ft <= f * _SLACK
         if not ok.all():
             # a step whose predicted gain g . s / 2 is below rounding stands;
             # one that does not descend is replaced
-            slope = np.einsum("rk,rk->r", g, s)
+            slope = np.einsum("kr,kr->r", g, s)
             ok |= (slope >= 0.0) & (slope <= _ROUNDING * f)
             # near a data point Newton's model misses the kink there: try
             # Vardi-Zhang's step from that point
             e = np.flatnonzero(~ok & close)
             if len(e):
-                Db = B[e]
+                Db = B[:, e]
                 sb = _escape_offsets(Db, M[e], copy[e])
-                Db += sb[:, None, :]
+                Db += sb[:, :, None]
                 db, fb = _sums_at(Db, M[e])
                 good = fb < f[e]                # repeating it gains nothing
                 done = e[good]
-                step[done], Dt[done], dt[done], ft[done] = sb[good], Db[good], db[good], fb[good]
+                step[:, done], Dt[:, done] = sb[:, good], Db[:, good]
+                dt[done], ft[done] = db[good], fb[good]
                 ok[done] = True
             retry = np.flatnonzero(~ok & np.isfinite(ft) & (slope > 0.0))
             # the retried rows' arrays, gathered once and shrunk only when
             # a halving passes
-            Br, Mr, dr, sr, fr = (v.take(retry, axis=0) for v in (B, M, delta, s, f))
-            fr *= _SLACK
+            Br, dr, sr = (v.take(retry, axis=1) for v in (B, delta, s))
+            Mr, fr = M.take(retry, axis=0), f.take(retry) * _SLACK
             t = 1.0
             for _ in range(_BACKTRACK):
                 if len(retry) == 0:
                     break
                 t *= 0.5
                 sb = dr - t * sr
-                Db = Br + sb[:, None, :]
+                Db = Br + sb[:, :, None]
                 db, fb = _sums_at(Db, Mr)
                 good = fb <= fr
                 if good.any():
                     won = np.flatnonzero(good)
                     done = retry[won]
-                    step[done], Dt[done], dt[done], ft[done] = sb[won], Db[won], db[won], fb[won]
+                    step[:, done], Dt[:, done] = sb[:, won], Db[:, won]
+                    dt[done], ft[done] = db[won], fb[won]
                     ok[done] = True
                     left = np.flatnonzero(~good)
-                    retry, Br, Mr, dr, sr, fr = (v.take(left, axis=0)
-                                                 for v in (retry, Br, Mr, dr, sr, fr))
+                    Br, dr, sr = (v.take(left, axis=1) for v in (Br, dr, sr))
+                    retry, Mr, fr = (v.take(left, axis=0) for v in (retry, Mr, fr))
             e = np.flatnonzero(~ok)             # Weiszfeld, on a data point blended with y
             if len(e):
                 keep_y = 0.0 if on is None else np.minimum(1.0, share[e] / gnorm[e]) * on[e]
-                step[e] = delta[e] - g[e] * ((1.0 - keep_y) / sw[e])[:, None]
-                Dt[e] = B[e] + step[e][:, None, :]
-                dt[e], ft[e] = _sums_at(Dt[e], M[e])
+                step[:, e] = delta[:, e] - g[:, e] * ((1.0 - keep_y) / sw[e])
+                Dt[:, e] = B[:, e] + step[:, e][:, :, None]
+                dt[e], ft[e] = _sums_at(Dt[:, e], M[e])
         delta, D, d, f = step, Dt, dt, ft
 
 

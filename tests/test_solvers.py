@@ -762,6 +762,11 @@ class TestWeiszfeldCertificate:
 
     @given(P=point_sets())
     @settings(max_examples=300, deadline=None)
+    # an even count on a line: the segment of medians between 0 and 1.4e-75
+    # holds data points, whose sum 162.000000001 is the optimum; the
+    # iteration stops at 162.00000000166665, within its tolerance but above
+    # the reference's 162.00000000120068, so the data-point floor decides
+    @example(P=np.array([38, 38, 38, 38, 0, 0, -1, 1e-9, -3, -3, -3, 1.41933678e-75])[:, None])
     def test_at_most_the_reference_or_certified_data_point(self, P):
         res = assert_at_most_reference(P)
         j = certified_index(P)
@@ -815,6 +820,47 @@ class TestWeiszfeldCertificate:
         # on the axis, the slope 1 - 2t / sqrt(t^2 + 1e-4) at x = 1 - t
         # vanishes at t = 0.01 / sqrt(3)
         np.testing.assert_allclose(res.center, [1.0 - 0.01 / math.sqrt(3.0), 0.0], atol=1e-8)
+
+
+def rotated_planar_groups(seed):
+    """(P2, X, basis, blocks): 10 planar groups of 8 points P2, X = P2 @
+    basis.T their rotation into R^1024 by orthonormal columns basis (the
+    first two columns of a random orthogonal matrix), and the groups as
+    blocks."""
+    rng = np.random.default_rng(seed)
+    P2 = (rng.uniform(-1.5, 1.5, (10, 8, 2)) + 10.0 * np.arange(10)[:, None, None]).reshape(80, 2)
+    basis = np.linalg.qr(rng.standard_normal((1024, 2)))[0]
+    return P2, P2 @ basis.T, basis, [np.arange(8 * i, 8 * i + 8) for i in range(10)]
+
+
+class TestSpanCoordinates:
+    # a block's median lies in its members' affine span, and the kernel
+    # runs in at most w - 1 coordinates of it: a planar set rotated into
+    # R^1024 gives its R^2 answers, at a cost that does not grow with d
+    def test_rotated_planar_groups_match_the_plane(self):
+        P2, X, basis, blocks = rotated_planar_groups(0)
+        plane = weiszfeld_1median(P2, blocks=blocks)
+        batch = weiszfeld_1median(X, blocks=blocks)
+        for b, ref, res in zip(blocks, plane, batch):
+            diam = cdist(P2[b], P2[b]).max()
+            for got in (res, weiszfeld_1median(X[b])):
+                assert abs(got.cost - ref.cost) <= solvers._WEISZFELD_TOL * ref.cost
+                assert (np.linalg.norm(got.center - ref.center @ basis.T)
+                        <= solvers._WEISZFELD_TOL * diam)
+                assert got.converged == ref.converged
+
+    def test_rotated_planar_groups_peak_memory(self):
+        # below one 1024 x 1024 float matrix: a d x d Hessian per row,
+        # which an ambient-coordinate kernel forms, would exceed it
+        _, X, _, blocks = rotated_planar_groups(0)
+        weiszfeld_1median(X[:8])
+        tracemalloc.start()
+        try:
+            weiszfeld_1median(X, blocks=blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024 * 8
 
 
 class TestBallGrowingCostBound:
@@ -1123,6 +1169,38 @@ class TestExactKernelsRetainNothing:
         assert peak <= 1.1 * 2.28e6
 
 
+class _Rows(int):
+    """A _MEDIAN_CELLS that gives every chunk the same number of rows,
+    whatever a width class's w and k: cells // (w * k) is that number."""
+
+    def __floordiv__(self, cells):
+        return int(self)
+
+
+class TestChunkInvariance:
+    # rows reduce along their own members only, so the chunks that
+    # _MEDIAN_CELLS cuts the rows into change no byte of the results
+    def _chunked(self, call, monkeypatch):
+        outputs = [call()]
+        for rows in (1, 7):
+            monkeypatch.setattr(solvers, "_MEDIAN_CELLS", _Rows(rows))
+            outputs.append(call())
+        return outputs
+
+    def test_subset_costs(self, monkeypatch):
+        P = generate_dataset("subspace", 12, 64, 2, 7).coords
+        whole, one, seven = self._chunked(lambda: _med1_costs(P).tobytes(), monkeypatch)
+        assert whole == one == seven
+
+    def test_blocks_of_mixed_widths(self, rng, monkeypatch):
+        P = rng.random((40, 3))
+        blocks = [rng.choice(40, size, replace=False) for size in rng.integers(2, 18, 30)]
+        whole, one, seven = self._chunked(
+            lambda: b"".join(_result_bytes(r) for r in weiszfeld_1median(P, blocks=blocks)),
+            monkeypatch)
+        assert whole == one == seven
+
+
 # ---------------------------------------------------------------------------
 # Golden solver outputs
 # ---------------------------------------------------------------------------
@@ -1271,16 +1349,16 @@ GOLDEN_SOLVER_SOURCES = {
 # facility, its position, a cost's last bit or a trace changes the digest.
 GOLDEN_SOLVER_DIGESTS = {
     "approx_ufl": "bf36ee77b064c76e4c13926cededa2b35072702b9bf1d516ca2d6df80af7b91a",
-    "exact_oracles": "47b8aa512f0ebeb276f2ef375a3f9592ea0a3aeed20a68ed1218ce1683979839",
-    "kmedian_local_search": "21c650f7664af35bf9b51bb2f94f61a9ddae034df2e50b271368e8b042c5f4ff",
+    "exact_oracles": "eb200f41d899e9532e288d2488fc33feea96b200f6b6e9a634a2f0b55b09b937",
+    "kmedian_local_search": "0b44bb135c00f08ffd360152eb258e2a0a197f049048331a56eeef2446298721",
     "kmedian_restricted": "389a49802e772c6bc9122867822246ea2d41c023f635ca2a4693c9a042422511",
-    "ptas": "4c9a5c9f2c13572da5e80cea551c2bf8d60289d6238d7298a14eb0d3e81498a5",
+    "ptas": "c1f343ef463b9b9f4a26dac8b34ad886ba2fc538d9536fe052614a764c8d6e88",
     "ptas_discrete_split": "c3edc187c7dc6a1477ad8ecc25db2af4116d5328af1e4030a41c1e72577121ce",
-    "ptas_euclid_split": "1684f63f60fd29e701b5fe36ae51b442c5ab7a82a86bbf2d30b584fb1e0bfa28",
-    "ptas_fallback": "4da0a7fd0913173796c4137757dfb57df2337eac74186dccb0dd6a5ee6ad15b1",
-    "ptas_small": "8ab4ea5ff31ccc373af2f4cdd74c61812980f6416c159673d1337238a64663ca",
+    "ptas_euclid_split": "f0a9fea33976dd411a2221076936aa7beea7fb5f7a368b9a2be3bf8928ebb23a",
+    "ptas_fallback": "d3760bfb72f2e40c2342f0b50347906ae46c63bed09b82b588df9a3270429936",
+    "ptas_small": "2f009caf7a08062bcddf54b74f3bbdbee34437de6cb906666d700751d397b8f0",
     "restricted_ufl_value": "3843dbd3d090b687da672b90d0c48a14d3f9dd606a218661d2ab50a34bcf0640",
-    "weiszfeld_1median": "ecd2d1057637da748c7e5c4da737df91070c60f2508300a4f5882614908219da",
+    "weiszfeld_1median": "be8eb2e81fdc7a9b83b1d7d0a38f012f981ada7680a1d7e46c1242c28ff372a3",
 }
 
 
