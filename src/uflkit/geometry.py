@@ -30,6 +30,17 @@ class OracleScaleError(RuntimeError):
     """Raised when an exhaustive oracle is asked to exceed its size cap."""
 
 
+def checked_coords(coords) -> np.ndarray:
+    """coords as a float64 array, which must be (n, d) with n, d >= 1 and
+    finite: PointSet's checks, which the solvers also apply to raw arrays."""
+    coords = np.asarray(coords, dtype=np.float64)
+    if coords.ndim != 2 or coords.shape[0] < 1 or coords.shape[1] < 1:
+        raise ValueError("coords must be a (n, d) array with n, d >= 1")
+    if not np.all(np.isfinite(coords)):
+        raise ValueError("coords must be finite")
+    return coords
+
+
 @dataclass(frozen=True)
 class PointSet:
     """n points in R^d with ids 0..n-1 given by row order."""
@@ -37,11 +48,7 @@ class PointSet:
     coords: np.ndarray
 
     def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=np.float64)
-        if coords.ndim != 2 or coords.shape[0] < 1 or coords.shape[1] < 1:
-            raise ValueError("coords must be a (n, d) array with n, d >= 1")
-        if not np.all(np.isfinite(coords)):
-            raise ValueError("coords must be finite")
+        coords = checked_coords(self.coords)
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 

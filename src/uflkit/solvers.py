@@ -30,7 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import OPENING_COST, OracleScaleError, PointSet, UflSolution, distances, ufl_cost
+from .geometry import (OPENING_COST, OracleScaleError, PointSet, UflSolution, checked_coords,
+                       distances, ufl_cost)
 
 _WEISZFELD_TOL = 1e-10
 _WEISZFELD_MAX_ITER = 10000
@@ -69,11 +70,14 @@ class KMedianResult(NamedTuple):
 
 
 def _as_points(points) -> np.ndarray:
-    """(n, d) coordinates of a non-empty point list; a flat list is one point."""
-    P = points.coords if isinstance(points, PointSet) else np.asarray(points, dtype=np.float64)
+    """(n, d) coordinates of a non-empty point list, with PointSet's checks;
+    a flat list is one point."""
+    if isinstance(points, PointSet):
+        return points.coords
+    P = np.asarray(points, dtype=np.float64)
     if P.ndim > 0 and len(P) == 0:
         raise ValueError("empty point set")
-    return np.atleast_2d(P)
+    return checked_coords(P[None] if P.ndim == 1 else P)
 
 
 def _span(C: np.ndarray, k: int):
@@ -243,7 +247,7 @@ def _certify(PT: np.ndarray, M: np.ndarray, sums: np.ndarray):
         B = PT[:, a:a + rows] - PT[:, at, j[at]][:, :, None]
         d = np.sqrt(np.einsum("krn,krn->rn", B, B))
         eta = np.einsum("rn,rn->r", m, d == 0.0)
-        g = np.einsum("krn,rn->kr", B, np.divide(m, d, out=np.zeros(d.shape), where=d > 0.0))
+        g = np.einsum("krn,rn->kr", B, m / np.where(d > 0.0, d, np.inf))
         certified[a:a + rows] = np.sqrt(np.einsum("kr,kr->r", g, g)) < eta * (1.0 - 1e-9)
     return j, best, certified
 
@@ -304,10 +308,11 @@ def _median_lockstep(P: np.ndarray, M: np.ndarray):
     rounding. Otherwise, on a row with a member within _NEAR of its
     distance sum, Vardi and Zhang's step from that member (_escape_offsets)
     stands if it lowers the sum, as Newton's model misses the kink there;
-    then the Newton step is halved up to _BACKTRACK times; then a Weiszfeld
-    step replaces it, as it does for a singular H (a collinear span). A row
-    on a data point skips Newton, and its Weiszfeld step is blended with y
-    as Vardi and Zhang's is. Members within _WEISZFELD_TOL * f / (4 *
+    then the first of the halvings t = 1/2 .. 1/2^_BACKTRACK of the Newton
+    step that passes the same test stands; then a Weiszfeld step replaces
+    it, as it does for a singular H (a collinear span). A row on a data
+    point skips Newton, and its Weiszfeld step is blended with y as Vardi
+    and Zhang's is. Members within _WEISZFELD_TOL * f / (4 *
     size) of y, f the row's distance sum, count as copies of y: they add at
     most a quarter of the tolerance to the gap, and a cluster finer than
     that is not resolved point by point.
@@ -319,8 +324,9 @@ def _median_lockstep(P: np.ndarray, M: np.ndarray):
     shift can give. A row keeps the best bound it reaches and stops once
     upper - lower <= _WEISZFELD_TOL * upper, or after
     _WEISZFELD_MAX_ITER steps; a stopped row leaves the arrays. Rows run
-    _MEDIAN_CELLS (coordinate, row, member) cells at a time, which bounds
-    every temporary.
+    _MEDIAN_CELLS (coordinate, row, member) cells at a time, and the
+    halvings at most that many (coordinate, row, halving, member) cells,
+    which bounds every temporary.
 
     Per step, g is one einsum reduction over the w members, and sum w_i
     u_i u_i^T one batched matrix product with a k x k result per row. Each
@@ -339,11 +345,12 @@ def _median_lockstep(P: np.ndarray, M: np.ndarray):
 
 
 def _sums_at(D: np.ndarray, M: np.ndarray):
-    """Lengths (r x w) of the differences D (k x r x w) and the rows'
-    distance sums over their members M."""
-    d = np.einsum("krn,krn->rn", D, D)
+    """Lengths (r x ... x w) of the differences D (k x r x ... x w) and the
+    rows' distance sums over their members M, which broadcasts against
+    them."""
+    d = np.einsum("k...,k...->...", D, D)
     np.sqrt(d, out=d)
-    return d, np.einsum("rn,rn->r", d, M)
+    return d, np.einsum("...n,...n->...", d, M)
 
 
 def _escape_offsets(B: np.ndarray, M: np.ndarray, near: np.ndarray) -> np.ndarray:
@@ -354,7 +361,7 @@ def _escape_offsets(B: np.ndarray, M: np.ndarray, near: np.ndarray) -> np.ndarra
     p_a by min(1, eta / |g|); zero if p_a is the median (|g| <= eta)."""
     nb = np.sqrt(np.einsum("krn,krn->rn", B, B))
     copies = nb <= (near * np.einsum("rn,rn->r", nb, M))[:, None]
-    w = np.divide(M, nb, out=np.zeros(nb.shape), where=~copies)
+    w = M / np.where(copies, np.inf, nb)
     g = np.einsum("krn,rn->kr", B, w)
     eta = np.einsum("rn,rn->r", M, copies)
     blend = np.minimum(1.0, eta / np.sqrt(np.einsum("kr,kr->r", g, g)))
@@ -372,11 +379,24 @@ def _median_rows(P, M, y, upper, lower):
     their full relative precision however close y comes to it, and a
     median can lie 1e-7 of its set's diameter away from a data point.
 
-    U = (y - p_i) w_i holds the unit vectors, so g = einsum("krn->kr", U)
-    and the Hessian's sum is (U W)^T @ U, batched over rows. Stopped rows
-    leave by one integer take per array; the rows a Newton step fails on
-    are gathered once for the halvings and shrunk only when one passes."""
+    A row whose nearest member is already its anchor keeps B and its
+    anchor's offset from the centroid; delta is re-read from D all the
+    same, as D[:, row, a] is 0 + delta, which differs from delta at most in
+    the sign of a zero. U = (y - p_i) w_i holds the unit
+    vectors, so g = einsum("krn->kr", U) and the Hessian's sum is (U W)^T @
+    U, batched over rows. Stopped rows leave by one integer take per array,
+    after the step's Hessian is formed: its k x k rows leave, not U and W.
+
+    The rows a Newton step fails on are gathered once and try the halvings
+    in (k x r x t x w) batches: as many t as keep a batch within
+    _MEDIAN_CELLS cells (one if a single t exceeds it), all _BACKTRACK when
+    few rows fail. Each row takes its first t that passes, and only the
+    rows no t passed go on to the next batch. The t are exact powers of two
+    and every reduction keeps its length and order, so a row's bytes are
+    those of halving one t at a time: the batches trade a numpy round per
+    halving for the work of halvings a row does not need."""
     keep_frac, last = 1.0 - _WEISZFELD_TOL, _WEISZFELD_MAX_ITER
+    k, _, w = P.shape
     pos = np.arange(len(M))                     # active row -> chunk row
     member = M > 0
     size = M.sum(axis=1)
@@ -385,6 +405,7 @@ def _median_rows(P, M, y, upper, lower):
     # depending on the rows beside it
     centroid = np.einsum("rn,krn->kr", M, P) / size
     eye = np.eye(len(P))
+    halves = np.ldexp(1.0, -np.arange(1, _BACKTRACK + 1))     # t = 1/2 .. 1/2^_BACKTRACK
     a = member.argmax(axis=1)
     Pa = P[:, pos, a]
     B = Pa[:, :, None] - P
@@ -394,16 +415,22 @@ def _median_rows(P, M, y, upper, lower):
     d, f = _sums_at(D, M)
     lo = np.zeros(len(M))
     for it in range(last + 1):
-        W = np.divide(M, d, out=np.zeros(d.shape), where=member)
-        close = W.max(axis=1) * f >= 1.0 / _NEAR
+        # the weights 1/d_i, 0 off the members: a divide by where()'s
+        # output runs several times faster than one masked by where=
+        W = M / np.where(member, d, 1.0)
+        top = W.argmax(axis=1)                  # each row's nearest member
+        close = W[np.arange(len(W)), top] * f >= 1.0 / _NEAR
         on = None
         if close.any():
             c = np.flatnonzero(close)
-            near = W[c].argmax(axis=1)
+            near = top[c]
+            moved = near != a[c]
             a[c], delta[:, c] = near, D[:, c, near]
-            Pn = P[:, pos[c], near]
-            B[:, c] = Pn[:, :, None] - P[:, pos[c]]
-            ac[:, c] = Pn - centroid[:, c]
+            if moved.any():                     # a kept anchor keeps its B and ac
+                m, near = c[moved], near[moved]
+                Pn = P[:, pos[m], near]
+                B[:, m] = Pn[:, :, None] - P[:, pos[m]]
+                ac[:, m] = Pn - centroid[:, m]
             hit = member[c] & (d[c] <= (copy[c] * f[c])[:, None])
             at = hit.any(axis=1)
             if at.any():
@@ -430,6 +457,11 @@ def _median_rows(P, M, y, upper, lower):
             y[:, pos] = P[:, pos, a] + delta
             upper[pos], lower[pos] = f, np.minimum(lo, f)
             return
+        # the Hessian before the stopped rows leave: its k x k rows, not U
+        # and W, are then taken
+        sw = W.sum(axis=1)
+        H = sw[:, None, None] * eye
+        H -= (U * W).transpose(1, 0, 2) @ U.transpose(1, 2, 0)
         if stop.any():
             out = pos[stop]
             y[:, out] = P[:, out, a[stop]] + delta[:, stop]
@@ -439,19 +471,15 @@ def _median_rows(P, M, y, upper, lower):
             # before the next is made (d is rebuilt by the step)
             keep = np.flatnonzero(~stop)
             B = B.take(keep, axis=1)
-            U = U.take(keep, axis=1)
-            W = W.take(keep, axis=0)
             M = M.take(keep, axis=0)
             member = member.take(keep, axis=0)
-            pos, size, copy, a, f, lo, gnorm, close = (
-                v.take(keep) for v in (pos, size, copy, a, f, lo, gnorm, close))
+            H = H.take(keep, axis=0)
+            pos, size, copy, a, f, lo, gnorm, close, sw = (
+                v.take(keep) for v in (pos, size, copy, a, f, lo, gnorm, close, sw))
             centroid, ac, delta, g = (v.take(keep, axis=1) for v in (centroid, ac, delta, g))
             if on is not None:
                 on, share = on.take(keep), share.take(keep)
 
-        sw = W.sum(axis=1)
-        H = sw[:, None, None] * eye
-        H -= (U * W).transpose(1, 0, 2) @ U.transpose(1, 2, 0)
         gr = g.T[:, :, None]
         try:
             s = np.linalg.solve(H, gr)[:, :, 0]
@@ -486,26 +514,31 @@ def _median_rows(P, M, y, upper, lower):
                 dt[done], ft[done] = db[good], fb[good]
                 ok[done] = True
             retry = np.flatnonzero(~ok & np.isfinite(ft) & (slope > 0.0))
-            # the retried rows' arrays, gathered once and shrunk only when
-            # a halving passes
-            Br, dr, sr = (v.take(retry, axis=1) for v in (B, delta, s))
-            Mr, fr = M.take(retry, axis=0), f.take(retry) * _SLACK
-            t = 1.0
-            for _ in range(_BACKTRACK):
-                if len(retry) == 0:
-                    break
-                t *= 0.5
-                sb = dr - t * sr
-                Db = Br + sb[:, :, None]
-                db, fb = _sums_at(Db, Mr)
-                good = fb <= fr
-                if good.any():
-                    won = np.flatnonzero(good)
+            if len(retry):
+                # the retried rows' arrays, gathered once and shrunk only
+                # when a halving passes
+                Br, dr, sr = (v.take(retry, axis=1) for v in (B, delta, s))
+                Mr, fr = M.take(retry, axis=0), f.take(retry) * _SLACK
+            j = 0                               # halvings tried
+            while len(retry) and j < _BACKTRACK:
+                nt = min(_BACKTRACK - j, max(1, _MEDIAN_CELLS // (len(retry) * w * k)))
+                t = halves[j:j + nt]
+                j += nt
+                sb = dr[:, :, None] - sr[:, :, None] * t
+                Db = Br[:, :, None, :] + sb[:, :, :, None]
+                db, fb = _sums_at(Db, Mr[:, None, :])
+                good = fb <= fr[:, None]
+                passed = good.any(axis=1)
+                if passed.any():
+                    won = np.flatnonzero(passed)
+                    first = good[won].argmax(axis=1)
                     done = retry[won]
-                    step[:, done], Dt[:, done] = sb[:, won], Db[:, won]
-                    dt[done], ft[done] = db[won], fb[won]
+                    step[:, done], Dt[:, done] = sb[:, won, first], Db[:, won, first]
+                    dt[done], ft[done] = db[won, first], fb[won, first]
                     ok[done] = True
-                    left = np.flatnonzero(~good)
+                    if passed.all():
+                        break
+                    left = np.flatnonzero(~passed)
                     Br, dr, sr = (v.take(left, axis=1) for v in (Br, dr, sr))
                     retry, Mr, fr = (v.take(left, axis=0) for v in (retry, Mr, fr))
             e = np.flatnonzero(~ok)             # Weiszfeld, on a data point blended with y
@@ -579,7 +612,9 @@ def _ufl_partition_dp(med1: np.ndarray, s: int):
     dp[S] splits off the block T holding S's lowest bit, at value
     dp[S ^ T] + 1 + med1[T]. It takes the least such value; among the
     values within 1e-12 of that least one, the split with the fewest
-    blocks; among those, the first T in decreasing order."""
+    blocks; among those, the first T in decreasing order. The first least
+    split decides a row whose runner-up is further than 1e-12 from it, so
+    only the other rows gather their splits' block counts."""
     nm = 1 << s
     dp = np.zeros(nm)
     blocks = np.zeros(nm, dtype=np.int64)
@@ -588,11 +623,18 @@ def _ufl_partition_dp(med1: np.ndarray, s: int):
         rest = S[:, None] ^ T
         v = dp[rest] + OPENING_COST
         v += med1[T]
-        b = blocks[rest] + 1
-        near = v <= v.min(axis=1, keepdims=True) + 1e-12
-        i = np.where(near, b, nm).argmin(axis=1)
         r = np.arange(len(S))
-        dp[S], blocks[S], choice[S] = v[r, i], b[r, i], T[r, i]
+        i = v.argmin(axis=1)
+        best = v[r, i]
+        # a row needs the blocks only if its runner-up is within 1e-12
+        v[r, i] = np.inf
+        tie = np.flatnonzero(v.min(axis=1) <= best + 1e-12)
+        v[r, i] = best
+        if len(tie):
+            near = v[tie] <= (best[tie] + 1e-12)[:, None]
+            i[tie] = np.where(near, blocks[rest[tie]], nm).argmin(axis=1)
+        t = T[r, i]
+        dp[S], blocks[S], choice[S] = v[r, i], blocks[S ^ t] + 1, t
     parts = []
     S = nm - 1
     while S:

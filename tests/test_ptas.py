@@ -269,6 +269,21 @@ class TestKnownOptimum:
         sol, _ = ptas_euclidean(X, cfg)
         assert opt * (1 - 1e-9) <= sol.total <= 1.02 * opt
 
+    @pytest.mark.parametrize("cfg", [PtasConfig(eps=0.3, ddim=2.0, kappa_cap=4.0, seed=1),
+                                     PtasConfig(seed=1)], ids=["split", "default"])
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_discrete_groups_within_two_percent(self, cfg, seed):
+        # with facilities on the input no facility serves two groups either,
+        # so opt is the sum of the groups' discrete optima; the groups are
+        # the points nearest each node of the spacing-50 grid
+        X, _ = groups_instance(25, 2, seed)
+        _, group = np.unique(np.round(X.coords / 50.0), axis=0, return_inverse=True)
+        members = [np.flatnonzero(group.ravel() == g) for g in range(group.max() + 1)]
+        assert len(members) == 25 and all(len(m) == 8 for m in members)
+        opt = sum(brute_force_ufl_discrete(X.coords[m]) for m in members)
+        sol, _ = ptas_discrete(DistanceOracle.from_points(X), cfg)
+        assert opt * (1 - 1e-9) <= sol.total <= 1.02 * opt
+
 
 class TestTrace:
     def test_jsonl_schema(self, rng):
