@@ -49,6 +49,8 @@ class PointSet:
 
     def __post_init__(self):
         coords = checked_coords(self.coords)
+        if coords is self.coords:       # the caller's own float64 array: freeze a copy
+            coords = coords.copy()
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 

@@ -1,17 +1,15 @@
 """UFL and k-median subroutines: a deterministic O(n^2) ball-growing
 constant-factor UFL approximation, a certified 1-median iteration, exact
 k-median by dynamic programming over subsets, add/drop/swap local search
-for UFL over candidate facilities (the pipelines' per-part solver), swap
-local search for k-median on larger inputs, and exhaustive oracles used for
-validation.
+for UFL over candidate facilities (the pipelines' per-part solver), and
+exhaustive oracles used for validation.
 
 Both pipelines run these solvers with fixed settings, the module constants
 below: a 1-median stops once its distance sum is within _WEISZFELD_TOL
 (relative) of Kuhn's lower bound, which proves it within that of the
 optimum, or after _WEISZFELD_MAX_ITER steps; k-median and the continuous
-oracle enumerate up to _ENUM_THRESHOLD points; and k-median local search
-makes at most _LOCAL_SEARCH_SWAPS swap rounds per k, where the UFL local
-search runs to a local optimum.
+oracle enumerate up to _ENUM_THRESHOLD points, and the UFL local search
+runs to a local optimum.
 
 Every 1-median runs in coordinates of its block's affine span, of
 dimension at most one less than the block's size: an isometry on the points
@@ -24,7 +22,6 @@ iterates.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple
 
@@ -36,7 +33,6 @@ from .geometry import (OPENING_COST, OracleScaleError, PointSet, UflSolution, ch
 _WEISZFELD_TOL = 1e-10
 _WEISZFELD_MAX_ITER = 10000
 _ENUM_THRESHOLD = 12    # at most 14, the partition DPs' scale; read at call time
-_LOCAL_SEARCH_SWAPS = 40
 _MAX_DISCRETE = 15      # hard cap on facility-subset enumeration
 _MAX_SUBSET_CELLS = 4_000_000   # cap on (facility subset, client) table cells
 _PAIR_CELLS = 65536             # (row, coordinate, member, member) cells per _member_sums chunk
@@ -66,7 +62,6 @@ class KMedianResult(NamedTuple):
     clusters: list[np.ndarray]   # index lists into the input point list
     centers: np.ndarray          # (k, dim)
     cost: float                  # total connection cost
-    certified: bool              # exact: k = 1, k = s, or at most _ENUM_THRESHOLD points
 
 
 def _as_points(points) -> np.ndarray:
@@ -723,73 +718,6 @@ def brute_force_ufl_discrete(points_or_matrix, is_matrix: bool = False) -> float
     return float((OPENING_COST * size[1:] + cost[1:]).min())
 
 
-def restricted_kmedians(D: np.ndarray, clients: np.ndarray, candidates: np.ndarray):
-    """k-median over D restricted to candidate ids for k = 1, ...,
-    #candidates from one slice of D, yielding (facility ids, cost, certified)
-    per k: the first least mask of each size in one subset table when the
-    candidates are enumerable, else one chain of local optima. Each k adds
-    to k - 1's local optimum the candidate that lowers the cost most (lowest
-    position among ties) and improves that set by _swap_rounds; a
-    single-swap local optimum is 5-approximate whatever its start (Arya et
-    al., SICOMP 2004). Ids are in chosen order."""
-    clients = np.asarray(clients, dtype=int)
-    candidates = np.asarray(candidates, dtype=int)
-    m = len(candidates)
-    if _subset_enumerable(m, len(clients)):
-        cost, size = _subset_table(D[np.ix_(clients, candidates)])
-        for k in range(1, m + 1):
-            best = int(np.argmin(np.where(size == k, cost, np.inf)))   # first least mask
-            yield candidates[_mask_ids(best, m)], float(cost[best]), True
-        return
-
-    # candidates x clients, C-contiguous: a row sum rounds as one client-cost vector's
-    subT = D[np.ix_(clients, candidates)].T.copy()
-    chosen, dcur = np.empty(0, dtype=int), np.full(len(clients), np.inf)
-    for k in range(1, m + 1):
-        totals = np.minimum(dcur, subT).sum(axis=1)
-        totals[chosen] = np.inf
-        j = np.argmin(totals)
-        chosen, cost = _swap_rounds(subT, np.append(chosen, j), float(totals[j]))
-        dcur = subT[chosen].min(axis=0)
-        yield candidates[chosen], cost, False
-
-
-def _swap_rounds(subT: np.ndarray, chosen: np.ndarray, cost: float):
-    """Single-swap local search on subT's rows from chosen at its cost, at
-    most _LOCAL_SEARCH_SWAPS rounds. A round makes the first swap that
-    lowers the cost by a relative 1e-12 (chosen positions in order, each
-    against the unchosen candidates in position order). It scores chunks of
-    positions at once, each temporary at most subT's size, over the
-    candidates R nearer than the chosen set to some client, or all rows if
-    R has more than half. Dropping position o leaves the clients at base_o =
-    where(near == o, d2, d1) >= d1 (d1, d2 the nearest and second-nearest
-    chosen distances, d1 at near), so a j outside R, chosen ones included,
-    scores >= sum(d1) = cost, rounding being monotone for a fixed reduction:
-    it never passes, and scoring it changes nothing."""
-    cols = np.arange(subT.shape[1])
-    for _ in range(_LOCAL_SEARCH_SWAPS):
-        threshold = cost * (1 - 1e-12)
-        block = subT[chosen]
-        near = block.argmin(axis=0)
-        d1 = block[near, cols]
-        block[near, cols] = np.inf
-        base = d1[None].repeat(len(chosen), axis=0)             # row o is base_o
-        base[near, cols] = block.min(axis=0)
-        R = (subT < d1).any(axis=1).nonzero()[0]
-        # gathering more than half the rows would cost more than it saves
-        R, rows = (np.arange(len(subT)), subT) if 2 * len(R) > len(subT) else (R, subT[R])
-        step = len(subT) // max(1, len(R))      # R is empty when no swap can pass
-        for lo in range(0, len(chosen), step):
-            trials = np.minimum(base[lo:lo + step, None], rows).sum(axis=2)
-            if trials.min(initial=np.inf) < threshold:
-                o, r = divmod(int((trials < threshold).argmax()), len(R))
-                chosen[lo + o], cost = R[r], float(trials[o, r])
-                break
-        else:
-            break
-    return chosen, cost
-
-
 def ufl_local_search(D: np.ndarray, clients: np.ndarray, candidates: np.ndarray):
     """UFL over D with facilities restricted to candidate ids and opening
     cost 1, read from one candidates x clients slice D[candidates, clients].
@@ -802,10 +730,11 @@ def ufl_local_search(D: np.ndarray, clients: np.ndarray, candidates: np.ndarray)
     does, and make the best add, drop or swap while it lowers k + sum(d1)
     by a relative 1e-12, d1 and d2 being each client's nearest and
     second-nearest open distances; a local optimum of these moves is
-    3-approximate (Arya et al., SICOMP 2004). With base_o as in
-    _swap_rounds and R the candidates nearer than the open set to some
-    client, an add of j in R scores sum(min(d1, row_j)) + k + 1, a drop of
-    o sum(base_o) + k - 1, and a swap of o for j in R
+    3-approximate (Arya et al., SICOMP 2004). With near the open position
+    nearest each client, base_o = where(near == o, d2, d1) the clients'
+    distances once o closes, and R the candidates nearer than the open set
+    to some client, an add of j in R scores sum(min(d1, row_j)) + k + 1, a
+    drop of o sum(base_o) + k - 1, and a swap of o for j in R
     sum(min(base_o, row_j)) + k; a j outside R scores at least the current
     cost either way. base_o differs from d1 only on the clients N(o) whose
     nearest is o, so a swap scores as j's add, less 1, plus the sum over
@@ -860,11 +789,15 @@ def ufl_local_search(D: np.ndarray, clients: np.ndarray, candidates: np.ndarray)
 
 
 def kmedian_restricted(D: np.ndarray, clients: np.ndarray, candidates: np.ndarray, k: int):
-    """The k-th yield of restricted_kmedians, the heuristic chain having
-    walked k = 1..k - 1 to reach it."""
+    """k-median over D with facilities restricted to candidate ids, exactly:
+    the first least mask of size k in one _subset_table, which raises
+    OracleScaleError beyond its caps. Returns (facility ids, cost, True)."""
     if not 1 <= k <= len(candidates):
         raise ValueError("k must lie in [1, #candidates]")
-    return next(itertools.islice(restricted_kmedians(D, clients, candidates), k - 1, None))
+    candidates = np.asarray(candidates, dtype=int)
+    cost, size = _subset_table(D[np.ix_(np.asarray(clients, dtype=int), candidates)])
+    best = int(np.argmin(np.where(size == k, cost, np.inf)))   # first least mask
+    return candidates[_mask_ids(best, len(candidates))], float(cost[best]), True
 
 
 # ---------------------------------------------------------------------------
@@ -872,31 +805,27 @@ def kmedian_restricted(D: np.ndarray, clients: np.ndarray, candidates: np.ndarra
 # ---------------------------------------------------------------------------
 
 def kmedian(points, k: int) -> KMedianResult:
-    """k-median clustering with centers anywhere in space.
-
-    k = 1 is one block and k = s singletons. Otherwise inputs of at most
-    _ENUM_THRESHOLD points are solved exactly over all k-partitions with
-    geometric median centers; larger ones (certified=False) group the points
-    by _nearest_blocks around kmedian_restricted's k centers over their
-    distance matrix, every point a candidate. The blocks are recentered in
-    one weiszfeld_1median call."""
+    """Exact k-median clustering with centers anywhere in space: k = 1 is
+    one block, k = s singletons, and other k the least of all k-partitions
+    with geometric median centers, recentered in one weiszfeld_1median
+    call. Raises OracleScaleError, with the count and the cap, beyond
+    _ENUM_THRESHOLD points."""
     P = _as_points(points)
     s = len(P)
     if not 1 <= k <= s:
         raise ValueError("k must lie in [1, |S|]")
-    exact = s <= _ENUM_THRESHOLD
+    if s > _ENUM_THRESHOLD:
+        raise OracleScaleError(f"oracle scale exceeded: {s} points, "
+                               f"k-median takes at most {_ENUM_THRESHOLD}")
     if k == 1:
         blocks = [np.arange(s)]
     elif k == s:
         blocks = [np.array([i]) for i in range(s)]
-    elif exact:
-        _, blocks = _kmedian_exact_dp(_med1_costs(P), s, k)
     else:
-        D, every = distances(P), np.arange(s)
-        blocks = _nearest_blocks(D[:, kmedian_restricted(D, every, every, k)[0]])
+        _, blocks = _kmedian_exact_dp(_med1_costs(P), s, k)
     meds = weiszfeld_1median(P, blocks=blocks)
     return KMedianResult(blocks, np.array([m.center for m in meds]),
-                         float(sum(m.cost for m in meds)), k in (1, s) or exact)
+                         float(sum(m.cost for m in meds)))
 
 
 def _nearest_blocks(dist: np.ndarray) -> list[np.ndarray]:

@@ -293,3 +293,13 @@ class TestPointSet:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             PointSet(np.zeros((0, 2)))
+
+    def test_keeps_its_own_copy_of_a_float64_array(self):
+        # PointSet once set its caller's own float64 array read-only, so
+        # that writing to it raised "assignment destination is read-only"
+        a = np.random.default_rng(35).random((4, 2))
+        X = PointSet(a)
+        before = X.coords.copy()
+        a[0, 0] = 2.0
+        assert not X.coords.flags.writeable
+        assert np.array_equal(X.coords, before)

@@ -21,8 +21,8 @@ from uflkit.solvers import (WeiszfeldResult, _affine_reduce,
                             _kmedian_exact_dp, _mask_ids, _med1_costs, _mp_radii, _mp_select,
                             _nearest_blocks, _submask_layers, _subset_table, _ufl_partition_dp,
                             approx_ufl, brute_force_ufl_continuous, brute_force_ufl_discrete,
-                            kmedian, kmedian_restricted, mp_ufl_value,
-                            restricted_kmedians, restricted_ufl_value, weiszfeld_1median)
+                            kmedian, kmedian_restricted, mp_ufl_value, restricted_ufl_value,
+                            weiszfeld_1median)
 
 from conftest import line, random_points
 
@@ -124,7 +124,6 @@ class TestKMedian:
         res = kmedian(P, 6)
         assert res.cost == 0.0
         assert len(res.clusters) == 6
-        assert res.certified
 
     def test_k_one_matches_weiszfeld(self, rng):
         P = rng.random((7, 2))
@@ -133,17 +132,6 @@ class TestKMedian:
     def test_k_too_large(self, rng):
         with pytest.raises(ValueError):
             kmedian(rng.random((4, 2)), 5)
-
-    def test_enumeration_beats_local_search(self, rng, monkeypatch):
-        for _ in range(5):
-            P = rng.random((8, 2))
-            exact = kmedian(P, 2)
-            with monkeypatch.context() as m:
-                m.setattr(solvers, "_ENUM_THRESHOLD", 4)   # forces the heuristic path
-                heur = kmedian(P, 2)
-            assert exact.certified and not heur.certified
-            assert exact.cost <= heur.cost + 1e-9
-            assert exact.cost >= 0.0
 
     def test_cost_non_increasing_in_k(self, rng):
         for _ in range(5):
@@ -319,14 +307,11 @@ class TestRestricted:
                 exact = exhaustive_restricted_ufl(D, np.arange(m))
                 assert exact * (1 - 1e-9) <= cost <= 3.0 * exact * (1 + 1e-9)
 
-    def test_local_search_path(self, rng):
-        for n, m in [(30, 30), (16, 16), (977, 12)]:
-            X = random_points(rng, n, 2)
-            D = X.distance_matrix()
-            ids, v, certified = kmedian_restricted(D, np.arange(n), np.arange(m), 3)
-            assert not certified
-            assert len(ids) == 3
-            assert v >= D[:, ids].min(axis=1).sum() * (1 - 1e-9)
+    def test_beyond_the_caps(self, rng):
+        for n, m in [(16, 16), (977, 12)]:
+            D = random_points(rng, n, 2).distance_matrix()
+            with pytest.raises(OracleScaleError, match="oracle scale exceeded"):
+                kmedian_restricted(D, np.arange(n), np.arange(m), 3)
 
 
 class TestEnumThreshold:
@@ -335,7 +320,8 @@ class TestEnumThreshold:
         # and the Euclidean pipeline's choice of sweep
         monkeypatch.setattr(solvers, "_ENUM_THRESHOLD", 4)
         P = np.random.default_rng(3).random((8, 2))
-        assert not kmedian(P, 2).certified
+        with pytest.raises(OracleScaleError, match="8 points, k-median takes at most 4"):
+            kmedian(P, 2)
         with pytest.raises(OracleScaleError):
             brute_force_ufl_continuous(P[:5])
 
@@ -364,44 +350,6 @@ class TestEnumThreshold:
 # Scalar reference loops for the vectorised candidate scans
 # ---------------------------------------------------------------------------
 
-def reference_local_search(D, clients, candidates, K):
-    """restricted_kmedians' heuristic chain for k = 1..K, one candidate at a
-    time: each k adds to k - 1's local optimum the candidate that lowers the
-    cost most (the first minimum), then makes the first improving swap
-    (chosen positions in order, each against the unchosen candidates in
-    position order) until none improves or _LOCAL_SEARCH_SWAPS rounds are
-    made. Returns (ids, cost) per k."""
-    sub = D[np.ix_(clients, candidates)]
-    chosen, chain = [], []
-    for k in range(1, K + 1):
-        dcur = sub[:, chosen].min(axis=1) if chosen else np.full(len(clients), np.inf)
-        gains = [(np.minimum(dcur, sub[:, j]).sum(), j) for j in range(len(candidates))
-                 if j not in chosen]
-        _, jbest = min(gains)
-        chosen.append(jbest)
-        cost = float(np.minimum(dcur, sub[:, jbest]).sum())
-        for _ in range(solvers._LOCAL_SEARCH_SWAPS):
-            improved = False
-            for out_pos in range(k):
-                others = [c for i, c in enumerate(chosen) if i != out_pos]
-                base = sub[:, others].min(axis=1) if others else np.full(len(clients), np.inf)
-                for j in range(len(candidates)):
-                    if j in chosen:
-                        continue
-                    trial = float(np.minimum(base, sub[:, j]).sum())
-                    if trial < cost * (1 - 1e-12):
-                        chosen[out_pos] = j
-                        cost = trial
-                        improved = True
-                        break
-                if improved:
-                    break
-            if not improved:
-                break
-        chain.append((candidates[np.asarray(chosen)], cost))
-    return chain
-
-
 def reference_mp_select(D_cand, radii):
     """Ball-growing selection, one kept candidate at a time."""
     order = np.lexsort((np.arange(len(radii)), radii))
@@ -412,31 +360,12 @@ def reference_mp_select(D_cand, radii):
     return selected
 
 
-def assert_matches_reference(D, clients, candidates, k):
-    ids, cost, certified = kmedian_restricted(D, clients, candidates, k)
-    ref_ids, ref_cost = reference_local_search(D, clients, candidates, k)[-1]
-    assert not certified
-    assert ids.tobytes() == ref_ids.tobytes()
-    assert np.float64(cost).tobytes() == np.float64(ref_cost).tobytes()
-    return ids, cost
-
-
 def _distances(rng, shape, ties):
     """Random nonnegative distances; small integers when ties are wanted."""
     return rng.integers(0, 4, size=shape).astype(float) if ties else rng.random(shape)
 
 
 class TestCandidateScans:
-    @given(seed=st.integers(0, 2**32 - 1), nc=st.integers(1, 40), m=st.integers(16, 24),
-           k=st.integers(1, 24), ties=st.booleans(), dup=st.booleans())
-    @settings(max_examples=60, deadline=None)
-    def test_local_search_equals_reference(self, seed, nc, m, k, ties, dup):
-        rng = np.random.default_rng(seed)
-        D = _distances(rng, (nc, m), ties)
-        if dup:                                   # copy some candidate columns
-            D[:, rng.integers(0, m, 4)] = D[:, rng.integers(0, m, 4)]
-        assert_matches_reference(D, np.arange(nc), np.arange(m), min(k, m))
-
     @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 30), ties=st.booleans())
     @settings(max_examples=60, deadline=None)
     def test_mp_select_equals_reference(self, seed, m, ties):
@@ -445,36 +374,6 @@ class TestCandidateScans:
         radii = _distances(rng, m, ties) / 2.0
         assert _mp_select(D, np.arange(m), radii) == reference_mp_select(D, radii)
 
-    def test_duplicate_columns_lowest_position_wins(self):
-        # clients 3x at 0, 1x at 10, 3x at 20; candidates 0, 10, 10, 20, 20
-        # and eleven far ones (16 candidates: the heuristic path). Greedy
-        # takes the first 10 (position 1), then 0 (position 0, tied with 20);
-        # the swap step replaces 10 by the first 20 (position 3).
-        xs = np.array([0, 0, 0, 10, 20, 20, 20], dtype=float)
-        cs = np.array([0, 10, 10, 20, 20, *(1000.0 + np.arange(11))])
-        D = np.abs(xs[:, None] - cs[None, :])
-        ids, cost = assert_matches_reference(D, np.arange(7), np.arange(16), 2)
-        assert list(ids) == [3, 0] and cost == 10.0
-        ids, _ = assert_matches_reference(D, np.arange(7), np.arange(16), 1)
-        assert list(ids) == [1]
-
-    def test_k_equals_all_candidates(self, rng):
-        D = rng.random((20, 16))
-        ids, cost = assert_matches_reference(D, np.arange(20), np.arange(16), 16)
-        assert sorted(ids) == list(range(16))
-        assert cost == pytest.approx(D.min(axis=1).sum())
-
-    def test_k_one_is_the_best_column(self, rng):
-        D = rng.random((25, 18))
-        ids, cost = assert_matches_reference(D, np.arange(25), np.arange(18), 1)
-        assert list(ids) == [int(np.argmin(D.sum(axis=0)))]
-
-    def test_single_client(self, rng):
-        D = rng.random((1, 20))
-        for k in (1, 3, 20):
-            _, cost = assert_matches_reference(D, np.array([0]), np.arange(20), k)
-            assert cost == D.min()
-
     @given(seed=st.integers(0, 2**32 - 1), nc=st.integers(1, 30), m=st.integers(1, 24),
            far=st.integers(0, 6), ties=st.booleans(), dup=st.booleans())
     @settings(max_examples=40, deadline=None)
@@ -482,79 +381,31 @@ class TestCandidateScans:
     @example(seed=1, nc=1, m=12, far=6, ties=True, dup=True)
     @example(seed=2, nc=30, m=24, far=6, ties=True, dup=True)
     def test_sweep_equals_the_per_k_references(self, seed, nc, m, far, ties, dup):
-        # every k from one sweep: the first least mask of its size when the
-        # candidates are enumerable, the scalar chain's k-th step otherwise;
-        # kmedian_restricted at k is the sweep's k-th yield
+        # kmedian_restricted at every k: the first least mask of its size
+        # when the candidates are enumerable, OracleScaleError otherwise
         rng = np.random.default_rng(seed)
         D = _distances(rng, (nc, m), ties)
         if dup:                                   # copy some candidate columns
             D[:, rng.integers(0, m, 4)] = D[:, rng.integers(0, m, 4)]
         D = np.hstack([D, 1000.0 + _distances(rng, (nc, far), ties)])    # far candidates
         clients, candidates = np.arange(nc), np.arange(m + far)
-        enumerable = m + far <= 15
-        if enumerable:
-            ref_cost, ref_size = reference_subset_table(D)
-        else:
-            chain = reference_local_search(D, clients, candidates, m + far)
-        run = [ids.tobytes() + _f8(cost, certified)
-               for ids, cost, certified in restricted_kmedians(D, clients, candidates)]
-        assert len(run) == m + far
-        for k, got in enumerate(run, start=1):
-            if enumerable:
-                mask = min(np.flatnonzero(ref_size == k), key=lambda x: (ref_cost[x], x))
-                ref_ids, ref = _mask_ids(mask, m + far), ref_cost[mask]
-            else:
-                ref_ids, ref = chain[k - 1]
-            assert got == ref_ids.tobytes() + _f8(ref, enumerable)
-        k = 1 + seed % (m + far)
-        ids, cost, certified = kmedian_restricted(D, clients, candidates, k)
-        assert ids.tobytes() + _f8(cost, certified) == run[k - 1]
-
-    @given(seed=st.integers(0, 2**32 - 1), nc=st.integers(1, 30), m=st.integers(16, 24),
-           ties=st.booleans(), dup=st.booleans())
-    @settings(max_examples=40, deadline=None)
-    def test_sweep_yields_are_swap_stable(self, seed, nc, m, ties, dup):
-        # a yield that one more _swap_rounds call leaves as it is stopped
-        # before the round cap (a capped one may still improve): no swap of
-        # a chosen position with an unchosen candidate lowers its cost
-        rng = np.random.default_rng(seed)
-        D = _distances(rng, (nc, m), ties)
-        if dup:                                   # copy some candidate columns
-            D[:, rng.integers(0, m, 4)] = D[:, rng.integers(0, m, 4)]
-        subT, checked = D.T.copy(), 0
-        for ids, cost, certified in restricted_kmedians(D, np.arange(nc), np.arange(m)):
-            assert not certified
-            if solvers._swap_rounds(subT, ids.copy(), cost)[1] != cost:
-                continue
-            checked += 1
-            for o in range(len(ids)):
-                others = np.delete(ids, o)
-                base = D[:, others].min(axis=1) if len(others) else np.full(nc, np.inf)
-                for j in np.setdiff1d(np.arange(m), ids):
-                    assert np.minimum(base, D[:, j]).sum() >= cost * (1 - 1e-12)
-        assert checked
+        if m + far > 15:
+            for k in range(1, m + far + 1):
+                with pytest.raises(OracleScaleError, match="oracle scale exceeded"):
+                    kmedian_restricted(D, clients, candidates, k)
+            return
+        ref_cost, ref_size = reference_subset_table(D)
+        for k in range(1, m + far + 1):
+            ids, cost, certified = kmedian_restricted(D, clients, candidates, k)
+            mask = min(np.flatnonzero(ref_size == k), key=lambda x: (ref_cost[x], x))
+            assert ids.tobytes() + _f8(cost, certified) == (_mask_ids(mask, m + far).tobytes()
+                                                            + _f8(ref_cost[mask], True))
 
     def test_kmedian_restricted_rejects_k_outside_the_candidates(self, rng):
         D = rng.random((5, 4))
         for k in (0, 5):
             with pytest.raises(ValueError, match=r"k must lie in \[1, #candidates\]"):
                 kmedian_restricted(D, np.arange(5), np.arange(4), k)
-
-    def test_local_search_peak_memory(self, rng):
-        # 96 131 008 bytes is the peak of the per-position swap scan that
-        # restricted_kmedians replaced (the block, its transposed copy and one
-        # candidates x clients temporary at once), measured on this input;
-        # 2000 x 2000 floats are 32 MB, and the sweep holds at most 2.5 of them
-        D = random_points(rng, 2000, 2).distance_matrix()
-        ids = np.arange(2000)
-        kmedian_restricted(D[:20, :20], ids[:20], ids[:20], 3)   # lazy imports and set-up
-        tracemalloc.start()
-        try:
-            kmedian_restricted(D, ids, ids, 8)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 96_131_008
 
     def test_mp_select_equal_radii_keep_index_order(self):
         D = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 5.0], [5.0, 5.0, 0.0]])
@@ -1246,15 +1097,6 @@ def _i8(ids) -> bytes:
     return np.asarray(ids, dtype="<i8").tobytes() + b"|"
 
 
-def _golden_kmedian_restricted(rng):
-    for n, m, ks in [(30, 30, [3]), (977, 12, [3]), (40, 20, range(1, 21))]:
-        D = random_points(rng, n, 2).distance_matrix()
-        for k in ks:
-            ids, cost, certified = kmedian_restricted(D, np.arange(n), np.arange(m), k)
-            assert not certified
-            yield _i8(ids) + _f8(cost)
-
-
 def _golden_restricted_value(rng):
     D = random_points(rng, 60, 2, scale=4.0).distance_matrix()
     for clients, candidates in [(np.arange(60), np.arange(60)),
@@ -1295,7 +1137,7 @@ def _golden_exact_oracles(seed):
 
 def _kmedian_chunk(res):
     return (b"".join(_i8(b) for b in res.clusters)
-            + res.centers.astype("<f8").tobytes() + _f8(res.cost, res.certified))
+            + res.centers.astype("<f8").tobytes() + _f8(res.cost))
 
 
 def _golden_ptas(seed):
@@ -1337,15 +1179,6 @@ def _golden_ptas_fallback(seed):
             yield _euclidean_chunk(*ptas_euclidean(blob_instance(4, 25, seed=1), cfg))
 
 
-def _golden_kmedian_local_search(rng):
-    # beyond the enumeration scale kmedian runs local search, with the
-    # clamps k = 1 (one block) and k = s (singletons)
-    for s in (13, 20, 40):
-        P = random_points(rng, s, 2).coords
-        for k in (1, 2, 5, s - 1, s):
-            yield _kmedian_chunk(kmedian(P, k))
-
-
 def _discrete_chunk(X, cfg):
     sol, traces = ptas_discrete(DistanceOracle.from_points(X), cfg)
     return (_i8(sol.facility_ids) + _i8(sol.assignment)
@@ -1365,7 +1198,6 @@ def _euclidean_chunk(sol, traces):
 
 
 GOLDEN_SOLVER_SOURCES = {
-    "kmedian_restricted": lambda s: _golden_kmedian_restricted(np.random.default_rng(s)),
     "restricted_ufl_value": lambda s: _golden_restricted_value(np.random.default_rng(s)),
     "approx_ufl": lambda s: _golden_approx_ufl(np.random.default_rng(s)),
     "weiszfeld_1median": lambda s: _golden_weiszfeld(np.random.default_rng(s)),
@@ -1375,16 +1207,13 @@ GOLDEN_SOLVER_SOURCES = {
     "ptas_discrete_split": _golden_ptas_discrete_split,
     "ptas_euclid_split": _golden_ptas_euclid_split,
     "ptas_fallback": _golden_ptas_fallback,
-    "kmedian_local_search": lambda s: _golden_kmedian_local_search(np.random.default_rng(s)),
 }
 
 # sha256 over seeds 0..3 of the outputs above: any change to a chosen
 # facility, its position, a cost's last bit or a trace changes the digest.
 GOLDEN_SOLVER_DIGESTS = {
     "approx_ufl": "bf36ee77b064c76e4c13926cededa2b35072702b9bf1d516ca2d6df80af7b91a",
-    "exact_oracles": "eb200f41d899e9532e288d2488fc33feea96b200f6b6e9a634a2f0b55b09b937",
-    "kmedian_local_search": "0b44bb135c00f08ffd360152eb258e2a0a197f049048331a56eeef2446298721",
-    "kmedian_restricted": "389a49802e772c6bc9122867822246ea2d41c023f635ca2a4693c9a042422511",
+    "exact_oracles": "ea6a832af898f22f682face4dbb37a14253ad3bfc1340f874f569f2467e571c5",
     "ptas": "c1f343ef463b9b9f4a26dac8b34ad886ba2fc538d9536fe052614a764c8d6e88",
     "ptas_discrete_split": "c3edc187c7dc6a1477ad8ecc25db2af4116d5328af1e4030a41c1e72577121ce",
     "ptas_euclid_split": "f0a9fea33976dd411a2221076936aa7beea7fb5f7a368b9a2be3bf8928ebb23a",
