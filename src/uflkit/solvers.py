@@ -37,6 +37,7 @@ _MAX_DISCRETE = 15      # hard cap on facility-subset enumeration
 _MAX_SUBSET_CELLS = 4_000_000   # cap on (facility subset, client) table cells
 _PAIR_CELLS = 65536             # (row, coordinate, member, member) cells per _member_sums chunk
 _RADII_CELLS = 8192             # distances per _mp_radii chunk: 64 KB per float temporary
+_SHORT_ROW = 64                 # _mp_radii sorts rows of at most this many clients whole
 
 
 def _subset_enumerable(facilities: int, clients: int) -> bool:
@@ -243,7 +244,7 @@ def _certify(PT: np.ndarray, M: np.ndarray, sums: np.ndarray):
         d = np.sqrt(np.einsum("krn,krn->rn", B, B))
         eta = np.einsum("rn,rn->r", m, d == 0.0)
         g = np.einsum("krn,rn->kr", B, m / np.where(d > 0.0, d, np.inf))
-        certified[a:a + rows] = np.sqrt(np.einsum("kr,kr->r", g, g)) < eta * (1.0 - 1e-9)
+        certified[a:a + rows] = np.sqrt(_dot_k(g, g)) < eta * (1.0 - 1e-9)
     return j, best, certified
 
 
@@ -323,10 +324,11 @@ def _median_lockstep(P: np.ndarray, M: np.ndarray):
     halvings at most that many (coordinate, row, halving, member) cells,
     which bounds every temporary.
 
-    Per step, g is one einsum reduction over the w members, and sum w_i
-    u_i u_i^T one batched matrix product with a k x k result per row. Each
-    reduces within its row, so a row's result depends only on its own
-    points and mask, not on the rows beside it."""
+    Per step, g is one einsum reduction over the w members, sum w_i u_i
+    u_i^T one batched matrix product with a k x k result per row, and the
+    products of k-vectors _dot_k. Each reduces within its row, so a row's
+    result depends only on its own points and mask, not on the rows beside
+    it."""
     k, r, w = P.shape
     upper = np.empty(r)
     lower = np.empty(r)
@@ -348,6 +350,16 @@ def _sums_at(D: np.ndarray, M: np.ndarray):
     return d, np.einsum("...n,...n->...", d, M)
 
 
+def _dot_k(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum over k of a[k] * b[k], for a and b (k x r), added in order of k.
+    einsum("kr,kr->r") takes another order once one row is left, so a row's
+    sum would depend on the rows beside it."""
+    out = a[0] * b[0]
+    for i in range(1, len(a)):
+        out += a[i] * b[i]
+    return out
+
+
 def _escape_offsets(B: np.ndarray, M: np.ndarray, near: np.ndarray) -> np.ndarray:
     """Vardi-Zhang's step from each row's anchor p_a, as an offset (k x r)
     from p_a, for B = p_a - P (k x r x w): with eta members within near *
@@ -359,7 +371,7 @@ def _escape_offsets(B: np.ndarray, M: np.ndarray, near: np.ndarray) -> np.ndarra
     w = M / np.where(copies, np.inf, nb)
     g = np.einsum("krn,rn->kr", B, w)
     eta = np.einsum("rn,rn->r", M, copies)
-    blend = np.minimum(1.0, eta / np.sqrt(np.einsum("kr,kr->r", g, g)))
+    blend = np.minimum(1.0, eta / np.sqrt(_dot_k(g, g)))
     return g * ((blend - 1.0) / w.sum(axis=1))
 
 
@@ -437,7 +449,7 @@ def _median_rows(P, M, y, upper, lower):
         U = D                                   # D is rebuilt by the step
         U *= W
         g = np.einsum("krn->kr", U)
-        gnorm = np.sqrt(np.einsum("kr,kr->r", g, g))
+        gnorm = np.sqrt(_dot_k(g, g))
         # sum v_i . (y - p_i) is the others' distance sum minus g . (y - c),
         # c the mean of the shifted points
         yc, rest, scale = ac + delta, f, 1.0 + gnorm / size
@@ -446,7 +458,7 @@ def _median_rows(P, M, y, upper, lower):
             yc[:, h] += centroid[:, h] - np.einsum("rn,krn->kr", hit, P[:, pos[h]]) / eta
             rest[h] = np.einsum("rn,rn->r", np.where(hit, 0.0, d[h]), M[h])
             scale[h] = np.maximum(1.0, gnorm[h] / eta)
-        np.maximum(lo, (rest - np.einsum("kr,kr->r", g, yc)) / scale, out=lo)
+        np.maximum(lo, (rest - _dot_k(g, yc)) / scale, out=lo)
         stop = lo >= f * keep_frac
         if it == last or stop.all():
             y[:, pos] = P[:, pos, a] + delta
@@ -493,7 +505,7 @@ def _median_rows(P, M, y, upper, lower):
         if not ok.all():
             # a step whose predicted gain g . s / 2 is below rounding stands;
             # one that does not descend is replaced
-            slope = np.einsum("kr,kr->r", g, s)
+            slope = _dot_k(g, s)
             ok |= (slope >= 0.0) & (slope <= _ROUNDING * f)
             # near a data point Newton's model misses the kink there: try
             # Vardi-Zhang's step from that point
@@ -846,26 +858,61 @@ def _mp_radii(rows: np.ndarray) -> np.ndarray:
 
     With the row sorted, r_j = (1 + d_1 + ... + d_j) / j, and r is the first
     r_j at most the next distance (1 + 1e-12 relative, 1e-15 absolute slack);
-    the last r_j always qualifies. Rows are taken _RADII_CELLS distances at
-    a time, so the temporaries stay small whatever the input's size and are
-    reused from the heap instead of being mapped afresh on every call: per
-    chunk, the sorted rows, scaled in place to the slackened bounds once
-    their sums are taken, and the candidate radii."""
+    the last r_j always qualifies.
+
+    While r_j exceeds the next distance, r_(j+1) is a mean of r_j and that
+    distance, so every r_j up to the first that qualifies is at most r_1 =
+    d_1 + 1. A row of more than _SHORT_ROW clients therefore sorts only its
+    entries up to (d_1 + 1)(1 + 1e-9), a bound the rounding of the sums
+    cannot cross: they are a prefix of the sorted row, so their r_j are
+    those of the whole row, and the first qualifying r_j lies among them.
+    They go into an inf-padded block as wide as the most any of its rows
+    keeps; in a row that keeps fewer, the inf after its entries stands in
+    for the next distance, and in one that keeps that many, its last r_j
+    qualifies as a last one does. Rows of at most _SHORT_ROW clients sort
+    whole, as the mask costs more calls than it saves them.
+
+    Rows are taken _RADII_CELLS distances at a time (the mask 8 times as
+    many), so the temporaries stay small whatever the input's size and are
+    reused from the heap instead of being mapped afresh on every call."""
     n, s = rows.shape
     radii = np.empty(n)
-    j = np.arange(1, s + 1)
-    step = max(1, _RADII_CELLS // max(s, 1))
+    if s <= _SHORT_ROW:
+        step = max(1, _RADII_CELLS // max(s, 1))
+        for a in range(0, n, step):
+            radii[a:a + step] = _first_valid_radii(np.sort(rows[a:a + step], axis=1))
+        return radii
+    step = max(1, 8 * _RADII_CELLS // s)
     for a in range(0, n, step):
-        order = np.sort(rows[a:a + step], axis=1)
-        r_cand = np.cumsum(order, axis=1)
-        r_cand += OPENING_COST
-        r_cand /= j
-        order *= 1 + 1e-12
-        order += 1e-15
-        valid = np.ones(order.shape, dtype=bool)
-        np.less_equal(r_cand[:, :-1], order[:, 1:], out=valid[:, :-1])
-        radii[a:a + step] = r_cand[np.arange(len(order)), valid.argmax(axis=1)]
+        chunk = rows[a:a + step]
+        bound = chunk.min(axis=1)
+        bound += OPENING_COST
+        bound *= 1 + 1e-9
+        kept = chunk <= bound[:, None]
+        counts = np.count_nonzero(kept, axis=1)
+        w = int(counts.max())
+        sub = max(1, _RADII_CELLS // w)
+        for b in range(0, len(chunk), sub):
+            c = counts[b:b + sub]
+            block = np.full((len(c), w), np.inf)
+            block[np.arange(w) < c[:, None]] = chunk[b:b + sub][kept[b:b + sub]]
+            block.sort(axis=1)
+            radii[a + b:a + b + len(c)] = _first_valid_radii(block)
     return radii
+
+
+def _first_valid_radii(order: np.ndarray) -> np.ndarray:
+    """_mp_radii's first qualifying r_j of each sorted row of order, which it
+    overwrites: scaled in place to the slackened bounds once its sums are
+    taken."""
+    r_cand = np.cumsum(order, axis=1)
+    r_cand += OPENING_COST
+    r_cand /= np.arange(1, order.shape[1] + 1)
+    order *= 1 + 1e-12
+    order += 1e-15
+    valid = np.ones(order.shape, dtype=bool)
+    np.less_equal(r_cand[:, :-1], order[:, 1:], out=valid[:, :-1])
+    return r_cand[np.arange(len(order)), valid.argmax(axis=1)]
 
 
 def _mp_select(D: np.ndarray, ids: np.ndarray, radii: np.ndarray) -> list[int]:
@@ -907,11 +954,16 @@ def restricted_ufl_value(D: np.ndarray, clients: np.ndarray,
                          candidates: np.ndarray) -> tuple[float, float, np.ndarray]:
     """UFL cost of clients with facilities restricted to candidate ids, by
     ball growing over the candidate set, certified within factor 3 of the
-    restricted optimum. Returns (cost, certified factor, facility ids)."""
+    restricted optimum. Returns (cost, certified factor, facility ids).
+
+    When clients and candidates are both every id of D in order, as for the
+    guiding solution, D is read in place: no candidates x clients copy is
+    made, and the connection cost reads the kept rows only."""
     clients = np.asarray(clients, dtype=int)
     candidates = np.asarray(candidates, dtype=int)
-    sub = D[np.ix_(candidates, clients)]
-    radii = _mp_radii(sub)
-    sel = _mp_select(D, candidates, radii)
+    ids = np.arange(len(D))
+    whole = np.array_equal(clients, ids) and np.array_equal(candidates, ids)
+    sub = D if whole else D[np.ix_(candidates, clients)]
+    sel = _mp_select(D, candidates, _mp_radii(sub))
     conn = sub[sel].min(axis=0).sum()
     return float(OPENING_COST * len(sel) + conn), 3.0, candidates[sel]

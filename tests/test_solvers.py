@@ -619,6 +619,10 @@ class TestWeiszfeldCertificate:
                    [np.array(b) for b in (range(12), [0, 3, 5, 7, 11], [1, 2, 4], [6, 8, 9, 10],
                                           [2, 9])],
                    [3, 0, 4, 1, 2]))
+    # two rows, then one once the pair's first stops: a k-vector product
+    # summed in another order on one row than on two moved the lower bound
+    @example(case=(np.array([[0, 39, 2], [7, 0, 0], [1e-12, 39, 2]], dtype=float),
+                   [np.array([0, 1, 2]), np.array([0, 1, 2])], [1, 0]))
     def test_blocks_match_solo_calls(self, case):
         # a block works on its own members, gathered in order, and rows
         # reduce row by row: its bytes do not depend on the other blocks of
@@ -779,9 +783,9 @@ class TestBallGrowingCostBound:
         assert restricted_ufl_value(D, members[:1], cand)[0] == 1.0
 
     def test_whole_instance_peak_memory(self):
-        # the guiding solution's call: the members' block, then chunks of
-        # _RADII_CELLS distances and one column per kept candidate, about
-        # 1.14 matrices
+        # the guiding solution's call reads D in place: chunks of
+        # _RADII_CELLS distances, one column per kept candidate and the kept
+        # rows for the connection cost, about 0.14 matrices
         D = blob_instance(20, 50, seed=1).distance_matrix()
         tracemalloc.start()
         try:
@@ -789,7 +793,45 @@ class TestBallGrowingCostBound:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(D) == 1000 and peak <= 1.5 * D.nbytes
+        assert len(D) == 1000 and peak <= 0.25 * D.nbytes
+
+
+def reference_restricted_ufl_value(D, clients, candidates):
+    """restricted_ufl_value from the gathered candidates x clients block and
+    the candidates' square block, with the reference radii and selection."""
+    sub = D[np.ix_(candidates, clients)]
+    sel = reference_mp_select(D[np.ix_(candidates, candidates)], reference_mp_radii(sub))
+    return float(OPENING_COST * len(sel) + sub[sel].min(axis=0).sum()), 3.0, candidates[sel]
+
+
+class TestBallGrowingEqualsTheReference:
+    # euclid_split's shape, n = 400: rows of more than _SHORT_ROW clients,
+    # of which each candidate keeps at most a few dozen within least + 1
+    X = blob_instance(8, 50, seed=1)
+    D = X.distance_matrix()
+    ids = np.arange(len(D))
+
+    def test_whole_instance(self):
+        D, ids = self.D, self.ids
+        assert (D <= D.min(axis=1, keepdims=True) + 1.0).sum(axis=1).max() < len(D) // 10
+        cost, factor, fids = reference_restricted_ufl_value(D, ids, ids)
+        got = restricted_ufl_value(D, ids, ids)
+        assert _f8(*got[:2]) + _i8(got[2]) == _f8(cost, factor) + _i8(fids)
+        value, mp_ids = mp_ufl_value(D, ids)
+        assert _f8(value) + _i8(mp_ids) == _f8(cost) + _i8(fids)
+        assert _i8(approx_ufl(self.X).facility_ids) == _i8(fids)
+        assert _i8(ptas.guiding_assignment(D)) == _i8(fids[np.argmin(D[:, fids], axis=1)])
+
+    def test_candidates_differ_from_clients(self):
+        # as RestrictedApproxHandle's candidate_set: the ids within a radius
+        # of some client, here two blobs' clients and a third blob besides
+        D = self.D
+        clients = np.sort(np.argsort(D[0], kind="stable")[:100])
+        candidates = np.flatnonzero((D[clients] <= 80.0).any(axis=0))
+        assert len(clients) < len(candidates) < len(D)
+        got = restricted_ufl_value(D, clients, candidates)
+        want = reference_restricted_ufl_value(D, clients, candidates)
+        assert _f8(*got[:2]) + _i8(got[2]) == _f8(*want[:2]) + _i8(want[2])
 
 
 # ---------------------------------------------------------------------------
@@ -950,6 +992,35 @@ class TestExactKernelsEqualTheLoops:
     def test_mp_radii(self, seed, rows, cols, ties):
         R = _distances(np.random.default_rng(seed), (rows, cols), ties)
         assert _mp_radii(R).tobytes() == reference_mp_radii(R).tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 30), cols=st.integers(1, 150),
+           scale=st.sampled_from([1e-6, 1e-3, 1.0, 30.0, 1e3, 1e8, 1e15, 1e16]),
+           ulps=st.integers(0, 4))
+    @settings(max_examples=150, deadline=None)
+    @example(seed=5, rows=30, cols=64, scale=1.0, ulps=4)       # either side of _SHORT_ROW
+    @example(seed=5, rows=30, cols=65, scale=1.0, ulps=4)
+    @example(seed=6, rows=700, cols=100, scale=1.0, ulps=2)     # several mask chunks
+    @example(seed=7, rows=100, cols=1000, scale=1e-3, ulps=1)   # every entry kept
+    @example(seed=8, rows=3, cols=9000, scale=1e16, ulps=3)     # one row per chunk
+    def test_mp_radii_of_cut_rows(self, seed, rows, cols, scale, ulps):
+        # rows spread over 20 times their scale, so most entries lie past
+        # least + 1 (or, at 1e16, where + 1 rounds away, past the bound's
+        # 1e-9). A fifth of a row's entries sit, up to ulps ulp either side,
+        # at one edge: least + 1, the bound, or just below least + 1, where
+        # a second-least entry makes r_1 fail the 1e-12 slack. Cut at the
+        # default _SHORT_ROW, and at 0, where every row is cut
+        rng = np.random.default_rng(seed)
+        R = rng.random((rows, cols)) * (20.0 * scale)
+        edge = R.min(axis=1) + OPENING_COST
+        edge = (edge * rng.choice([1.0, 1 + 1e-9, 1 - 1e-11, 1 - 1e-6], rows))[:, None]
+        shifted = (np.broadcast_to(edge, R.shape).view(np.int64)
+                   + rng.integers(-ulps, ulps + 1, R.shape)).view(np.float64)
+        R = np.where(rng.random(R.shape) < 0.2, shifted, R)
+        want = reference_mp_radii(R).tobytes()
+        assert _mp_radii(R).tobytes() == want
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "_SHORT_ROW", 0)
+            assert _mp_radii(R).tobytes() == want
 
     def test_submask_layers_cover_every_split_once(self):
         for s in (1, 2, 5, 12):
@@ -1213,7 +1284,7 @@ GOLDEN_SOLVER_SOURCES = {
 # facility, its position, a cost's last bit or a trace changes the digest.
 GOLDEN_SOLVER_DIGESTS = {
     "approx_ufl": "bf36ee77b064c76e4c13926cededa2b35072702b9bf1d516ca2d6df80af7b91a",
-    "exact_oracles": "ea6a832af898f22f682face4dbb37a14253ad3bfc1340f874f569f2467e571c5",
+    "exact_oracles": "1c865ff085b070f5b9f1a291396e99e065bffe449ef9fcbcceb7564b110bb7cd",
     "ptas": "c1f343ef463b9b9f4a26dac8b34ad886ba2fc538d9536fe052614a764c8d6e88",
     "ptas_discrete_split": "c3edc187c7dc6a1477ad8ecc25db2af4116d5328af1e4030a41c1e72577121ce",
     "ptas_euclid_split": "f0a9fea33976dd411a2221076936aa7beea7fb5f7a368b9a2be3bf8928ebb23a",
