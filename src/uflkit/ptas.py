@@ -3,12 +3,13 @@ inputs. Both decompose the input with `build_stages`, the single stage
 builder (hierarchy, guiding solution, badly-cut elimination, low-value
 partition). Each part then needs min_k (k + v_k), v_k its k-median cost,
 which is the part's UFL optimum: one problem per part, not one per k. The
-Euclidean pipeline solves it on the randomly projected part, exactly by a
-partition DP up to the enumeration scale and by ufl_local_search over the
-part's points beyond it (falling back to the constant-factor clustering
-when the projection misbehaves), then recenters every adopted cluster in
-the original space in one 1-median pass; the discrete pipeline solves it
-by ufl_local_search against the per-cluster candidate facility set over a
+Euclidean pipeline solves it on the randomly projected part, exactly up to
+the enumeration scale by solvers._ufl_exact, the partition DP the
+continuous oracle runs, and by ufl_local_search over the part's points
+beyond it (falling back to the constant-factor clustering when the
+projection misbehaves), then recenters every adopted cluster in the
+original space in one 1-median pass; the discrete pipeline solves it by
+ufl_local_search against the per-cluster candidate facility set over a
 distance oracle."""
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .hierarchy import HierarchicalDecomposition, MetricData, build_hierarchy
 from .partition import LowValuePartition, MatrixApproxHandle, bottom_up_partition, tau_bound
 from .projection import sample_map, target_dim
 from .refine import eliminate_badly_cut
-from .solvers import (_med1_costs, _nearest_blocks, _ufl_partition_dp, mp_ufl_value,
-                      restricted_ufl_value, ufl_local_search, weiszfeld_1median)
+from .solvers import (_nearest_blocks, _ufl_exact, mp_ufl_value, restricted_ufl_value,
+                      ufl_local_search, weiszfeld_1median)
 from .util import COST_RTOL, spawn_seeds
 
 
@@ -167,9 +168,11 @@ def build_stages(md, cfg: PtasConfig, approx=None) -> Stages:
 
 def _exact_projected_sweep(proj_members: np.ndarray):
     """min_k (k + v_k) over all k at once: the per-k sweep of the exact
-    k-median enumeration collapses into one partition DP."""
-    med1 = _med1_costs(proj_members)
-    total, blocks = _ufl_partition_dp(med1, len(proj_members))
+    k-median enumeration collapses into one partition DP, solved by
+    solvers._ufl_exact, the continuous oracle's routine, which runs the
+    1-median iteration only on the subsets a near-optimal partition can
+    use."""
+    total, blocks = _ufl_exact(proj_members)
     k_star = len(blocks)
     return k_star, float(total - k_star), blocks
 

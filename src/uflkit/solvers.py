@@ -11,6 +11,12 @@ optimum, or after _WEISZFELD_MAX_ITER steps; k-median and the continuous
 oracle enumerate up to _ENUM_THRESHOLD points, and the UFL local search
 runs to a local optimum.
 
+Exact UFL with ambient facilities, the continuous oracle and the Euclidean
+pipeline's exact sweep alike, goes through _ufl_exact: a partition DP over
+subset 1-median costs, which iterates only the subsets that Kuhn's bound
+at their centroids leaves able to enter a near-optimal partition. Exact
+k-median reads the full subset table, _med1_costs.
+
 Every 1-median runs in coordinates of its block's affine span, of
 dimension at most one less than the block's size: an isometry on the points
 and on their geometric medians (which lie in their convex hull), which
@@ -248,28 +254,47 @@ def _certify(PT: np.ndarray, M: np.ndarray, sums: np.ndarray):
     return j, best, certified
 
 
-def _med1_costs(P: np.ndarray) -> np.ndarray:
-    """1-median cost of every subset of P, indexed by bitmask, in P's affine span.
-
-    Every mask first gets the data-point certificate of _certify. A mask
-    that passes costs its least data-point sum, its optimum, and so does
-    every mask of at most two points. The other masks run _median_lockstep
-    together from their centroids, so each value is a distance sum attained
-    at a real center and within _WEISZFELD_TOL (relative) of the optimum
-    unless its row ran _WEISZFELD_MAX_ITER steps; the least data-point
-    sum still caps it. Every row reads P through one broadcast (coordinate,
-    row, point) view, and the certificate's sums come from P's one distance
-    matrix.
-    """
+def _certified_subsets(P: np.ndarray):
+    """The subset table's start, for P in its affine span: (PT, M, costs,
+    rest). PT (coordinate x 1 x point) is P coordinate-major, costs[mask -
+    1] every mask's least data-point sum, and rest the positions in costs
+    of the masks that _certify leaves open and that hold at least three
+    points, with M their 0/1 member rows. Every other mask's least
+    data-point sum is its optimum. The certificate's sums come from P's one
+    distance matrix."""
     P = _affine_reduce(P)
     s = len(P)
     M = ((np.arange(1, 1 << s)[:, None] >> np.arange(s)) & 1).astype(np.float64)
-    PT = np.ascontiguousarray(P.T)[:, None, :]      # (coordinate, 1, point)
-    _, costs, certified = _certify(np.broadcast_to(PT, (len(PT), len(M), s)), M,
+    PT = np.ascontiguousarray(P.T)[:, None, :]
+    _, costs, certified = _certify(_rows_view(PT, len(M)), M,
                                    np.einsum("rn,cn->rc", M, distances(P)))
     rest = np.flatnonzero(~certified & (M.sum(axis=1) >= 3))
-    M = M[rest]                             # drops the full table before the kernel
-    upper, _, _ = _median_lockstep(np.broadcast_to(PT, (len(PT), len(M), s)), M)
+    return PT, M[rest], costs, rest         # drops the full table before the kernel
+
+
+def _rows_view(PT: np.ndarray, r: int) -> np.ndarray:
+    """One point set PT (coordinate x 1 x point) as r rows: a broadcast
+    (coordinate, row, point) view."""
+    return np.broadcast_to(PT, (PT.shape[0], r, PT.shape[2]))
+
+
+def _med1_costs(P: np.ndarray) -> np.ndarray:
+    """1-median cost of every subset of P, indexed by bitmask, in P's affine
+    span: the full table, which kmedian's k-block DP reads. The UFL paths
+    read _ufl_exact instead, which iterates only the masks a near-optimal
+    partition can use.
+
+    Every mask first gets the data-point certificate (_certified_subsets).
+    A mask that passes costs its least data-point sum, its optimum, and so
+    does every mask of at most two points. The other masks run
+    _median_lockstep together from their centroids, so each value is a
+    distance sum attained at a real center and within _WEISZFELD_TOL
+    (relative) of the optimum unless its row ran _WEISZFELD_MAX_ITER steps;
+    the least data-point sum still caps it. Every row reads P through one
+    broadcast (coordinate, row, point) view.
+    """
+    PT, M, costs, rest = _certified_subsets(P)
+    upper, _, _ = _median_lockstep(_rows_view(PT, len(M)), M)
     costs[rest] = np.minimum(upper, costs[rest])
     return np.concatenate(([0.0], costs))
 
@@ -281,21 +306,21 @@ _ROUNDING = 16.0 * np.finfo(np.float64).eps     # Newton gains below this share 
 _NEAR = 1e-3            # a member this close, relative to the distance sum, anchors its row
 
 
-def _median_lockstep(P: np.ndarray, M: np.ndarray):
+def _median_lockstep(P: np.ndarray, M: np.ndarray, steps: int | None = None):
     """Certified geometric medians of the rows of points P (k x r x w,
     coordinate-major) whose members the 0/1 rows of M (r x w) select,
     iterated in lockstep from their centroids. P may be a broadcast view,
-    as _med1_costs passes one point set for every row. Returns (upper,
-    lower, centers): upper[i] is the distance sum of row i's members at
-    centers[i] (a k-vector), and lower[i] is at most their distance sum
-    anywhere.
+    as _med1_costs and _ufl_exact pass one point set for every row.
+    Returns (upper, lower, centers): upper[i] is the distance sum of row
+    i's members at centers[i] (a k-vector), and lower[i] is at most their
+    distance sum anywhere.
 
     The coordinates run outermost and the members innermost: a per-member
     weight (r x w) broadcasts over whole (row, member) planes, a per-row
     vector (k x r) along the members, and every reduction over the members
     runs along its row's contiguous member axis. The callers keep k small:
     weiszfeld_1median passes each row in at most w - 1 coordinates of its
-    own span, and _med1_costs its input's span.
+    own span, and the subset tables their input's span.
 
     A step tries, per row, the Newton step y - H^-1 g, with g = sum u_i the
     gradient, H = sum w_i (I - u_i u_i^T), w_i = 1/d_i and u_i the unit
@@ -318,11 +343,13 @@ def _median_lockstep(P: np.ndarray, M: np.ndarray):
     the u_i shifted by -g / size (on a data point, the eta copies of y take
     -g / eta each and the others stay), divided by the largest norm that
     shift can give. A row keeps the best bound it reaches and stops once
-    upper - lower <= _WEISZFELD_TOL * upper, or after
-    _WEISZFELD_MAX_ITER steps; a stopped row leaves the arrays. Rows run
-    _MEDIAN_CELLS (coordinate, row, member) cells at a time, and the
-    halvings at most that many (coordinate, row, halving, member) cells,
-    which bounds every temporary.
+    upper - lower <= _WEISZFELD_TOL * upper, or after steps steps
+    (_WEISZFELD_MAX_ITER, read at call time, unless the caller caps it: at
+    steps = 0, lower is the bound at the centroid and upper the centroid's
+    distance sum); a stopped row leaves the arrays. Rows run _MEDIAN_CELLS
+    (coordinate, row, member) cells at a time, and the halvings at most
+    that many (coordinate, row, halving, member) cells, which bounds every
+    temporary.
 
     Per step, g is one einsum reduction over the w members, sum w_i u_i
     u_i^T one batched matrix product with a k x k result per row, and the
@@ -334,10 +361,11 @@ def _median_lockstep(P: np.ndarray, M: np.ndarray):
     lower = np.empty(r)
     centers = np.empty((k, r))
     rows = max(1, _MEDIAN_CELLS // (w * k))
+    last = _WEISZFELD_MAX_ITER if steps is None else steps
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in range(0, r, rows):
             part = slice(a, a + rows)
-            _median_rows(P[:, part], M[part], centers[:, part], upper[part], lower[part])
+            _median_rows(P[:, part], M[part], centers[:, part], upper[part], lower[part], last)
     return upper, lower, centers.T
 
 
@@ -375,10 +403,11 @@ def _escape_offsets(B: np.ndarray, M: np.ndarray, near: np.ndarray) -> np.ndarra
     return g * ((blend - 1.0) / w.sum(axis=1))
 
 
-def _median_rows(P, M, y, upper, lower):
-    """_median_lockstep on one chunk of rows, writing into the views y (k x
-    r), upper and lower. P holds every row of the chunk; the active rows
-    read theirs through pos, so rows that stop cost no copy of P.
+def _median_rows(P, M, y, upper, lower, last):
+    """_median_lockstep on one chunk of rows for at most last steps,
+    writing into the views y (k x r), upper and lower. P holds every row of
+    the chunk; the active rows read theirs through pos, so rows that stop
+    cost no copy of P.
 
     A row holds y as an anchor p_a and the offset delta = y - p_a, with B =
     p_a - P, so that y - p_i = B + delta. Once a member comes within _NEAR
@@ -402,7 +431,7 @@ def _median_rows(P, M, y, upper, lower):
     and every reduction keeps its length and order, so a row's bytes are
     those of halving one t at a time: the batches trade a numpy round per
     halving for the work of halvings a row does not need."""
-    keep_frac, last = 1.0 - _WEISZFELD_TOL, _WEISZFELD_MAX_ITER
+    keep_frac = 1.0 - _WEISZFELD_TOL
     k, _, w = P.shape
     pos = np.arange(len(M))                     # active row -> chunk row
     member = M > 0
@@ -683,16 +712,98 @@ def _kmedian_exact_dp(med1: np.ndarray, s: int, k: int):
     return float(value[k, nm - 1]), parts
 
 
+def _ufl_exact(P: np.ndarray):
+    """_ufl_partition_dp(_med1_costs(P), s) for s = len(P), byte for byte,
+    with the 1-median lockstep run on only the masks a near-optimal
+    partition can use. Returns (value, blocks).
+
+    1. _certified_subsets gives every mask's least data-point sum and the
+       open masks (uncertified, at least three points).
+    2. Each open mask T gets lb(T), Kuhn's bound at its centroid: the
+       lockstep's bound before its first step. Every other mask's lb is
+       its cost, which is exact.
+    3. One partition DP over lb (_least_partitions) gives dp_lb[R], the
+       least lb-price of a partition of R, and one partition of the whole
+       set attaining it; UB prices that partition at its masks' data-point
+       sums.
+    4. An open mask T with lb(T) + 1 + dp_lb[full ^ T] > tau = UB (1 +
+       1e-9) is dropped and keeps its data-point sum.
+    5. The kept open masks run _median_lockstep as in _med1_costs.
+    6. _ufl_partition_dp takes the table.
+
+    Why the bytes are those of the full table. Let c be _med1_costs's table
+    and c' this one. c' = c on a kept mask, as a lockstep row's bytes depend
+    only on its own points and mask, not on the rows run beside it. On a
+    dropped mask c' >= c, as c is at most the data-point sum c' holds. Both
+    are distance sums, so at least lb. Let m(X) be the least c-price of a
+    partition of X, and call X live with margin e if dp_lb[full ^ X] + m(X)
+    <= tau - e. UB is at least the c-price of a partition and at least 1 (a
+    block), so the whole set is live with margin 1e-9. Each DP value at X
+    is the price of a partition of X, in its table, so at least m(X); and
+    in run c at most m(X) + |X| 1e-12: the 1e-12 tie window costs at most
+    that per block.
+
+    Claim: a mask X live with margin e > |X| 1e-12 gets the same row
+    (value, block count, choice) in both runs. Take any split X = T + R
+    whose value v, in either run, is at most m(X) + |X| 1e-12. Then v >=
+    m(R) + 1 + lb(T), and dp_lb is subadditive, so
+    - dp_lb[full ^ R] + m(R) <= dp_lb[full ^ X] + v <= tau - e + |X|
+      1e-12: R is live with margin e - |X| 1e-12;
+    - lb(T) + 1 + dp_lb[full ^ T] <= dp_lb[full ^ X] + v < tau: T is kept.
+    By induction R's row is the same in both runs, and c'[T] = c[T], so the
+    split has value v in both. Run c's least split and every split in its
+    tie window lie in that range, so they are the same in run c' with the
+    same block counts, and no run-c' split below them exists (it would lie
+    in the range too). Down any chain of such splits the margin falls by at
+    most (s + 1) s / 2 1e-12 <= 1.05e-10 at s = 14, well within 1e-9; the
+    rounding of the prices and of lb is a few ulp of UB.
+    """
+    s = len(P)
+    PT, M, costs, rest = _certified_subsets(P)
+    _, lb, _ = _median_lockstep(_rows_view(PT, len(M)), M, steps=0)
+    bound = np.concatenate(([0.0], costs))
+    bound[rest + 1] = lb
+    dp_lb, choice = _least_partitions(bound, s)
+    full = (1 << s) - 1
+    ub, S = 0.0, full
+    while S:
+        T = int(choice[S])
+        ub += OPENING_COST + costs[T - 1]
+        S ^= T
+    kept = lb + OPENING_COST + dp_lb[full ^ (rest + 1)] <= ub * (1.0 + 1e-9)
+    rest, M = rest[kept], M[kept]
+    upper, _, _ = _median_lockstep(_rows_view(PT, len(M)), M)
+    costs[rest] = np.minimum(upper, costs[rest])
+    return _ufl_partition_dp(np.concatenate(([0.0], costs)), s)
+
+
+def _least_partitions(costs: np.ndarray, s: int):
+    """Least  #blocks + sum of costs  over the partitions of every mask of
+    {0..s-1}, for costs indexed by bitmask: (dp, choice), choice[S] the
+    block holding S's lowest bit in the first least split."""
+    dp = np.zeros(1 << s)
+    choice = np.zeros(1 << s, dtype=np.int64)
+    for S, T in _submask_layers(s):
+        v = dp[S[:, None] ^ T] + OPENING_COST
+        v += costs[T]
+        i = v.argmin(axis=1)
+        r = np.arange(len(S))
+        dp[S], choice[S] = v[r, i], T[r, i]
+    return dp, choice
+
+
 def brute_force_ufl_continuous(points) -> float:
     """opt(S) with ambient facilities, by exhaustive partition DP with
-    geometric-median block centers, each within _WEISZFELD_TOL of its
-    optimum by Kuhn's bound unless cut at _WEISZFELD_MAX_ITER steps. Raises
+    geometric-median block centers (_ufl_exact), each within _WEISZFELD_TOL
+    of its optimum by Kuhn's bound unless cut at _WEISZFELD_MAX_ITER steps.
+    The value is that of the DP over the full subset table; only the
+    subsets a near-optimal partition can use are iterated. Raises
     OracleScaleError, with the count and the cap, beyond _ENUM_THRESHOLD points."""
     P = _as_points(points)
     if len(P) > _ENUM_THRESHOLD:
         raise OracleScaleError(f"oracle scale exceeded: {len(P)} points, "
                                f"the continuous oracle takes at most {_ENUM_THRESHOLD}")
-    value, _ = _ufl_partition_dp(_med1_costs(P), len(P))
+    value, _ = _ufl_exact(P)
     return float(value)
 
 

@@ -1054,6 +1054,37 @@ class TestExactKMedianTies:
                 assert [b.tolist() for b in _kmedian_exact_dp(scaled, 12, 7)[1]] == blocks
 
 
+class TestPrunedUflExact:
+    @given(P=exact_inputs(), scale=st.sampled_from([0.05, 1.0, 10.0]))
+    @settings(max_examples=60, deadline=None)
+    @example(P=_exact_input(np.random.default_rng(14), "random", 14), scale=1.0)
+    def test_equals_the_full_table(self, P, scale):
+        P = P * scale
+        assert (_blocks_bytes(*solvers._ufl_exact(P))
+                == _blocks_bytes(*_ufl_partition_dp(_med1_costs(P), len(P))))
+
+    def test_prunes_most_open_masks(self, monkeypatch):
+        # the converging lockstep (no step cap) sees under a tenth of the
+        # masks the certificate leaves open
+        calls, lockstep = [], solvers._median_lockstep
+
+        def counted(P, M, steps=None):
+            if steps is None:
+                calls.append(len(M))
+            return lockstep(P, M, steps)
+
+        monkeypatch.setattr(solvers, "_median_lockstep", counted)
+        for s in range(4):
+            P = generate_dataset("subspace", 12, 64, 2, s).coords
+            calls.clear()
+            _med1_costs(P)
+            (opened,) = calls
+            calls.clear()
+            brute_force_ufl_continuous(P)
+            (iterated,) = calls
+            assert iterated < 0.1 * opened, s
+
+
 class TestCertifiedSubsetMedians:
     def test_mask_reaches_its_optimum(self):
         # mask 2070 (points 1, 2, 4 and 11) of this instance once stopped
@@ -1146,6 +1177,38 @@ class TestChunkInvariance:
         P = generate_dataset("subspace", 12, 64, 2, 7).coords
         whole, one, seven, every = self._chunked(lambda: _med1_costs(P).tobytes(), monkeypatch)
         assert whole == one == seven == every
+
+    def test_a_row_alone_in_a_subset_and_in_the_full_table(self, monkeypatch):
+        # _ufl_exact runs the lockstep on a subset of _med1_costs's rows, so
+        # a row's (upper, lower, center) bytes must not depend on which rows
+        # share its call: the Hessian's batched matmul and np.linalg.solve
+        # see the full table's stacks, a tenth of them, and one row. On this
+        # input Newton steps fail, so the halvings run, some on a row alone
+        P = generate_dataset("subspace", 12, 64, 2, 7).coords
+        PT, M, _, _ = solvers._certified_subsets(P)
+
+        def lockstep(rows):
+            upper, lower, centers = solvers._median_lockstep(
+                solvers._rows_view(PT, len(rows)), M[rows])
+            return [(u.tobytes(), lo.tobytes(), c.tobytes())
+                    for u, lo, c in zip(upper, lower, centers)]
+
+        full = lockstep(np.arange(len(M)))
+        subset = np.sort(np.random.default_rng(3).choice(len(M), len(M) // 10, replace=False))
+        assert lockstep(subset) == [full[i] for i in subset]
+        halved, sums_at = [], solvers._sums_at
+
+        def counted(D, mask):
+            halved.append(D.ndim == 4)          # a (k, row, t, member) batch of halvings
+            return sums_at(D, mask)
+
+        monkeypatch.setattr(solvers, "_sums_at", counted)
+        alone = 0
+        for i in subset[:60]:
+            halved.clear()
+            assert lockstep(np.array([i])) == [full[i]]
+            alone += any(halved)
+        assert alone >= 3
 
     def test_blocks_of_mixed_widths(self, rng, monkeypatch):
         P = rng.random((40, 3))
