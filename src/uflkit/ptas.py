@@ -171,7 +171,7 @@ def _exact_projected_sweep(proj_members: np.ndarray):
     k-median enumeration collapses into one partition DP, solved by
     solvers._ufl_exact, the continuous oracle's routine, which runs the
     1-median iteration only on the subsets a near-optimal partition can
-    use."""
+    use, and the DP only over those subsets and the rows they reach."""
     total, blocks = _ufl_exact(proj_members)
     k_star = len(blocks)
     return k_star, float(total - k_star), blocks

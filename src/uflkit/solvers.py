@@ -14,8 +14,10 @@ runs to a local optimum.
 Exact UFL with ambient facilities, the continuous oracle and the Euclidean
 pipeline's exact sweep alike, goes through _ufl_exact: a partition DP over
 subset 1-median costs, which iterates only the subsets that Kuhn's bound
-at their centroids leaves able to enter a near-optimal partition. Exact
-k-median reads the full subset table, _med1_costs.
+at their centroids leaves able to enter a near-optimal partition, and
+whose final DP (_live_partition_dp) visits only those blocks and the rows
+they can reach. Exact k-median reads the full subset table, _med1_costs,
+with a DP over every (mask, submask) pair.
 
 Every 1-median runs in coordinates of its block's affine span, of
 dimension at most one less than the block's size: an isometry on the points
@@ -38,7 +40,7 @@ from .geometry import (OPENING_COST, OracleScaleError, PointSet, UflSolution, ch
 
 _WEISZFELD_TOL = 1e-10
 _WEISZFELD_MAX_ITER = 10000
-_ENUM_THRESHOLD = 12    # at most 14, the partition DPs' scale; read at call time
+_ENUM_THRESHOLD = 12    # at most 14, _submask_layers' scale; read at call time
 _MAX_DISCRETE = 15      # hard cap on facility-subset enumeration
 _MAX_SUBSET_CELLS = 4_000_000   # cap on (facility subset, client) table cells
 _PAIR_CELLS = 65536             # (row, coordinate, member, member) cells per _member_sums chunk
@@ -603,15 +605,16 @@ def _lowest_bit_pass(table: np.ndarray, rows: np.ndarray, op) -> np.ndarray:
 # Exact partition DPs (facilities anywhere in space)
 # ---------------------------------------------------------------------------
 
-_DP_PAIRS = 8192        # (mask, submask) pairs per DP step: 64 KB per float temporary
+_DP_PAIRS = 8192        # (row, block) pairs per DP step: 64 KB per float temporary
 
 
 def _submask_layers(s: int):
-    """The (mask, submask) pairs the partition DPs scan, one popcount layer
-    at a time. For p = 1..s, yields row chunks (S, T) of at most _DP_PAIRS
-    pairs (s <= 14): S the masks of {0..s-1} with p set bits, ascending, and
-    T[i] the 2^(p-1) submasks of S[i] that contain its lowest set bit, in
-    decreasing order; both int32. Every split S = T + (S ^ T) of a layer
+    """The (mask, submask) pairs that _least_partitions and
+    _kmedian_exact_dp scan, one popcount layer at a time. For p = 1..s,
+    yields row chunks (S, T) of at most _DP_PAIRS pairs (s <= 14): S the
+    masks of {0..s-1} with p set bits, ascending, and T[i] the 2^(p-1)
+    submasks of S[i] that contain its lowest set bit, in decreasing order;
+    both int32. Every split S = T + (S ^ T) of a layer
     refers to smaller layers only.
 
     Each layer is built from the one before it. The masks of layer p + 1
@@ -641,36 +644,61 @@ def _submask_layers(s: int):
         S, T = S_next, T_next
 
 
-def _ufl_partition_dp(med1: np.ndarray, s: int):
-    """Minimize  #blocks + sum of 1-median costs  over all partitions of
-    {0..s-1}. Returns (value, blocks).
+def _live_partition_dp(costs: np.ndarray, s: int, masks: np.ndarray, rows: np.ndarray):
+    """Minimize  #blocks + sum of costs  over the partitions of {0..s-1}
+    into live masks that split off, one block at a time, the lowest bit of
+    what remains, which must be a live row: for costs indexed by bitmask,
+    and masks and rows boolean tables of 2^s entries. Returns (value,
+    blocks).
 
-    dp[S] splits off the block T holding S's lowest bit, at value
-    dp[S ^ T] + 1 + med1[T]. It takes the least such value; among the
+    dp[S], for a live row S, splits off a block T holding S's lowest bit,
+    at value dp[S ^ T] + 1 + costs[T]. Its candidates are the live masks, in
+    decreasing order, that are subsets of S and hold its lowest bit; every
+    row that is not live stays at inf. S takes the least value; among the
     values within 1e-12 of that least one, the split with the fewest
-    blocks; among those, the first T in decreasing order. The first least
-    split decides a row whose runner-up is further than 1e-12 from it, so
-    only the other rows gather their splits' block counts."""
+    blocks; among those, the first T. The first least split decides a row
+    whose runner-up is further than 1e-12 from it, so only the other rows
+    gather their splits' block counts. With every row and mask live this is
+    the DP over all 3^s / 2 (mask, submask) pairs.
+
+    The rows run one popcount layer at a time, as a split refers to smaller
+    layers only, each layer in chunks of at most _DP_PAIRS // (live masks)
+    rows: one vectorised pass per chunk, and every temporary within
+    _DP_PAIRS cells."""
     nm = 1 << s
-    dp = np.zeros(nm)
+    dp = np.full(nm, np.inf)
+    dp[0] = 0.0
     blocks = np.zeros(nm, dtype=np.int64)
     choice = np.zeros(nm, dtype=np.int64)
-    for S, T in _submask_layers(s):
-        rest = S[:, None] ^ T
-        v = dp[rest] + OPENING_COST
-        v += med1[T]
-        r = np.arange(len(S))
-        i = v.argmin(axis=1)
-        best = v[r, i]
-        # a row needs the blocks only if its runner-up is within 1e-12
-        v[r, i] = np.inf
-        tie = np.flatnonzero(v.min(axis=1) <= best + 1e-12)
-        v[r, i] = best
-        if len(tie):
-            near = v[tie] <= (best[tie] + 1e-12)[:, None]
-            i[tie] = np.where(near, blocks[rest[tie]], nm).argmin(axis=1)
-        t = T[r, i]
-        dp[S], blocks[S], choice[S] = v[r, i], blocks[S ^ t] + 1, t
+    L = np.flatnonzero(masks)[::-1]
+    cost = costs[L]
+    R = np.flatnonzero(rows)
+    size = np.zeros(len(R), dtype=np.int64)     # popcounts
+    for b in range(s):
+        size += (R >> b) & 1
+    step = max(1, _DP_PAIRS // len(L))
+    for p in range(1, s + 1):
+        layer = R[size == p]
+        for a in range(0, len(layer), step):
+            S = layer[a:a + step]
+            rest = S[:, None] ^ L
+            v = dp[rest] + OPENING_COST
+            v += cost
+            # T outside S, or T without S's lowest bit, leaves a bit of
+            # T | low in the rest
+            v[rest & (L | (S & -S)[:, None]) != 0] = np.inf
+            r = np.arange(len(S))
+            i = v.argmin(axis=1)
+            best = v[r, i]
+            # a row needs the blocks only if its runner-up is within 1e-12
+            v[r, i] = np.inf
+            tie = np.flatnonzero(v.min(axis=1) <= best + 1e-12)
+            v[r, i] = best
+            if len(tie):
+                near = v[tie] <= (best[tie] + 1e-12)[:, None]
+                i[tie] = np.where(near, blocks[rest[tie]], nm).argmin(axis=1)
+            t = L[i]
+            dp[S], blocks[S], choice[S] = v[r, i], blocks[S ^ t] + 1, t
     parts = []
     S = nm - 1
     while S:
@@ -686,7 +714,7 @@ def _kmedian_exact_dp(med1: np.ndarray, s: int, k: int):
 
     value[j, S] is the cost of S in j blocks, splitting off the block T
     holding S's lowest bit: among the splits within 1e-12 of the least, the
-    first T in decreasing order, as _ufl_partition_dp breaks its ties, so
+    first T in decreasing order, as _live_partition_dp breaks its ties, so
     that last-bit changes in med1 do not swap blocks of equal cost. A mask
     of p points has no split into more than p blocks and keeps inf there."""
     nm = 1 << s
@@ -713,9 +741,11 @@ def _kmedian_exact_dp(med1: np.ndarray, s: int, k: int):
 
 
 def _ufl_exact(P: np.ndarray):
-    """_ufl_partition_dp(_med1_costs(P), s) for s = len(P), byte for byte,
-    with the 1-median lockstep run on only the masks a near-optimal
-    partition can use. Returns (value, blocks).
+    """Least  #blocks + sum of 1-median costs  over the partitions of the
+    s = len(P) points: the DP over every (mask, submask) pair of the full
+    table _med1_costs(P), byte for byte, with the 1-median lockstep run on
+    only the masks a near-optimal partition can use, and the DP on only the
+    rows and blocks it can reach. Returns (value, blocks).
 
     1. _certified_subsets gives every mask's least data-point sum and the
        open masks (uncertified, at least three points).
@@ -726,30 +756,36 @@ def _ufl_exact(P: np.ndarray):
        least lb-price of a partition of R, and one partition of the whole
        set attaining it; UB prices that partition at its masks' data-point
        sums.
-    4. An open mask T with lb(T) + 1 + dp_lb[full ^ T] > tau = UB (1 +
-       1e-9) is dropped and keeps its data-point sum.
-    5. The kept open masks run _median_lockstep as in _med1_costs.
-    6. _ufl_partition_dp takes the table.
+    4. A mask T is live if lb(T) + 1 + dp_lb[full ^ T] <= tau = UB (1 +
+       1e-9). An open mask that is not live keeps its data-point sum.
+    5. The live open masks run _median_lockstep as in _med1_costs.
+    6. A row R is live if dp_lb[R] + dp_lb[full ^ R] <= tau, and
+       _live_partition_dp takes the table, the live masks and the live
+       rows.
 
     Why the bytes are those of the full table. Let c be _med1_costs's table
-    and c' this one. c' = c on a kept mask, as a lockstep row's bytes depend
-    only on its own points and mask, not on the rows run beside it. On a
-    dropped mask c' >= c, as c is at most the data-point sum c' holds. Both
-    are distance sums, so at least lb. Let m(X) be the least c-price of a
-    partition of X, and call X live with margin e if dp_lb[full ^ X] + m(X)
-    <= tau - e. UB is at least the c-price of a partition and at least 1 (a
-    block), so the whole set is live with margin 1e-9. Each DP value at X
-    is the price of a partition of X, in its table, so at least m(X); and
-    in run c at most m(X) + |X| 1e-12: the 1e-12 tie window costs at most
-    that per block.
+    and run c the DP over it with every row and mask live; run c' is step
+    6, over this table c'. c' = c on a live mask, as a lockstep row's bytes
+    depend only on its own points and mask, not on the rows run beside it.
+    On an open mask that is not live c' >= c, as c is at most the
+    data-point sum c' holds. Both are distance sums, so at least lb. Let
+    m(X) be the least c-price of a partition of X, and call X live with
+    margin e if dp_lb[full ^ X] + m(X) <= tau - e. UB is at least the
+    c-price of a partition and at least 1 (a block), so the whole set is
+    live with margin 1e-9. Each DP value at X is the price of a partition
+    of X, in its table, or inf on a row that is not live, so at least m(X);
+    and in run c at most m(X) + |X| 1e-12: the 1e-12 tie window costs at
+    most that per block.
 
     Claim: a mask X live with margin e > |X| 1e-12 gets the same row
-    (value, block count, choice) in both runs. Take any split X = T + R
-    whose value v, in either run, is at most m(X) + |X| 1e-12. Then v >=
-    m(R) + 1 + lb(T), and dp_lb is subadditive, so
+    (value, block count, choice) in both runs. It is a live row, as dp_lb[X]
+    <= m(X) (lb <= c). Take any split X = T + R whose value v, in either
+    run, is at most m(X) + |X| 1e-12. Then v >= m(R) + 1 + lb(T), and dp_lb
+    is subadditive, so
     - dp_lb[full ^ R] + m(R) <= dp_lb[full ^ X] + v <= tau - e + |X|
       1e-12: R is live with margin e - |X| 1e-12;
-    - lb(T) + 1 + dp_lb[full ^ T] <= dp_lb[full ^ X] + v < tau: T is kept.
+    - lb(T) + 1 + dp_lb[full ^ T] <= dp_lb[full ^ X] + v < tau: T is a
+      live mask, a candidate in run c'.
     By induction R's row is the same in both runs, and c'[T] = c[T], so the
     split has value v in both. Run c's least split and every split in its
     tie window lie in that range, so they are the same in run c' with the
@@ -764,17 +800,20 @@ def _ufl_exact(P: np.ndarray):
     bound = np.concatenate(([0.0], costs))
     bound[rest + 1] = lb
     dp_lb, choice = _least_partitions(bound, s)
-    full = (1 << s) - 1
-    ub, S = 0.0, full
+    ub, S = 0.0, (1 << s) - 1
     while S:
         T = int(choice[S])
         ub += OPENING_COST + costs[T - 1]
         S ^= T
-    kept = lb + OPENING_COST + dp_lb[full ^ (rest + 1)] <= ub * (1.0 + 1e-9)
+    tau = ub * (1.0 + 1e-9)
+    other = dp_lb[::-1]                         # dp_lb[full ^ X] at X
+    live = bound + OPENING_COST + other <= tau
+    live[0] = False
+    kept = live[rest + 1]
     rest, M = rest[kept], M[kept]
     upper, _, _ = _median_lockstep(_rows_view(PT, len(M)), M)
     costs[rest] = np.minimum(upper, costs[rest])
-    return _ufl_partition_dp(np.concatenate(([0.0], costs)), s)
+    return _live_partition_dp(np.concatenate(([0.0], costs)), s, live, dp_lb + other <= tau)
 
 
 def _least_partitions(costs: np.ndarray, s: int):
@@ -796,8 +835,9 @@ def brute_force_ufl_continuous(points) -> float:
     """opt(S) with ambient facilities, by exhaustive partition DP with
     geometric-median block centers (_ufl_exact), each within _WEISZFELD_TOL
     of its optimum by Kuhn's bound unless cut at _WEISZFELD_MAX_ITER steps.
-    The value is that of the DP over the full subset table; only the
-    subsets a near-optimal partition can use are iterated. Raises
+    The value is that of the DP over every split of the full subset
+    table; only the subsets a near-optimal partition can use are iterated,
+    and only they and the rows they reach enter the DP. Raises
     OracleScaleError, with the count and the cap, beyond _ENUM_THRESHOLD points."""
     P = _as_points(points)
     if len(P) > _ENUM_THRESHOLD:

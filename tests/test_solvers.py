@@ -19,7 +19,7 @@ from uflkit.ptas import (DistanceOracle, PtasConfig, RestrictedApproxHandle,
                          _exact_projected_sweep, ptas_discrete, ptas_euclidean, trace_to_jsonl)
 from uflkit.solvers import (WeiszfeldResult, _affine_reduce,
                             _kmedian_exact_dp, _mask_ids, _med1_costs, _mp_radii, _mp_select,
-                            _nearest_blocks, _submask_layers, _subset_table, _ufl_partition_dp,
+                            _live_partition_dp, _nearest_blocks, _submask_layers, _subset_table,
                             approx_ufl, brute_force_ufl_continuous, brute_force_ufl_discrete,
                             kmedian, kmedian_restricted, mp_ufl_value, restricted_ufl_value,
                             weiszfeld_1median)
@@ -838,8 +838,43 @@ class TestBallGrowingEqualsTheReference:
 # Sequential reference loops for the exact subset kernels
 # ---------------------------------------------------------------------------
 
+def full_table_partition_dp(med1, s):
+    """The UFL partition DP over every (mask, submask) pair, one
+    _submask_layers chunk at a time: _live_partition_dp's splits, float
+    operations and tie rule, with every row and mask live. _ufl_exact must
+    return its bytes on _med1_costs's full table."""
+    nm = 1 << s
+    dp = np.zeros(nm)
+    blocks = np.zeros(nm, dtype=np.int64)
+    choice = np.zeros(nm, dtype=np.int64)
+    for S, T in _submask_layers(s):
+        rest = S[:, None] ^ T
+        v = dp[rest] + OPENING_COST
+        v += med1[T]
+        r = np.arange(len(S))
+        i = v.argmin(axis=1)
+        best = v[r, i]
+        v[r, i] = np.inf
+        tie = np.flatnonzero(v.min(axis=1) <= best + 1e-12)
+        v[r, i] = best
+        if len(tie):
+            near = v[tie] <= (best[tie] + 1e-12)[:, None]
+            i[tie] = np.where(near, blocks[rest[tie]], nm).argmin(axis=1)
+        t = T[r, i]
+        dp[S], blocks[S], choice[S] = v[r, i], blocks[S ^ t] + 1, t
+    parts = []
+    S = nm - 1
+    while S:
+        T = int(choice[S])
+        parts.append(_mask_ids(T, s))
+        S ^= T
+    return float(dp[nm - 1]), parts
+
+
 def reference_ufl_partition_dp(med1, s):
-    """_ufl_partition_dp one (mask, submask) pair at a time."""
+    """The UFL partition DP one (mask, submask) pair at a time: the least
+    split, the fewest blocks within 1e-12 of it, then the first T in
+    decreasing order."""
     nm = 1 << s
     inf = float("inf")
     dp = [inf] * nm
@@ -955,12 +990,18 @@ def exact_inputs(draw, max_size=14):
 
 
 class TestExactKernelsEqualTheLoops:
-    @given(P=exact_inputs())
+    @given(P=exact_inputs(max_size=10))
     @settings(max_examples=30, deadline=None)
+    @example(P=_exact_input(np.random.default_rng(0), "grid", 10))    # ties the fewest blocks break
     def test_ufl_partition_dp(self, P):
+        # every row and every mask live: each row sees all 2^s masks, so
+        # the draws stop at 10 points
+        s = len(P)
         med1 = _med1_costs(P)
-        assert (_blocks_bytes(*_ufl_partition_dp(med1, len(P)))
-                == _blocks_bytes(*reference_ufl_partition_dp(med1, len(P))))
+        every = np.ones(1 << s, dtype=bool)
+        want = _blocks_bytes(*reference_ufl_partition_dp(med1, s))
+        assert _blocks_bytes(*_live_partition_dp(med1, s, every, every)) == want
+        assert _blocks_bytes(*full_table_partition_dp(med1, s)) == want
 
     @given(P=exact_inputs(), data=st.data())
     @settings(max_examples=30, deadline=None)
@@ -1058,10 +1099,11 @@ class TestPrunedUflExact:
     @given(P=exact_inputs(), scale=st.sampled_from([0.05, 1.0, 10.0]))
     @settings(max_examples=60, deadline=None)
     @example(P=_exact_input(np.random.default_rng(14), "random", 14), scale=1.0)
+    @example(P=_exact_input(np.random.default_rng(14), "grid", 14), scale=1.0)   # many ties
     def test_equals_the_full_table(self, P, scale):
         P = P * scale
         assert (_blocks_bytes(*solvers._ufl_exact(P))
-                == _blocks_bytes(*_ufl_partition_dp(_med1_costs(P), len(P))))
+                == _blocks_bytes(*full_table_partition_dp(_med1_costs(P), len(P))))
 
     def test_prunes_most_open_masks(self, monkeypatch):
         # the converging lockstep (no step cap) sees under a tenth of the
@@ -1083,6 +1125,47 @@ class TestPrunedUflExact:
             brute_force_ufl_continuous(P)
             (iterated,) = calls
             assert iterated < 0.1 * opened, s
+
+    def test_dp_sees_few_rows_and_masks(self, monkeypatch):
+        # at most 7.0% of the 4 095 rows and 6.3% of the masks on these
+        # inputs; the full-table DP sees them all
+        seen, dp = [], solvers._live_partition_dp
+
+        def counted(costs, s, masks, rows):
+            seen.append((int(masks[1:].sum()), int(rows[1:].sum())))
+            return dp(costs, s, masks, rows)
+
+        monkeypatch.setattr(solvers, "_live_partition_dp", counted)
+        for s in range(4):
+            brute_force_ufl_continuous(generate_dataset("subspace", 12, 64, 2, s).coords)
+            masks, rows = seen.pop()
+            assert 0 < masks < 0.1 * 4095 and 0 < rows < 0.1 * 4095, s
+
+    def test_dp_temporaries_stay_within_their_budget(self, monkeypatch):
+        # 4 992 live rows and 88 live masks: layers of up to 840 rows make
+        # 73 920 (row, mask) cells, so the DP must chunk them. Its peak is
+        # its three 2^14 tables and a few _DP_PAIRS-cell temporaries
+        # (6.4 of them), where one unchunked layer's would alone take 9
+        P = _exact_input(np.random.default_rng(0), "random", 14)
+        calls, dp = [], solvers._live_partition_dp
+
+        def kept(*args):
+            calls.append(args)
+            return dp(*args)
+
+        monkeypatch.setattr(solvers, "_live_partition_dp", kept)
+        want = solvers._ufl_exact(P)
+        (args,) = calls
+        _, s, masks, rows = args
+        assert int(masks.sum()) * int(rows.sum()) > solvers._DP_PAIRS
+        tracemalloc.start()
+        try:
+            got = dp(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _blocks_bytes(*got) == _blocks_bytes(*want)
+        assert peak <= 3 * 8 * (1 << s) + 8 * 8 * solvers._DP_PAIRS
 
 
 class TestCertifiedSubsetMedians:
@@ -1263,7 +1346,7 @@ def _golden_exact_oracles(seed):
         s = len(P)
         med1 = _med1_costs(P)
         # the continuous oracle's body without its cap at s = 14
-        value = brute_force_ufl_continuous(P) if s <= 12 else _ufl_partition_dp(med1, s)[0]
+        value = brute_force_ufl_continuous(P) if s <= 12 else solvers._ufl_exact(P)[0]
         yield med1.astype("<f8").tobytes() + _f8(value, brute_force_ufl_discrete(P))
         for k in range(1, s + 1 if s <= 12 else 1):
             yield _kmedian_chunk(kmedian(P, k))
