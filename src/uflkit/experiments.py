@@ -90,7 +90,7 @@ def run_dimred_experiment(spec: ExperimentSpec):
         X = generate_dataset(spec.kind, spec.n, spec.d, spec.intrinsic_dim, ds_seed)
         opt_x = brute_force_ufl_continuous(X.coords)
         pi = sample_map(spec.d, m, map_seed)
-        opt_p = brute_force_ufl_continuous(pi.apply(X).coords)
+        opt_p = brute_force_ufl_continuous(pi.embed(X).coords)
         rows.append({"trial": trial, "dataset_seed": ds_seed, "map_seed": map_seed,
                      "m": m, "opt_original": opt_x, "opt_projected": opt_p,
                      "ratio": opt_p / opt_x})
@@ -168,11 +168,10 @@ def norm_expectation_check(m: int, trials: int, seed: int) -> dict:
 
 
 def _unit_norms(m: int, trials: int, seed: int) -> np.ndarray:
-    x = np.zeros(_TAIL_D)
-    x[0] = 1.0
+    x = PointSet(np.eye(1, _TAIL_D))                # e1, one point
     out = np.empty(trials)
     for i, s in enumerate(spawn_seeds(seed, trials)):
-        out[i] = np.linalg.norm(sample_map(_TAIL_D, m, s).apply_vector(x))
+        out[i] = np.linalg.norm(sample_map(_TAIL_D, m, s).embed(x).coords)
     return out
 
 
@@ -387,7 +386,7 @@ def opt_upper_tail_check(trials: int, seed: int) -> dict:
     opt_x = brute_force_ufl_continuous(X.coords)
     hits = 0
     for s in spawn_seeds(seed, trials):
-        opt_p = brute_force_ufl_continuous(sample_map(X.d, m, s).apply(X).coords)
+        opt_p = brute_force_ufl_continuous(sample_map(X.d, m, s).embed(X).coords)
         if opt_p >= (1.0 + t) * opt_x:
             hits += 1
     bound = max(_TAIL_SLACK * 4.0 / (t * t * m) * math.exp(-t * t * m / 8.0), 3.0 / trials)
@@ -404,7 +403,7 @@ def opt_contraction_trend_check(trials: int, seed: int) -> dict:
     for m in _TREND_MS:
         hits = 0
         for s in spawn_seeds(seed + m, trials):
-            opt_p = brute_force_ufl_continuous(sample_map(X.d, m, s).apply(X).coords)
+            opt_p = brute_force_ufl_continuous(sample_map(X.d, m, s).embed(X).coords)
             if opt_p <= opt_x / (1.0 + _TREND_EPS):
                 hits += 1
         rates.append(hits / trials)

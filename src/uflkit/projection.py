@@ -3,8 +3,10 @@ the target dimension m that `PtasConfig.m` derives for the Euclidean
 pipeline's projection.
 
 Only the distances of the image matter to the pipeline, and the image of
-R^d spans at most min(m, d) dimensions: `RandomLinearMap.embed` writes it
-in min(m, d) coordinates with every pairwise distance kept."""
+R^d spans at most min(m, d) dimensions. A map therefore keeps only a
+min(m, d) x d factor F whose distances have the law of G's (see
+`sample_map`), and `RandomLinearMap.embed` writes the image in min(m, d)
+coordinates."""
 
 from __future__ import annotations
 
@@ -19,13 +21,16 @@ from .util import rng_from_seed, snapped_ceil
 
 @dataclass(frozen=True)
 class RandomLinearMap:
-    """m x d matrix of i.i.d. standard normals, fully determined by the seed
-    (PCG64 stream, Ziggurat normal sampling as implemented by numpy).
+    """A Gaussian map pi(x) = G x / sqrt(m), G an m x d matrix of i.i.d.
+    standard normals, kept as its min(m, d) x d factor `matrix` = F and
+    fully determined by the seed (PCG64 stream, numpy's samplers): F = G
+    when m <= d, and when m > d a d x d upper-triangular F with the law of
+    the R in G = QR, so that |F(x - y)| has the joint law of |G(x - y)|.
 
-    `apply` gives the image pi(X) in R^m. When m > d the image lies in the
-    d-dimensional range of G = QR (Q with orthonormal columns, R d x d), so
-    |pi(x) - pi(y)| = |R(x - y)| / sqrt(m) exactly and `embed` writes
-    pi(X) in an orthonormal basis of that range: d coordinates per point.
+    `embed` gives X F^T / sqrt(m). `apply` and `apply_vector` give the
+    image in R^m, x -> [F; 0] x / sqrt(m): `embed`'s coordinates padded
+    with m - min(m, d) zeros. For m > d that is pi(x) up to an isometry of
+    R^m, so `embed` and `apply` are one map.
     """
 
     matrix: np.ndarray
@@ -37,33 +42,52 @@ class RandomLinearMap:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.d,):
             raise ValueError(f"dimension mismatch: expected ({self.d},), got {x.shape}")
-        return self.matrix @ x / math.sqrt(self.m)
-
-    def _coords(self, X: PointSet) -> np.ndarray:
-        if X.d != self.d:
-            raise ValueError(f"dimension mismatch: map expects d={self.d}, got d={X.d}")
-        return X.coords
+        return np.concatenate([self.matrix @ x / math.sqrt(self.m),
+                               np.zeros(self.m - len(self.matrix))])
 
     def apply(self, X: PointSet) -> PointSet:
-        return PointSet(self._coords(X) @ self.matrix.T / math.sqrt(self.m))
+        """pi(X) in R^m: `embed(X)` padded with m - min(m, d) zero columns."""
+        E = self.embed(X).coords
+        return PointSet(np.pad(E, ((0, 0), (0, self.m - E.shape[1]))))
 
     def embed(self, X: PointSet) -> PointSet:
-        """pi(X) up to an isometry, in min(m, d) coordinates: X R^T / sqrt(m)
-        with R from the QR factorisation of G when m > d, `apply(X)` when
-        m <= d."""
-        if self.m <= self.d:
-            return self.apply(X)
-        R = np.linalg.qr(self.matrix, mode="r")
-        return PointSet(self._coords(X) @ R.T / math.sqrt(self.m))
+        """pi(X) up to an isometry, in min(m, d) coordinates: X F^T / sqrt(m)."""
+        if X.d != self.d:
+            raise ValueError(f"dimension mismatch: map expects d={self.d}, got d={X.d}")
+        return PointSet(X.coords @ self.matrix.T / math.sqrt(self.m))
 
 
 def sample_map(d: int, m: int, seed: int) -> RandomLinearMap:
-    """Draw the m x d Gaussian matrix for the given seed."""
+    """Draw the map's factor F for the given seed.
+
+    m <= d: F is the m x d Gaussian matrix G, one `standard_normal((m, d))`
+    draw.
+
+    m > d: F is drawn as the triangular factor R of G = QR, without G.
+    Q has orthonormal columns, so |Gv| = |QRv| = |Rv| for every v: the
+    map's distances are R's. By Bartlett's decomposition of the Wishart
+    matrix G^T G = R^T R (Bartlett, 1933), R with its diagonal taken
+    positive has independent entries, R_ij ~ N(0, 1) for i < j and
+    R_ii = sqrt(chi^2(m - i)) for i = 0..d-1. A QR routine may return R
+    with some negative diagonal entries instead; flipping the sign of a row
+    of R is an isometry, so |Rv| does not depend on that choice. The
+    generator first fills the strict upper triangle in row-major order
+    from `standard_normal(d (d - 1) / 2)`, then the diagonal from
+    `sqrt(chisquare(m - arange(d)))`. The cost is d (d + 1) / 2 draws and
+    no factorisation, against m d draws and an O(m d^2) QR.
+    """
     if d < 1 or m < 1:
         raise ValueError("both dimensions must be at least 1")
-    G = rng_from_seed(seed).standard_normal((m, d))
-    G.setflags(write=False)
-    return RandomLinearMap(matrix=G, m=int(m), d=int(d), seed=int(seed))
+    rng = rng_from_seed(seed)
+    if m <= d:
+        F = rng.standard_normal((m, d))
+    else:
+        i = np.arange(d)
+        F = np.zeros((d, d))
+        F[i[:, None] < i] = rng.standard_normal(d * (d - 1) // 2)
+        F[i, i] = np.sqrt(rng.chisquare(m - i))
+    F.setflags(write=False)
+    return RandomLinearMap(matrix=F, m=int(m), d=int(d), seed=int(seed))
 
 
 _C3 = 2.0       # the paper's c3, which need only be large enough; read at call time

@@ -208,10 +208,12 @@ def ptas_euclidean(X: PointSet, cfg: PtasConfig) -> tuple[UflSolution, list[Part
     4. one weiszfeld_1median call over every adopted block, in part order,
        as ids into X.
 
-    The projected points are `pi.embed(X)`: pi(X) written in an orthonormal
-    basis of pi's range, min(m, d) coordinates with the same pairwise
-    distances as pi(X) in R^m, which are all that the contraction check
-    and the sweeps read."""
+    The projected points are `pi.embed(X)` = X F^T / sqrt(m), F the map's
+    min(m, d) x d factor: min(m, d) coordinates whose pairwise distances
+    have the joint law of a Gaussian map's image in R^m, which are all that
+    the contraction check and the sweeps read. When m > d, `sample_map`
+    draws F as the d x d triangular factor of that map's QR directly, so no
+    m-wide matrix or image is formed."""
     if X.n == 0:
         raise ValueError("empty input")
     if not np.any(X.coords != X.coords[0]):          # one location: open it

@@ -21,7 +21,7 @@ from uflkit.util import spawn_seeds
 
 # sha256 of json.dumps(run_property_suite(ExperimentSpec(trials=60, seed=21)),
 # sort_keys=True)
-SUITE_DIGEST = "319875e1d6f31e3b80a59e4509b3cb85efc6e7786b75ebda8b597207820325cf"
+SUITE_DIGEST = "b3e59ed98bb44d52ed12a661dda6e8ef6d3aec6eb9495d9dc898c3a04d45656a"
 
 
 class TestDimred:

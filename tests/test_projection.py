@@ -1,12 +1,14 @@
-import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
+from scipy.stats import ks_2samp
 
 from uflkit import projection
+from uflkit.datasets import generate_dataset
 from uflkit.experiments import (contraction_tail_check, expansion_tail_check,
                                 expectation_tail_check, norm_expectation_check)
 from uflkit.geometry import PointSet
@@ -45,6 +47,43 @@ class TestSampleMap:
               for s in spawn_seeds(123, 10000)]
         assert abs(np.mean(sq) - 1.0) <= 0.05
 
+    @pytest.mark.parametrize("d,m", [(1, 2), (3, 4), (8, 20), (64, 1496)])
+    def test_factor_is_upper_triangular_with_positive_diagonal(self, d, m):
+        for s in range(5):
+            F = sample_map(d, m, s).matrix
+            assert F.shape == (d, d)
+            assert np.all(np.tril(F, -1) == 0.0)
+            assert np.all(np.diag(F) > 0.0)
+
+    @pytest.mark.parametrize("stat", ["squared_norm", "inner_product"])
+    def test_factor_has_the_law_of_the_gaussian_qr_factor(self, stat):
+        # |Fv|^2 / m and <Fv, Fw> / m against the same reads of R from the QR
+        # of an m x d standard normal draw: |Gv| = |Rv|, so R gives the law of
+        # the Gaussian map's distances, and the row signs of R do not matter.
+        d, m, trials = 8, 20, 2000
+        v = np.linspace(1.0, -0.5, d)
+        w = np.cos(np.arange(d))
+
+        def read(F):
+            return (F @ v) @ (F @ v if stat == "squared_norm" else F @ w) / m
+
+        drawn = [read(sample_map(d, m, s).matrix) for s in spawn_seeds(391, trials)]
+        qr = [read(np.linalg.qr(np.random.default_rng(s).standard_normal((m, d)), mode="r"))
+              for s in spawn_seeds(392, trials)]
+        assert ks_2samp(drawn, qr).pvalue > 0.01
+
+    def test_draw_and_embed_stay_small(self):
+        # the 1496 x 64 Gaussian matrix alone is 748 KB
+        X = generate_dataset("subspace", 12, 64, 2, 3)
+        tracemalloc.start()
+        try:
+            E = sample_map(64, 1496, 5).embed(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert E.coords.shape == (12, 64)
+        assert peak < 256 * 1024
+
 
 class TestApply:
     def test_zero_vector_maps_to_zero(self):
@@ -52,13 +91,14 @@ class TestApply:
         assert np.allclose(pi.apply_vector(np.zeros(5)), 0.0)
 
     def test_linearity_on_pairs(self, rng):
-        pi = sample_map(6, 4, 9)
-        X = random_points(rng, 8, 6)
-        P = pi.apply(X).coords
-        for i in range(8):
-            for j in range(8):
-                lhs = pi.apply_vector(X.coords[i] - X.coords[j])
-                np.testing.assert_allclose(lhs, P[i] - P[j], rtol=1e-12, atol=1e-14)
+        for d, m in ((6, 4), (4, 9)):
+            pi = sample_map(d, m, 9)
+            X = random_points(rng, 8, d)
+            P = pi.apply(X).coords
+            for i in range(8):
+                for j in range(8):
+                    lhs = pi.apply_vector(X.coords[i] - X.coords[j])
+                    np.testing.assert_allclose(lhs, P[i] - P[j], rtol=1e-12, atol=1e-14)
 
     def test_dimension_mismatch(self, rng):
         pi = sample_map(6, 4, 9)
@@ -84,6 +124,10 @@ class TestEmbed:
         np.testing.assert_allclose(pdist(E), pdist(P), rtol=1e-12, atol=0)
         if m <= d:
             assert E.tobytes() == P.tobytes()
+        else:
+            assert P.shape == (n, m)
+            assert np.ascontiguousarray(P[:, :d]).tobytes() == E.tobytes()
+            assert np.all(P[:, d:] == 0.0)
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError, match="dimension mismatch"):

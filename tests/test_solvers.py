@@ -1431,11 +1431,11 @@ GOLDEN_SOLVER_SOURCES = {
 GOLDEN_SOLVER_DIGESTS = {
     "approx_ufl": "bf36ee77b064c76e4c13926cededa2b35072702b9bf1d516ca2d6df80af7b91a",
     "exact_oracles": "1c865ff085b070f5b9f1a291396e99e065bffe449ef9fcbcceb7564b110bb7cd",
-    "ptas": "c1f343ef463b9b9f4a26dac8b34ad886ba2fc538d9536fe052614a764c8d6e88",
+    "ptas": "233e0efdf6e4c699e3bda18ebd709f9c9e8bd9cc5ddb7060c853a8b761045554",
     "ptas_discrete_split": "c3edc187c7dc6a1477ad8ecc25db2af4116d5328af1e4030a41c1e72577121ce",
-    "ptas_euclid_split": "f0a9fea33976dd411a2221076936aa7beea7fb5f7a368b9a2be3bf8928ebb23a",
-    "ptas_fallback": "d3760bfb72f2e40c2342f0b50347906ae46c63bed09b82b588df9a3270429936",
-    "ptas_small": "2f009caf7a08062bcddf54b74f3bbdbee34437de6cb906666d700751d397b8f0",
+    "ptas_euclid_split": "6b63d295fa720df46379aca0c67838b48ba4cd3075d54a99e97894193496fc4e",
+    "ptas_fallback": "e08f0f2015ef061d91126f18de749a4359835bae7efbe61b1f344b6b5d3cf67c",
+    "ptas_small": "fef193657a3c16a250caf0dd60f6830bb00bde245c06f2da46ca6394c1fd37fb",
     "restricted_ufl_value": "3843dbd3d090b687da672b90d0c48a14d3f9dd606a218661d2ab50a34bcf0640",
     "weiszfeld_1median": "be8eb2e81fdc7a9b83b1d7d0a38f012f981ada7680a1d7e46c1242c28ff372a3",
 }
