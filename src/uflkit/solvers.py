@@ -263,10 +263,15 @@ def _certified_subsets(P: np.ndarray):
     of the masks that _certify leaves open and that hold at least three
     points, with M their 0/1 member rows. Every other mask's least
     data-point sum is its optimum. The certificate's sums come from P's one
-    distance matrix."""
+    distance matrix. The mask table doubles by highest bit: the masks
+    2^h .. 2^(h+1) - 1 are those below 2^h with column h set."""
     P = _affine_reduce(P)
     s = len(P)
-    M = ((np.arange(1, 1 << s)[:, None] >> np.arange(s)) & 1).astype(np.float64)
+    M = np.zeros((1 << s, s))
+    for h in range(s):
+        M[1 << h:2 << h] = M[:1 << h]
+        M[1 << h:2 << h, h] = 1.0
+    M = M[1:]
     PT = np.ascontiguousarray(P.T)[:, None, :]
     _, costs, certified = _certify(_rows_view(PT, len(M)), M,
                                    np.einsum("rn,cn->rc", M, distances(P)))
@@ -308,7 +313,7 @@ _ROUNDING = 16.0 * np.finfo(np.float64).eps     # Newton gains below this share 
 _NEAR = 1e-3            # a member this close, relative to the distance sum, anchors its row
 
 
-def _median_lockstep(P: np.ndarray, M: np.ndarray, steps: int | None = None):
+def _median_lockstep(P: np.ndarray, M: np.ndarray):
     """Certified geometric medians of the rows of points P (k x r x w,
     coordinate-major) whose members the 0/1 rows of M (r x w) select,
     iterated in lockstep from their centroids. P may be a broadcast view,
@@ -345,13 +350,11 @@ def _median_lockstep(P: np.ndarray, M: np.ndarray, steps: int | None = None):
     the u_i shifted by -g / size (on a data point, the eta copies of y take
     -g / eta each and the others stay), divided by the largest norm that
     shift can give. A row keeps the best bound it reaches and stops once
-    upper - lower <= _WEISZFELD_TOL * upper, or after steps steps
-    (_WEISZFELD_MAX_ITER, read at call time, unless the caller caps it: at
-    steps = 0, lower is the bound at the centroid and upper the centroid's
-    distance sum); a stopped row leaves the arrays. Rows run _MEDIAN_CELLS
-    (coordinate, row, member) cells at a time, and the halvings at most
-    that many (coordinate, row, halving, member) cells, which bounds every
-    temporary.
+    upper - lower <= _WEISZFELD_TOL * upper, or after _WEISZFELD_MAX_ITER
+    steps (read at call time); a stopped row leaves the arrays. Rows run
+    _MEDIAN_CELLS (coordinate, row, member) cells at a time, and the
+    halvings at most that many (coordinate, row, halving, member) cells,
+    which bounds every temporary.
 
     Per step, g is one einsum reduction over the w members, sum w_i u_i
     u_i^T one batched matrix product with a k x k result per row, and the
@@ -363,12 +366,34 @@ def _median_lockstep(P: np.ndarray, M: np.ndarray, steps: int | None = None):
     lower = np.empty(r)
     centers = np.empty((k, r))
     rows = max(1, _MEDIAN_CELLS // (w * k))
-    last = _WEISZFELD_MAX_ITER if steps is None else steps
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in range(0, r, rows):
             part = slice(a, a + rows)
-            _median_rows(P[:, part], M[part], centers[:, part], upper[part], lower[part], last)
+            _median_rows(P[:, part], M[part], centers[:, part], upper[part], lower[part])
     return upper, lower, centers.T
+
+
+def _centroid_bounds(P: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """Kuhn's dual bound at the centroid c of each row of points P (k x r x
+    w, coordinate-major) whose members the 0/1 rows of M select: f / (1 +
+    |g| / size), f the members' distance sum at c and g the sum of the unit
+    vectors u_i from the members to c (a member at c adds none). The v_i =
+    u_i - g / size sum to zero and have norm at most 1 + |g| / size, and
+    sum v_i . (c - p_i) = f, as the c - p_i sum to zero; so, as in
+    _median_lockstep, the bound is at most every distance sum of the row,
+    up to rounding, and at most f. P may be a broadcast view. Rows run
+    _MEDIAN_CELLS (coordinate, row, member) cells at a time."""
+    k, r, w = P.shape
+    lb = np.empty(r)
+    rows = max(1, _MEDIAN_CELLS // (w * k))
+    for a in range(0, r, rows):
+        m, Q = M[a:a + rows], P[:, a:a + rows]
+        size = m.sum(axis=1)
+        D = (np.einsum("rn,krn->kr", m, Q) / size)[:, :, None] - Q
+        d, f = _sums_at(D, m)
+        g = np.einsum("krn,rn->kr", D, m / np.where(d > 0.0, d, np.inf))
+        lb[a:a + rows] = f / (1.0 + np.sqrt(_dot_k(g, g)) / size)
+    return lb
 
 
 def _sums_at(D: np.ndarray, M: np.ndarray):
@@ -405,11 +430,10 @@ def _escape_offsets(B: np.ndarray, M: np.ndarray, near: np.ndarray) -> np.ndarra
     return g * ((blend - 1.0) / w.sum(axis=1))
 
 
-def _median_rows(P, M, y, upper, lower, last):
-    """_median_lockstep on one chunk of rows for at most last steps,
-    writing into the views y (k x r), upper and lower. P holds every row of
-    the chunk; the active rows read theirs through pos, so rows that stop
-    cost no copy of P.
+def _median_rows(P, M, y, upper, lower):
+    """_median_lockstep on one chunk of rows, writing into the views y (k x
+    r), upper and lower. P holds every row of the chunk; the active rows
+    read theirs through pos, so rows that stop cost no copy of P.
 
     A row holds y as an anchor p_a and the offset delta = y - p_a, with B =
     p_a - P, so that y - p_i = B + delta. Once a member comes within _NEAR
@@ -452,6 +476,7 @@ def _median_rows(P, M, y, upper, lower, last):
     D = B + delta[:, :, None]
     d, f = _sums_at(D, M)
     lo = np.zeros(len(M))
+    last = _WEISZFELD_MAX_ITER
     for it in range(last + 1):
         # the weights 1/d_i, 0 off the members: a divide by where()'s
         # output runs several times faster than one masked by where=
@@ -724,10 +749,10 @@ def _kmedian_exact_dp(med1: np.ndarray, s: int, k: int):
     for S, T in _submask_layers(s):
         p = T.shape[1].bit_length()                 # T has 2^(p-1) columns
         rest = S[:, None] ^ T
-        med = med1[T]
+        med = med1.take(T)
         r = np.arange(len(S))
         for j in range(1, min(k, p) + 1):
-            v = value[j - 1][rest]
+            v = value[j - 1].take(rest)
             v += med
             i = (v <= v.min(axis=1, keepdims=True) + 1e-12).argmax(axis=1)
             value[j, S], choice[j, S] = v[r, i], T[r, i]
@@ -749,9 +774,9 @@ def _ufl_exact(P: np.ndarray):
 
     1. _certified_subsets gives every mask's least data-point sum and the
        open masks (uncertified, at least three points).
-    2. Each open mask T gets lb(T), Kuhn's bound at its centroid: the
-       lockstep's bound before its first step. Every other mask's lb is
-       its cost, which is exact.
+    2. Each open mask T gets lb(T), Kuhn's bound at its centroid
+       (_centroid_bounds). Every other mask's lb is its cost, which is
+       exact.
     3. One partition DP over lb (_least_partitions) gives dp_lb[R], the
        least lb-price of a partition of R, and one partition of the whole
        set attaining it; UB prices that partition at its masks' data-point
@@ -768,7 +793,8 @@ def _ufl_exact(P: np.ndarray):
     6, over this table c'. c' = c on a live mask, as a lockstep row's bytes
     depend only on its own points and mask, not on the rows run beside it.
     On an open mask that is not live c' >= c, as c is at most the
-    data-point sum c' holds. Both are distance sums, so at least lb. Let
+    data-point sum c' holds. Both are distance sums, so at least lb, which
+    _centroid_bounds keeps at most every distance sum up to a few ulp. Let
     m(X) be the least c-price of a partition of X, and call X live with
     margin e if dp_lb[full ^ X] + m(X) <= tau - e. UB is at least the
     c-price of a partition and at least 1 (a block), so the whole set is
@@ -796,7 +822,7 @@ def _ufl_exact(P: np.ndarray):
     """
     s = len(P)
     PT, M, costs, rest = _certified_subsets(P)
-    _, lb, _ = _median_lockstep(_rows_view(PT, len(M)), M, steps=0)
+    lb = _centroid_bounds(_rows_view(PT, len(M)), M)
     bound = np.concatenate(([0.0], costs))
     bound[rest + 1] = lb
     dp_lb, choice = _least_partitions(bound, s)
@@ -823,8 +849,9 @@ def _least_partitions(costs: np.ndarray, s: int):
     dp = np.zeros(1 << s)
     choice = np.zeros(1 << s, dtype=np.int64)
     for S, T in _submask_layers(s):
-        v = dp[S[:, None] ^ T] + OPENING_COST
-        v += costs[T]
+        # take gathers by int32 indices far faster than fancy indexing
+        v = dp.take(S[:, None] ^ T) + OPENING_COST
+        v += costs.take(T)
         i = v.argmin(axis=1)
         r = np.arange(len(S))
         dp[S], choice[S] = v[r, i], T[r, i]

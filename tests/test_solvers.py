@@ -904,6 +904,26 @@ def reference_ufl_partition_dp(med1, s):
     return dp[nm - 1], parts
 
 
+def reference_least_partitions(costs, s):
+    """_least_partitions one (mask, submask) pair at a time: each mask's
+    least split, the first in decreasing order of T."""
+    nm = 1 << s
+    dp = [0.0] * nm
+    choice = [0] * nm
+    cost = costs.tolist()
+    for S in range(1, nm):
+        low = S & (-S)
+        best, T = float("inf"), S
+        while T:
+            if T & low:
+                v = dp[S ^ T] + OPENING_COST + cost[T]
+                if v < best:
+                    best, choice[S] = v, T
+            T = (T - 1) & S
+        dp[S] = best
+    return np.array(dp), np.array(choice, dtype=np.int64)
+
+
 def reference_kmedian_exact_dp(med1, s, k):
     """_kmedian_exact_dp one mask at a time: its splits in decreasing
     order of T, then the first within 1e-12 of the least."""
@@ -1002,6 +1022,17 @@ class TestExactKernelsEqualTheLoops:
         want = _blocks_bytes(*reference_ufl_partition_dp(med1, s))
         assert _blocks_bytes(*_live_partition_dp(med1, s, every, every)) == want
         assert _blocks_bytes(*full_table_partition_dp(med1, s)) == want
+
+    @given(P=exact_inputs(max_size=10))
+    @settings(max_examples=30, deadline=None)
+    @example(P=_exact_input(np.random.default_rng(0), "grid", 12))    # many tied splits
+    def test_least_partitions(self, P):
+        s = len(P)
+        med1 = _med1_costs(P)
+        dp, choice = solvers._least_partitions(med1, s)
+        want_dp, want_choice = reference_least_partitions(med1, s)
+        assert dp.tobytes() == want_dp.tobytes()
+        assert np.array_equal(choice, want_choice)
 
     @given(P=exact_inputs(), data=st.data())
     @settings(max_examples=30, deadline=None)
@@ -1105,15 +1136,26 @@ class TestPrunedUflExact:
         assert (_blocks_bytes(*solvers._ufl_exact(P))
                 == _blocks_bytes(*full_table_partition_dp(_med1_costs(P), len(P))))
 
+    @given(P=exact_inputs(), scale=st.sampled_from([0.05, 1.0, 10.0]))
+    @settings(max_examples=30, deadline=None)
+    def test_centroid_bounds_are_lower_bounds(self, P, scale):
+        # at most every distance sum: the least data-point sum and the
+        # lockstep's converged one, up to rounding
+        P = P * scale
+        PT, M, costs, rest = solvers._certified_subsets(P)
+        lb = solvers._centroid_bounds(solvers._rows_view(PT, len(M)), M)
+        assert np.all(lb >= 0.0)
+        assert np.all(lb <= costs[rest] * (1.0 + 1e-12))
+        assert np.all(lb <= _med1_costs(P)[rest + 1] * (1.0 + 1e-12))
+
     def test_prunes_most_open_masks(self, monkeypatch):
-        # the converging lockstep (no step cap) sees under a tenth of the
-        # masks the certificate leaves open
+        # the lockstep sees under a tenth of the masks the certificate
+        # leaves open
         calls, lockstep = [], solvers._median_lockstep
 
-        def counted(P, M, steps=None):
-            if steps is None:
-                calls.append(len(M))
-            return lockstep(P, M, steps)
+        def counted(P, M):
+            calls.append(len(M))
+            return lockstep(P, M)
 
         monkeypatch.setattr(solvers, "_median_lockstep", counted)
         for s in range(4):
